@@ -6,7 +6,7 @@ convergence."""
 
 from .errors import (AdmissibilityError, ConfigError, ConstructionError,
                      HorizonError, HypfluxError, MeshError)
-from .mesh import (Cell, Interface, Mesh, build_perturbed_quad_2d,
+from .mesh import (Mesh, build_perturbed_quad_2d,
                    build_uniform_1d, build_uniform_quad_2d, load_mesh,
                    mesh_from_json, mesh_to_json, regularity_constant,
                    save_mesh, validate_mesh)
@@ -15,19 +15,19 @@ from .systems import (AdmissibleSet, StateField, SystemModel, compute_lf,
                       make_friedrichs, make_shallow_water_1d,
                       relative_entropy, relative_entropy_flux, relative_z,
                       validate_system)
-from .numflux import (DissipationGapCheck, FluxScheme, InterfaceFluxRecord,
-                      InterfaceFluxRecords,
+from .numflux import (DissipationGapCheck, FluxScheme, InterfaceFluxRecords,
                       dissipation_gap_check, make_godunov_scalar,
                       make_rusanov, omega_stability_check,
                       sample_wave_speed_sup, x_flux)
 from .solver import (RunConfig, Trajectory, cell_means, compute_dt,
                      interface_flux_records, project_initial, run, step)
 from .diagnostics import (ConvergenceRow, ConvergenceTable, DiagnosticsLedger,
-                          MeasureMasses, accumulate_step, cone_l2_error,
-                          fit_rate, make_ledger_hook, measure_masses,
-                          measure_scaling_report, projection_masses,
-                          reference_cell_means, relative_entropy_norm,
-                          squared_l2_cell_error, wbv_scaling_report)
+                          ErrorFold, MeasureMasses, accumulate_step,
+                          cone_l2_error, fit_rate, make_ledger_hook,
+                          measure_masses, measure_scaling_report,
+                          projection_masses, reference_cell_means,
+                          relative_entropy_norm, squared_l2_cell_error,
+                          wbv_scaling_report)
 from .reference import (ReferenceSolution, exact_advection, exact_burgers,
                         exact_friedrichs, fine_grid_reference)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import configparser
+import dataclasses
 import json
 import math
 import os
@@ -29,8 +30,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from . import numflux, reference, solver
-from .errors import (AdmissibilityError, ConfigError, ConstructionError,
-                     HorizonError, HypfluxError, MeshError)
+from .errors import ConfigError, ConstructionError, HypfluxError, MeshError
 from .mesh import (build_perturbed_quad_2d, build_uniform_1d,
                    build_uniform_quad_2d)
 from .systems import (make_advection, make_burgers, make_friedrichs,
@@ -250,7 +250,6 @@ class ProblemSetup:
     system: object
     scheme: object
     u0: object
-    u0_derivative: object
     run_config: solver.RunConfig
     ref: object           # ReferenceSolution or None
     r: float
@@ -351,9 +350,8 @@ def build_problem(cfg: dict, n_override=None) -> ProblemSetup:
 
     r = _get_float(cfg, "run", "r", 10.0)
     return ProblemSetup(mesh=mesh, system=system, scheme=scheme, u0=u0,
-                        u0_derivative=du0, run_config=run_config, ref=ref,
-                        r=r, seed=seed, problem=problem, flux_name=flux_name,
-                        n_label=n_label)
+                        run_config=run_config, ref=ref, r=r, seed=seed,
+                        problem=problem, flux_name=flux_name, n_label=n_label)
 
 
 # ---------------------------------------------------------------------------
@@ -369,42 +367,24 @@ def execute_run(cfg: dict, n_override=None, output_dir=None,
     """Build, run, diagnose, and write artifacts.  Returns the report dict."""
     setup = build_problem(cfg, n_override=n_override)
     mesh, system, scheme = setup.mesh, setup.system, setup.scheme
+    run_config = setup.run_config
     ledger = diag.DiagnosticsLedger()
-    hook = diag.make_ledger_hook(ledger, mesh, system, scheme)
-    traj = solver.run(mesh, system, scheme, setup.u0, setup.run_config, [hook])
-
-    full = setup.run_config.record_every == 1
-    if full:
-        masses = diag.measure_masses(mesh, system, setup.u0, traj,
-                                     r=setup.r, T=setup.run_config.final_time)
-        ledger.mu0_mass, ledger.mu_t_mass = masses.mu0, masses.mu_t
-        ledger.mu_bar0_mass, ledger.mu_bar_t_mass = masses.mu_bar0, masses.mu_bar_t
-    else:
-        mu0, mu_bar0 = diag.projection_masses(mesh, system, setup.u0,
-                                              traj.snapshots[0][1])
-        ledger.mu0_mass, ledger.mu_bar0_mass = mu0, mu_bar0
+    fold = diag.ErrorFold(ledger, mesh, system, setup.u0, r=setup.r,
+                          T=run_config.final_time, lf=system.lf,
+                          reference=setup.ref,
+                          quadrature=run_config.quadrature)
+    if write_snapshots != "all":
+        # only the first and last states are read: keep no others
+        run_config = dataclasses.replace(run_config, record_every=_sys.maxsize)
+    traj = solver.run(mesh, system, scheme, setup.u0, run_config,
+                      [diag.make_ledger_hook(ledger, mesh, system, scheme),
+                       fold])
+    fold.finish(traj)
 
     errors = {"cone_l2": None, "l2_spacetime": None, "rel_entropy_final": None}
-    mbeta_ok = None
-    if setup.ref is not None and full:
-        cone = diag.cone_l2_error(mesh, system, traj, setup.ref, r=setup.r,
-                                  T=setup.run_config.final_time, lf=system.lf,
-                                  quadrature=setup.run_config.quadrature)
-        errors["cone_l2"] = cone
-        errors["l2_spacetime"] = math.sqrt(cone)
-        mbeta_ok = True
-        for t, fld in traj.snapshots:
-            ubar = diag.reference_cell_means(mesh, setup.ref, t,
-                                             setup.run_config.quadrature)
-            hnorm = diag.relative_entropy_norm(mesh, system, fld, ubar)
-            esq = diag.squared_l2_cell_error(mesh, fld, ubar)
-            ledger.rel_entropy_series.append((t, hnorm))
-            lo = 0.5 * system.beta0 * esq
-            hi = 0.5 * system.beta1 * esq
-            tol = 1e-10 * max(1.0, esq) + 1e-10 * abs(hnorm)
-            if not (lo - tol <= hnorm <= hi + tol):
-                mbeta_ok = False
-        errors["rel_entropy_final"] = ledger.rel_entropy_series[-1][1]
+    if setup.ref is not None:
+        errors = {"cone_l2": fold.cone, "l2_spacetime": math.sqrt(fold.cone),
+                  "rel_entropy_final": ledger.rel_entropy_series[-1][1]}
 
     u0f = traj.snapshots[0][1]
     uNf = traj.final_field
@@ -424,8 +404,8 @@ def execute_run(cfg: dict, n_override=None, output_dir=None,
         "admissibility": True,  # run() raised otherwise
         "cauchy_schwarz": bool(cauchy_ok),
     }
-    if mbeta_ok is not None:
-        flags["mbeta_bracket"] = bool(mbeta_ok)
+    if setup.ref is not None:
+        flags["mbeta_bracket"] = fold.mbeta_ok
 
     report = {
         "metadata": {
@@ -499,30 +479,34 @@ def _write_snapshots(output_dir, mesh, system, traj, mode):
                 fh.write(",".join(row) + "\n")
 
 
+# exit code and message label per error class, most specific first
+_ERROR_EXITS = (
+    (ConfigParseError, EXIT_PARSE, "parse error"),
+    ((ConfigError, ConstructionError, MeshError), EXIT_VALIDATION,
+     "validation error"),
+    (HypfluxError, EXIT_RUNTIME, "runtime error"),
+)
+
+
+def _exit_code(exc: HypfluxError) -> int:
+    """Print the error under its label on stderr; return its exit code."""
+    for kinds, code, label in _ERROR_EXITS:
+        if isinstance(exc, kinds):
+            print(f"{label}: {exc}", file=_sys.stderr)
+            return code
+
+
 def run_single(config_path, output_dir=None) -> int:
     """Exit-code wrapper around execute_run for one config file."""
     try:
         cfg = load_config(config_path)
-    except ConfigParseError as exc:
-        print(f"parse error: {exc}", file=_sys.stderr)
-        return EXIT_PARSE
-    out = output_dir or _get(cfg, "output", "dir", "hypflux_out")
-    snap_mode = _get(cfg, "output", "snapshots", "all").strip().lower()
-    if snap_mode not in ("all", "ends", "none"):
-        print(f"validation error: unknown snapshots mode {snap_mode!r}",
-              file=_sys.stderr)
-        return EXIT_VALIDATION
-    try:
+        out = output_dir or _get(cfg, "output", "dir", "hypflux_out")
+        snap_mode = _get(cfg, "output", "snapshots", "all").strip().lower()
+        if snap_mode not in ("all", "ends", "none"):
+            raise ConfigError(f"unknown snapshots mode {snap_mode!r}")
         report = execute_run(cfg, output_dir=out, write_snapshots=snap_mode)
-    except ConfigParseError as exc:
-        print(f"parse error: {exc}", file=_sys.stderr)
-        return EXIT_PARSE
-    except (ConfigError, ConstructionError, MeshError) as exc:
-        print(f"validation error: {exc}", file=_sys.stderr)
-        return EXIT_VALIDATION
-    except (AdmissibilityError, HorizonError, HypfluxError) as exc:
-        print(f"runtime error: {exc}", file=_sys.stderr)
-        return EXIT_RUNTIME
+    except HypfluxError as exc:
+        return _exit_code(exc)
     if not report["passed"]:
         failed = [k for k, v in report["flags"].items() if not v]
         print(f"invariant failure: {failed}", file=_sys.stderr)
@@ -535,21 +519,13 @@ def validate_only(config_path) -> int:
     """Parse and validate a run config or study spec without running."""
     try:
         cfg = load_config(config_path)
-    except ConfigParseError as exc:
-        print(f"parse error: {exc}", file=_sys.stderr)
-        return EXIT_PARSE
-    try:
         if "study" in cfg:
             levels = _parse_levels(cfg)
             build_problem(_study_to_run_config(cfg), n_override=levels[0])
         else:
             build_problem(cfg)
-    except ConfigParseError as exc:
-        print(f"parse error: {exc}", file=_sys.stderr)
-        return EXIT_PARSE
-    except (ConfigError, ConstructionError, MeshError) as exc:
-        print(f"validation error: {exc}", file=_sys.stderr)
-        return EXIT_VALIDATION
+    except HypfluxError as exc:
+        return _exit_code(exc)
     print("config ok")
     return EXIT_OK
 
@@ -578,8 +554,6 @@ def _study_to_run_config(cfg: dict) -> dict:
     out.setdefault("flux", {})
     if "flux" in cfg.get("study", {}):
         out["flux"].setdefault("name", cfg["study"]["flux"])
-    # studies need every-step snapshots for the exact error sums
-    out["run"]["record_every"] = "1"
     return out
 
 
@@ -593,35 +567,19 @@ def _level_worker(args):
 def run_study(spec_path, output_dir=None, jobs: int = 1) -> int:
     try:
         cfg = load_config(spec_path)
-    except ConfigParseError as exc:
-        print(f"parse error: {exc}", file=_sys.stderr)
-        return EXIT_PARSE
-
-    try:
         levels = _parse_levels(cfg)
         run_cfg = _study_to_run_config(cfg)
         out = output_dir or _get(cfg, "output", "dir", "hypflux_study")
         build_problem(run_cfg, n_override=levels[0])  # validate eagerly
-    except ConfigParseError as exc:
-        print(f"parse error: {exc}", file=_sys.stderr)
-        return EXIT_PARSE
-    except (ConfigError, ConstructionError, MeshError) as exc:
-        print(f"validation error: {exc}", file=_sys.stderr)
-        return EXIT_VALIDATION
-
-    tasks = [(run_cfg, lvl, os.path.join(out, f"level_{lvl}")) for lvl in levels]
-    try:
+        tasks = [(run_cfg, lvl, os.path.join(out, f"level_{lvl}"))
+                 for lvl in levels]
         if jobs > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
                 results = dict(ex.map(_level_worker, tasks))
         else:
             results = dict(map(_level_worker, tasks))
-    except (ConfigError, ConstructionError, MeshError) as exc:
-        print(f"validation error: {exc}", file=_sys.stderr)
-        return EXIT_VALIDATION
-    except (AdmissibilityError, HorizonError, HypfluxError) as exc:
-        print(f"runtime error: {exc}", file=_sys.stderr)
-        return EXIT_RUNTIME
+    except HypfluxError as exc:
+        return _exit_code(exc)
 
     reports = [results[lvl] for lvl in levels]
     if not all(rep["passed"] for rep in reports):

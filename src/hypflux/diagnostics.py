@@ -1,10 +1,12 @@
 """Stability and error functionals for finite-volume runs.
 
 The ledger accumulates, step by step, the interface weak-BV sums, the
-entropy-flux and time variation sums, the worst discrete entropy residual,
-the per-interface dissipation-gap slack, and the computable masses of the
-time-variation error measures.  The initial-projection masses and the
-relative-entropy error series are filled in from the trajectory.
+entropy-flux and time variation sums, the worst discrete entropy residual
+and the per-interface dissipation-gap slack.  `ErrorFold` folds the error
+functionals into the same ledger as the run goes: the masses of the error
+measures and the relative-entropy error series, plus the shrinking-cone
+L2 error against a reference.  `measure_masses` and `cone_l2_error`
+replay a stored trajectory through it.
 
 All reductions fold over interfaces and cells in id order, so repeated
 runs produce identical floating-point results.
@@ -13,7 +15,7 @@ runs produce identical floating-point results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,15 +23,17 @@ import numpy as np
 from .errors import ConfigError
 from .mesh import Mesh
 from .numflux import FluxScheme, InterfaceFluxRecords
-from .solver import cell_means
+from .solver import cell_means, tensor_gauss_quadrature
 from .systems import StateField, SystemModel, relative_entropy
 
-_GAUSS4_NODES = np.array([
-    -0.8611363115940526, -0.3399810435848563,
-    0.3399810435848563, 0.8611363115940526])
-_GAUSS4_WEIGHTS = np.array([
-    0.3478548451374538, 0.6521451548625461,
-    0.6521451548625461, 0.3478548451374538])
+# Gauss-Legendre 4-point rule (per axis) for the mass integrals.  It is
+# deliberately independent of the projection quadrature: with a midpoint
+# mass rule and midpoint projection the integrand |eta(u0) - eta(u_K^0)|
+# would vanish identically at the nodes.
+_GAUSS4 = (np.array([-0.8611363115940526, -0.3399810435848563,
+                     0.3399810435848563, 0.8611363115940526]),
+           np.array([0.3478548451374538, 0.6521451548625461,
+                     0.6521451548625461, 0.3478548451374538]))
 
 
 @dataclass
@@ -54,24 +58,7 @@ class DiagnosticsLedger:
     n_steps_accumulated: int = 0
 
     def to_dict(self):
-        return {
-            "wbv_sq": self.wbv_sq,
-            "wbv_l1": self.wbv_l1,
-            "entropy_flux_bv": self.entropy_flux_bv,
-            "time_bv_u": self.time_bv_u,
-            "time_bv_eta": self.time_bv_eta,
-            "entropy_residual_max": self.entropy_residual_max,
-            "entropy_residual_max_scaled": self.entropy_residual_max_scaled,
-            "interface_measure_total": self.interface_measure_total,
-            "min_gap_slack": self.min_gap_slack,
-            "gap_all_pass": self.gap_all_pass,
-            "mu0_mass": self.mu0_mass,
-            "mu_t_mass": self.mu_t_mass,
-            "mu_bar0_mass": self.mu_bar0_mass,
-            "mu_bar_t_mass": self.mu_bar_t_mass,
-            "rel_entropy_series": [[t, v] for t, v in self.rel_entropy_series],
-            "n_steps_accumulated": self.n_steps_accumulated,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -140,24 +127,20 @@ def accumulate_step(ledger: DiagnosticsLedger, mesh: Mesh, sys: SystemModel,
 
     du = field_np1.values - field_n.values
     du_norm = np.sqrt((du ** 2).sum(axis=-1))
-    deta = np.abs(sys.entropy(field_np1.values) - sys.entropy(field_n.values))
+    eta_jump = sys.entropy(field_np1.values) - sys.entropy(field_n.values)
+    deta = np.abs(eta_jump)
     ledger.time_bv_u += float((vols * du_norm).sum())
     ledger.time_bv_eta += float((vols * deta).sum())
-    ledger.mu_t_mass += dt * float((vols * deta).sum())
-    ledger.mu_bar_t_mass += dt * float((vols * du_norm).sum())
 
     # discrete entropy residual: (|K|/dt)(eta^{n+1} - eta^n) + sum |sigma| xi_KL
     xi_div = np.zeros(mesh.n_cells)
     np.add.at(xi_div, mesh.iface_left, areas * records.xi_value)
     np.add.at(xi_div, mesh.iface_right, -areas * records.xi_value)
-    resid = (vols / dt) * (sys.entropy(field_np1.values)
-                           - sys.entropy(field_n.values)) + xi_div
-    pos = float(resid.max())
-    if pos > ledger.entropy_residual_max:
-        ledger.entropy_residual_max = max(0.0, pos)
-    scaled = float((resid * (dt / vols)).max())
-    if scaled > ledger.entropy_residual_max_scaled:
-        ledger.entropy_residual_max_scaled = max(0.0, scaled)
+    resid = (vols / dt) * eta_jump + xi_div
+    ledger.entropy_residual_max = max(ledger.entropy_residual_max,
+                                      _worst(resid))
+    ledger.entropy_residual_max_scaled = max(
+        ledger.entropy_residual_max_scaled, _worst(resid * (dt / vols)))
 
     # per-interface dissipation-gap inequality
     bound = (sys.beta0 / (2.0 * scheme.lambda_star)) * d * d
@@ -171,42 +154,27 @@ def accumulate_step(ledger: DiagnosticsLedger, mesh: Mesh, sys: SystemModel,
     return ledger
 
 
-# ---------------------------------------------------------------------------
-# measure masses
-# ---------------------------------------------------------------------------
+def _worst(values) -> float:
+    """Largest entry, or inf when any entry is not finite.
 
-def _gauss4_cell_quadrature(mesh: Mesh):
-    """Fixed Gauss-Legendre 4-point (per axis) rule for the mass integrals.
-
-    Deliberately independent of the projection quadrature: with a midpoint
-    mass rule and midpoint projection the integrand |eta(u0) - eta(u_K^0)|
-    would vanish identically at the nodes.
+    A plain max() of an array with a NaN is NaN, and NaN compares false
+    with everything, so a NaN cell would leave the running maximum (and
+    the flag built on it) untouched.
     """
-    if mesh.dim == 1:
-        half = 0.5 * mesh.cell_volumes[:, None]
-        pts = mesh.cell_centroids + half * _GAUSS4_NODES[None, :]
-        return pts[..., None], half * _GAUSS4_WEIGHTS[None, :]
-    if mesh.cell_vertices is None:
-        raise ConfigError("2D measure masses need cell vertices")
-    verts = np.stack([np.asarray(v) for v in mesh.cell_vertices])
-    s, t = np.meshgrid(_GAUSS4_NODES, _GAUSS4_NODES, indexing="ij")
-    ws, wt = np.meshgrid(_GAUSS4_WEIGHTS, _GAUSS4_WEIGHTS, indexing="ij")
-    s, t, w = s.ravel(), t.ravel(), (ws * wt).ravel()
-    shp = np.stack([(1 - s) * (1 - t), (1 + s) * (1 - t),
-                    (1 + s) * (1 + t), (1 - s) * (1 + t)], axis=0) / 4.0
-    d_s = np.stack([-(1 - t), (1 - t), (1 + t), -(1 + t)], axis=0) / 4.0
-    d_t = np.stack([-(1 - s), -(1 + s), (1 + s), (1 - s)], axis=0) / 4.0
-    pts = np.einsum("qp,nqi->npi", shp, verts)
-    xs = np.einsum("qp,nqi->npi", d_s, verts)
-    xt = np.einsum("qp,nqi->npi", d_t, verts)
-    jac = np.abs(xs[..., 0] * xt[..., 1] - xs[..., 1] * xt[..., 0])
-    return pts, jac * w[None, :]
+    if not np.all(np.isfinite(values)):
+        return math.inf
+    return float(values.max())
 
+
+# ---------------------------------------------------------------------------
+# error functionals
+# ---------------------------------------------------------------------------
 
 def projection_masses(mesh: Mesh, sys: SystemModel, u0, field0: StateField,
-                      cell_mask=None):
-    """mu0 = integral |eta(u0) - eta(u^h(.,0))| and mu_bar0 with |u0 - u^h|."""
-    pts, wts = _gauss4_cell_quadrature(mesh)
+                      cell_mask):
+    """mu0 = integral |eta(u0) - eta(u^h(.,0))| and mu_bar0 with |u0 - u^h|,
+    over the cells selected by the boolean `cell_mask`."""
+    pts, wts = tensor_gauss_quadrature(mesh, _GAUSS4, "measure masses")
     vals = np.asarray(u0(pts), dtype=float)
     if vals.ndim == 2:
         vals = vals[..., None]
@@ -215,75 +183,14 @@ def projection_masses(mesh: Mesh, sys: SystemModel, u0, field0: StateField,
     diff = vals - field0.values[:, None, :]
     per_cell_eta = (wts * np.abs(eta_exact - eta_cell)).sum(axis=1)
     per_cell_u = (wts * np.sqrt((diff ** 2).sum(axis=-1))).sum(axis=1)
-    if cell_mask is not None:
-        per_cell_eta = per_cell_eta[cell_mask]
-        per_cell_u = per_cell_u[cell_mask]
-    return float(per_cell_eta.sum()), float(per_cell_u.sum())
+    return (float(per_cell_eta[cell_mask].sum()),
+            float(per_cell_u[cell_mask].sum()))
 
-
-def measure_masses(mesh: Mesh, sys: SystemModel, u0, trajectory, r: float,
-                   T: float) -> MeasureMasses:
-    """Total masses of the four error measures on B(0, r) x [0, T].
-
-    Needs the trajectory recorded at every step (record_every = 1) so the
-    time sums are exact.  Cells belong to the ball when their centroid
-    does (periodic minimum-image distance).
-    """
-    snaps = trajectory.snapshots
-    if len(snaps) != trajectory.n_steps + 1:
-        raise ConfigError("measure masses need snapshots at every step")
-    dist = mesh.periodic_distance_to_origin(mesh.cell_centroids)
-    mask = dist <= r
-    if not np.any(mask):
-        raise ConfigError("no cell centroid lies in the requested ball")
-    mu0, mu_bar0 = projection_masses(mesh, sys, u0, snaps[0][1], cell_mask=mask)
-    vols = mesh.cell_volumes[mask]
-    dt = trajectory.dt
-    mu_t = 0.0
-    mu_bar_t = 0.0
-    for (_, fa), (_, fb) in zip(snaps[:-1], snaps[1:]):
-        deta = np.abs(sys.entropy(fb.values) - sys.entropy(fa.values))[mask]
-        du = fb.values[mask] - fa.values[mask]
-        mu_t += dt * float((vols * deta).sum())
-        mu_bar_t += dt * float((vols * np.sqrt((du ** 2).sum(axis=-1))).sum())
-    return MeasureMasses(mu0=mu0, mu_t=mu_t, mu_bar0=mu_bar0, mu_bar_t=mu_bar_t)
-
-
-# ---------------------------------------------------------------------------
-# errors against a reference
-# ---------------------------------------------------------------------------
 
 def reference_cell_means(mesh: Mesh, reference, t: float,
                          quadrature: str = "midpoint"):
     """Cell averages of the reference at time t, same rule as the projection."""
     return cell_means(mesh, lambda x: reference.eval(x, t), quadrature)
-
-
-def cone_l2_error(mesh: Mesh, sys: SystemModel, trajectory, reference,
-                  r: float, T: float, lf: float,
-                  quadrature: str = "midpoint") -> float:
-    """Space-time squared L2 error over the shrinking cone.
-
-    sum_n dt sum_{K: centroid in B(0, r + lf (T - t^n))} |K| |u_K^n - ubar_K(t^n)|^2
-    with left-endpoint time quadrature on [0, T); on periodic problems
-    with r large the ball covers the whole box.
-    """
-    snaps = trajectory.snapshots
-    if len(snaps) != trajectory.n_steps + 1:
-        raise ConfigError("cone error needs snapshots at every step")
-    dist = mesh.periodic_distance_to_origin(mesh.cell_centroids)
-    dt = trajectory.dt
-    total = 0.0
-    for t, fld in snaps[:-1]:
-        if t > reference.valid_until * (1 + 1e-12):
-            raise ConfigError(f"reference not valid at t={t}")
-        radius = r + lf * (T - t)
-        mask = dist <= radius
-        ubar = reference_cell_means(mesh, reference, t, quadrature)
-        diff = fld.values[mask] - ubar[mask]
-        total += dt * float((mesh.cell_volumes[mask]
-                             * (diff ** 2).sum(axis=-1)).sum())
-    return total
 
 
 def relative_entropy_norm(mesh: Mesh, sys: SystemModel, field: StateField,
@@ -297,6 +204,115 @@ def relative_entropy_norm(mesh: Mesh, sys: SystemModel, field: StateField,
 def squared_l2_cell_error(mesh: Mesh, field: StateField, reference_means) -> float:
     diff = field.values - np.asarray(reference_means, dtype=float)
     return float((mesh.cell_volumes * (diff ** 2).sum(axis=-1)).sum())
+
+
+class ErrorFold:
+    """Solver hook folding a run's error functionals into its ledger.
+
+    Cells count as inside a ball when their centroid is (periodic
+    minimum-image distance).  Every step adds its share of the measure
+    masses mu_T and mu_bar_T on B(0, r).  With a reference, the reference
+    cell means are evaluated once per time level t^n and shared by the
+    shrinking-cone L2 error (`cone`), the relative-entropy series and the
+    M-beta bracket (`mbeta_ok`).  `finish(trajectory)` adds the projection
+    masses mu_0, mu_bar_0 of the first state and the level at the final
+    time.  Time sums use the left-endpoint rule; nothing is kept per step.
+    """
+
+    def __init__(self, ledger: DiagnosticsLedger, mesh: Mesh,
+                 sys: SystemModel, u0, r: float, T: float, lf: float,
+                 reference=None, quadrature: str = "midpoint"):
+        self.ledger, self.mesh, self.sys, self.u0 = ledger, mesh, sys, u0
+        self.r, self.T, self.lf = r, T, lf
+        self.reference, self.quadrature = reference, quadrature
+        self.dist = mesh.periodic_distance_to_origin(mesh.cell_centroids)
+        self.ball = self.dist <= r
+        self.cone = 0.0
+        self.mbeta_ok = True
+
+    def __call__(self, n, field_n, field_np1, records, dt):
+        vols = self.mesh.cell_volumes[self.ball]
+        deta = np.abs(self.sys.entropy(field_np1.values)
+                      - self.sys.entropy(field_n.values))[self.ball]
+        du = field_np1.values[self.ball] - field_n.values[self.ball]
+        self.ledger.mu_t_mass += dt * float((vols * deta).sum())
+        self.ledger.mu_bar_t_mass += dt * float(
+            (vols * np.sqrt((du ** 2).sum(axis=-1))).sum())
+        if self.reference is None:
+            return
+        ubar = self._level(field_n)
+        cone = self.dist <= self.r + self.lf * (self.T - field_n.time)
+        diff = field_n.values[cone] - ubar[cone]
+        self.cone += dt * float((self.mesh.cell_volumes[cone]
+                                 * (diff ** 2).sum(axis=-1)).sum())
+
+    def _level(self, field: StateField):
+        """Series entry and M-beta check at t = field.time; returns ubar."""
+        t = field.time
+        if t > self.reference.valid_until * (1 + 1e-12):
+            raise ConfigError(f"reference not valid at t={t}")
+        ubar = reference_cell_means(self.mesh, self.reference, t,
+                                    self.quadrature)
+        hnorm = relative_entropy_norm(self.mesh, self.sys, field, ubar)
+        esq = squared_l2_cell_error(self.mesh, field, ubar)
+        self.ledger.rel_entropy_series.append((t, hnorm))
+        lo = 0.5 * self.sys.beta0 * esq
+        hi = 0.5 * self.sys.beta1 * esq
+        tol = 1e-10 * max(1.0, esq) + 1e-10 * abs(hnorm)
+        if not (lo - tol <= hnorm <= hi + tol):
+            self.mbeta_ok = False
+        return ubar
+
+    def finish(self, trajectory):
+        """Add the projection masses and the final level of a finished run."""
+        if not np.any(self.ball):
+            raise ConfigError("no cell centroid lies in the requested ball")
+        self.ledger.mu0_mass, self.ledger.mu_bar0_mass = projection_masses(
+            self.mesh, self.sys, self.u0, trajectory.snapshots[0][1],
+            self.ball)
+        if self.reference is not None:
+            self._level(trajectory.final_field)
+
+
+def _replay(fold: ErrorFold, trajectory) -> None:
+    """Feed every step of a stored trajectory to the fold."""
+    snaps = trajectory.snapshots
+    if len(snaps) != trajectory.n_steps + 1:
+        raise ConfigError("the error functionals need snapshots at every step")
+    for n, ((_, fa), (_, fb)) in enumerate(zip(snaps[:-1], snaps[1:])):
+        fold(n, fa, fb, None, trajectory.dt)
+
+
+def measure_masses(mesh: Mesh, sys: SystemModel, u0, trajectory, r: float,
+                   T: float) -> MeasureMasses:
+    """Total masses of the four error measures on B(0, r) x [0, T].
+
+    `ErrorFold` over a trajectory recorded at every step (record_every =
+    1), so that the time sums are exact.
+    """
+    ledger = DiagnosticsLedger()
+    fold = ErrorFold(ledger, mesh, sys, u0, r, T, sys.lf)
+    _replay(fold, trajectory)
+    fold.finish(trajectory)
+    return MeasureMasses(mu0=ledger.mu0_mass, mu_t=ledger.mu_t_mass,
+                         mu_bar0=ledger.mu_bar0_mass,
+                         mu_bar_t=ledger.mu_bar_t_mass)
+
+
+def cone_l2_error(mesh: Mesh, sys: SystemModel, trajectory, reference,
+                  r: float, T: float, lf: float,
+                  quadrature: str = "midpoint") -> float:
+    """Space-time squared L2 error over the shrinking cone.
+
+    sum_n dt sum_{K: centroid in B(0, r + lf (T - t^n))} |K| |u_K^n - ubar_K(t^n)|^2
+    with left-endpoint time quadrature on [0, T); on periodic problems
+    with r large the ball covers the whole box.  `ErrorFold` over a
+    trajectory recorded at every step.
+    """
+    fold = ErrorFold(DiagnosticsLedger(), mesh, sys, None, r, T, lf,
+                     reference, quadrature)
+    _replay(fold, trajectory)
+    return fold.cone
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ interface has area 1 and normal +-1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,36 +25,17 @@ _CLOSURE_RTOL = 1.0e-12
 _NORMAL_TOL = 1.0e-14
 
 
-@dataclass(frozen=True)
-class Cell:
-    id: int
-    volume: float
-    centroid: np.ndarray
-    interface_ids: tuple
-
-
-@dataclass(frozen=True)
-class Interface:
-    id: int
-    left: int
-    right: int
-    area: float
-    normal: np.ndarray
-    midpoint: np.ndarray
-
-
 class Mesh:
     """Periodic polygonal mesh with cached geometry arrays.
 
     The per-entity arrays (volumes, centroids, areas, normals, adjacency)
-    are the primary storage; `cells` and `interfaces` expose the same data
-    as tuples of records.  All arrays are frozen after construction.
+    are the storage.  All arrays are frozen after construction.
     """
 
     def __init__(self, dim, domain, cell_volumes, cell_centroids,
                  cell_interfaces, iface_left, iface_right, iface_areas,
                  iface_normals, iface_midpoints, mesh_id,
-                 cell_vertices=None, a=None, h=None):
+                 cell_vertices=None, a=None, h=None, grid_shape=None):
         self.dim = int(dim)
         self.domain = tuple(float(x) for x in domain)
         self.cell_volumes = np.asarray(cell_volumes, dtype=float)
@@ -70,6 +50,10 @@ class Mesh:
         # Vertex coordinates per cell, kept for quadrature on fresh meshes;
         # not part of the serialized schema.
         self.cell_vertices = cell_vertices
+        # (n,) of a uniform segment or (nx, ny) of a quad grid, whose cell
+        # (i, j) has id i*ny + j; like the vertices, known to built meshes
+        # only.
+        self.grid_shape = grid_shape
         self.h = float(h) if h is not None else float(self._max_diameter())
         self.a = float(a) if a is not None else regularity_constant(self)
         for arr in (self.cell_volumes, self.cell_centroids, self.iface_left,
@@ -86,21 +70,6 @@ class Mesh:
     @property
     def n_interfaces(self):
         return self.iface_areas.shape[0]
-
-    @property
-    def cells(self):
-        return tuple(
-            Cell(i, float(self.cell_volumes[i]), self.cell_centroids[i],
-                 self.cell_interfaces[i])
-            for i in range(self.n_cells))
-
-    @property
-    def interfaces(self):
-        return tuple(
-            Interface(e, int(self.iface_left[e]), int(self.iface_right[e]),
-                      float(self.iface_areas[e]), self.iface_normals[e],
-                      self.iface_midpoints[e])
-            for e in range(self.n_interfaces))
 
     def boundary_measure(self):
         """Per-cell sum of incident interface areas, sum_L |sigma_KL|."""
@@ -155,7 +124,7 @@ def build_uniform_1d(n_cells: int, length: float) -> Mesh:
     mesh = Mesh(1, (length,), volumes, centroids.reshape(-1, 1), cell_ifaces,
                 left, right, areas, normals, midpoints,
                 mesh_id=f"uniform1d:n={n_cells}:L={length!r}",
-                cell_vertices=verts)
+                cell_vertices=verts, grid_shape=(n_cells,))
     validate_mesh(mesh)
     return mesh
 
@@ -245,7 +214,7 @@ def _build_quad_2d(nx, ny, lx, ly, jitter, seed, mesh_id):
 
     mesh = Mesh(2, (lx, ly), volumes, centroids, cell_ifaces, left_ids,
                 right_ids, areas, normals, midpoints, mesh_id=mesh_id,
-                cell_vertices=list(corners))
+                cell_vertices=list(corners), grid_shape=(nx, ny))
     if jitter > 0.0 and mesh.a <= 0.05:
         raise MeshError(f"perturbed mesh violates regularity: a = {mesh.a:.4f} <= 0.05")
     validate_mesh(mesh)

@@ -46,37 +46,14 @@ class FluxScheme:
 
 
 @dataclass
-class InterfaceFluxRecord:
-    """Flux data at one interface."""
-
-    interface_id: int
-    g_value: np.ndarray
-    xi_value: float
-    x_kl: float
-    defect: float
-    dissipation_gap: float
-
-
-@dataclass
 class InterfaceFluxRecords:
     """Per-interface flux data for one time level (struct of arrays)."""
 
-    interface_ids: np.ndarray
     g_value: np.ndarray          # (E, m)
     xi_value: np.ndarray         # (E,)
     x_kl: np.ndarray             # (E,)
-    f_left_normal: np.ndarray    # (E, m), f(u_K).n_KL
     defect: np.ndarray           # (E,), |G - f(u_K).n|
     dissipation_gap: np.ndarray  # (E,), X_KL - xi_KL
-
-    def record(self, i: int) -> InterfaceFluxRecord:
-        return InterfaceFluxRecord(
-            interface_id=int(self.interface_ids[i]),
-            g_value=self.g_value[i],
-            xi_value=float(self.xi_value[i]),
-            x_kl=float(self.x_kl[i]),
-            defect=float(self.defect[i]),
-            dissipation_gap=float(self.dissipation_gap[i]))
 
 
 @dataclass

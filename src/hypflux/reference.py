@@ -162,6 +162,10 @@ def fine_grid_reference(mesh: Mesh, sys, scheme, u0, config,
                         enforce_min_factor: bool = True) -> ReferenceSolution:
     """Run the same scheme on a refined uniform mesh and interpolate.
 
+    The fine mesh is uniform even when the coarse one is jittered: its
+    grid has refinement_factor times the cells of the coarse mesh along
+    each axis, so in 2D the coarse mesh must be a built quad grid.
+
     Evaluation is piecewise-constant in space and in time (left limits),
     matching the shape of the approximation itself.  The reference is
     flagged as numerical; it shares the flux, so its error is correlated
@@ -175,35 +179,32 @@ def fine_grid_reference(mesh: Mesh, sys, scheme, u0, config,
                             check_admissibility=config.check_admissibility,
                             quadrature=config.quadrature)
     if mesh.dim == 1:
-        n_fine = mesh.n_cells * refinement_factor
-        fine = build_uniform_1d(n_fine, mesh.domain[0])
+        fine = build_uniform_1d(mesh.n_cells * refinement_factor,
+                                mesh.domain[0])
+    elif mesh.grid_shape is None:
+        raise ConstructionError(
+            "a 2D fine-grid reference needs the grid shape of a built quad "
+            "mesh; rebuild the mesh instead of loading it from JSON")
     else:
-        nx = int(round(math.sqrt(mesh.n_cells)))
+        nx, ny = mesh.grid_shape
         fine = build_uniform_quad_2d(nx * refinement_factor,
-                                     nx * refinement_factor,
-                                     mesh.domain[0], mesh.domain[1])
+                                     ny * refinement_factor, *mesh.domain)
     traj = _solver.run(fine, sys, scheme, u0, cfg)
     values = np.stack([f.values for _, f in traj.snapshots])  # (N+1, cells, m)
     dt = traj.dt
     T = config.final_time
     lengths = np.asarray(fine.domain)
+    shape = np.asarray(fine.grid_shape)
 
     def evalfn(x, t):
         if t > T * (1 + 1e-12):
             raise HorizonError(f"fine-grid reference only covers [0, {T}]")
         k = min(traj.n_steps, int(np.floor(t / dt + 1e-12)))
         x = np.asarray(x, dtype=float)
-        xi = np.mod(x, lengths)
-        if fine.dim == 1:
-            h = fine.domain[0] / fine.n_cells
-            idx = np.minimum((xi[..., 0] / h).astype(int), fine.n_cells - 1)
-        else:
-            nside = int(round(math.sqrt(fine.n_cells)))
-            hx = fine.domain[0] / nside
-            hy = fine.domain[1] / nside
-            ix = np.minimum((xi[..., 0] / hx).astype(int), nside - 1)
-            iy = np.minimum((xi[..., 1] / hy).astype(int), nside - 1)
-            idx = ix * nside + iy
+        cell = np.minimum((np.mod(x, lengths) / (lengths / shape)).astype(int),
+                          shape - 1)
+        idx = np.ravel_multi_index(tuple(np.moveaxis(cell, -1, 0)),
+                                   fine.grid_shape)
         return values[k][idx]
 
     lb = _sampled_lipschitz(evalfn, fine.domain, T, m=sys.m)

@@ -14,7 +14,7 @@ so that an integer number of steps lands exactly on the final time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,8 +24,8 @@ from .mesh import Mesh
 from .numflux import FluxScheme, InterfaceFluxRecords, _x_flux_of
 from .systems import StateField, SystemModel
 
-_GAUSS3_NODES = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
-_GAUSS3_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
+_GAUSS3 = (np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)]),
+           np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0]))
 
 
 @dataclass
@@ -55,7 +55,6 @@ class Trajectory:
     snapshots: list          # [(time, StateField), ...]
     dt: float
     n_steps: int
-    per_step_hook_outputs: list = field(default_factory=list)
 
     @property
     def final_field(self):
@@ -69,11 +68,8 @@ class Trajectory:
 def cell_quadrature(mesh: Mesh, quadrature: str = "midpoint"):
     """(points, weights) per cell; weights sum to the cell volume.
 
-    midpoint evaluates at centroids.  gauss3 is a tensor Gauss-Legendre
-    rule: 1D cells are reconstructed from centroid and volume, 2D cells
-    map the reference square through the bilinear embedding of their
-    stored vertices (fresh-built meshes only; the serialized schema does
-    not carry vertices).
+    midpoint evaluates at centroids; gauss3 is the 3-point tensor
+    Gauss-Legendre rule of `tensor_gauss_quadrature`.
     """
     if quadrature == "midpoint":
         pts = mesh.cell_centroids[:, None, :]
@@ -81,17 +77,28 @@ def cell_quadrature(mesh: Mesh, quadrature: str = "midpoint"):
         return pts, wts
     if quadrature != "gauss3":
         raise ConfigError(f"unknown quadrature {quadrature!r}")
+    return tensor_gauss_quadrature(mesh, _GAUSS3, "gauss3")
+
+
+def tensor_gauss_quadrature(mesh: Mesh, rule, purpose: str):
+    """(points, weights) per cell of the tensor product of a 1D rule.
+
+    `rule` is (nodes, weights) on [-1, 1].  1D cells are reconstructed
+    from centroid and volume, 2D cells map the reference square through
+    the bilinear embedding of their stored vertices (fresh-built meshes
+    only; the serialized schema does not carry vertices).
+    """
+    nodes, weights = rule
     if mesh.dim == 1:
         half = 0.5 * mesh.cell_volumes[:, None]
-        pts = mesh.cell_centroids + half * _GAUSS3_NODES[None, :]
-        wts = half * _GAUSS3_WEIGHTS[None, :]
-        return pts[..., None], wts
+        pts = mesh.cell_centroids + half * nodes[None, :]
+        return pts[..., None], half * weights[None, :]
     if mesh.cell_vertices is None:
-        raise ConfigError("gauss3 in 2D needs cell vertices; "
+        raise ConfigError(f"{purpose} in 2D needs cell vertices; "
                           "rebuild the mesh instead of loading it from JSON")
     verts = np.stack([np.asarray(v) for v in mesh.cell_vertices])  # (N,4,2)
-    s, t = np.meshgrid(_GAUSS3_NODES, _GAUSS3_NODES, indexing="ij")
-    ws, wt = np.meshgrid(_GAUSS3_WEIGHTS, _GAUSS3_WEIGHTS, indexing="ij")
+    s, t = np.meshgrid(nodes, nodes, indexing="ij")
+    ws, wt = np.meshgrid(weights, weights, indexing="ij")
     s, t, w = s.ravel(), t.ravel(), (ws * wt).ravel()
     # bilinear map from [-1,1]^2 through corners p0..p3 (counterclockwise)
     shp = np.stack([(1 - s) * (1 - t), (1 + s) * (1 - t),
@@ -179,8 +186,7 @@ def interface_flux_records(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
     fln = sys.directional_flux(u, n)
     defect = np.sqrt(((g - fln) ** 2).sum(axis=-1))
     return InterfaceFluxRecords(
-        interface_ids=np.arange(mesh.n_interfaces),
-        g_value=g, xi_value=xi, x_kl=x, f_left_normal=fln,
+        g_value=g, xi_value=xi, x_kl=x,
         defect=defect, dissipation_gap=x - xi)
 
 
@@ -212,7 +218,8 @@ def run(mesh: Mesh, sys: SystemModel, scheme: FluxScheme, u0,
     """Project, then march N_T uniform steps to the final time.
 
     Hooks are invoked after every step as hook(n, field_n, field_np1,
-    records, dt); non-None results are collected on the trajectory.
+    records, dt).  The first state, every `record_every`-th state and the
+    last state are kept on the trajectory.
     """
     field = project_initial(mesh, sys, u0, config.quadrature)
     dt = compute_dt(mesh, sys, scheme, config)
@@ -228,9 +235,7 @@ def run(mesh: Mesh, sys: SystemModel, scheme: FluxScheme, u0,
             except AdmissibilityError as exc:
                 raise AdmissibilityError(f"step {n + 1}: {exc}") from exc
         for hook in hooks:
-            out = hook(n, field, new, records, dt)
-            if out is not None:
-                traj.per_step_hook_outputs.append(out)
+            hook(n, field, new, records, dt)
         if (n + 1) % config.record_every == 0 or n + 1 == n_steps:
             traj.snapshots.append((new.time, new))
         field = new

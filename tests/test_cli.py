@@ -158,6 +158,80 @@ def test_burgers_run_report_contents(tmp_path):
     assert len(snap0) == 2 + 64
 
 
+class _EndsOnly(list):
+    """Snapshot list that lets a caller read only the first and last state."""
+
+    def __iter__(self):
+        raise AssertionError("the trajectory was walked after the run")
+
+    def __getitem__(self, i):
+        if not (isinstance(i, int) and i in (0, -1, len(self) - 1)):
+            raise AssertionError(f"snapshot {i!r} read after the run")
+        return super().__getitem__(i)
+
+
+def test_run_takes_one_reference_mean_per_level(monkeypatch):
+    # the error functionals are folded into the step loop: one reference
+    # evaluation per time level t^0..t^N, and after solver.run nothing
+    # reads more than the first and last state
+    means = []
+    ref_means = cli.diag.reference_cell_means
+    run = cli.solver.run
+
+    def counted_means(*args, **kwargs):
+        means.append(args[2])
+        return ref_means(*args, **kwargs)
+
+    def guarded_run(*args, **kwargs):
+        traj = run(*args, **kwargs)
+        assert len(traj.snapshots) == traj.n_steps + 1  # record_every = 1
+        traj.snapshots = _EndsOnly(traj.snapshots)
+        return traj
+
+    monkeypatch.setattr(cli.diag, "reference_cell_means", counted_means)
+    monkeypatch.setattr(cli.solver, "run", guarded_run)
+    report = cli.execute_run(cli.parse_config_text(BURGERS_RUN))
+    md = report["metadata"]
+    assert len(means) == md["n_steps"] + 1
+    assert means == [n * md["dt"] for n in range(md["n_steps"] + 1)]
+    assert report["passed"] is True
+
+
+def test_ends_only_run_keeps_two_states(tmp_path, monkeypatch):
+    kept = []
+    run = cli.solver.run
+
+    def recording_run(*args, **kwargs):
+        traj = run(*args, **kwargs)
+        kept.append((traj.n_steps, len(traj.snapshots)))
+        return traj
+
+    monkeypatch.setattr(cli.solver, "run", recording_run)
+    path = write(tmp_path, "b.ini", BURGERS_RUN + "snapshots = ends\n")
+    out = str(tmp_path / "out")
+    assert cli.run_single(path, output_dir=out) == cli.EXIT_OK
+    (n_steps, n_kept), = kept
+    assert n_steps > 2 and n_kept == 2
+    report = json.load(open(os.path.join(out, "report.json")))
+    assert report["metadata"]["record_every"] == 1  # the config's value
+    assert sorted(f for f in os.listdir(out) if f.startswith("snapshot_")) \
+        == ["snapshot_000000.csv", "snapshot_000001.csv"]
+
+
+def test_record_every_changes_no_error_mass_or_flag():
+    # errors, masses and flags are step sums folded during the run, so
+    # keeping every 5th state gives the same bits as keeping every state
+    reports = [cli.execute_run(cli.parse_config_text(
+        BURGERS_RUN.replace("record_every = 1", f"record_every = {k}")))
+        for k in (1, 5)]
+    for key in ("errors", "ledger", "flags"):
+        a, b = (json.dumps(rep[key], sort_keys=True) for rep in reports)
+        assert a == b
+    assert reports[1]["errors"]["cone_l2"] > 0.0
+    assert reports[1]["ledger"]["mu_t_mass"] > 0.0
+    assert reports[1]["flags"]["mbeta_bracket"] is True
+
+
 def test_advection_study_rate_band(tmp_path):
     path = write(tmp_path, "s.ini", ADVECTION_STUDY)
     out = str(tmp_path / "study")

@@ -13,6 +13,10 @@ def burgers_wave(x):
     return (0.5 + 0.25 * np.sin(2 * np.pi * x[..., 0]))[..., None]
 
 
+def burgers_wave_prime(y):
+    return 0.25 * 2 * np.pi * np.cos(2 * np.pi * np.asarray(y, dtype=float))
+
+
 def test_accumulate_constant_state_all_zero(burgers_sys, burgers_rusanov):
     mesh = hf.build_uniform_1d(5, 1.0)
     fld = hf.StateField(np.full((5, 1), 0.3), 0.0, mesh.mesh_id)
@@ -57,6 +61,22 @@ def test_accumulate_hand_computed_increments():
     upd = -(dt / (1.0 / 3.0)) * (G - np.roll(G, 1))
     assert led.time_bv_u == pytest.approx(float((np.abs(upd) / 3.0).sum() * 3.0
                                                 * (1.0 / 3.0)), rel=1e-12)
+
+
+def test_accumulate_nan_cell_fails_residual(burgers_sys, burgers_rusanov):
+    # a NaN compares false with everything: the residual maxima must read
+    # inf, not stay at 0.0 and let the entropy_residual flag pass
+    mesh = hf.build_uniform_1d(5, 1.0)
+    fld = hf.StateField(np.full((5, 1), 0.3), 0.0, mesh.mesh_id)
+    bad = np.full((5, 1), 0.3)
+    bad[2, 0] = np.nan
+    new = hf.StateField(bad, 1e-3, mesh.mesh_id)
+    records = hf.interface_flux_records(mesh, burgers_sys, burgers_rusanov, fld)
+    led = hf.DiagnosticsLedger()
+    hf.accumulate_step(led, mesh, burgers_sys, burgers_rusanov, fld, new,
+                       records, 1e-3)
+    assert led.entropy_residual_max == math.inf
+    assert led.entropy_residual_max_scaled == math.inf
 
 
 def test_accumulate_rejects_mismatched_sizes(burgers_sys, burgers_rusanov):
@@ -122,15 +142,45 @@ def test_mu0_fine_quadrature_oracle_and_scaling():
     assert ratios.max() / ratios.min() < 2.0
 
 
-def test_hook_masses_match_trajectory_masses(burgers_sys, burgers_rusanov):
+def test_streamed_errors_match_trajectory_functionals(burgers_sys,
+                                                      burgers_rusanov):
+    # r = 0.3 masks part of the box; the fold streamed through run() must
+    # give the trajectory functionals and a plain loop over the stored
+    # states bit for bit
     mesh = hf.build_uniform_1d(24, 1.0)
-    cfg = hf.RunConfig(final_time=0.05)
+    T, r, lf = 0.05, 0.3, burgers_sys.lf
+    ref = hf.exact_burgers(burgers_wave, burgers_wave_prime, (1.0,))
     led = hf.DiagnosticsLedger()
-    hook = hf.make_ledger_hook(led, mesh, burgers_sys, burgers_rusanov)
-    traj = hf.run(mesh, burgers_sys, burgers_rusanov, burgers_wave, cfg, [hook])
-    m = hf.measure_masses(mesh, burgers_sys, burgers_wave, traj, 10.0, 0.05)
-    assert led.mu_t_mass == m.mu_t
-    assert led.mu_bar_t_mass == m.mu_bar_t
+    fold = hf.ErrorFold(led, mesh, burgers_sys, burgers_wave, r, T, lf, ref)
+    traj = hf.run(mesh, burgers_sys, burgers_rusanov, burgers_wave,
+                  hf.RunConfig(final_time=T), [fold])
+    fold.finish(traj)
+    m = hf.measure_masses(mesh, burgers_sys, burgers_wave, traj, r, T)
+    cone = hf.cone_l2_error(mesh, burgers_sys, traj, ref, r=r, T=T, lf=lf)
+    assert (led.mu0_mass, led.mu_t_mass, led.mu_bar0_mass,
+            led.mu_bar_t_mass) == (m.mu0, m.mu_t, m.mu_bar0, m.mu_bar_t)
+    assert fold.cone == cone
+
+    dist = mesh.periodic_distance_to_origin(mesh.cell_centroids)
+    ball = dist <= r
+    assert 0 < ball.sum() < mesh.n_cells
+    vols, dt = mesh.cell_volumes, traj.dt
+    mu_t = mu_bar_t = want_cone = 0.0
+    for (t, fa), (_, fb) in zip(traj.snapshots[:-1], traj.snapshots[1:]):
+        deta = np.abs(burgers_sys.entropy(fb.values)
+                      - burgers_sys.entropy(fa.values))[ball]
+        du = fb.values[ball] - fa.values[ball]
+        mu_t += dt * float((vols[ball] * deta).sum())
+        mu_bar_t += dt * float((vols[ball] * np.sqrt((du ** 2).sum(-1))).sum())
+        cone_mask = dist <= r + lf * (T - t)
+        ubar = hf.reference_cell_means(mesh, ref, t)
+        diff = fa.values[cone_mask] - ubar[cone_mask]
+        want_cone += dt * float((vols[cone_mask] * (diff ** 2).sum(-1)).sum())
+    assert (led.mu_t_mass, led.mu_bar_t_mass) == (mu_t, mu_bar_t)
+    assert fold.cone == want_cone > 0.0
+    assert ([t for t, _ in led.rel_entropy_series]
+            == [t for t, _ in traj.snapshots])
+    assert fold.mbeta_ok
 
 
 def test_cone_l2_error_zero_for_exact_reference(advection_sys,

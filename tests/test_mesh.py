@@ -139,13 +139,3 @@ def test_periodic_distance():
     assert d[0] == pytest.approx(0.1, rel=1e-12)
 
 
-def test_record_views_match_arrays():
-    m = hf.build_uniform_1d(4, 1.0)
-    cells = m.cells
-    ifaces = m.interfaces
-    assert len(cells) == m.n_cells and len(ifaces) == m.n_interfaces
-    assert cells[1].volume == m.cell_volumes[1]
-    assert cells[1].interface_ids == m.cell_interfaces[1]
-    assert ifaces[2].left == m.iface_left[2]
-    assert ifaces[2].right == m.iface_right[2]
-    assert np.array_equal(ifaces[2].normal, m.iface_normals[2])

@@ -176,6 +176,30 @@ def test_fine_grid_guard_and_degenerate_factor(burgers_sys, burgers_rusanov):
         assert np.array_equal(got, fld.values)
 
 
+def test_fine_grid_reference_on_non_square_mesh():
+    # a 12x6 mesh is refined to 96x48 cells, indexed with its own sides
+    sysm = hf.make_advection(2, [1.0, 0.5], u_range=(-0.6, 0.6))
+    sch = hf.make_rusanov(sysm)
+
+    def u0(x):
+        x = np.asarray(x, dtype=float)
+        return (0.5 * np.sin(2 * np.pi * x[..., 0])
+                * np.cos(4 * np.pi * x[..., 1]))[..., None]
+
+    cfg = hf.RunConfig(final_time=0.01)
+    mesh = hf.build_perturbed_quad_2d(12, 6, 1.0, 0.5, 0.1, seed=4)
+    ref = hf.fine_grid_reference(mesh, sysm, sch, u0, cfg)
+    assert ref.params["fine_cells"] == 96 * 48
+    fine = hf.build_uniform_quad_2d(96, 48, 1.0, 0.5)
+    traj = hf.run(fine, sysm, sch, u0, cfg)
+    for t, fld in (traj.snapshots[0], traj.snapshots[-1]):
+        assert np.array_equal(ref.eval(fine.cell_centroids, t), fld.values)
+    # a mesh loaded from JSON has no grid shape to refine
+    loaded = hf.mesh_from_json(hf.mesh_to_json(mesh))
+    with pytest.raises(ConstructionError):
+        hf.fine_grid_reference(loaded, sysm, sch, u0, cfg)
+
+
 def test_shallow_water_self_convergence(shallow_water_sys,
                                         shallow_water_rusanov):
     # no closed form: a factor-8 fine-grid run serves as the reference and

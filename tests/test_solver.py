@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hypflux as hf
+from hypflux import diagnostics, solver
 from hypflux.errors import AdmissibilityError, ConfigError
 
 
@@ -60,6 +61,11 @@ def test_project_gauss3_quadratic_2d():
                              quadrature="gauss3")
     # cell [0,1/3]^2: mean of x^2 is (1/3)^2/3
     assert fld.values[0, 0] == pytest.approx((1.0 / 3.0) ** 2 / 3.0, rel=1e-13)
+    # the same tensor rule with 3 and with 4 points (the mass rule)
+    for rule in (solver._GAUSS3, diagnostics._GAUSS4):
+        pts, wts = solver.tensor_gauss_quadrature(mesh, rule, "test")
+        mean = (wts * pts[..., 0] ** 2).sum(axis=1) / mesh.cell_volumes
+        assert mean[0] == pytest.approx((1.0 / 3.0) ** 2 / 3.0, rel=1e-13)
 
 
 def test_project_rejects_inadmissible():
