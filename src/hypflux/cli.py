@@ -570,7 +570,6 @@ def run_study(spec_path, output_dir=None, jobs: int = 1) -> int:
         levels = _parse_levels(cfg)
         run_cfg = _study_to_run_config(cfg)
         out = output_dir or _get(cfg, "output", "dir", "hypflux_study")
-        build_problem(run_cfg, n_override=levels[0])  # validate eagerly
         tasks = [(run_cfg, lvl, os.path.join(out, f"level_{lvl}"))
                  for lvl in levels]
         if jobs > 1:

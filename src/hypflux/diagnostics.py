@@ -120,10 +120,8 @@ def accumulate_step(ledger: DiagnosticsLedger, mesh: Mesh, sys: SystemModel,
     ledger.wbv_l1 += dt * float((areas * d).sum())
     ledger.interface_measure_total += dt * float(areas.sum())
 
-    xi_left = sys.directional_entropy_flux(field_n.values[mesh.iface_left],
-                                           mesh.iface_normals)
     ledger.entropy_flux_bv += dt * float(
-        (areas * np.abs(records.xi_value - xi_left)).sum())
+        (areas * np.abs(records.xi_value - records.xi_left)).sum())
 
     du = field_np1.values - field_n.values
     du_norm = np.sqrt((du ** 2).sum(axis=-1))
@@ -133,9 +131,8 @@ def accumulate_step(ledger: DiagnosticsLedger, mesh: Mesh, sys: SystemModel,
     ledger.time_bv_eta += float((vols * deta).sum())
 
     # discrete entropy residual: (|K|/dt)(eta^{n+1} - eta^n) + sum |sigma| xi_KL
-    xi_div = np.zeros(mesh.n_cells)
-    np.add.at(xi_div, mesh.iface_left, areas * records.xi_value)
-    np.add.at(xi_div, mesh.iface_right, -areas * records.xi_value)
+    xi_div = mesh.scatter(np.zeros(mesh.n_cells), areas * records.xi_value,
+                          -areas * records.xi_value)
     resid = (vols / dt) * eta_jump + xi_div
     ledger.entropy_residual_max = max(ledger.entropy_residual_max,
                                       _worst(resid))
@@ -145,7 +142,7 @@ def accumulate_step(ledger: DiagnosticsLedger, mesh: Mesh, sys: SystemModel,
     # per-interface dissipation-gap inequality
     bound = (sys.beta0 / (2.0 * scheme.lambda_star)) * d * d
     slack = records.dissipation_gap - bound
-    ledger.min_gap_slack = min(ledger.min_gap_slack, float(slack.min()))
+    ledger.min_gap_slack = min(ledger.min_gap_slack, _least(slack))
     tol = 1e-10 * np.maximum(1.0, np.abs(records.dissipation_gap))
     ledger.gap_all_pass = bool(ledger.gap_all_pass
                                and np.all(slack >= -tol))
@@ -164,6 +161,11 @@ def _worst(values) -> float:
     if not np.all(np.isfinite(values)):
         return math.inf
     return float(values.max())
+
+
+def _least(values) -> float:
+    """Smallest entry, or -inf when any entry is not finite (see `_worst`)."""
+    return -_worst(-values)
 
 
 # ---------------------------------------------------------------------------

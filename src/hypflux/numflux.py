@@ -18,6 +18,13 @@ eigenvalue of (cI - Df_n)^T D2eta (cI - Df_n) against 2c D2eta, which is
 `make_rusanov` therefore calibrates lambda_star over that quotient on a
 state grid plus a bisection scan of sampled state pairs, with a small
 safety margin.
+
+Each scheme has one interface kernel, which evaluates f(u).n, f(v).n,
+xi(u).n, xi(v).n, Deta(u) and Deta(v) once and derives G_KL, xi_KL, X_KL,
+the defect and the dissipation gap from them; `FluxScheme.g` and
+`.xi_num` are views of it.  The Godunov state is exact (Osher form): f.n
+is extremal over the interval hull of (u, v) at an endpoint or at a
+critical point of f.n, so the kernel compares those candidates only.
 """
 
 from __future__ import annotations
@@ -31,18 +38,23 @@ import scipy.linalg
 from .errors import ConstructionError
 from .systems import SystemModel, _as_direction
 
-_GOLDEN_ITERS = 80  # interval shrinks by 0.618^80 ~ 2e-17 of the bracket
-
 
 @dataclass
 class FluxScheme:
     """Numerical flux pair (G_KL, xi_KL) with its stability parameter."""
 
     name: str
-    g: Callable        # (u, v, n) -> (..., m)
-    xi_num: Callable   # (u, v, n) -> (...)
+    kernel: Callable   # (u, v, n) -> InterfaceFluxRecords
     lambda_star: float
     params: dict = field(default_factory=dict)
+
+    def g(self, u, v, n):
+        """G_KL(u, v, n), shape (..., m)."""
+        return self.kernel(u, v, n).g_value
+
+    def xi_num(self, u, v, n):
+        """xi_KL(u, v, n), shape (...)."""
+        return self.kernel(u, v, n).xi_value
 
 
 @dataclass
@@ -52,6 +64,7 @@ class InterfaceFluxRecords:
     g_value: np.ndarray          # (E, m)
     xi_value: np.ndarray         # (E,)
     x_kl: np.ndarray             # (E,)
+    xi_left: np.ndarray          # (E,), xi(u_K).n
     defect: np.ndarray           # (E,), |G - f(u_K).n|
     dissipation_gap: np.ndarray  # (E,), X_KL - xi_KL
 
@@ -113,21 +126,24 @@ def make_rusanov(sys: SystemModel, c="auto", samples: int = 4096,
                 f"Rusanov speed {c_val} is below the sampled wave-speed sup "
                 f"{speed_sup:.6g}")
 
-    def g(u, v, n):
+    def kernel(u, v, n):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         fu = sys.directional_flux(u, n)
         fv = sys.directional_flux(v, n)
-        return 0.5 * (fu + fv) - (0.5 * c_val) * (v - u)
+        g = 0.5 * (fu + fv) - (0.5 * c_val) * (v - u)
+        xi_u = sys.directional_entropy_flux(u, n)
+        x = _dissipation_flux(sys, u, g, fu, xi_u)
+        # X_LK(v, u) is -(xi(v).n + Deta(v).(G - f(v).n)) bit for bit:
+        # G(v, u, -n) = -G and f(v).(-n) = -f(v).n hold exactly in IEEE
+        # arithmetic, so the reverse orientation needs no evaluation
+        x_rev = _dissipation_flux(sys, v, g, fv,
+                                  sys.directional_entropy_flux(v, n))
+        return _records(g, fu, xi_u, x, 0.5 * (x + x_rev))
 
-    def xi_num(u, v, n):
-        x_uv = _x_flux_of(sys, g, u, v, n)
-        x_vu = _x_flux_of(sys, g, v, u, _neg_dir(n))
-        return 0.5 * (x_uv - x_vu)
-
-    lam = _calibrate_lambda_star(sys, g, xi_num, c_val, seed=seed,
+    lam = _calibrate_lambda_star(sys, kernel, c_val, seed=seed,
                                  rusanov_c=c_val)
-    return FluxScheme(name="rusanov", g=g, xi_num=xi_num, lambda_star=lam,
+    return FluxScheme(name="rusanov", kernel=kernel, lambda_star=lam,
                       params={"c": c_val, "wave_speed_sup": speed_sup})
 
 
@@ -138,39 +154,44 @@ def make_godunov_scalar(sys: SystemModel, samples: int = 4096,
     With f_n(w) = f(w).n the flux is min_{[u,v]} f_n for u <= v and
     max_{[v,u]} f_n otherwise; the numerical entropy flux is xi(w*).n at
     the minimizing/maximizing state (the Riemann trace at the interface).
-    lambda_star is the sampled wave-speed sup inflated by 5% (the entropy
-    inequality calibration below confirms it and can only raise it).
+    The system must list the critical points of f_n
+    (`flux_critical_points`), which makes w* exact.  lambda_star is the
+    sampled wave-speed sup inflated by 5% (the entropy inequality
+    calibration below confirms it and can only raise it).
     """
     if sys.m != 1:
         raise ConstructionError("the Godunov flux is provided for scalar systems only")
+    if sys.flux_critical_points is None:
+        raise ConstructionError(
+            f"{sys.name}: the Godunov flux needs the critical points of f.n "
+            "(flux_critical_points)")
     speed_sup = sample_wave_speed_sup(sys, samples=samples, seed=seed)
 
-    def g(u, v, n):
+    def kernel(u, v, n):
         w = _godunov_state(sys, u, v, n)
-        return sys.directional_flux(w, n)
-
-    def xi_num(u, v, n):
-        w = _godunov_state(sys, u, v, n)
-        return sys.directional_entropy_flux(w, n)
+        g = sys.directional_flux(w, n)
+        xi_u = sys.directional_entropy_flux(u, n)
+        fu = sys.directional_flux(u, n)
+        x = _dissipation_flux(sys, u, g, fu, xi_u)
+        return _records(g, fu, xi_u, x, sys.directional_entropy_flux(w, n))
 
     lam = max(1.05 * speed_sup,
-              _calibrate_lambda_star(sys, g, xi_num, 1.05 * speed_sup,
+              _calibrate_lambda_star(sys, kernel, 1.05 * speed_sup,
                                      seed=seed, rusanov_c=None,
                                      include_c_floor=False))
-    return FluxScheme(name="godunov", g=g, xi_num=xi_num, lambda_star=lam,
+    return FluxScheme(name="godunov", kernel=kernel, lambda_star=lam,
                       params={"wave_speed_sup": speed_sup})
 
 
-def _neg_dir(n):
-    return -np.asarray(n, dtype=float)
-
-
 def _godunov_state(sys, u, v, n):
-    """Arg-min/arg-max of f_n over the interval hull of (u, v).
+    """Arg-min/arg-max of f_n over the interval hull of (u, v), exactly.
 
-    Golden-section search plus endpoint and critical-point candidates;
-    both orientations of an interface run the identical minimization, so
-    conservativity holds bitwise.
+    A continuous f_n is extremal on [lo, hi] at an endpoint or at a
+    critical point of f_n inside it (Osher 1984), so the candidates are
+    lo, hi and the critical points clipped to [lo, hi].  The endpoints
+    come first, so ties resolve to them.  Both orientations of an
+    interface compare the same candidates, so conservativity holds
+    bitwise.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -178,61 +199,46 @@ def _godunov_state(sys, u, v, n):
     n = _as_direction(n, 1)
     ncoef = np.broadcast_to(n[..., 0], a.shape).astype(float)
     # minimize ncoef*f on [lo,hi] when u<=v, else maximize f_n = minimize (-ncoef)*f
-    sign = np.where(a <= b, 1.0, -1.0)
-    coef = sign * ncoef
-
-    def fval(w):
-        return coef * sys.flux(w[..., None], 0)[..., 0]
-
+    coef = np.where(a <= b, 1.0, -1.0) * ncoef
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
-    glo, ghi = lo.copy(), hi.copy()
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(_GOLDEN_ITERS):
-        x1 = ghi - invphi * (ghi - glo)
-        x2 = glo + invphi * (ghi - glo)
-        shrink_right = fval(x1) < fval(x2)
-        ghi = np.where(shrink_right, x2, ghi)
-        glo = np.where(shrink_right, glo, x1)
-    wg = 0.5 * (glo + ghi)
-
-    cands = [lo, hi, wg]
-    if sys.flux_critical_points is not None:
-        for wc in np.atleast_1d(sys.flux_critical_points(n)):
-            cands.append(np.clip(np.broadcast_to(wc, a.shape), lo, hi))
-    cand = np.stack(cands, axis=0)
-    vals = fval(cand)
+    cand = np.stack([lo, hi] + [
+        np.clip(np.broadcast_to(wc, a.shape), lo, hi)
+        for wc in np.atleast_1d(sys.flux_critical_points(n))], axis=0)
+    vals = coef * sys.flux(cand[..., None], 0)[..., 0]
     w_star = np.take_along_axis(cand, np.argmin(vals, axis=0)[None], axis=0)[0]
     return w_star[..., None]
+
+
+def _dissipation_flux(sys, w, g, fw, xi_w):
+    """xi(w).n + Deta(w).(g - f(w).n); X_KL for w = u."""
+    return xi_w + (sys.entropy_gradient(w) * (g - fw)).sum(axis=-1)
+
+
+def _records(g, fu, xi_u, x, xi) -> InterfaceFluxRecords:
+    return InterfaceFluxRecords(
+        g_value=g, xi_value=xi, x_kl=x, xi_left=xi_u,
+        defect=np.sqrt(((g - fu) ** 2).sum(axis=-1)), dissipation_gap=x - xi)
 
 
 # ---------------------------------------------------------------------------
 # dissipation flux and checks
 # ---------------------------------------------------------------------------
 
-def _x_flux_of(sys, gfun, u, v, n):
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    delta = gfun(u, v, n) - sys.directional_flux(u, n)
-    return (sys.directional_entropy_flux(u, n)
-            + (sys.entropy_gradient(u) * delta).sum(axis=-1))
-
-
 def x_flux(sys: SystemModel, scheme: FluxScheme, u, v, n, check: bool = True):
     """Dissipation flux X_KL = xi(u).n + Deta(u).(G(u,v,n) - f(u).n)."""
     if check:
         sys.require_admissible(u, v)
-    return _x_flux_of(sys, scheme.g, u, v, n)
+    return scheme.kernel(u, v, n).x_kl
 
 
 def dissipation_gap_check(sys: SystemModel, scheme: FluxScheme, u, v, n,
                           tol: float = 1e-10) -> DissipationGapCheck:
     """Check X_KL - xi_KL >= beta0/(2 lambda*) |G - f(u).n|^2."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    gap = x_flux(sys, scheme, u, v, n) - scheme.xi_num(u, v, n)
-    delta = scheme.g(u, v, n) - sys.directional_flux(u, n)
-    lower = (sys.beta0 / (2.0 * scheme.lambda_star)) * (delta ** 2).sum(axis=-1)
+    sys.require_admissible(u, v)
+    rec = scheme.kernel(u, v, n)
+    gap = rec.dissipation_gap
+    lower = (sys.beta0 / (2.0 * scheme.lambda_star)) * rec.defect ** 2
     passed = gap >= lower - tol * np.maximum(1.0, np.abs(gap))
     return DissipationGapCheck(gap=gap, lower_bound=lower, passed=passed)
 
@@ -261,7 +267,7 @@ def omega_stability_check(sys: SystemModel, scheme: FluxScheme, u, v, n,
 # lambda_star calibration
 # ---------------------------------------------------------------------------
 
-def _calibrate_lambda_star(sys: SystemModel, gfun, xifun, c: float,
+def _calibrate_lambda_star(sys: SystemModel, kernel, c: float,
                            seed: int, rusanov_c: Optional[float],
                            include_c_floor: bool = True) -> float:
     """Smallest lambda (with margin) making the entropy inequality hold.
@@ -300,8 +306,9 @@ def _calibrate_lambda_star(sys: SystemModel, gfun, xifun, c: float,
     dirs = _axis_directions(sys.d)
     nd = np.stack([dirs[i % len(dirs)] for i in range(U.shape[0])])
 
-    lhs = xifun(U, V, nd) - sys.directional_entropy_flux(U, nd)
-    delta = gfun(U, V, nd) - sys.directional_flux(U, nd)
+    rec = kernel(U, V, nd)
+    lhs = rec.xi_value - rec.xi_left
+    delta = rec.g_value - sys.directional_flux(U, nd)
     eta_u = sys.entropy(U)
 
     def margin_at(lam):

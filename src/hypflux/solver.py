@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, ConfigError
 from .mesh import Mesh
-from .numflux import FluxScheme, InterfaceFluxRecords, _x_flux_of
+from .numflux import FluxScheme, InterfaceFluxRecords
 from .systems import StateField, SystemModel
 
 _GAUSS3 = (np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)]),
@@ -177,26 +177,16 @@ def compute_dt(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
 def interface_flux_records(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
                            field: StateField) -> InterfaceFluxRecords:
     """Evaluate every interface flux once for the given state."""
-    u = field.values[mesh.iface_left]
-    v = field.values[mesh.iface_right]
-    n = mesh.iface_normals
-    g = scheme.g(u, v, n)
-    xi = scheme.xi_num(u, v, n)
-    x = _x_flux_of(sys, scheme.g, u, v, n)
-    fln = sys.directional_flux(u, n)
-    defect = np.sqrt(((g - fln) ** 2).sum(axis=-1))
-    return InterfaceFluxRecords(
-        g_value=g, xi_value=xi, x_kl=x,
-        defect=defect, dissipation_gap=x - xi)
+    return scheme.kernel(field.values[mesh.iface_left],
+                         field.values[mesh.iface_right], mesh.iface_normals)
 
 
 def _apply_update(mesh: Mesh, field: StateField, g_value, dt) -> StateField:
-    new = field.values.copy()
     flux = mesh.iface_areas[:, None] * g_value
-    np.subtract.at(new, mesh.iface_left,
-                   (dt / mesh.cell_volumes[mesh.iface_left])[:, None] * flux)
-    np.add.at(new, mesh.iface_right,
-              (dt / mesh.cell_volumes[mesh.iface_right])[:, None] * flux)
+    new = mesh.scatter(
+        field.values,
+        -((dt / mesh.cell_volumes[mesh.iface_left])[:, None] * flux),
+        (dt / mesh.cell_volumes[mesh.iface_right])[:, None] * flux)
     return StateField(values=new, time=field.time + dt, mesh_id=field.mesh_id)
 
 

@@ -119,7 +119,8 @@ class SystemModel:
     omega: AdmissibleSet
     max_wave_speed: Callable     # (u, n) -> (...), bound on |eig(sum n_a Df_a)|
     lf: float = 0.0
-    flux_critical_points: Optional[Callable] = None  # (n) -> state candidates
+    # (n) -> every state w where d(f.n)/dw = 0; the Godunov flux needs it
+    flux_critical_points: Optional[Callable] = None
     params: dict = field(default_factory=dict)
 
     def omega_contains(self, u, tol: float = 1e-12):

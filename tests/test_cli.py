@@ -251,6 +251,24 @@ def test_study_needs_three_levels(tmp_path):
     assert cli.run_study(path, output_dir=str(tmp_path / "o")) == cli.EXIT_VALIDATION
 
 
+def test_study_builds_each_level_once(tmp_path, monkeypatch):
+    # no extra validation build: a 3-level study builds exactly 3 problems
+    text = ADVECTION_STUDY.replace("levels = 32, 64, 128, 256",
+                                   "levels = 16, 32, 64")
+    path = write(tmp_path, "s.ini", text)
+    calls = []
+    build = cli.build_problem
+
+    def counted(cfg, n_override=None):
+        calls.append(n_override)
+        return build(cfg, n_override=n_override)
+
+    monkeypatch.setattr(cli, "build_problem", counted)
+    assert cli.run_study(path, output_dir=str(tmp_path / "o"),
+                         jobs=1) == cli.EXIT_OK
+    assert calls == [16, 32, 64]
+
+
 def test_study_rerun_identical_bytes(tmp_path):
     path = write(tmp_path, "s.ini", ADVECTION_STUDY)
     outs = []

@@ -79,6 +79,20 @@ def test_accumulate_nan_cell_fails_residual(burgers_sys, burgers_rusanov):
     assert led.entropy_residual_max_scaled == math.inf
 
 
+def test_accumulate_nan_cell_fails_gap_slack(burgers_sys, burgers_rusanov):
+    # min(inf, nan) is inf: a NaN state must not report the best slack
+    mesh = hf.build_uniform_1d(5, 1.0)
+    bad = np.full((5, 1), 0.3)
+    bad[2, 0] = np.nan
+    fld = hf.StateField(bad, 0.0, mesh.mesh_id)
+    records = hf.interface_flux_records(mesh, burgers_sys, burgers_rusanov, fld)
+    led = hf.DiagnosticsLedger()
+    hf.accumulate_step(led, mesh, burgers_sys, burgers_rusanov, fld, fld,
+                       records, 1e-3)
+    assert led.min_gap_slack == -math.inf
+    assert not led.gap_all_pass
+
+
 def test_accumulate_rejects_mismatched_sizes(burgers_sys, burgers_rusanov):
     mesh = hf.build_uniform_1d(5, 1.0)
     fld = hf.StateField(np.full((5, 1), 0.3), 0.0, mesh.mesh_id)

@@ -139,3 +139,33 @@ def test_periodic_distance():
     assert d[0] == pytest.approx(0.1, rel=1e-12)
 
 
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_scatter_matches_add_at_bitwise(m):
+    rng = np.random.default_rng(m)
+    # cells of unequal degree, so that rows of the scatter are padded
+    left = rng.integers(0, 6, 20)
+    right = (left + rng.integers(1, 6, 20)) % 6
+    graph = hf.Mesh(1, (1.0,), np.full(6, 1.0 / 6.0), np.zeros(6),
+                    [[]] * 6, left, right, np.ones(20), np.ones(20),
+                    np.zeros(20), "graph", a=1.0, h=1.0)
+    for mesh in (hf.build_perturbed_quad_2d(7, 5, 1.0, 1.3, 0.2, 4),
+                 hf.build_uniform_1d(9, 1.0), graph):
+        base = rng.standard_normal((mesh.n_cells, m))
+        base[::3] = -0.0
+        to_left = rng.standard_normal((mesh.n_interfaces, m))
+        to_right = rng.standard_normal((mesh.n_interfaces, m))
+        to_left[::4] = 0.0
+        to_left[1::5] = -0.0
+        to_right[::3] = -0.0
+        # all -0.0 sums to -0.0, which a +0.0 padding would turn into 0.0
+        for args in ((base, to_left, to_right),
+                     tuple(np.full_like(x, -0.0)
+                           for x in (base, to_left, to_right))):
+            ref = args[0].copy()
+            np.add.at(ref, mesh.iface_left, args[1])
+            np.add.at(ref, mesh.iface_right, args[2])
+            out = mesh.scatter(*args)
+            # compare bit patterns, so that -0.0 and 0.0 count as different
+            assert np.array_equal(out.view(np.int64), ref.view(np.int64))

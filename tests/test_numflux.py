@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -248,3 +250,119 @@ def test_bouchut_fails_at_wave_speed_for_rusanov(burgers_sys, burgers_rusanov):
     rhs = -c * (burgers_sys.entropy(u - delta / c) - burgers_sys.entropy(u))
     assert lhs[0] > rhs[0] + 1e-3
     assert sch.lambda_star > c
+
+
+# -- interface kernels, bit for bit --------------------------------------------
+
+def _closed_form_burgers_godunov(u, v):
+    """(G, xi) of the exact Riemann flux of Burgers for n = +1."""
+    g = np.where(u <= v,
+                 np.where((u <= 0.0) & (0.0 <= v), 0.0,
+                          0.5 * np.minimum(u ** 2, v ** 2)),
+                 0.5 * np.maximum(u ** 2, v ** 2))
+    # Riemann trace: upwind end of a fan, sonic 0 inside it, the end with
+    # the larger |w| across a shock (v, the lower end, when u + v = 0)
+    w = np.where(u <= v, np.where(u > 0.0, u, np.where(v < 0.0, v, 0.0)),
+                 np.where(u + v > 0.0, u, v))
+    return g, w ** 3 / 3.0
+
+
+def _scalar_pairs(rng, n):
+    u = rng.uniform(-1.0, 1.0, n)
+    v = rng.uniform(-1.0, 1.0, n)
+    v[: n // 8] = u[: n // 8]                   # equal states
+    v[n // 8: n // 4] = -u[n // 8: n // 4]      # stationary shocks, sonic fans
+    u[n // 4: n // 4 + 4] = [0.0, -0.0, 0.5, -0.5]
+    return u, v
+
+
+def test_godunov_burgers_closed_form(burgers_sys, burgers_godunov):
+    rng = np.random.default_rng(11)
+    u, v = _scalar_pairs(rng, 4000)
+    n = np.where(rng.random(u.shape) < 0.5, 1.0, -1.0)
+    rec = burgers_godunov.kernel(u[:, None], v[:, None], n[:, None])
+    g_pos, xi_pos = _closed_form_burgers_godunov(u, v)
+    g_neg, xi_neg = _closed_form_burgers_godunov(v, u)
+    # n = -1 by conservativity: G(u, v, -1) = -G(v, u, +1)
+    assert np.array_equal(rec.g_value[:, 0], np.where(n > 0, g_pos, -g_neg))
+    assert np.array_equal(rec.xi_value, np.where(n > 0, xi_pos, -xi_neg))
+    assert np.array_equal(rec.xi_left, n * u ** 3 / 3.0)
+
+
+def test_godunov_advection_is_upwind(advection_sys, advection_godunov):
+    rng = np.random.default_rng(12)
+    u, v = _scalar_pairs(rng, 4000)
+    n = np.where(rng.random(u.shape) < 0.5, 1.0, -1.0)
+    rec = advection_godunov.kernel(u[:, None], v[:, None], n[:, None])
+    w = np.where(n > 0, u, v)     # speed +1: the upwind cell
+    assert np.array_equal(rec.g_value[:, 0], n * w)
+    assert np.array_equal(rec.xi_value, n * 0.5 * w ** 2)
+
+
+def test_rusanov_records_match_written_out_formulas(request):
+    names = [("burgers_sys", "burgers_rusanov"),
+             ("advection_sys", "advection_rusanov"),
+             ("friedrichs_sys", "friedrichs_rusanov"),
+             ("shallow_water_sys", "shallow_water_rusanov")]
+    pairs = [(request.getfixturevalue(s), request.getfixturevalue(f))
+             for s, f in names]
+    adv2 = hf.make_advection(2, [1.0, 0.5], u_range=(-1.0, 1.0))
+    pairs.append((adv2, hf.make_rusanov(adv2)))
+    for sys, sch in pairs:
+        u, v, n = sample_pairs(sys, 2000, seed=606)
+        c = sch.params["c"]
+
+        def g(a, b, nn):
+            return (0.5 * (sys.directional_flux(a, nn) + sys.directional_flux(b, nn))
+                    - (0.5 * c) * (b - a))
+
+        def x(a, b, nn):
+            return (sys.directional_entropy_flux(a, nn)
+                    + (sys.entropy_gradient(a)
+                       * (g(a, b, nn) - sys.directional_flux(a, nn))).sum(axis=-1))
+
+        # both orientations evaluated the long way round
+        want_g = g(u, v, n)
+        want_x = x(u, v, n)
+        want_xi = 0.5 * (want_x - x(v, u, -n))
+        want_defect = np.sqrt(((want_g - sys.directional_flux(u, n)) ** 2).sum(axis=-1))
+        rec = sch.kernel(u, v, n)
+        assert np.array_equal(rec.g_value, want_g), sys.name
+        assert np.array_equal(rec.x_kl, want_x), sys.name
+        assert np.array_equal(rec.xi_value, want_xi), sys.name
+        assert np.array_equal(rec.xi_left, sys.directional_entropy_flux(u, n))
+        assert np.array_equal(rec.defect, want_defect), sys.name
+        assert np.array_equal(rec.dissipation_gap, want_x - want_xi), sys.name
+        assert np.array_equal(sch.g(u, v, n), want_g)
+        assert np.array_equal(sch.xi_num(u, v, n), want_xi)
+
+
+def test_kernels_conservative_bitwise(request):
+    for sys, sch in all_pairs(request):
+        u, v, n = sample_pairs(sys, 2000, seed=707)
+        assert np.array_equal(sch.g(v, u, -n), -sch.g(u, v, n)), \
+            (sys.name, sch.name)
+
+
+def test_godunov_needs_critical_points(burgers_sys):
+    sys = dataclasses.replace(burgers_sys, flux_critical_points=None)
+    with pytest.raises(ConstructionError):
+        hf.make_godunov_scalar(sys)
+
+
+@pytest.mark.parametrize("scheme", ["burgers_rusanov", "burgers_godunov"])
+def test_one_records_call_evaluates_two_fluxes(request, monkeypatch,
+                                               burgers_sys, scheme):
+    sch = request.getfixturevalue(scheme)
+    mesh = hf.build_uniform_1d(8, 1.0)
+    fld = hf.StateField(np.linspace(-0.5, 0.5, 8)[:, None], 0.0, mesh.mesh_id)
+    calls = []
+    flux = hf.SystemModel.directional_flux
+
+    def counted(self, u, n):
+        calls.append(1)
+        return flux(self, u, n)
+
+    monkeypatch.setattr(hf.SystemModel, "directional_flux", counted)
+    hf.interface_flux_records(mesh, burgers_sys, sch, fld)
+    assert len(calls) == 2
