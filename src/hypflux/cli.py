@@ -393,6 +393,10 @@ def execute_run(cfg: dict, n_override=None, output_dir=None,
     scale = max(1.0, float(np.abs(mass0).max()))
     conservation_ok = bool(np.abs(massN - mass0).max() <= 1e-12 * scale)
 
+    # checked here whether or not the run checked every step
+    admissible = bool(np.all(np.isfinite(uNf.values))
+                      and np.all(system.omega.contains(uNf.values)))
+
     cs_rhs = math.sqrt(max(ledger.wbv_sq, 0.0)
                        * max(ledger.interface_measure_total, 0.0))
     cauchy_ok = ledger.wbv_l1 <= cs_rhs * (1.0 + 1e-12) + 1e-14
@@ -401,7 +405,7 @@ def execute_run(cfg: dict, n_override=None, output_dir=None,
         "entropy_residual": ledger.entropy_residual_max_scaled <= 1e-10,
         "dissipation_gap": bool(ledger.gap_all_pass),
         "conservation": conservation_ok,
-        "admissibility": True,  # run() raised otherwise
+        "admissibility": admissible,
         "cauchy_schwarz": bool(cauchy_ok),
     }
     if setup.ref is not None:
@@ -468,15 +472,16 @@ def _write_snapshots(output_dir, mesh, system, traj, mode):
     coords = ["x", "y"][: mesh.dim]
     header = ",".join(["cell_id"] + coords
                       + [f"u_{k}" for k in range(system.m)])
+    # "cell_id,x[,y]," of every row, formatted once; values are repr'd
+    # Python floats, the same digits as _fmt
+    prefixes = [f"{k},{','.join(map(repr, c))},"
+                for k, c in enumerate(mesh.cell_centroids.tolist())]
     for idx, (t, fld) in enumerate(snaps):
         path = os.path.join(output_dir, f"snapshot_{idx:06d}.csv")
+        rows = "".join([f"{p}{','.join(map(repr, v))}\n"
+                        for p, v in zip(prefixes, fld.values.tolist())])
         with open(path, "w") as fh:
-            fh.write(f"# t = {_fmt(t)}\n")
-            fh.write(header + "\n")
-            for k in range(mesh.n_cells):
-                row = ([str(k)] + [_fmt(c) for c in mesh.cell_centroids[k]]
-                       + [_fmt(v) for v in fld.values[k]])
-                fh.write(",".join(row) + "\n")
+            fh.write(f"# t = {_fmt(t)}\n{header}\n{rows}")
 
 
 # exit code and message label per error class, most specific first

@@ -34,6 +34,7 @@ _GAUSS4 = (np.array([-0.8611363115940526, -0.3399810435848563,
                      0.3399810435848563, 0.8611363115940526]),
            np.array([0.3478548451374538, 0.6521451548625461,
                      0.6521451548625461, 0.3478548451374538]))
+_MASS_CHUNK = 4096  # cells per batch of mass quadrature points
 
 
 @dataclass
@@ -175,16 +176,27 @@ def _least(values) -> float:
 def projection_masses(mesh: Mesh, sys: SystemModel, u0, field0: StateField,
                       cell_mask):
     """mu0 = integral |eta(u0) - eta(u^h(.,0))| and mu_bar0 with |u0 - u^h|,
-    over the cells selected by the boolean `cell_mask`."""
-    pts, wts = tensor_gauss_quadrature(mesh, _GAUSS4, "measure masses")
-    vals = np.asarray(u0(pts), dtype=float)
-    if vals.ndim == 2:
-        vals = vals[..., None]
-    eta_exact = sys.entropy(vals)
-    eta_cell = sys.entropy(field0.values)[:, None]
-    diff = vals - field0.values[:, None, :]
-    per_cell_eta = (wts * np.abs(eta_exact - eta_cell)).sum(axis=1)
-    per_cell_u = (wts * np.sqrt((diff ** 2).sum(axis=-1))).sum(axis=1)
+    over the cells selected by the boolean `cell_mask`.
+
+    The per-cell integrals are filled in chunks of `_MASS_CHUNK` cells, so
+    the quadrature temporaries stay small; the masked sums then fold over
+    all cells in id order at once.
+    """
+    per_cell_eta = np.empty(mesh.n_cells)
+    per_cell_u = np.empty(mesh.n_cells)
+    for start in range(0, mesh.n_cells, _MASS_CHUNK):
+        cells = slice(start, start + _MASS_CHUNK)
+        pts, wts = tensor_gauss_quadrature(mesh, _GAUSS4, "measure masses",
+                                           cells)
+        vals = np.asarray(u0(pts), dtype=float)
+        if vals.ndim == 2:
+            vals = vals[..., None]
+        u_cell = field0.values[cells]
+        eta_exact = sys.entropy(vals)
+        eta_cell = sys.entropy(u_cell)[:, None]
+        diff = vals - u_cell[:, None, :]
+        per_cell_eta[cells] = (wts * np.abs(eta_exact - eta_cell)).sum(axis=1)
+        per_cell_u[cells] = (wts * np.sqrt((diff ** 2).sum(axis=-1))).sum(axis=1)
     return (float(per_cell_eta[cell_mask].sum()),
             float(per_cell_u[cell_mask].sum()))
 

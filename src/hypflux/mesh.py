@@ -18,6 +18,9 @@ import json
 from functools import cached_property
 
 import numpy as np
+# numpy imports numpy.random on first use; import it with the package, so
+# that the first default_rng call of a problem build does not pay for it
+import numpy.random  # noqa: F401
 
 from .errors import MeshError
 
@@ -34,23 +37,35 @@ class Mesh:
     """
 
     def __init__(self, dim, domain, cell_volumes, cell_centroids,
-                 cell_interfaces, iface_left, iface_right, iface_areas,
-                 iface_normals, iface_midpoints, mesh_id,
-                 cell_vertices=None, a=None, h=None, grid_shape=None):
+                 iface_left, iface_right, iface_areas, iface_normals,
+                 iface_midpoints, mesh_id, cell_vertices=None, a=None, h=None,
+                 grid_shape=None):
         self.dim = int(dim)
         self.domain = tuple(float(x) for x in domain)
         self.cell_volumes = np.asarray(cell_volumes, dtype=float)
         self.cell_centroids = np.asarray(cell_centroids, dtype=float).reshape(-1, self.dim)
-        self.cell_interfaces = [tuple(int(i) for i in ids) for ids in cell_interfaces]
         self.iface_left = np.asarray(iface_left, dtype=int)
         self.iface_right = np.asarray(iface_right, dtype=int)
         self.iface_areas = np.asarray(iface_areas, dtype=float)
         self.iface_normals = np.asarray(iface_normals, dtype=float).reshape(-1, self.dim)
         self.iface_midpoints = np.asarray(iface_midpoints, dtype=float).reshape(-1, self.dim)
         self.mesh_id = str(mesh_id)
-        # Vertex coordinates per cell, kept for quadrature on fresh meshes;
-        # not part of the serialized schema.
-        self.cell_vertices = cell_vertices
+        ends = np.concatenate([self.iface_left, self.iface_right])
+        if np.any((ends < 0) | (ends >= self.n_cells)):
+            raise MeshError("an interface references a cell outside the mesh")
+        # cell -> interface adjacency (CSR): row K, cell_iface_ids[
+        # cell_iface_offsets[K]:cell_iface_offsets[K + 1]], lists the
+        # interfaces whose left cell is K, then those whose right cell is
+        # K, each in interface order.  _iface_slots holds the same rows as
+        # indices into [left values; right values].
+        self._iface_slots = np.argsort(ends, kind="stable")
+        self.cell_iface_ids = np.tile(np.arange(self.n_interfaces), 2)[self._iface_slots]
+        self.cell_iface_offsets = np.concatenate(
+            [[0], np.cumsum(np.bincount(ends, minlength=self.n_cells))])
+        # (n_cells, k, d) vertex coordinates, kept for quadrature on fresh
+        # meshes; not part of the serialized schema.
+        self.cell_vertices = (None if cell_vertices is None
+                              else np.asarray(cell_vertices, dtype=float))
         # (n,) of a uniform segment or (nx, ny) of a quad grid, whose cell
         # (i, j) has id i*ny + j; like the vertices, known to built meshes
         # only.
@@ -59,8 +74,11 @@ class Mesh:
         self.a = float(a) if a is not None else regularity_constant(self)
         for arr in (self.cell_volumes, self.cell_centroids, self.iface_left,
                     self.iface_right, self.iface_areas, self.iface_normals,
-                    self.iface_midpoints):
-            arr.setflags(write=False)
+                    self.iface_midpoints, self.cell_iface_ids,
+                    self.cell_iface_offsets, self._iface_slots,
+                    self.cell_vertices):
+            if arr is not None:
+                arr.setflags(write=False)
 
     # -- basic queries -------------------------------------------------
 
@@ -83,17 +101,15 @@ class Mesh:
     def _scatter_table(self):
         """(n_cells, k) rows into [left values; right values; -0.0].
 
-        Row K lists the interfaces whose left cell is K, then those whose
-        right cell is K, each in interface order, padded with the index of
-        the -0.0 row.
+        Row K is the CSR row of K as slots, padded with the index of the
+        -0.0 row.
         """
-        cells = np.concatenate([self.iface_left, self.iface_right])
-        order = np.argsort(cells, kind="stable")
-        counts = np.bincount(cells, minlength=self.n_cells)
-        rank = np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        slots = self._iface_slots
+        counts = np.diff(self.cell_iface_offsets)
+        rank = np.arange(slots.size) - np.repeat(self.cell_iface_offsets[:-1], counts)
         # int32 halves a table that lives as long as the mesh
-        table = np.full((self.n_cells, counts.max()), order.size, np.int32)
-        table[cells[order], rank] = order
+        table = np.full((self.n_cells, counts.max()), slots.size, np.int32)
+        table[np.repeat(np.arange(self.n_cells), counts), rank] = slots
         return table
 
     def scatter(self, base, to_left, to_right):
@@ -113,8 +129,9 @@ class Mesh:
 
     def _max_diameter(self):
         if self.cell_vertices is not None:
-            v = np.stack([np.asarray(c) for c in self.cell_vertices])
-            diff = v[:, :, None, :] - v[:, None, :, :]
+            v = self.cell_vertices
+            a, b = np.triu_indices(v.shape[1], 1)  # each vertex pair once
+            diff = v[:, a] - v[:, b]
             return float(np.sqrt((diff ** 2).sum(-1)).max())
         if self.dim == 1:
             return float(self.cell_volumes.max())
@@ -144,20 +161,16 @@ def build_uniform_1d(n_cells: int, length: float) -> Mesh:
     if length <= 0:
         raise MeshError("length must be positive")
     dx = length / n_cells
-    centroids = (np.arange(n_cells) + 0.5) * dx
-    volumes = np.full(n_cells, dx)
-    # interface e sits at vertex (e+1)*dx between cells e and e+1 (wrapped)
+    x = np.arange(n_cells + 1) * dx  # vertex lattice
+    # interface e sits at vertex x[e + 1] between cells e and e+1 (wrapped)
     left = np.arange(n_cells)
-    right = (left + 1) % n_cells
-    areas = np.ones(n_cells)
-    normals = np.ones((n_cells, 1))
-    midpoints = ((np.arange(n_cells) + 1) * dx % length).reshape(-1, 1)
-    cell_ifaces = [((i - 1) % n_cells, i) for i in range(n_cells)]
-    verts = [np.array([[i * dx], [(i + 1) * dx]]) for i in range(n_cells)]
-    mesh = Mesh(1, (length,), volumes, centroids.reshape(-1, 1), cell_ifaces,
-                left, right, areas, normals, midpoints,
+    mesh = Mesh(1, (length,), np.full(n_cells, dx),
+                ((left + 0.5) * dx).reshape(-1, 1), left, (left + 1) % n_cells,
+                np.ones(n_cells), np.ones((n_cells, 1)),
+                (x[1:] % length).reshape(-1, 1),
                 mesh_id=f"uniform1d:n={n_cells}:L={length!r}",
-                cell_vertices=verts, grid_shape=(n_cells,))
+                cell_vertices=np.stack([x[:-1], x[1:]], axis=-1)[..., None],
+                grid_shape=(n_cells,))
     validate_mesh(mesh)
     return mesh
 
@@ -194,60 +207,41 @@ def _build_quad_2d(nx, ny, lx, ly, jitter, seed, mesh_id):
     base = np.stack(np.meshgrid(np.arange(nx) * dx, np.arange(ny) * dy,
                                 indexing="ij"), axis=-1)
     verts = base + offsets  # periodic vertex lattice, index (i, j)
+    # padded lattice (nx+1, ny+1): unwrapped coordinates, shifted by a full
+    # period where the index wraps
+    ii, jj = np.arange(nx + 1), np.arange(ny + 1)
+    shift = np.stack(np.meshgrid((ii // nx) * lx, (jj // ny) * ly,
+                                 indexing="ij"), axis=-1)
+    p = verts[np.ix_(ii % nx, jj % ny)] + shift
 
-    def vertex(i, j):
-        # unwrapped coordinates: shift by a full period when the index wraps
-        shift = np.array([(i // nx) * lx, (j // ny) * ly])
-        return verts[i % nx, j % ny] + shift
-
+    # cell (i, j) has id i*ny + j and corners p[i, j], p[i+1, j],
+    # p[i+1, j+1], p[i, j+1] (counterclockwise)
     n_cells = nx * ny
-
-    def cid(i, j):
-        return (i % nx) * ny + (j % ny)
-
-    corners = np.empty((n_cells, 4, 2))
-    for i in range(nx):
-        for j in range(ny):
-            corners[cid(i, j)] = [vertex(i, j), vertex(i + 1, j),
-                                  vertex(i + 1, j + 1), vertex(i, j + 1)]
-
+    corners = np.stack([p[:-1, :-1], p[1:, :-1], p[1:, 1:], p[:-1, 1:]],
+                       axis=2).reshape(n_cells, 4, 2)
     volumes, centroids = _polygon_geometry(corners)
     if jitter > 0.0:
         cross = _corner_cross_products(corners)
         if np.any(cross <= 1e-12 * dx * dy):
             raise MeshError("perturbed mesh contains a non-convex cell")
 
-    # interfaces: the +x and +y edges of every cell
-    left_ids, right_ids, areas, normals, midpoints = [], [], [], [], []
-    cell_ifaces = [[] for _ in range(n_cells)]
-    eid = 0
-    for i in range(nx):
-        for j in range(ny):
-            k = cid(i, j)
-            for (li, lj), (p1, p2) in (
-                    ((i + 1, j), (vertex(i + 1, j), vertex(i + 1, j + 1))),
-                    ((i, j + 1), (vertex(i + 1, j + 1), vertex(i, j + 1)))):
-                lcell = cid(li, lj)
-                t = p2 - p1
-                elen = float(np.hypot(t[0], t[1]))
-                nrm = np.array([t[1], -t[0]]) / elen
-                # orient from k to its neighbor, judged in unwrapped frame
-                nb_centroid = centroids[k] + (np.array([dx, 0.0]) if li != i
-                                              else np.array([0.0, dy]))
-                if np.dot(nrm, nb_centroid - centroids[k]) < 0:
-                    nrm = -nrm
-                left_ids.append(k)
-                right_ids.append(lcell)
-                areas.append(elen)
-                normals.append(nrm)
-                midpoints.append(0.5 * (p1 + p2))
-                cell_ifaces[k].append(eid)
-                cell_ifaces[lcell].append(eid)
-                eid += 1
+    # interfaces 2k and 2k+1: the +x and +y edges of cell k
+    p1 = np.stack([p[1:, :-1], p[1:, 1:]], axis=2).reshape(-1, 2)
+    p2 = np.stack([p[1:, 1:], p[:-1, 1:]], axis=2).reshape(-1, 2)
+    t = p2 - p1
+    elen = np.hypot(t[:, 0], t[:, 1])
+    normals = np.stack([t[:, 1], -t[:, 0]], axis=-1) / elen[:, None]
+    # orient from each cell to its +x / +y neighbor
+    toward = np.tile([[dx, 0.0], [0.0, dy]], (n_cells, 1))
+    flip = (normals * toward).sum(axis=-1) < 0
+    normals = np.where(flip[:, None], -normals, normals)
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    right = np.stack([((i + 1) % nx) * ny + j, i * ny + (j + 1) % ny], axis=-1)
 
-    mesh = Mesh(2, (lx, ly), volumes, centroids, cell_ifaces, left_ids,
-                right_ids, areas, normals, midpoints, mesh_id=mesh_id,
-                cell_vertices=list(corners), grid_shape=(nx, ny))
+    mesh = Mesh(2, (lx, ly), volumes, centroids,
+                np.repeat(np.arange(n_cells), 2), right.ravel(), elen,
+                normals, 0.5 * (p1 + p2), mesh_id=mesh_id,
+                cell_vertices=corners, grid_shape=(nx, ny))
     if jitter > 0.0 and mesh.a <= 0.05:
         raise MeshError(f"perturbed mesh violates regularity: a = {mesh.a:.4f} <= 0.05")
     validate_mesh(mesh)
@@ -298,26 +292,21 @@ def validate_mesh(mesh: Mesh) -> None:
     if np.any(np.abs(norms - 1.0) > _NORMAL_TOL):
         raise MeshError("interface normals are not unit vectors")
 
-    # each interface referenced by exactly its two incident cells
-    refs = np.zeros(mesh.n_interfaces, dtype=int)
-    for k, ids in enumerate(mesh.cell_interfaces):
-        if not ids:
-            raise MeshError(f"cell {k} has no interfaces")
-        for e in ids:
-            refs[e] += 1
-            if mesh.iface_left[e] != k and mesh.iface_right[e] != k:
-                raise MeshError(f"cell {k} lists interface {e} it is not incident to")
-    if np.any(refs != 2):
-        raise MeshError("an interface is not referenced by exactly two cells")
+    # the CSR rows reference every interface from its two cells by
+    # construction; each cell needs at least one
+    empty = np.flatnonzero(np.diff(mesh.cell_iface_offsets) == 0)
+    if empty.size:
+        raise MeshError(f"cell {int(empty[0])} has no interfaces")
 
     # regularity with the stored constant
     a, h, d = mesh.a, mesh.h, mesh.dim
     if a <= 0:
         raise MeshError("regularity constant must be positive")
     slack = 1.0 + 1e-12
+    perimeter = mesh.boundary_measure()
     if np.any(mesh.cell_volumes * slack < a * h ** d):
         raise MeshError("a cell violates the volume regularity bound")
-    if np.any(mesh.boundary_measure() > slack * h ** (d - 1) / a):
+    if np.any(perimeter > slack * h ** (d - 1) / a):
         raise MeshError("a cell violates the perimeter regularity bound")
 
     # closed-polygon identity per cell, outward orientation
@@ -326,7 +315,7 @@ def validate_mesh(mesh: Mesh) -> None:
     np.add.at(closure, mesh.iface_left, contrib)
     np.add.at(closure, mesh.iface_right, -contrib)
     closure_norm = np.sqrt((closure ** 2).sum(axis=1))
-    if np.any(closure_norm > _CLOSURE_RTOL * mesh.boundary_measure()):
+    if np.any(closure_norm > _CLOSURE_RTOL * perimeter):
         raise MeshError("a cell violates the interface closure identity")
 
 
@@ -336,6 +325,7 @@ def validate_mesh(mesh: Mesh) -> None:
 
 def mesh_to_json(mesh: Mesh) -> str:
     """Serialize to the canonical JSON document (round-trips bit-exactly)."""
+    ids, off = mesh.cell_iface_ids.tolist(), mesh.cell_iface_offsets.tolist()
     doc = {
         "dim": mesh.dim,
         "h": mesh.h,
@@ -345,7 +335,7 @@ def mesh_to_json(mesh: Mesh) -> str:
         "cells": [
             {"id": i, "volume": float(mesh.cell_volumes[i]),
              "centroid": [float(x) for x in mesh.cell_centroids[i]],
-             "interfaces": list(mesh.cell_interfaces[i])}
+             "interfaces": sorted(ids[off[i]:off[i + 1]])}
             for i in range(mesh.n_cells)],
         "interfaces": [
             {"id": e, "left": int(mesh.iface_left[e]),
@@ -366,7 +356,6 @@ def mesh_from_json(text: str) -> Mesh:
         doc["dim"], doc["domain"],
         [c["volume"] for c in cells],
         [c["centroid"] for c in cells],
-        [c["interfaces"] for c in cells],
         [e["left"] for e in ifaces],
         [e["right"] for e in ifaces],
         [e["area"] for e in ifaces],
@@ -377,6 +366,12 @@ def mesh_from_json(text: str) -> Mesh:
         a=doc["a"],
         h=doc["h"],
     )
+    ids, off = mesh.cell_iface_ids.tolist(), mesh.cell_iface_offsets.tolist()
+    for k, c in enumerate(cells):
+        faces = ids[off[k]:off[k + 1]]
+        if set(c["interfaces"]) != set(faces):
+            raise MeshError(f"cell {k} lists interfaces {sorted(c['interfaces'])}, "
+                            f"but its faces are {sorted(faces)}")
     validate_mesh(mesh)
     return mesh
 

@@ -33,10 +33,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConstructionError
-from .systems import SystemModel, _as_direction
+from .systems import SystemModel, _as_direction, generalized_eigvalsh
 
 
 @dataclass
@@ -161,6 +160,9 @@ def make_godunov_scalar(sys: SystemModel, samples: int = 4096,
     """
     if sys.m != 1:
         raise ConstructionError("the Godunov flux is provided for scalar systems only")
+    if sys.d != 1:
+        raise ConstructionError(
+            f"{sys.name}: the Godunov flux is provided in 1D only")
     if sys.flux_critical_points is None:
         raise ConstructionError(
             f"{sys.name}: the Godunov flux needs the critical points of f.n "
@@ -363,8 +365,4 @@ def _near_equal_lambda(sys, pts, n, c):
     if sys.m == 1:
         q = (S[..., 0, 0] / (2.0 * c * B[..., 0, 0]))
         return float(q.max())
-    best = 0.0
-    for i in range(S.shape[0]):
-        w = scipy.linalg.eigh(S[i], 2.0 * c * B[i], eigvals_only=True)
-        best = max(best, float(w.max()))
-    return best
+    return float(generalized_eigvalsh(S, 2.0 * c * B).max())

@@ -25,36 +25,11 @@ class ReferenceSolution:
     kind: str
     eval: Callable              # (x, t) -> (..., m)
     valid_until: float
-    lipschitz_bound: float
     params: dict = field(default_factory=dict)
 
 
 def _wrap(y, lengths):
     return np.mod(y, np.asarray(lengths))
-
-
-def _sampled_lipschitz(evalfn, domain, t_max, m, n_pts=200, seed=0):
-    """Over-estimate of |grad u| + |du/dt| by sampled finite differences."""
-    rng = np.random.default_rng(seed)
-    d = len(domain)
-    x = rng.uniform(0.0, np.asarray(domain), size=(n_pts, d))
-    t_hi = 0.999 * (t_max if math.isfinite(t_max) else 1.0)
-    ts = rng.uniform(0.0, max(t_hi - 1e-4, 1e-4), size=n_pts)
-    hstep = 1e-5
-    worst = 0.0
-    for i in range(n_pts):
-        xi, ti = x[i:i + 1], float(ts[i])
-        ga = 0.0
-        for a in range(d):
-            e = np.zeros(d)
-            e[a] = hstep
-            diff = (evalfn(xi + e, ti) - evalfn(xi - e, ti)) / (2 * hstep)
-            ga += float(np.abs(diff).max())
-        tstep = 1e-5
-        tlo, thi = max(0.0, ti - tstep), ti + tstep
-        dtv = (evalfn(xi, thi) - evalfn(xi, tlo)) / (thi - tlo)
-        worst = max(worst, ga + float(np.abs(dtv).max()))
-    return 1.2 * worst
 
 
 def exact_advection(speed_vector, u0, domain) -> ReferenceSolution:
@@ -66,10 +41,8 @@ def exact_advection(speed_vector, u0, domain) -> ReferenceSolution:
         x = np.asarray(x, dtype=float)
         return u0(_wrap(x - c * t, lengths))
 
-    lb = _sampled_lipschitz(evalfn, lengths, 1.0, m=1)
     return ReferenceSolution(kind="exact-advection", eval=evalfn,
-                             valid_until=math.inf, lipschitz_bound=lb,
-                             params={"speed": tuple(c)})
+                             valid_until=math.inf, params={"speed": tuple(c)})
 
 
 def exact_friedrichs(A, u0, domain) -> ReferenceSolution:
@@ -97,9 +70,8 @@ def exact_friedrichs(A, u0, domain) -> ReferenceSolution:
         w_all = np.stack(comps, axis=-1)
         return w_all @ R.T
 
-    lb = _sampled_lipschitz(evalfn, lengths, 1.0, m=m)
     return ReferenceSolution(kind="exact-friedrichs", eval=evalfn,
-                             valid_until=math.inf, lipschitz_bound=lb,
+                             valid_until=math.inf,
                              params={"eigenvalues": lam.tolist()})
 
 
@@ -144,10 +116,8 @@ def exact_burgers(u0, u0_derivative, domain) -> ReferenceSolution:
             raise ConstructionError("characteristic solve did not converge")
         return _scalar_eval(u0, y)[..., None]
 
-    lb = _sampled_lipschitz(evalfn, lengths,
-                            horizon if math.isfinite(horizon) else 1.0, m=1)
     return ReferenceSolution(kind="exact-burgers-characteristics", eval=evalfn,
-                             valid_until=horizon, lipschitz_bound=lb,
+                             valid_until=horizon,
                              params={"shock_horizon": horizon})
 
 
@@ -207,9 +177,7 @@ def fine_grid_reference(mesh: Mesh, sys, scheme, u0, config,
                                    fine.grid_shape)
         return values[k][idx]
 
-    lb = _sampled_lipschitz(evalfn, fine.domain, T, m=sys.m)
     return ReferenceSolution(kind="fine-grid", eval=evalfn, valid_until=T,
-                             lipschitz_bound=lb,
                              params={"numerical": True,
                                      "refinement_factor": refinement_factor,
                                      "fine_cells": fine.n_cells,

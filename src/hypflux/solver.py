@@ -80,23 +80,26 @@ def cell_quadrature(mesh: Mesh, quadrature: str = "midpoint"):
     return tensor_gauss_quadrature(mesh, _GAUSS3, "gauss3")
 
 
-def tensor_gauss_quadrature(mesh: Mesh, rule, purpose: str):
+def tensor_gauss_quadrature(mesh: Mesh, rule, purpose: str,
+                            cells=slice(None)):
     """(points, weights) per cell of the tensor product of a 1D rule.
 
-    `rule` is (nodes, weights) on [-1, 1].  1D cells are reconstructed
-    from centroid and volume, 2D cells map the reference square through
-    the bilinear embedding of their stored vertices (fresh-built meshes
-    only; the serialized schema does not carry vertices).
+    `rule` is (nodes, weights) on [-1, 1]; `cells` is a slice of cell ids
+    (all cells by default).  1D cells are reconstructed from centroid and
+    volume, 2D cells map the reference square through the bilinear
+    embedding of their stored vertices (fresh-built meshes only; the
+    serialized schema does not carry vertices).  Each cell's points and
+    weights are the same bit for bit whatever slice computes them.
     """
     nodes, weights = rule
     if mesh.dim == 1:
-        half = 0.5 * mesh.cell_volumes[:, None]
-        pts = mesh.cell_centroids + half * nodes[None, :]
+        half = 0.5 * mesh.cell_volumes[cells, None]
+        pts = mesh.cell_centroids[cells] + half * nodes[None, :]
         return pts[..., None], half * weights[None, :]
     if mesh.cell_vertices is None:
         raise ConfigError(f"{purpose} in 2D needs cell vertices; "
                           "rebuild the mesh instead of loading it from JSON")
-    verts = np.stack([np.asarray(v) for v in mesh.cell_vertices])  # (N,4,2)
+    verts = mesh.cell_vertices[cells]  # (N, 4, 2)
     s, t = np.meshgrid(nodes, nodes, indexing="ij")
     ws, wt = np.meshgrid(weights, weights, indexing="ij")
     s, t, w = s.ravel(), t.ravel(), (ws * wt).ravel()

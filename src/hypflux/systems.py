@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import AdmissibilityError, ConstructionError
 
@@ -265,11 +264,20 @@ def compute_lf(sys: SystemModel, samples: int = 4096, seed: int = 0) -> float:
         B = sys.entropy_hessian(pair_v)
         S = B @ A
         S = 0.5 * (S + np.swapaxes(S, -1, -2))
-        for i in range(S.shape[0]):
-            w = scipy.linalg.eigh(S[i], B[i], eigvals_only=True)
-            best = max(best, float(np.abs(w).max()))
+        best = max(best, float(np.abs(generalized_eigvalsh(S, B)).max()))
     sys.lf = best
     return best
+
+
+def generalized_eigvalsh(S, B):
+    """Eigenvalues mu of S w = mu B w for symmetric S and definite B.
+
+    Batched over leading axes: (..., m, m) -> (..., m), ascending.  With
+    B = L L^T (Cholesky) the pencil has the eigenvalues of the symmetric
+    matrix L^-1 S L^-T.
+    """
+    L_inv = np.linalg.inv(np.linalg.cholesky(B))
+    return np.linalg.eigvalsh(L_inv @ S @ np.swapaxes(L_inv, -1, -2))
 
 
 def estimate_cz(sys: SystemModel, samples: int = 2000, seed: int = 0,

@@ -2,10 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import types
 
+import numpy as np
 import pytest
 
+import hypflux as hf
 import hypflux.cli as cli
+from hypflux.errors import AdmissibilityError
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -400,3 +404,95 @@ def test_cli_subprocess_entry_point(tmp_path):
     assert res.returncode == 0, res.stderr
     res2 = run_cli("validate", path)
     assert res2.returncode == 0
+
+
+def _blown_up_run(monkeypatch, check):
+    # twenty times the CFL step: the scheme is unstable and the state
+    # leaves the admissible set within a few steps
+    text = (BURGERS_RUN.replace("t = 0.1", "t = 0.5")
+            .replace("reference = exact", "reference = none")
+            .replace("seed = 7", f"seed = 7\ncheck_admissibility = {check}"))
+    compute_dt = cli.solver.compute_dt
+    monkeypatch.setattr(cli.solver, "compute_dt",
+                        lambda *args: 20.0 * compute_dt(*args))
+    return cli.execute_run(cli.parse_config_text(text))
+
+
+def test_admissibility_flag_checks_final_state(monkeypatch):
+    with pytest.raises(AdmissibilityError):
+        _blown_up_run(monkeypatch, "true")
+    report = _blown_up_run(monkeypatch, "false")
+    assert report["flags"]["admissibility"] is False
+    assert report["passed"] is False
+
+
+def test_admissibility_flag_fails_on_nan_final_state(monkeypatch):
+    run = cli.solver.run
+
+    def nan_run(*args, **kwargs):
+        traj = run(*args, **kwargs)
+        traj.final_field.values[5, 0] = float("nan")
+        return traj
+
+    monkeypatch.setattr(cli.solver, "run", nan_run)
+    text = (BURGERS_RUN.replace("reference = exact", "reference = none")
+            .replace("seed = 7", "seed = 7\ncheck_admissibility = false"))
+    report = cli.execute_run(cli.parse_config_text(text))
+    assert report["flags"]["admissibility"] is False
+    assert report["flags"]["dissipation_gap"] is True  # the steps were fine
+
+
+def test_godunov_in_2d_is_validation_error(tmp_path):
+    with open(os.path.join(CONFIG_DIR, "advection2d.ini")) as fh:
+        text = (fh.read().replace("nx = 12", "nx = 8").replace("ny = 12", "ny = 8")
+                .replace("name = rusanov", "name = godunov"))
+    path = write(tmp_path, "g2.ini", text)
+    res = run_cli("validate", path)
+    assert res.returncode == cli.EXIT_VALIDATION, res.stderr
+    assert "1D only" in res.stderr
+
+
+def test_import_leaves_scipy_unloaded():
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hypflux.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
+def _write_snapshots_row_by_row(output_dir, mesh, system, traj):
+    """The writer as it was, one value at a time: the byte oracle."""
+    header = ",".join(["cell_id"] + ["x", "y"][: mesh.dim]
+                      + [f"u_{k}" for k in range(system.m)])
+    for idx, (t, fld) in enumerate(traj.snapshots):
+        with open(os.path.join(output_dir, f"snapshot_{idx:06d}.csv"), "w") as fh:
+            fh.write(f"# t = {repr(float(t))}\n")
+            fh.write(header + "\n")
+            for k in range(mesh.n_cells):
+                row = ([str(k)] + [repr(float(c)) for c in mesh.cell_centroids[k]]
+                       + [repr(float(v)) for v in fld.values[k]])
+                fh.write(",".join(row) + "\n")
+
+
+def test_snapshot_csv_matches_row_by_row_bytes(tmp_path):
+    mesh = hf.build_perturbed_quad_2d(5, 4, 1.0, 0.7, 0.2, 3)
+    special = np.array([-0.0, 1e-7, 1e16, 5e-324, -1.5, 0.1, 1e300, -2.5e-310,
+                        0.0])
+    traj = cli.solver.Trajectory(snapshots=[], dt=0.1, n_steps=2)
+    for k, t in enumerate((0.0, 0.1, 0.30000000000000004)):
+        vals = np.resize(np.roll(special, k), (mesh.n_cells, 2))
+        traj.snapshots.append((t, hf.StateField(vals, t, mesh.mesh_id)))
+    system = types.SimpleNamespace(m=2)
+    (tmp_path / "new").mkdir()
+    (tmp_path / "old").mkdir()
+    cli._write_snapshots(str(tmp_path / "new"), mesh, system, traj, "all")
+    _write_snapshots_row_by_row(str(tmp_path / "old"), mesh, system, traj)
+    names = sorted(os.listdir(tmp_path / "old"))
+    assert sorted(os.listdir(tmp_path / "new")) == names and len(names) == 3
+    for name in names:
+        assert (tmp_path / "new" / name).read_bytes() \
+            == (tmp_path / "old" / name).read_bytes()
+    text = (tmp_path / "new" / names[0]).read_text()
+    assert all(tok in text for tok in (",-0.0,", "1e-07", "1e+16", "5e-324"))

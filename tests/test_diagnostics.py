@@ -206,7 +206,7 @@ def test_cone_l2_error_zero_for_exact_reference(advection_sys,
     ref = hf.ReferenceSolution(
         kind="exact-advection",
         eval=lambda x, t: np.full(np.asarray(x).shape[:-1] + (1,), 0.5),
-        valid_until=math.inf, lipschitz_bound=0.0)
+        valid_until=math.inf)
     err = hf.cone_l2_error(mesh, advection_sys, traj, ref, r=10.0, T=0.02,
                            lf=advection_sys.lf)
     assert err == 0.0
@@ -243,7 +243,7 @@ def test_cone_l2_error_rejects_expired_reference(burgers_sys, burgers_rusanov):
     traj = hf.run(mesh, burgers_sys, burgers_rusanov, burgers_wave, cfg)
     ref = hf.ReferenceSolution(kind="exact-advection",
                                eval=lambda x, t: burgers_wave(x),
-                               valid_until=0.01, lipschitz_bound=10.0)
+                               valid_until=0.01)
     with pytest.raises(ConfigError):
         hf.cone_l2_error(mesh, burgers_sys, traj, ref, r=10.0, T=0.05,
                          lf=burgers_sys.lf)
@@ -335,3 +335,28 @@ def test_cauchy_schwarz_relation_on_run(burgers_sys, burgers_rusanov):
     hf.run(mesh, burgers_sys, burgers_rusanov, burgers_wave, cfg, [hook])
     rhs = math.sqrt(led.wbv_sq * led.interface_measure_total)
     assert led.wbv_l1 <= rhs * (1 + 1e-12)
+
+
+def test_projection_masses_chunks_keep_the_bits():
+    # more cells than one chunk: the chunked fold must give the bits of
+    # one whole-mesh quadrature batch
+    mesh = hf.build_perturbed_quad_2d(72, 60, 1.0, 1.0, 0.2, 5)
+    assert mesh.n_cells > diag._MASS_CHUNK
+    sysm = hf.make_advection(2, [1.0, 0.5], u_range=(-1.0, 1.0))
+    u0 = lambda x: (0.5 * np.sin(2 * np.pi * x[..., 0])
+                    * np.cos(2 * np.pi * x[..., 1]))[..., None]
+    field0 = hf.project_initial(mesh, sysm, u0)
+    mask = mesh.periodic_distance_to_origin(mesh.cell_centroids) <= 0.4
+
+    pts, wts = hf.solver.tensor_gauss_quadrature(mesh, diag._GAUSS4, "oracle")
+    vals = u0(pts)
+    eta = (wts * np.abs(sysm.entropy(vals)
+                        - sysm.entropy(field0.values)[:, None])).sum(axis=1)
+    du = (wts * np.sqrt(((vals - field0.values[:, None, :]) ** 2)
+                        .sum(axis=-1))).sum(axis=1)
+    want = (float(eta[mask].sum()), float(du[mask].sum()))
+    assert diag.projection_masses(mesh, sysm, u0, field0, mask) == want
+
+    cells = slice(4000, 4400)
+    part = hf.solver.tensor_gauss_quadrature(mesh, diag._GAUSS4, "oracle", cells)
+    assert np.array_equal(part[0], pts[cells]) and np.array_equal(part[1], wts[cells])

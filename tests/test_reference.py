@@ -147,19 +147,6 @@ def test_exact_references_satisfy_pde():
     assert _pde_residual(ref_b, lambda u: 0.5 * u * u, x, 0.2) <= 1e-4
 
 
-def test_lipschitz_bound_dominates_samples():
-    refs = [hf.exact_advection([1.0], sine1, (1.0,)),
-            hf.exact_burgers(burgers_wave, burgers_wave_prime, (1.0,))]
-    rng = np.random.default_rng(3)
-    for ref in refs:
-        x = rng.uniform(0, 1, (100, 1))
-        t = 0.15
-        step = 1e-5
-        gx = np.abs(ref.eval(x + step, t) - ref.eval(x - step, t)).max() / (2 * step)
-        gt = np.abs(ref.eval(x, t + step) - ref.eval(x, t - step)).max() / (2 * step)
-        assert gx + gt <= ref.lipschitz_bound
-
-
 def test_fine_grid_guard_and_degenerate_factor(burgers_sys, burgers_rusanov):
     mesh = hf.build_uniform_1d(16, 1.0)
     cfg = hf.RunConfig(final_time=0.05)

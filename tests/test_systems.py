@@ -3,7 +3,8 @@ import pytest
 
 import hypflux as hf
 from hypflux.errors import AdmissibilityError, ConstructionError
-from hypflux.systems import estimate_cz, validate_system
+from hypflux.systems import (estimate_cz, generalized_eigvalsh,
+                             validate_system)
 
 from conftest import sample_pairs
 
@@ -162,6 +163,49 @@ def test_lf_friedrichs_eigen_oracle():
     sys = hf.make_friedrichs([A], radius=2.0)
     oracle = np.abs(np.linalg.eigvalsh(A)).max()
     assert sys.lf == pytest.approx(oracle, rel=1e-9)
+
+
+def _pencils(sys, seed):
+    """The (S, B) pencils of compute_lf and of the near-equal lambda bound."""
+    u, v, _ = sample_pairs(sys, 3000, seed)
+    u = np.vstack([u, sys.omega.extreme_points()])
+    v = np.vstack([v, sys.omega.extreme_points()])
+    B = sys.entropy_hessian(v)
+    S = B @ sys.flux_jacobian(u, 0)
+    c = 1.05 * float(sys.max_wave_speed(u, np.array([1.0])).max())
+    M = c * np.eye(sys.m) - sys.flux_jacobian(v, 0)
+    return [(0.5 * (S + np.swapaxes(S, -1, -2)), B),
+            (np.swapaxes(M, -1, -2) @ B @ M, 2.0 * c * B)]
+
+
+def test_generalized_eigvalsh_matches_scipy_eigh(shallow_water_sys,
+                                                 friedrichs_sys):
+    linalg = pytest.importorskip("scipy.linalg")
+    nonsym = hf.make_friedrichs([np.array([[0.3, 0.7], [0.7, -0.4]])], 2.0)
+    for sys in (shallow_water_sys, friedrichs_sys, nonsym):
+        for S, B in _pencils(sys, seed=4):
+            got = generalized_eigvalsh(S, B)
+            want = np.stack([linalg.eigh(S[i], B[i], eigvals_only=True)
+                             for i in range(S.shape[0])])
+            scale = np.abs(want).max(axis=-1, keepdims=True)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def test_compute_lf_matches_scipy_loop(shallow_water_sys):
+    linalg = pytest.importorskip("scipy.linalg")
+    sys = shallow_water_sys
+    rng = np.random.default_rng(0)
+    corners = sys.omega.extreme_points()
+    us = np.vstack([sys.omega.sample(rng, 4096), corners])
+    vs = np.vstack([sys.omega.sample(rng, 4096), corners])
+    pair_u = np.vstack([us, us, rng.permutation(us)])
+    pair_v = np.vstack([vs, us, rng.permutation(vs)])
+    B = sys.entropy_hessian(pair_v)
+    S = B @ sys.flux_jacobian(pair_u, 0)
+    S = 0.5 * (S + np.swapaxes(S, -1, -2))
+    want = max(np.abs(linalg.eigh(S[i], B[i], eigvals_only=True)).max()
+               for i in range(S.shape[0]))
+    assert abs(hf.compute_lf(sys) - want) <= 1e-12 * want
 
 
 def test_compute_lf_requires_samples(burgers_sys):
