@@ -20,7 +20,8 @@ from .numflux import (DissipationGapCheck, FluxScheme, InterfaceFluxRecords,
                       make_rusanov, omega_stability_check,
                       sample_wave_speed_sup, x_flux)
 from .solver import (RunConfig, Trajectory, cell_means, compute_dt,
-                     interface_flux_records, project_initial, run, step)
+                     interface_flux_records, march, project_initial, run,
+                     step)
 from .diagnostics import (ConvergenceRow, ConvergenceTable, DiagnosticsLedger,
                           ErrorFold, MeasureMasses, accumulate_step,
                           cone_l2_error, fit_rate, make_ledger_hook,

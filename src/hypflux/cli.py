@@ -443,17 +443,10 @@ def execute_run(cfg: dict, n_override=None, output_dir=None,
     if output_dir is not None:
         os.makedirs(output_dir, exist_ok=True)
         _write_snapshots(output_dir, mesh, system, traj, write_snapshots)
-        run_meta = {
-            "dt": report["metadata"]["dt"],
-            "n_steps": report["metadata"]["n_steps"],
-            "lambda_star": report["metadata"]["lambda_star"],
-            "a": report["metadata"]["a"],
-            "h": report["metadata"]["h"],
-            "zeta": report["metadata"]["zeta"],
-            "scheme": report["metadata"]["flux"],
-            "system": report["metadata"]["problem"],
-            "quadrature": report["metadata"]["quadrature"],
-        }
+        meta = report["metadata"]
+        run_meta = {key: meta[key] for key in ("dt", "n_steps", "lambda_star",
+                                               "a", "h", "zeta", "quadrature")}
+        run_meta.update(scheme=meta["flux"], system=meta["problem"])
         with open(os.path.join(output_dir, "run_metadata.json"), "w") as fh:
             json.dump(run_meta, fh, indent=2, sort_keys=True)
         with open(os.path.join(output_dir, "ledger.json"), "w") as fh:

@@ -92,10 +92,8 @@ class Mesh:
 
     def boundary_measure(self):
         """Per-cell sum of incident interface areas, sum_L |sigma_KL|."""
-        out = np.zeros(self.n_cells)
-        np.add.at(out, self.iface_left, self.iface_areas)
-        np.add.at(out, self.iface_right, self.iface_areas)
-        return out
+        return self.scatter(np.zeros(self.n_cells), self.iface_areas,
+                            self.iface_areas)
 
     @cached_property
     def _scatter_table(self):
@@ -310,10 +308,9 @@ def validate_mesh(mesh: Mesh) -> None:
         raise MeshError("a cell violates the perimeter regularity bound")
 
     # closed-polygon identity per cell, outward orientation
-    closure = np.zeros((mesh.n_cells, mesh.dim))
     contrib = mesh.iface_areas[:, None] * mesh.iface_normals
-    np.add.at(closure, mesh.iface_left, contrib)
-    np.add.at(closure, mesh.iface_right, -contrib)
+    closure = mesh.scatter(np.zeros((mesh.n_cells, mesh.dim)), contrib,
+                           -contrib)
     closure_norm = np.sqrt((closure ** 2).sum(axis=1))
     if np.any(closure_norm > _CLOSURE_RTOL * perimeter):
         raise MeshError("a cell violates the interface closure identity")

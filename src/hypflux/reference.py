@@ -128,26 +128,22 @@ def _scalar_eval(u0, x):
 
 
 def fine_grid_reference(mesh: Mesh, sys, scheme, u0, config,
-                        refinement_factor: int = 8,
-                        enforce_min_factor: bool = True) -> ReferenceSolution:
+                        refinement_factor: int = 8) -> ReferenceSolution:
     """Run the same scheme on a refined uniform mesh and interpolate.
 
     The fine mesh is uniform even when the coarse one is jittered: its
     grid has refinement_factor times the cells of the coarse mesh along
     each axis, so in 2D the coarse mesh must be a built quad grid.
 
+    The fine run is a `march` cursor holding one state, advanced as the
+    reference is read and restarted by a query for an earlier level.
     Evaluation is piecewise-constant in space and in time (left limits),
     matching the shape of the approximation itself.  The reference is
     flagged as numerical; it shares the flux, so its error is correlated
     with the runs it judges.
     """
-    if enforce_min_factor and refinement_factor < 8:
+    if refinement_factor < 8:
         raise ConstructionError("fine-grid reference needs refinement_factor >= 8")
-    cfg = _solver.RunConfig(final_time=config.final_time,
-                            cfl_mode=config.cfl_mode, zeta=config.zeta,
-                            record_every=1,
-                            check_admissibility=config.check_admissibility,
-                            quadrature=config.quadrature)
     if mesh.dim == 1:
         fine = build_uniform_1d(mesh.n_cells * refinement_factor,
                                 mesh.domain[0])
@@ -159,23 +155,34 @@ def fine_grid_reference(mesh: Mesh, sys, scheme, u0, config,
         nx, ny = mesh.grid_shape
         fine = build_uniform_quad_2d(nx * refinement_factor,
                                      ny * refinement_factor, *mesh.domain)
-    traj = _solver.run(fine, sys, scheme, u0, cfg)
-    values = np.stack([f.values for _, f in traj.snapshots])  # (N+1, cells, m)
-    dt = traj.dt
+    dt = _solver.compute_dt(fine, sys, scheme, config)
     T = config.final_time
+    n_steps = 0 if T == 0.0 else int(round(T / dt))
     lengths = np.asarray(fine.domain)
     shape = np.asarray(fine.grid_shape)
+    level, state, steps = None, None, None
 
     def evalfn(x, t):
+        nonlocal level, state, steps
         if t > T * (1 + 1e-12):
             raise HorizonError(f"fine-grid reference only covers [0, {T}]")
-        k = min(traj.n_steps, int(np.floor(t / dt + 1e-12)))
+        k = min(n_steps, int(np.floor(t / dt + 1e-12)))
+        if level is None or k < level:
+            state = _solver.project_initial(fine, sys, u0, config.quadrature)
+            steps = _solver.march(fine, sys, scheme, state, dt, n_steps,
+                                  config.check_admissibility)
+            level = 0
+        reached, level = level, None  # a march that raised restarts
+        while reached < k:
+            _, _, state, _ = next(steps)
+            reached += 1
+        level = reached
         x = np.asarray(x, dtype=float)
         cell = np.minimum((np.mod(x, lengths) / (lengths / shape)).astype(int),
                           shape - 1)
         idx = np.ravel_multi_index(tuple(np.moveaxis(cell, -1, 0)),
                                    fine.grid_shape)
-        return values[k][idx]
+        return state.values[idx]
 
     return ReferenceSolution(kind="fine-grid", eval=evalfn, valid_until=T,
                              params={"numerical": True,

@@ -184,26 +184,37 @@ def interface_flux_records(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
                          field.values[mesh.iface_right], mesh.iface_normals)
 
 
-def _apply_update(mesh: Mesh, field: StateField, g_value, dt) -> StateField:
-    flux = mesh.iface_areas[:, None] * g_value
-    new = mesh.scatter(
-        field.values,
-        -((dt / mesh.cell_volumes[mesh.iface_left])[:, None] * flux),
-        (dt / mesh.cell_volumes[mesh.iface_right])[:, None] * flux)
-    return StateField(values=new, time=field.time + dt, mesh_id=field.mesh_id)
+def march(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
+          field: StateField, dt: float, n_steps: int,
+          check_admissibility: bool = False):
+    """The one time loop: n_steps updates of size dt from `field`, yielding
+    (n, field_n, field_np1, records) after each.  The caller is
+    responsible for the CFL bound."""
+    if field.values.shape[0] != mesh.n_cells:
+        raise ConfigError("state field does not match the mesh")
+    t0 = field.time
+    to_left = (dt / mesh.cell_volumes[mesh.iface_left])[:, None]
+    to_right = (dt / mesh.cell_volumes[mesh.iface_right])[:, None]
+    for n in range(n_steps):
+        records = interface_flux_records(mesh, sys, scheme, field)
+        flux = mesh.iface_areas[:, None] * records.g_value
+        new = StateField(
+            values=mesh.scatter(field.values, -(to_left * flux), to_right * flux),
+            time=t0 + (n + 1) * dt, mesh_id=field.mesh_id)
+        if check_admissibility:
+            try:
+                new.check_admissible(sys)
+            except AdmissibilityError as exc:
+                raise AdmissibilityError(f"step {n + 1}: {exc}") from exc
+        yield n, field, new, records
+        field = new
 
 
 def step(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
          field: StateField, dt: float,
          check_admissibility: bool = False) -> StateField:
     """One explicit update.  The caller is responsible for the CFL bound."""
-    if field.values.shape[0] != mesh.n_cells:
-        raise ConfigError("state field does not match the mesh")
-    records = interface_flux_records(mesh, sys, scheme, field)
-    new = _apply_update(mesh, field, records.g_value, dt)
-    if check_admissibility:
-        new.check_admissible(sys)
-    return new
+    return next(march(mesh, sys, scheme, field, dt, 1, check_admissibility))[2]
 
 
 def run(mesh: Mesh, sys: SystemModel, scheme: FluxScheme, u0,
@@ -218,18 +229,10 @@ def run(mesh: Mesh, sys: SystemModel, scheme: FluxScheme, u0,
     dt = compute_dt(mesh, sys, scheme, config)
     n_steps = 0 if config.final_time == 0.0 else int(round(config.final_time / dt))
     traj = Trajectory(snapshots=[(0.0, field)], dt=dt, n_steps=n_steps)
-    for n in range(n_steps):
-        records = interface_flux_records(mesh, sys, scheme, field)
-        new = _apply_update(mesh, field, records.g_value, dt)
-        new.time = (n + 1) * dt
-        if config.check_admissibility:
-            try:
-                new.check_admissible(sys)
-            except AdmissibilityError as exc:
-                raise AdmissibilityError(f"step {n + 1}: {exc}") from exc
+    for n, field_n, field_np1, records in march(
+            mesh, sys, scheme, field, dt, n_steps, config.check_admissibility):
         for hook in hooks:
-            hook(n, field, new, records, dt)
+            hook(n, field_n, field_np1, records, dt)
         if (n + 1) % config.record_every == 0 or n + 1 == n_steps:
-            traj.snapshots.append((new.time, new))
-        field = new
+            traj.snapshots.append((field_np1.time, field_np1))
     return traj

@@ -122,9 +122,6 @@ class SystemModel:
     flux_critical_points: Optional[Callable] = None
     params: dict = field(default_factory=dict)
 
-    def omega_contains(self, u, tol: float = 1e-12):
-        return self.omega.contains(u, tol=tol)
-
     def require_admissible(self, *states, tol: float = 1e-12, what: str = "state"):
         for u in states:
             ok = self.omega.contains(u, tol=tol)

@@ -426,6 +426,21 @@ def test_admissibility_flag_checks_final_state(monkeypatch):
     assert report["passed"] is False
 
 
+def test_blown_up_run_with_reference_reports_the_flag(monkeypatch, tmp_path):
+    # the error fold must not raise where the run does not check: the
+    # state outside Omega reaches the final-state flag and exits 5
+    text = (BURGERS_RUN.replace("t = 0.1", "t = 0.5")
+            .replace("seed = 7", "seed = 7\ncheck_admissibility = false"))
+    compute_dt = cli.solver.compute_dt
+    monkeypatch.setattr(cli.solver, "compute_dt",
+                        lambda *args: 20.0 * compute_dt(*args))
+    path = write(tmp_path, "b.ini", text)
+    assert cli.run_single(path, str(tmp_path / "o")) == cli.EXIT_INVARIANT
+    report = json.load(open(tmp_path / "o" / "report.json"))
+    assert report["flags"]["admissibility"] is False
+    assert report["errors"]["cone_l2"] is not None
+
+
 def test_admissibility_flag_fails_on_nan_final_state(monkeypatch):
     run = cli.solver.run
 
@@ -496,3 +511,41 @@ def test_snapshot_csv_matches_row_by_row_bytes(tmp_path):
             == (tmp_path / "old" / name).read_bytes()
     text = (tmp_path / "new" / names[0]).read_text()
     assert all(tok in text for tok in (",-0.0,", "1e-07", "1e+16", "5e-324"))
+
+
+FINE_ADVECTION2D = {"nx = 12": "nx = 24", "ny = 12": "ny = 24",
+                    "reference = exact": "reference = fine:8\nsnapshots = ends"}
+
+
+def _fine_advection2d(tmp_path):
+    with open(os.path.join(CONFIG_DIR, "advection2d.ini")) as fh:
+        text = fh.read()
+    for old, new in FINE_ADVECTION2D.items():
+        assert old in text
+        text = text.replace(old, new)
+    return write(tmp_path, "fine.ini", text)
+
+
+def test_validate_runs_no_fine_solve(monkeypatch, tmp_path):
+    calls = []
+    records = cli.solver.interface_flux_records
+    monkeypatch.setattr(cli.solver, "interface_flux_records",
+                        lambda *args: calls.append(1) or records(*args))
+    assert cli.validate_only(_fine_advection2d(tmp_path)) == cli.EXIT_OK
+    assert calls == []
+
+
+def test_fine_reference_run_memory(tmp_path):
+    # the fine-grid reference keeps one fine state; storing its whole
+    # trajectory instead peaks near 250 MB on this config
+    code = ("import resource, sys; from hypflux.cli import main; "
+            "rc = main(sys.argv[1:]); "
+            "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    res = subprocess.run([sys.executable, "-c", code, "run",
+                          _fine_advection2d(tmp_path), "--output-dir",
+                          str(tmp_path / "o")],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    rc, maxrss_kb = map(int, res.stdout.split()[-2:])
+    assert rc == cli.EXIT_OK
+    assert maxrss_kb / 1024 < 120.0

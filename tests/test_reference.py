@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hypflux as hf
-from hypflux.errors import ConstructionError, HorizonError
+from hypflux.errors import AdmissibilityError, ConstructionError, HorizonError
 
 
 def sine1(x):
@@ -153,14 +153,35 @@ def test_fine_grid_guard_and_degenerate_factor(burgers_sys, burgers_rusanov):
     with pytest.raises(ConstructionError):
         hf.fine_grid_reference(mesh, burgers_sys, burgers_rusanov,
                                burgers_wave, cfg, refinement_factor=4)
-    # factor 1 with the guard off reproduces the run itself
+    # every fine level is the fine run's state, read forward and then
+    # backward, where each query restarts the cursor from the projection
     ref = hf.fine_grid_reference(mesh, burgers_sys, burgers_rusanov,
-                                 burgers_wave, cfg, refinement_factor=1,
-                                 enforce_min_factor=False)
-    traj = hf.run(mesh, burgers_sys, burgers_rusanov, burgers_wave, cfg)
-    for t, fld in traj.snapshots:
-        got = ref.eval(mesh.cell_centroids, min(t, cfg.final_time))
+                                 burgers_wave, cfg)
+    fine = hf.build_uniform_1d(16 * 8, 1.0)
+    traj = hf.run(fine, burgers_sys, burgers_rusanov, burgers_wave, cfg)
+    assert len(traj.snapshots) == traj.n_steps + 1 > 2
+    for t, fld in traj.snapshots + traj.snapshots[::-1]:
+        got = ref.eval(fine.cell_centroids, min(t, cfg.final_time))
         assert np.array_equal(got, fld.values)
+
+
+def test_fine_grid_reference_restarts_after_a_failed_march(monkeypatch):
+    # twenty times the CFL step drives the fine run out of Omega; a query
+    # after the failure raises again instead of finding the march spent
+    sysm = hf.make_burgers(1, u_range=(0.2, 0.8))
+    sch = hf.make_rusanov(sysm)
+    compute_dt = hf.solver.compute_dt
+    monkeypatch.setattr(hf.solver, "compute_dt",
+                        lambda *args: 20.0 * compute_dt(*args))
+    cfg = hf.RunConfig(final_time=2.0)
+    ref = hf.fine_grid_reference(hf.build_uniform_1d(16, 1.0), sysm, sch,
+                                 burgers_wave, cfg)
+    for _ in range(2):
+        with pytest.raises(AdmissibilityError, match="step "):
+            ref.eval(np.array([[0.25]]), 2.0)
+    fine = hf.build_uniform_1d(128, 1.0)
+    assert np.array_equal(ref.eval(fine.cell_centroids, 0.0),
+                          hf.project_initial(fine, sysm, burgers_wave).values)
 
 
 def test_fine_grid_reference_on_non_square_mesh():

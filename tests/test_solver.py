@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hypflux as hf
 from hypflux import diagnostics, solver
@@ -268,3 +269,48 @@ def test_flux_accumulation_order_insensitive(burgers_sys, burgers_rusanov):
     np.add.at(new, mesh.iface_right[perm],
               (dt / mesh.cell_volumes[mesh.iface_right[perm]])[:, None] * flux)
     assert np.abs(new - base.values).max() <= 1e-13
+
+
+_ADV2D = hf.make_advection(2, [1.0, -0.5], u_range=(-1.0, 1.0))
+_ADV2D_RUSANOV = hf.make_rusanov(_ADV2D)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(nx=st.integers(3, 8), ny=st.integers(3, 8),
+       jitter=st.floats(0.0, 0.24), seed=st.integers(0, 2 ** 31 - 1),
+       data_seed=st.integers(0, 2 ** 31 - 1))
+def test_march_property(nx, ny, jitter, seed, data_seed):
+    # march conserves mass, repeats bit for bit, and is the loop of run
+    # and step
+    mesh = hf.build_perturbed_quad_2d(nx, ny, 1.0, 1.0, jitter, seed)
+    sysm, sch = _ADV2D, _ADV2D_RUSANOV
+    rng = np.random.default_rng(data_seed)
+    amp, phase = rng.uniform(0.1, 0.9), rng.uniform(0.0, 2 * np.pi)
+    kx, ky = rng.integers(1, 4, size=2)
+
+    def u0(x):
+        x = np.asarray(x, dtype=float)
+        return (amp * np.sin(2 * np.pi * (kx * x[..., 0] + ky * x[..., 1])
+                             + phase))[..., None]
+
+    cfg = hf.RunConfig(final_time=0.05)
+    fld = hf.project_initial(mesh, sysm, u0)
+    dt = hf.compute_dt(mesh, sysm, sch, cfg)
+    traj = hf.run(mesh, sysm, sch, u0, cfg)
+    marches = [list(hf.march(mesh, sysm, sch, fld, dt, traj.n_steps, True))
+               for _ in range(2)]
+    assert [n for n, *_ in marches[0]] == list(range(traj.n_steps))
+    assert len(traj.snapshots) == traj.n_steps + 1
+    mass0 = (mesh.cell_volumes[:, None] * fld.values).sum(axis=0)
+    for (n, fa, fb, rec), (_, ga, gb, _), (t, snap) in zip(
+            marches[0], marches[1], traj.snapshots[1:]):
+        assert np.array_equal(fb.values, gb.values)
+        assert np.array_equal(fb.values, snap.values) and fb.time == t
+        assert fb.time == (n + 1) * dt
+        mass = (mesh.cell_volumes[:, None] * fb.values).sum(axis=0)
+        assert np.abs(mass - mass0).max() <= 1e-12 * max(1.0, np.abs(mass0).max())
+        assert np.array_equal(rec.g_value, hf.interface_flux_records(
+            mesh, sysm, sch, fa).g_value)
+    first = hf.step(mesh, sysm, sch, fld, dt)
+    assert np.array_equal(first.values, marches[0][0][2].values)
+    assert first.time == marches[0][0][2].time
