@@ -6,10 +6,9 @@ convergence."""
 
 from .errors import (AdmissibilityError, ConfigError, ConstructionError,
                      HorizonError, HypfluxError, MeshError)
-from .mesh import (Mesh, build_perturbed_quad_2d,
-                   build_uniform_1d, build_uniform_quad_2d, load_mesh,
-                   mesh_from_json, mesh_to_json, regularity_constant,
-                   save_mesh, validate_mesh)
+from .mesh import (Mesh, build_perturbed_quad_2d, build_uniform_1d,
+                   build_uniform_quad_2d, mesh_from_json, mesh_to_json,
+                   regularity_constant, validate_mesh)
 from .systems import (AdmissibleSet, StateField, SystemModel, compute_lf,
                       estimate_cz, make_advection, make_burgers,
                       make_friedrichs, make_shallow_water_1d,
@@ -24,11 +23,10 @@ from .solver import (RunConfig, Trajectory, cell_means, compute_dt,
                      step)
 from .diagnostics import (ConvergenceRow, ConvergenceTable, DiagnosticsLedger,
                           ErrorFold, MeasureMasses, accumulate_step,
-                          cone_l2_error, fit_rate, make_ledger_hook,
-                          measure_masses, measure_scaling_report,
-                          projection_masses, reference_cell_means,
-                          relative_entropy_norm, squared_l2_cell_error,
-                          wbv_scaling_report)
+                          cone_l2_error, fit_rate, measure_masses,
+                          measure_scaling_report, projection_masses,
+                          reference_cell_means, relative_entropy_norm,
+                          squared_l2_cell_error, wbv_scaling_report)
 from .reference import (ReferenceSolution, exact_advection, exact_burgers,
                         exact_friedrichs, fine_grid_reference)
 

@@ -93,24 +93,31 @@ def _get(cfg, section, key, default=None, required=False):
         return default
 
 
+def _convert(raw, convert, section, key, what):
+    """convert(raw), with a ValueError reported as a parse error of the key."""
+    try:
+        return convert(raw)
+    except ValueError as exc:
+        raise ConfigParseError(f"[{section}] {key}: not {what}: {raw!r}") from exc
+
+
 def _get_float(cfg, section, key, default=None, required=False):
     raw = _get(cfg, section, key, None, required)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigParseError(f"[{section}] {key}: not a number: {raw!r}") from exc
+    return default if raw is None else _convert(raw, float, section, key,
+                                                "a number")
 
 
 def _get_int(cfg, section, key, default=None, required=False):
     raw = _get(cfg, section, key, None, required)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigParseError(f"[{section}] {key}: not an integer: {raw!r}") from exc
+    return default if raw is None else _convert(raw, int, section, key,
+                                                "an integer")
+
+
+def _get_floats(cfg, section, key, default=None, required=False):
+    """A comma- or semicolon-separated list of numbers."""
+    raw = _get(cfg, section, key, default, required)
+    return _convert(raw, lambda text: [float(tok) for tok in text.replace(
+        ";", ",").split(",") if tok.strip()], section, key, "a list of numbers")
 
 
 def _get_bool(cfg, section, key, default):
@@ -125,13 +132,13 @@ def _get_bool(cfg, section, key, default):
     raise ConfigParseError(f"[{section}] {key}: not a boolean: {raw!r}")
 
 
-def _floats(raw):
-    return [float(tok) for tok in raw.replace(";", ",").split(",") if tok.strip()]
-
-
 def _matrix(raw):
-    rows = [r for r in raw.split(";") if r.strip()]
-    return np.array([[float(tok) for tok in r.split(",")] for r in rows])
+    """A square matrix: rows separated by semicolons, entries by commas."""
+    rows = [[float(tok) for tok in r.split(",")]
+            for r in raw.split(";") if r.strip()]
+    if any(len(r) != len(rows) for r in rows):
+        raise ValueError("not square")
+    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +157,7 @@ def make_initial(cfg: dict, problem: str, domain):
     lengths = np.asarray(domain, dtype=float)
 
     if kind == "constant":
-        vals = np.array(_floats(_get(cfg, "initial", "value", required=True)))
+        vals = np.array(_get_floats(cfg, "initial", "value", required=True))
 
         def u0(x):
             x = np.asarray(x, dtype=float)
@@ -159,10 +166,12 @@ def make_initial(cfg: dict, problem: str, domain):
         return u0, (lambda y: np.zeros_like(np.asarray(y, dtype=float)))
 
     if kind == "sine":
-        means = np.array(_floats(_get(cfg, "initial", "means",
-                                      _get(cfg, "initial", "mean", "0.0"))))
-        amps = np.array(_floats(_get(cfg, "initial", "amplitudes",
-                                     _get(cfg, "initial", "amplitude", "1.0"))))
+        given = cfg.get("initial", {})
+        means = np.array(_get_floats(
+            cfg, "initial", "means" if "means" in given else "mean", "0.0"))
+        amps = np.array(_get_floats(
+            cfg, "initial", "amplitudes" if "amplitudes" in given
+            else "amplitude", "1.0"))
         freq = _get_float(cfg, "initial", "frequency", 1.0)
         if means.shape != amps.shape:
             raise ConfigError("means and amplitudes must have equal length")
@@ -285,7 +294,7 @@ def build_problem(cfg: dict, n_override=None) -> ProblemSetup:
 
     if problem in ("advection1d", "advection2d"):
         d = mesh.dim
-        speed = _floats(_get(cfg, "system", "speed", "1.0"))
+        speed = _get_floats(cfg, "system", "speed", "1.0")
         if len(speed) == 1 and d == 2:
             speed = [speed[0], speed[0]]
         lo, hi = _scalar_range(u0, mesh.domain, d)
@@ -298,7 +307,8 @@ def build_problem(cfg: dict, n_override=None) -> ProblemSetup:
             raise ConfigError("burgers1d needs differentiable catalog data")
         ref = reference.exact_burgers(u0, du0, mesh.domain)
     elif problem == "friedrichs1d":
-        A = _matrix(_get(cfg, "system", "matrix", "0,1;1,0"))
+        A = _convert(_get(cfg, "system", "matrix", "0,1;1,0"), _matrix,
+                     "system", "matrix", "a square matrix of numbers")
         xs = np.linspace(0.0, mesh.domain[0], 4097)[:, None]
         # Omega is a characteristic-coordinate box: size it from the data
         _, R = np.linalg.eigh(A)
@@ -319,7 +329,7 @@ def build_problem(cfg: dict, n_override=None) -> ProblemSetup:
         raise ConfigError(f"unknown flux {flux_name!r}; choose from {FLUXES}")
     if flux_name == "rusanov":
         c_raw = _get(cfg, "flux", "c", "auto").strip().lower()
-        c = "auto" if c_raw == "auto" else float(c_raw)
+        c = "auto" if c_raw == "auto" else _get_float(cfg, "flux", "c")
         scheme = numflux.make_rusanov(system, c=c, seed=seed)
     else:
         scheme = numflux.make_godunov_scalar(system, seed=seed)
@@ -338,7 +348,9 @@ def build_problem(cfg: dict, n_override=None) -> ProblemSetup:
     if ref_mode == "none":
         ref = None
     elif ref_mode.startswith("fine"):
-        factor = int(ref_mode.split(":", 1)[1]) if ":" in ref_mode else 8
+        factor = (_convert(ref_mode.split(":", 1)[1], int, "output",
+                           "reference", "an integer factor")
+                  if ":" in ref_mode else 8)
         ref = reference.fine_grid_reference(mesh, system, scheme, u0,
                                             run_config, factor)
     elif ref_mode != "exact":
@@ -369,16 +381,14 @@ def execute_run(cfg: dict, n_override=None, output_dir=None,
     mesh, system, scheme = setup.mesh, setup.system, setup.scheme
     run_config = setup.run_config
     ledger = diag.DiagnosticsLedger()
-    fold = diag.ErrorFold(ledger, mesh, system, setup.u0, r=setup.r,
+    fold = diag.ErrorFold(ledger, mesh, system, scheme, setup.u0, r=setup.r,
                           T=run_config.final_time, lf=system.lf,
                           reference=setup.ref,
                           quadrature=run_config.quadrature)
     if write_snapshots != "all":
         # only the first and last states are read: keep no others
         run_config = dataclasses.replace(run_config, record_every=_sys.maxsize)
-    traj = solver.run(mesh, system, scheme, setup.u0, run_config,
-                      [diag.make_ledger_hook(ledger, mesh, system, scheme),
-                       fold])
+    traj = solver.run(mesh, system, scheme, setup.u0, run_config, [fold])
     fold.finish(traj)
 
     errors = {"cone_l2": None, "l2_spacetime": None, "rel_entropy_final": None}
@@ -434,7 +444,7 @@ def execute_run(cfg: dict, n_override=None, output_dir=None,
             "T": setup.run_config.final_time,
             "mesh_id": mesh.mesh_id,
         },
-        "ledger": ledger.to_dict(),
+        "ledger": dataclasses.asdict(ledger),
         "errors": errors,
         "flags": flags,
         "passed": all(flags.values()),
@@ -450,7 +460,7 @@ def execute_run(cfg: dict, n_override=None, output_dir=None,
         with open(os.path.join(output_dir, "run_metadata.json"), "w") as fh:
             json.dump(run_meta, fh, indent=2, sort_keys=True)
         with open(os.path.join(output_dir, "ledger.json"), "w") as fh:
-            json.dump(ledger.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(report["ledger"], fh, indent=2, sort_keys=True)
         with open(os.path.join(output_dir, "report.json"), "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
     return report
@@ -534,12 +544,13 @@ def validate_only(config_path) -> int:
 
 def _parse_levels(cfg: dict):
     raw = _get(cfg, "study", "levels", required=True)
-    try:
-        levels = [int(tok) for tok in raw.split(",")]
-    except ValueError as exc:
-        raise ConfigParseError(f"[study] levels: not integers: {raw!r}") from exc
+    levels = _convert(raw, lambda text: [int(tok) for tok in text.split(",")],
+                      "study", "levels", "integers")
     if len(levels) < 3:
         raise ConfigError("a study needs at least 3 mesh levels")
+    if levels[0] < 1 or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ConfigError(f"study levels must be positive and strictly "
+                          f"increase, got {levels}")
     return levels
 
 
@@ -575,14 +586,24 @@ def run_study(spec_path, output_dir=None, jobs: int = 1) -> int:
                 results = dict(ex.map(_level_worker, tasks))
         else:
             results = dict(map(_level_worker, tasks))
+        reports = [results[lvl] for lvl in levels]
+        if not all(rep["passed"] for rep in reports):
+            print("invariant failure in a study level", file=_sys.stderr)
+            return EXIT_INVARIANT
+        passed, rate = _write_study(out, levels, reports)
     except HypfluxError as exc:
         return _exit_code(exc)
 
-    reports = [results[lvl] for lvl in levels]
-    if not all(rep["passed"] for rep in reports):
-        print("invariant failure in a study level", file=_sys.stderr)
+    if not passed:
+        print("study gates failed", file=_sys.stderr)
         return EXIT_INVARIANT
+    print(f"study ok: rate = {rate}, outputs in {out}")
+    return EXIT_OK
 
+
+def _write_study(out, levels, reports):
+    """Convergence table, rate fit and scaling gates of the level reports,
+    written under `out`; returns (passed, rate)."""
     rows = [diag.ConvergenceRow(
         h=rep["metadata"]["h"], dt=rep["metadata"]["dt"],
         error_l2_spacetime=rep["errors"]["l2_spacetime"],
@@ -616,32 +637,14 @@ def run_study(spec_path, output_dir=None, jobs: int = 1) -> int:
     study_report = {
         "levels": levels,
         "fitted_rate": rate,
-        "wbv_scaling": {
-            "sup_wbv_l1_sqrt_h": wbv_rep.sup_wbv_l1_sqrt_h,
-            "sup_wbv_sq": wbv_rep.sup_wbv_sq,
-            "wbv_sq_max_over_min": wbv_rep.wbv_sq_max_over_min,
-            "wbv_l1h_last_over_first": wbv_rep.wbv_l1h_last_over_first,
-            "passed_l1": wbv_rep.passed_l1,
-            "passed_sq": wbv_rep.passed_sq,
-        },
-        "measure_scaling": {
-            "mu0_over_h_ratio": mass_rep.mu0_over_h_ratio,
-            "mu_bar0_over_h_ratio": mass_rep.mu_bar0_over_h_ratio,
-            "mu_t_scaled_last_over_first": mass_rep.mu_t_scaled_last_over_first,
-            "mu_bar_t_scaled_last_over_first": mass_rep.mu_bar_t_scaled_last_over_first,
-            "passed": mass_rep.passed,
-        },
+        "wbv_scaling": dataclasses.asdict(wbv_rep),
+        "measure_scaling": dataclasses.asdict(mass_rep),
         "level_reports": reports,
         "passed": bool(passed),
     }
     with open(os.path.join(out, "study_report.json"), "w") as fh:
         json.dump(study_report, fh, indent=2, sort_keys=True)
-
-    if not passed:
-        print("study gates failed", file=_sys.stderr)
-        return EXIT_INVARIANT
-    print(f"study ok: rate = {rate}, outputs in {out}")
-    return EXIT_OK
+    return passed, rate
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 The ledger accumulates, step by step, the interface weak-BV sums, the
 entropy-flux and time variation sums, the worst discrete entropy residual
-and the per-interface dissipation-gap slack.  `ErrorFold` folds the error
-functionals into the same ledger as the run goes: the masses of the error
-measures and the relative-entropy error series, plus the shrinking-cone
-L2 error against a reference.  `measure_masses` and `cone_l2_error`
-replay a stored trajectory through it.
+and the per-interface dissipation-gap slack.  `ErrorFold`, the one solver
+hook, feeds each step to the ledger and folds in the error functionals:
+the masses of the error measures, the relative-entropy error series and
+the shrinking-cone L2 error against a reference.  `measure_masses` and
+`cone_l2_error` replay a stored trajectory through its records-free part.
 
 All reductions fold over interfaces and cells in id order, so repeated
 runs produce identical floating-point results.
@@ -15,7 +15,7 @@ runs produce identical floating-point results.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -58,9 +58,6 @@ class DiagnosticsLedger:
     rel_entropy_series: list = field(default_factory=list)  # [(t, value)]
     n_steps_accumulated: int = 0
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class MeasureMasses:
@@ -91,27 +88,15 @@ class ConvergenceTable:
             raise ConfigError("convergence rows must be sorted by decreasing h")
 
 
-def make_ledger_hook(ledger: DiagnosticsLedger, mesh: Mesh, sys: SystemModel,
-                     scheme: FluxScheme):
-    """Solver hook folding each step into the ledger."""
-
-    def hook(n, field_n, field_np1, records, dt):
-        accumulate_step(ledger, mesh, sys, scheme, field_n, field_np1,
-                        records, dt)
-
-    return hook
-
-
 def accumulate_step(ledger: DiagnosticsLedger, mesh: Mesh, sys: SystemModel,
                     scheme: FluxScheme, field_n: StateField,
                     field_np1: StateField, records: InterfaceFluxRecords,
-                    dt: float) -> DiagnosticsLedger:
-    """Add one step's interface and cell contributions to every ledger sum."""
-    if field_n.values.shape[0] != mesh.n_cells or \
-            field_np1.values.shape[0] != mesh.n_cells:
-        raise ConfigError("state fields do not match the mesh")
+                    dt: float):
+    """Add one step's interface and cell contributions to every ledger sum;
+    return the step's per-cell |K| |u^{n+1} - u^n| and |K| |eta^{n+1} - eta^n|."""
     if records.g_value.shape[0] != mesh.n_interfaces:
         raise ConfigError("flux records do not match the mesh")
+    eta_jump, vol_du, vol_deta = _cell_variation(mesh, sys, field_n, field_np1)
 
     areas = mesh.iface_areas
     vols = mesh.cell_volumes
@@ -123,12 +108,8 @@ def accumulate_step(ledger: DiagnosticsLedger, mesh: Mesh, sys: SystemModel,
     ledger.entropy_flux_bv += dt * float(
         (areas * np.abs(records.xi_value - records.xi_left)).sum())
 
-    du = field_np1.values - field_n.values
-    du_norm = np.sqrt((du ** 2).sum(axis=-1))
-    eta_jump = sys.entropy(field_np1.values) - sys.entropy(field_n.values)
-    deta = np.abs(eta_jump)
-    ledger.time_bv_u += float((vols * du_norm).sum())
-    ledger.time_bv_eta += float((vols * deta).sum())
+    ledger.time_bv_u += float(vol_du.sum())
+    ledger.time_bv_eta += float(vol_deta.sum())
 
     # discrete entropy residual: (|K|/dt)(eta^{n+1} - eta^n) + sum |sigma| xi_KL
     xi_div = mesh.scatter(np.zeros(mesh.n_cells), areas * records.xi_value,
@@ -148,7 +129,20 @@ def accumulate_step(ledger: DiagnosticsLedger, mesh: Mesh, sys: SystemModel,
                                and np.all(slack >= -tol))
 
     ledger.n_steps_accumulated += 1
-    return ledger
+    return vol_du, vol_deta
+
+
+def _cell_variation(mesh: Mesh, sys: SystemModel, field_n: StateField,
+                    field_np1: StateField):
+    """Per-cell time variation of one step: eta^{n+1} - eta^n,
+    |K| |u^{n+1} - u^n| and |K| |eta^{n+1} - eta^n|."""
+    if field_n.values.shape[0] != mesh.n_cells or \
+            field_np1.values.shape[0] != mesh.n_cells:
+        raise ConfigError("state fields do not match the mesh")
+    du = field_np1.values - field_n.values
+    eta_jump = sys.entropy(field_np1.values) - sys.entropy(field_n.values)
+    return (eta_jump, mesh.cell_volumes * np.sqrt((du ** 2).sum(axis=-1)),
+            mesh.cell_volumes * np.abs(eta_jump))
 
 
 def _worst(values) -> float:
@@ -221,23 +215,25 @@ def squared_l2_cell_error(mesh: Mesh, field: StateField, reference_means) -> flo
 
 
 class ErrorFold:
-    """Solver hook folding a run's error functionals into its ledger.
+    """The run's one solver hook: `accumulate_step`, then the error functionals.
 
     Cells count as inside a ball when their centroid is (periodic
-    minimum-image distance).  Every step adds its share of the measure
-    masses mu_T and mu_bar_T on B(0, r).  With a reference, the reference
-    cell means are evaluated once per time level t^n and shared by the
-    shrinking-cone L2 error (`cone`), the relative-entropy series and the
-    M-beta bracket (`mbeta_ok`).  `finish(trajectory)` adds the projection
-    masses mu_0, mu_bar_0 of the first state and the level at the final
-    time.  Time sums use the left-endpoint rule; nothing is kept per step.
+    minimum-image distance).  The measure masses mu_T and mu_bar_T on
+    B(0, r) are ball-masked sums of the per-cell time variation that
+    `accumulate_step` returns.  With a reference, its cell means are
+    evaluated once per time level t^n and shared by the shrinking-cone L2
+    error (`cone`), the relative-entropy series and the M-beta bracket
+    (`mbeta_ok`).  `finish(trajectory)` adds the projection masses mu_0,
+    mu_bar_0 of the first state and the level at the final time.  Time
+    sums use the left-endpoint rule; nothing is kept per step.
     """
 
     def __init__(self, ledger: DiagnosticsLedger, mesh: Mesh,
-                 sys: SystemModel, u0, r: float, T: float, lf: float,
-                 reference=None, quadrature: str = "midpoint"):
-        self.ledger, self.mesh, self.sys, self.u0 = ledger, mesh, sys, u0
-        self.r, self.T, self.lf = r, T, lf
+                 sys: SystemModel, scheme: FluxScheme, u0, r: float,
+                 T: float, lf: float, reference=None,
+                 quadrature: str = "midpoint"):
+        self.ledger, self.mesh, self.sys, self.scheme = ledger, mesh, sys, scheme
+        self.u0, self.r, self.T, self.lf = u0, r, T, lf
         self.reference, self.quadrature = reference, quadrature
         self.dist = mesh.periodic_distance_to_origin(mesh.cell_centroids)
         self.ball = self.dist <= r
@@ -245,13 +241,15 @@ class ErrorFold:
         self.mbeta_ok = True
 
     def __call__(self, n, field_n, field_np1, records, dt):
-        vols = self.mesh.cell_volumes[self.ball]
-        deta = np.abs(self.sys.entropy(field_np1.values)
-                      - self.sys.entropy(field_n.values))[self.ball]
-        du = field_np1.values[self.ball] - field_n.values[self.ball]
-        self.ledger.mu_t_mass += dt * float((vols * deta).sum())
-        self.ledger.mu_bar_t_mass += dt * float(
-            (vols * np.sqrt((du ** 2).sum(axis=-1))).sum())
+        vol_du, vol_deta = accumulate_step(self.ledger, self.mesh, self.sys,
+                                           self.scheme, field_n, field_np1,
+                                           records, dt)
+        self._fold(field_n, vol_du, vol_deta, dt)
+
+    def _fold(self, field_n, vol_du, vol_deta, dt):
+        """The step's error-functional share, which needs no flux records."""
+        self.ledger.mu_t_mass += dt * float(vol_deta[self.ball].sum())
+        self.ledger.mu_bar_t_mass += dt * float(vol_du[self.ball].sum())
         if self.reference is None:
             return
         ubar = self._level(field_n)
@@ -289,12 +287,13 @@ class ErrorFold:
 
 
 def _replay(fold: ErrorFold, trajectory) -> None:
-    """Feed every step of a stored trajectory to the fold."""
+    """Fold every step of a stored trajectory (no flux records needed)."""
     snaps = trajectory.snapshots
     if len(snaps) != trajectory.n_steps + 1:
         raise ConfigError("the error functionals need snapshots at every step")
-    for n, ((_, fa), (_, fb)) in enumerate(zip(snaps[:-1], snaps[1:])):
-        fold(n, fa, fb, None, trajectory.dt)
+    for (_, fa), (_, fb) in zip(snaps[:-1], snaps[1:]):
+        _, vol_du, vol_deta = _cell_variation(fold.mesh, fold.sys, fa, fb)
+        fold._fold(fa, vol_du, vol_deta, trajectory.dt)
 
 
 def measure_masses(mesh: Mesh, sys: SystemModel, u0, trajectory, r: float,
@@ -305,7 +304,7 @@ def measure_masses(mesh: Mesh, sys: SystemModel, u0, trajectory, r: float,
     1), so that the time sums are exact.
     """
     ledger = DiagnosticsLedger()
-    fold = ErrorFold(ledger, mesh, sys, u0, r, T, sys.lf)
+    fold = ErrorFold(ledger, mesh, sys, None, u0, r, T, sys.lf)
     _replay(fold, trajectory)
     fold.finish(trajectory)
     return MeasureMasses(mu0=ledger.mu0_mass, mu_t=ledger.mu_t_mass,
@@ -323,7 +322,7 @@ def cone_l2_error(mesh: Mesh, sys: SystemModel, trajectory, reference,
     with r large the ball covers the whole box.  `ErrorFold` over a
     trajectory recorded at every step.
     """
-    fold = ErrorFold(DiagnosticsLedger(), mesh, sys, None, r, T, lf,
+    fold = ErrorFold(DiagnosticsLedger(), mesh, sys, None, None, r, T, lf,
                      reference, quadrature)
     _replay(fold, trajectory)
     return fold.cone
@@ -404,11 +403,10 @@ def measure_scaling_report(hs, masses: Sequence[MeasureMasses]) -> MeasureScalin
         decreasing = all(b <= a * (1 + 1e-12) for a, b in zip(seq, seq[1:]))
         return decreasing or (seq[0] > 0 and seq[-1] <= 1.5 * seq[0])
 
-    rep = MeasureScalingReport(
+    return MeasureScalingReport(
         mu0_over_h_ratio=ratio(mu0h),
         mu_bar0_over_h_ratio=ratio(mub0h),
         mu_t_scaled_last_over_first=(mut[-1] / mut[0]) if mut[0] > 0 else math.inf,
         mu_bar_t_scaled_last_over_first=(mubt[-1] / mubt[0]) if mubt[0] > 0 else math.inf,
         passed=(ratio(mu0h) < 2.0 and ratio(mub0h) < 2.0
                 and no_growth(mut) and no_growth(mubt)))
-    return rep

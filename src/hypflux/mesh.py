@@ -371,13 +371,3 @@ def mesh_from_json(text: str) -> Mesh:
                             f"but its faces are {sorted(faces)}")
     validate_mesh(mesh)
     return mesh
-
-
-def save_mesh(mesh: Mesh, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(mesh_to_json(mesh))
-
-
-def load_mesh(path) -> Mesh:
-    with open(path) as fh:
-        return mesh_from_json(fh.read())

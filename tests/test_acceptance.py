@@ -58,8 +58,8 @@ def _run_case(mesh, sysm, sch, u0, T, ref, zeta=0.1):
     cfg = hf.RunConfig(final_time=T, cfl_mode="strengthened", zeta=zeta,
                        record_every=1, check_admissibility=True)
     led = hf.DiagnosticsLedger()
-    hook = hf.make_ledger_hook(led, mesh, sysm, sch)
-    traj = hf.run(mesh, sysm, sch, u0, cfg, [hook])
+    fold = hf.ErrorFold(led, mesh, sysm, sch, u0, R_BALL, T, sysm.lf)
+    traj = hf.run(mesh, sysm, sch, u0, cfg, [fold])
     masses = hf.measure_masses(mesh, sysm, u0, traj, r=R_BALL, T=T)
     case = {"mesh": mesh, "sys": sysm, "scheme": sch, "traj": traj,
             "ledger": led, "masses": masses, "zeta": zeta,

@@ -549,3 +549,100 @@ def test_fine_reference_run_memory(tmp_path):
     rc, maxrss_kb = map(int, res.stdout.split()[-2:])
     assert rc == cli.EXIT_OK
     assert maxrss_kb / 1024 < 120.0
+
+
+def _shipped(name):
+    with open(os.path.join(CONFIG_DIR, name)) as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("name, old, new, key", [
+    ("burgers1d.ini", "c = auto", "c = fast", "[flux] c"),
+    ("burgers1d.ini", "reference = exact", "reference = fine:x",
+     "[output] reference"),
+    ("burgers1d.ini", "amplitude = 0.25", "amplitude = big",
+     "[initial] amplitude"),
+    ("constant.ini", "speed = 1.0", "speed = 1.0, fast", "[system] speed"),
+    ("friedrichs1d.ini", "matrix = 0, 1; 1, 0", "matrix = 0, 1; 1",
+     "[system] matrix"),
+    ("friedrichs1d.ini", "matrix = 0, 1; 1, 0", "matrix = 0, 1; 1, 0; 1, 1",
+     "[system] matrix"),
+    ("friedrichs1d.ini", "amplitudes = 0.4, 0.3", "amplitudes = 0.4, x",
+     "[initial] amplitudes"),
+])
+def test_malformed_number_is_parse_error(tmp_path, capsys, name, old, new, key):
+    text = _shipped(name)
+    assert old in text
+    path = write(tmp_path, name, text.replace(old, new))
+    assert cli.validate_only(path) == cli.EXIT_PARSE
+    assert cli.run_single(path, output_dir=str(tmp_path / "o")) == cli.EXIT_PARSE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == err[1]
+    assert err[0].startswith(f"parse error: {key}: not ")
+
+
+@pytest.mark.parametrize("levels", ["64, 32, 16", "16, 16, 32", "0, 16, 32"])
+def test_study_levels_must_strictly_increase(tmp_path, monkeypatch, capsys,
+                                             levels):
+    ran = []
+    monkeypatch.setattr(cli, "execute_run",
+                        lambda cfg, n_override=None, **kw: ran.append(n_override))
+    text = ADVECTION_STUDY.replace("levels = 32, 64, 128, 256",
+                                   f"levels = {levels}")
+    path = write(tmp_path, "s.ini", text)
+    assert cli.validate_only(path) == cli.EXIT_VALIDATION
+    assert cli.run_study(path, output_dir=str(tmp_path / "o"),
+                         jobs=1) == cli.EXIT_VALIDATION
+    assert ran == []
+    assert "strictly increase" in capsys.readouterr().err
+
+
+def test_study_with_zero_errors_is_validation_error(tmp_path, capsys):
+    # constant data: every level's error is exactly zero, so the rate fit
+    # fails after the levels have run; that is a validation error, not a
+    # traceback
+    text = _shipped("constant.ini").replace("[run]", "[study]").replace(
+        "n_cells = 16", "levels = 16, 32, 64")
+    path = write(tmp_path, "s.ini", text)
+    out = str(tmp_path / "o")
+    assert cli.run_study(path, output_dir=out, jobs=1) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == \
+        "validation error: rate fit needs positive errors\n"
+    report = json.load(open(os.path.join(out, "level_64", "report.json")))
+    assert report["errors"]["cone_l2"] == 0.0
+
+
+@pytest.mark.parametrize("mode, per_step, extra", [("exact", 4, 4),
+                                                   ("none", 2, 2)])
+def test_run_evaluates_entropy_twice_per_step(monkeypatch, mode, per_step,
+                                              extra):
+    # the ledger and the error fold share one eta(u^n), eta(u^{n+1}) pair
+    # per step; a reference adds the relative entropy of each level (two
+    # more), and the ends add the projection masses and the final level
+    calls, hooks = [], []
+    build, run = cli.build_problem, cli.solver.run
+
+    def counted_build(cfg, n_override=None):
+        setup = build(cfg, n_override=n_override)
+        entropy = setup.system.entropy
+
+        def counted(u):
+            calls.append(u)
+            return entropy(u)
+
+        setup.system.entropy = counted
+        return setup
+
+    def recording_run(*args, **kwargs):
+        hooks.append(len(args[5]))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_problem", counted_build)
+    monkeypatch.setattr(cli.solver, "run", recording_run)
+    cfg = cli.parse_config_text(_shipped("burgers1d.ini"))
+    cfg["output"]["reference"] = mode
+    report = cli.execute_run(cfg)
+    n_steps = report["metadata"]["n_steps"]
+    assert n_steps == 180 and report["passed"] is True
+    assert hooks == [1]
+    assert len(calls) == per_step * n_steps + extra

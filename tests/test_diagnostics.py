@@ -54,13 +54,21 @@ def test_accumulate_hand_computed_increments():
     records = hf.interface_flux_records(mesh, sys, sch, fld)
     new = hf.step(mesh, sys, sch, fld, dt)
     led = hf.DiagnosticsLedger()
-    hf.accumulate_step(led, mesh, sys, sch, fld, new, records, dt)
+    vol_du, vol_deta = hf.accumulate_step(led, mesh, sys, sch, fld, new,
+                                          records, dt)
     assert led.wbv_sq == pytest.approx(want_sq, rel=1e-14)
     assert led.wbv_l1 == pytest.approx(want_l1, rel=1e-14)
     # time variation oracle from the explicit update itself
     upd = -(dt / (1.0 / 3.0)) * (G - np.roll(G, 1))
     assert led.time_bv_u == pytest.approx(float((np.abs(upd) / 3.0).sum() * 3.0
                                                 * (1.0 / 3.0)), rel=1e-12)
+    # the per-cell terms the error fold masks are the ledger's summands
+    np.testing.assert_allclose(vol_du, np.abs(upd) / 3.0, rtol=1e-12)
+    np.testing.assert_allclose(
+        vol_deta, np.abs(0.5 * (u + upd) ** 2 - 0.5 * u ** 2) / 3.0,
+        rtol=1e-12)
+    assert (float(vol_du.sum()), float(vol_deta.sum())) \
+        == (led.time_bv_u, led.time_bv_eta)
 
 
 def test_accumulate_nan_cell_fails_residual(burgers_sys, burgers_rusanov):
@@ -108,8 +116,9 @@ def test_entropy_residual_nonpositive_on_strengthened_run(burgers_sys,
     mesh = hf.build_uniform_1d(48, 1.0)
     cfg = hf.RunConfig(final_time=0.1, zeta=0.1)
     led = hf.DiagnosticsLedger()
-    hook = hf.make_ledger_hook(led, mesh, burgers_sys, burgers_rusanov)
-    hf.run(mesh, burgers_sys, burgers_rusanov, burgers_wave, cfg, [hook])
+    fold = hf.ErrorFold(led, mesh, burgers_sys, burgers_rusanov, burgers_wave,
+                        10.0, 0.1, burgers_sys.lf)
+    hf.run(mesh, burgers_sys, burgers_rusanov, burgers_wave, cfg, [fold])
     assert led.entropy_residual_max_scaled <= 1e-10
     assert led.gap_all_pass
     assert led.min_gap_slack >= -1e-10
@@ -165,7 +174,8 @@ def test_streamed_errors_match_trajectory_functionals(burgers_sys,
     T, r, lf = 0.05, 0.3, burgers_sys.lf
     ref = hf.exact_burgers(burgers_wave, burgers_wave_prime, (1.0,))
     led = hf.DiagnosticsLedger()
-    fold = hf.ErrorFold(led, mesh, burgers_sys, burgers_wave, r, T, lf, ref)
+    fold = hf.ErrorFold(led, mesh, burgers_sys, burgers_rusanov, burgers_wave,
+                        r, T, lf, ref)
     traj = hf.run(mesh, burgers_sys, burgers_rusanov, burgers_wave,
                   hf.RunConfig(final_time=T), [fold])
     fold.finish(traj)
@@ -331,8 +341,9 @@ def test_cauchy_schwarz_relation_on_run(burgers_sys, burgers_rusanov):
     mesh = hf.build_uniform_1d(48, 1.0)
     cfg = hf.RunConfig(final_time=0.1)
     led = hf.DiagnosticsLedger()
-    hook = hf.make_ledger_hook(led, mesh, burgers_sys, burgers_rusanov)
-    hf.run(mesh, burgers_sys, burgers_rusanov, burgers_wave, cfg, [hook])
+    fold = hf.ErrorFold(led, mesh, burgers_sys, burgers_rusanov, burgers_wave,
+                        10.0, 0.1, burgers_sys.lf)
+    hf.run(mesh, burgers_sys, burgers_rusanov, burgers_wave, cfg, [fold])
     rhs = math.sqrt(led.wbv_sq * led.interface_measure_total)
     assert led.wbv_l1 <= rhs * (1 + 1e-12)
 
