@@ -6,7 +6,8 @@ and the per-interface dissipation-gap slack.  `ErrorFold`, the one solver
 hook, feeds each step to the ledger and folds in the error functionals:
 the masses of the error measures, the relative-entropy error series and
 the shrinking-cone L2 error against a reference.  `measure_masses` and
-`cone_l2_error` replay a stored trajectory through its records-free part.
+`cone_l2_error` replay a stored trajectory through the part of the fold
+each reports, which needs no flux records.
 
 All reductions fold over interfaces and cells in id order, so repeated
 runs produce identical floating-point results.
@@ -24,7 +25,8 @@ from .errors import ConfigError
 from .mesh import Mesh
 from .numflux import FluxScheme, InterfaceFluxRecords
 from .solver import cell_means, tensor_gauss_quadrature
-from .systems import StateField, SystemModel, relative_entropy
+from .systems import (StateField, SystemModel, axis_sum,
+                      relative_entropy_terms)
 
 # Gauss-Legendre 4-point rule (per axis) for the mass integrals.  It is
 # deliberately independent of the projection quadrature: with a midpoint
@@ -91,19 +93,24 @@ class ConvergenceTable:
 def accumulate_step(ledger: DiagnosticsLedger, mesh: Mesh, sys: SystemModel,
                     scheme: FluxScheme, field_n: StateField,
                     field_np1: StateField, records: InterfaceFluxRecords,
-                    dt: float):
+                    dt: float, entropies=None):
     """Add one step's interface and cell contributions to every ledger sum;
-    return the step's per-cell |K| |u^{n+1} - u^n| and |K| |eta^{n+1} - eta^n|."""
+    return the step's per-cell |K| |u^{n+1} - u^n| and |K| |eta^{n+1} - eta^n|.
+
+    `entropies` is (eta(u^n), eta(u^{n+1})) when the caller has them.
+    """
     if records.g_value.shape[0] != mesh.n_interfaces:
         raise ConfigError("flux records do not match the mesh")
-    eta_jump, vol_du, vol_deta = _cell_variation(mesh, sys, field_n, field_np1)
+    eta_jump, vol_du, vol_deta = _cell_variation(mesh, sys, field_n,
+                                                 field_np1, entropies)
 
     areas = mesh.iface_areas
     vols = mesh.cell_volumes
     d = records.defect
-    ledger.wbv_sq += dt * float((areas * d * d).sum())
-    ledger.wbv_l1 += dt * float((areas * d).sum())
-    ledger.interface_measure_total += dt * float(areas.sum())
+    area_d = areas * d
+    ledger.wbv_sq += dt * float((area_d * d).sum())
+    ledger.wbv_l1 += dt * float(area_d.sum())
+    ledger.interface_measure_total += dt * mesh.total_iface_area
 
     ledger.entropy_flux_bv += dt * float(
         (areas * np.abs(records.xi_value - records.xi_left)).sum())
@@ -112,8 +119,8 @@ def accumulate_step(ledger: DiagnosticsLedger, mesh: Mesh, sys: SystemModel,
     ledger.time_bv_eta += float(vol_deta.sum())
 
     # discrete entropy residual: (|K|/dt)(eta^{n+1} - eta^n) + sum |sigma| xi_KL
-    xi_div = mesh.scatter(np.zeros(mesh.n_cells), areas * records.xi_value,
-                          -areas * records.xi_value)
+    area_xi = areas * records.xi_value
+    xi_div = mesh.scatter(np.zeros(mesh.n_cells), area_xi, -area_xi)
     resid = (vols / dt) * eta_jump + xi_div
     ledger.entropy_residual_max = max(ledger.entropy_residual_max,
                                       _worst(resid))
@@ -123,25 +130,33 @@ def accumulate_step(ledger: DiagnosticsLedger, mesh: Mesh, sys: SystemModel,
     # per-interface dissipation-gap inequality
     bound = (sys.beta0 / (2.0 * scheme.lambda_star)) * d * d
     slack = records.dissipation_gap - bound
-    ledger.min_gap_slack = min(ledger.min_gap_slack, _least(slack))
-    tol = 1e-10 * np.maximum(1.0, np.abs(records.dissipation_gap))
-    ledger.gap_all_pass = bool(ledger.gap_all_pass
-                               and np.all(slack >= -tol))
+    least = _least(slack)
+    ledger.min_gap_slack = min(ledger.min_gap_slack, least)
+    # every floor -1e-10 max(1, |gap|) lies at or below -1e-10, so a
+    # least slack above it passes every interface without the floors
+    if ledger.gap_all_pass and not least >= -1e-10:
+        floor = -1e-10 * np.maximum(1.0, np.abs(records.dissipation_gap))
+        ledger.gap_all_pass = bool((slack >= floor).all())
 
     ledger.n_steps_accumulated += 1
     return vol_du, vol_deta
 
 
 def _cell_variation(mesh: Mesh, sys: SystemModel, field_n: StateField,
-                    field_np1: StateField):
+                    field_np1: StateField, entropies=None):
     """Per-cell time variation of one step: eta^{n+1} - eta^n,
-    |K| |u^{n+1} - u^n| and |K| |eta^{n+1} - eta^n|."""
+    |K| |u^{n+1} - u^n| and |K| |eta^{n+1} - eta^n|.  `entropies` is
+    (eta(u^n), eta(u^{n+1})), evaluated here when not given."""
     if field_n.values.shape[0] != mesh.n_cells or \
             field_np1.values.shape[0] != mesh.n_cells:
         raise ConfigError("state fields do not match the mesh")
+    if entropies is None:
+        entropies = (sys.entropy(field_n.values),
+                     sys.entropy(field_np1.values))
+    eta_n, eta_np1 = entropies
     du = field_np1.values - field_n.values
-    eta_jump = sys.entropy(field_np1.values) - sys.entropy(field_n.values)
-    return (eta_jump, mesh.cell_volumes * np.sqrt((du ** 2).sum(axis=-1)),
+    eta_jump = eta_np1 - eta_n
+    return (eta_jump, mesh.cell_volumes * np.sqrt(axis_sum(du ** 2)),
             mesh.cell_volumes * np.abs(eta_jump))
 
 
@@ -152,9 +167,11 @@ def _worst(values) -> float:
     with everything, so a NaN cell would leave the running maximum (and
     the flag built on it) untouched.
     """
-    if not np.all(np.isfinite(values)):
+    # a NaN makes the max NaN, an inf makes the max or the min infinite
+    top = float(values.max())
+    if not (math.isfinite(top) and math.isfinite(values.min())):
         return math.inf
-    return float(values.max())
+    return top
 
 
 def _least(values) -> float:
@@ -189,7 +206,7 @@ def projection_masses(mesh: Mesh, sys: SystemModel, u0, field0: StateField,
         eta_cell = sys.entropy(u_cell)[:, None]
         diff = vals - u_cell[:, None, :]
         per_cell_eta[cells] = (wts * np.abs(eta_exact - eta_cell)).sum(axis=1)
-        per_cell_u[cells] = (wts * np.sqrt((diff ** 2).sum(axis=-1))).sum(axis=1)
+        per_cell_u[cells] = (wts * np.sqrt(axis_sum(diff ** 2))).sum(axis=1)
     return (float(per_cell_eta[cell_mask].sum()),
             float(per_cell_u[cell_mask].sum()))
 
@@ -204,14 +221,25 @@ def relative_entropy_norm(mesh: Mesh, sys: SystemModel, field: StateField,
                           reference_means) -> float:
     """sum_K |K| H(u_K, ubar_K); brackets the squared L2 cell error."""
     ubar = np.asarray(reference_means, dtype=float)
-    # no Omega check: a run checks its states under its own config
-    H = relative_entropy(sys, field.values, ubar, check=False)
-    return float((mesh.cell_volumes * H).sum())
+    return _relative_entropy_sum(mesh, sys, sys.entropy(field.values), ubar,
+                                 field.values - ubar)
 
 
 def squared_l2_cell_error(mesh: Mesh, field: StateField, reference_means) -> float:
     diff = field.values - np.asarray(reference_means, dtype=float)
-    return float((mesh.cell_volumes * (diff ** 2).sum(axis=-1)).sum())
+    return float(_cell_sq_error(mesh, diff).sum())
+
+
+def _relative_entropy_sum(mesh, sys, eta_u, ubar, diff) -> float:
+    """sum_K |K| H(u_K, ubar_K) from eta(u) and diff = u - ubar."""
+    # no Omega check: a run checks its states under its own config
+    H = relative_entropy_terms(sys, eta_u, ubar, diff)
+    return float((mesh.cell_volumes * H).sum())
+
+
+def _cell_sq_error(mesh, diff):
+    """Per-cell |K| |u_K - ubar_K|^2 from diff = u - ubar."""
+    return mesh.cell_volumes * axis_sum(diff ** 2)
 
 
 class ErrorFold:
@@ -221,11 +249,15 @@ class ErrorFold:
     minimum-image distance).  The measure masses mu_T and mu_bar_T on
     B(0, r) are ball-masked sums of the per-cell time variation that
     `accumulate_step` returns.  With a reference, its cell means are
-    evaluated once per time level t^n and shared by the shrinking-cone L2
-    error (`cone`), the relative-entropy series and the M-beta bracket
-    (`mbeta_ok`).  `finish(trajectory)` adds the projection masses mu_0,
-    mu_bar_0 of the first state and the level at the final time.  Time
-    sums use the left-endpoint rule; nothing is kept per step.
+    evaluated once per time level t^n; u^n - ubar^n and |K| |u^n - ubar^n|^2
+    are formed once and shared by the shrinking-cone L2 error (`cone`), the
+    relative-entropy series and the M-beta bracket (`mbeta_ok`).  eta(u^n)
+    serves the ledger and the relative entropy, and eta(u^{n+1}) of a step
+    is kept as eta(u^n) of the next, which the solver hands the same state
+    object (states are never changed in place).  `finish(trajectory)` adds
+    the projection masses mu_0, mu_bar_0 of the first state and the level
+    at the final time.  Time sums use the left-endpoint rule; nothing is
+    kept per step.
     """
 
     def __init__(self, ledger: DiagnosticsLedger, mesh: Mesh,
@@ -237,43 +269,65 @@ class ErrorFold:
         self.reference, self.quadrature = reference, quadrature
         self.dist = mesh.periodic_distance_to_origin(mesh.cell_centroids)
         self.ball = self.dist <= r
+        # a ball over every cell selects by a plain slice, which copies
+        # nothing and sums the same
+        self._ball = slice(None) if self.ball.all() else self.ball
         self.cone = 0.0
         self.mbeta_ok = True
+        self._last = (None, None)  # the latest new state and its eta
 
     def __call__(self, n, field_n, field_np1, records, dt):
+        entropies = self._step_entropies(field_n, field_np1)
         vol_du, vol_deta = accumulate_step(self.ledger, self.mesh, self.sys,
                                            self.scheme, field_n, field_np1,
-                                           records, dt)
-        self._fold(field_n, vol_du, vol_deta, dt)
+                                           records, dt, entropies)
+        self._fold_masses(vol_du, vol_deta, dt)
+        self._fold_error(field_n, entropies[0], dt)
 
-    def _fold(self, field_n, vol_du, vol_deta, dt):
-        """The step's error-functional share, which needs no flux records."""
-        self.ledger.mu_t_mass += dt * float(vol_deta[self.ball].sum())
-        self.ledger.mu_bar_t_mass += dt * float(vol_du[self.ball].sum())
+    def _entropy(self, field: StateField):
+        """eta of a state; the carried one when it is the latest new state."""
+        last, eta = self._last
+        return eta if field is last else self.sys.entropy(field.values)
+
+    def _step_entropies(self, field_n, field_np1):
+        """(eta(u^n), eta(u^{n+1})) of a step; keeps the second for the next."""
+        eta_n = self._entropy(field_n)
+        eta_np1 = self.sys.entropy(field_np1.values)
+        self._last = (field_np1, eta_np1)
+        return eta_n, eta_np1
+
+    def _fold_masses(self, vol_du, vol_deta, dt):
+        """The step's share of mu_T and mu_bar_T."""
+        self.ledger.mu_t_mass += dt * float(vol_deta[self._ball].sum())
+        self.ledger.mu_bar_t_mass += dt * float(vol_du[self._ball].sum())
+
+    def _fold_error(self, field_n, eta_n, dt):
+        """The step's share of the error functionals at t^n."""
         if self.reference is None:
             return
-        ubar = self._level(field_n)
+        cell_sq, esq = self._level(field_n, eta_n)
         cone = self.dist <= self.r + self.lf * (self.T - field_n.time)
-        diff = field_n.values[cone] - ubar[cone]
-        self.cone += dt * float((self.mesh.cell_volumes[cone]
-                                 * (diff ** 2).sum(axis=-1)).sum())
+        self.cone += dt * (esq if cone.all() else float(cell_sq[cone].sum()))
 
-    def _level(self, field: StateField):
-        """Series entry and M-beta check at t = field.time; returns ubar."""
+    def _level(self, field: StateField, eta):
+        """Series entry and M-beta check at t = field.time, where eta =
+        eta(u); returns the per-cell squared error and its sum."""
         t = field.time
         if t > self.reference.valid_until * (1 + 1e-12):
             raise ConfigError(f"reference not valid at t={t}")
         ubar = reference_cell_means(self.mesh, self.reference, t,
                                     self.quadrature)
-        hnorm = relative_entropy_norm(self.mesh, self.sys, field, ubar)
-        esq = squared_l2_cell_error(self.mesh, field, ubar)
+        diff = field.values - ubar
+        hnorm = _relative_entropy_sum(self.mesh, self.sys, eta, ubar, diff)
+        cell_sq = _cell_sq_error(self.mesh, diff)
+        esq = float(cell_sq.sum())
         self.ledger.rel_entropy_series.append((t, hnorm))
         lo = 0.5 * self.sys.beta0 * esq
         hi = 0.5 * self.sys.beta1 * esq
         tol = 1e-10 * max(1.0, esq) + 1e-10 * abs(hnorm)
         if not (lo - tol <= hnorm <= hi + tol):
             self.mbeta_ok = False
-        return ubar
+        return cell_sq, esq
 
     def finish(self, trajectory):
         """Add the projection masses and the final level of a finished run."""
@@ -283,17 +337,23 @@ class ErrorFold:
             self.mesh, self.sys, self.u0, trajectory.snapshots[0][1],
             self.ball)
         if self.reference is not None:
-            self._level(trajectory.final_field)
+            final = trajectory.final_field
+            self._level(final, self._entropy(final))
 
 
-def _replay(fold: ErrorFold, trajectory) -> None:
-    """Fold every step of a stored trajectory (no flux records needed)."""
+def _replay(fold: ErrorFold, trajectory, masses: bool) -> None:
+    """Fold every step of a stored trajectory (no flux records needed):
+    its share of the measure masses, or else of the error functionals."""
     snaps = trajectory.snapshots
     if len(snaps) != trajectory.n_steps + 1:
         raise ConfigError("the error functionals need snapshots at every step")
     for (_, fa), (_, fb) in zip(snaps[:-1], snaps[1:]):
-        _, vol_du, vol_deta = _cell_variation(fold.mesh, fold.sys, fa, fb)
-        fold._fold(fa, vol_du, vol_deta, trajectory.dt)
+        if masses:
+            _, vol_du, vol_deta = _cell_variation(
+                fold.mesh, fold.sys, fa, fb, fold._step_entropies(fa, fb))
+            fold._fold_masses(vol_du, vol_deta, trajectory.dt)
+        else:
+            fold._fold_error(fa, fold._entropy(fa), trajectory.dt)
 
 
 def measure_masses(mesh: Mesh, sys: SystemModel, u0, trajectory, r: float,
@@ -305,7 +365,7 @@ def measure_masses(mesh: Mesh, sys: SystemModel, u0, trajectory, r: float,
     """
     ledger = DiagnosticsLedger()
     fold = ErrorFold(ledger, mesh, sys, None, u0, r, T, sys.lf)
-    _replay(fold, trajectory)
+    _replay(fold, trajectory, masses=True)
     fold.finish(trajectory)
     return MeasureMasses(mu0=ledger.mu0_mass, mu_t=ledger.mu_t_mass,
                          mu_bar0=ledger.mu_bar0_mass,
@@ -324,7 +384,7 @@ def cone_l2_error(mesh: Mesh, sys: SystemModel, trajectory, reference,
     """
     fold = ErrorFold(DiagnosticsLedger(), mesh, sys, None, None, r, T, lf,
                      reference, quadrature)
-    _replay(fold, trajectory)
+    _replay(fold, trajectory, masses=False)
     return fold.cone
 
 

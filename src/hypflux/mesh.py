@@ -96,19 +96,25 @@ class Mesh:
                             self.iface_areas)
 
     @cached_property
-    def _scatter_table(self):
-        """(n_cells, k) rows into [left values; right values; -0.0].
+    def total_iface_area(self):
+        """sum_e |sigma_e|, in interface order."""
+        return float(self.iface_areas.sum())
 
-        Row K is the CSR row of K as slots, padded with the index of the
-        -0.0 row.
+    @cached_property
+    def _scatter_columns(self):
+        """Columns of the (n_cells, k) table of rows into [left values;
+        right values; -0.0], as contiguous intp arrays (the index type of
+        `take`, which then converts nothing).
+
+        Row K of the table is the CSR row of K as slots, padded with the
+        index of the -0.0 row.
         """
         slots = self._iface_slots
         counts = np.diff(self.cell_iface_offsets)
         rank = np.arange(slots.size) - np.repeat(self.cell_iface_offsets[:-1], counts)
-        # int32 halves a table that lives as long as the mesh
-        table = np.full((self.n_cells, counts.max()), slots.size, np.int32)
-        table[np.repeat(np.arange(self.n_cells), counts), rank] = slots
-        return table
+        table = np.full((counts.max(), self.n_cells), slots.size, np.intp)
+        table[rank, np.repeat(np.arange(self.n_cells), counts)] = slots
+        return tuple(table)
 
     def scatter(self, base, to_left, to_right):
         """base plus, per cell, the interface values of its faces.
@@ -116,13 +122,15 @@ class Mesh:
         Adds in the order of np.add.at(base, iface_left, to_left) followed
         by np.add.at(base, iface_right, to_right), so the sums are the
         same bit for bit; padding adds -0.0, which changes no float.
+        The gathers use `take`, which on a (n, m) array is several times
+        faster than fancy indexing and copies the same rows.
         """
         vals = np.concatenate([to_left, to_right,
                                np.full((1,) + to_left.shape[1:], -0.0)])
-        table = self._scatter_table
-        out = base + vals[table[:, 0]]
-        for j in range(1, table.shape[1]):
-            out += vals[table[:, j]]
+        first, *rest = self._scatter_columns
+        out = base + vals.take(first, axis=0)
+        for col in rest:
+            out += vals.take(col, axis=0)
         return out
 
     def _max_diameter(self):

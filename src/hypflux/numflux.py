@@ -35,7 +35,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConstructionError
-from .systems import SystemModel, _as_direction, generalized_eigvalsh
+from .systems import (SystemModel, _as_direction, axis_sum,
+                      generalized_eigvalsh)
 
 
 @dataclass
@@ -132,13 +133,14 @@ def make_rusanov(sys: SystemModel, c="auto", samples: int = 4096,
         fv = sys.directional_flux(v, n)
         g = 0.5 * (fu + fv) - (0.5 * c_val) * (v - u)
         xi_u = sys.directional_entropy_flux(u, n)
-        x = _dissipation_flux(sys, u, g, fu, xi_u)
+        delta = g - fu
+        x = _dissipation_flux(sys, u, delta, xi_u)
         # X_LK(v, u) is -(xi(v).n + Deta(v).(G - f(v).n)) bit for bit:
         # G(v, u, -n) = -G and f(v).(-n) = -f(v).n hold exactly in IEEE
         # arithmetic, so the reverse orientation needs no evaluation
-        x_rev = _dissipation_flux(sys, v, g, fv,
+        x_rev = _dissipation_flux(sys, v, g - fv,
                                   sys.directional_entropy_flux(v, n))
-        return _records(g, fu, xi_u, x, 0.5 * (x + x_rev))
+        return _records(g, delta, xi_u, x, 0.5 * (x + x_rev))
 
     lam = _calibrate_lambda_star(sys, kernel, c_val, seed=seed,
                                  rusanov_c=c_val)
@@ -173,9 +175,9 @@ def make_godunov_scalar(sys: SystemModel, samples: int = 4096,
         w = _godunov_state(sys, u, v, n)
         g = sys.directional_flux(w, n)
         xi_u = sys.directional_entropy_flux(u, n)
-        fu = sys.directional_flux(u, n)
-        x = _dissipation_flux(sys, u, g, fu, xi_u)
-        return _records(g, fu, xi_u, x, sys.directional_entropy_flux(w, n))
+        delta = g - sys.directional_flux(u, n)
+        x = _dissipation_flux(sys, u, delta, xi_u)
+        return _records(g, delta, xi_u, x, sys.directional_entropy_flux(w, n))
 
     lam = max(1.05 * speed_sup,
               _calibrate_lambda_star(sys, kernel, 1.05 * speed_sup,
@@ -212,15 +214,16 @@ def _godunov_state(sys, u, v, n):
     return w_star[..., None]
 
 
-def _dissipation_flux(sys, w, g, fw, xi_w):
-    """xi(w).n + Deta(w).(g - f(w).n); X_KL for w = u."""
-    return xi_w + (sys.entropy_gradient(w) * (g - fw)).sum(axis=-1)
+def _dissipation_flux(sys, w, delta, xi_w):
+    """xi(w).n + Deta(w).delta with delta = g - f(w).n; X_KL for w = u."""
+    return xi_w + axis_sum(sys.entropy_gradient(w) * delta)
 
 
-def _records(g, fu, xi_u, x, xi) -> InterfaceFluxRecords:
+def _records(g, delta, xi_u, x, xi) -> InterfaceFluxRecords:
+    """Records of G = g with delta = G - f(u).n."""
     return InterfaceFluxRecords(
         g_value=g, xi_value=xi, x_kl=x, xi_left=xi_u,
-        defect=np.sqrt(((g - fu) ** 2).sum(axis=-1)), dissipation_gap=x - xi)
+        defect=np.sqrt(axis_sum(delta ** 2)), dissipation_gap=x - xi)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import AdmissibilityError, ConfigError
 from .mesh import Mesh
 from .numflux import FluxScheme, InterfaceFluxRecords
-from .systems import StateField, SystemModel
+from .systems import StateField, SystemModel, axis_sum
 
 _GAUSS3 = (np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)]),
            np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0]))
@@ -121,7 +121,7 @@ def cell_means(mesh: Mesh, fn, quadrature: str = "midpoint"):
     vals = np.asarray(fn(pts), dtype=float)
     if vals.ndim == 2:  # scalar-valued callable
         vals = vals[..., None]
-    acc = (wts[..., None] * vals).sum(axis=1)
+    acc = axis_sum(wts[..., None] * vals, axis=1)
     return acc / mesh.cell_volumes[:, None]
 
 
@@ -180,8 +180,9 @@ def compute_dt(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
 def interface_flux_records(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
                            field: StateField) -> InterfaceFluxRecords:
     """Evaluate every interface flux once for the given state."""
-    return scheme.kernel(field.values[mesh.iface_left],
-                         field.values[mesh.iface_right], mesh.iface_normals)
+    return scheme.kernel(field.values.take(mesh.iface_left, axis=0),
+                         field.values.take(mesh.iface_right, axis=0),
+                         mesh.iface_normals)
 
 
 def march(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,

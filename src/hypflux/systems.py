@@ -22,6 +22,42 @@ import numpy as np
 from .errors import AdmissibilityError, ConstructionError
 
 _MBETA_GUARD = 1e-9  # slack for the admissibility tolerance in pair checks
+_SHORT_AXIS = 8  # numpy reduces axes at least this long pairwise
+
+
+# ---------------------------------------------------------------------------
+# reductions over short axes
+# ---------------------------------------------------------------------------
+
+def axis_sum(x, axis: int = -1):
+    """x.sum(axis) of a float array, bit for bit, without numpy's reduction
+    overhead.
+
+    numpy adds an axis shorter than 8 left to right, starting from 0.0,
+    so (x_0 + 0.0) + x_1 + ... gives the same bits, -0.0 included (only
+    the payload of a NaN may differ).  From 8 on numpy sums pairwise, so
+    longer or empty axes go to `.sum`.  The state axis (m <= 2) and the
+    midpoint quadrature axis (one point) are short.
+    """
+    n = x.shape[axis]
+    if not 0 < n < _SHORT_AXIS:
+        return x.sum(axis=axis)
+    lead = (slice(None),) * (axis % x.ndim)
+    out = x[lead + (0,)] + 0.0
+    for k in range(1, n):
+        out += x[lead + (k,)]
+    return out
+
+
+def axis_all(x):
+    """np.all(x, axis=-1) of a boolean array, by plain ands on short axes."""
+    n = x.shape[-1]
+    if not 0 < n < _SHORT_AXIS:
+        return np.all(x, axis=-1)
+    out = x[..., 0]
+    for k in range(1, n):
+        out = out & x[..., k]
+    return out[()] if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +108,8 @@ class AdmissibleSet:
         """Membership in the bounded hull, broadcast over leading axes."""
         w = self._coords(u)
         scale = np.maximum(1.0, np.maximum(np.abs(self.lo), np.abs(self.hi)))
-        return np.all((w >= self.lo - tol * scale)
-                      & (w <= self.hi + tol * scale), axis=-1)
+        return axis_all((w >= self.lo - tol * scale)
+                        & (w <= self.hi + tol * scale))
 
     def stable_contains(self, u, tol: float = 1e-12):
         """Membership in the convex set preserved by interface updates."""
@@ -197,8 +233,13 @@ def relative_entropy(sys: SystemModel, v, u, check: bool = True):
     u = np.asarray(u, dtype=float)
     if check:
         sys.require_admissible(v, u, tol=_MBETA_GUARD)
-    return (sys.entropy(v) - sys.entropy(u)
-            - (sys.entropy_gradient(u) * (v - u)).sum(axis=-1))
+    return relative_entropy_terms(sys, sys.entropy(v), u, v - u)
+
+
+def relative_entropy_terms(sys: SystemModel, eta_v, u, diff):
+    """H(v, u) from eta(v) and v - u already at hand (no Omega check)."""
+    return (eta_v - sys.entropy(u)
+            - axis_sum(sys.entropy_gradient(u) * diff))
 
 
 def relative_entropy_flux(sys: SystemModel, v, u, alpha: int, check: bool = True):
@@ -208,7 +249,8 @@ def relative_entropy_flux(sys: SystemModel, v, u, alpha: int, check: bool = True
     if check:
         sys.require_admissible(v, u, tol=_MBETA_GUARD)
     return (sys.entropy_flux(v, alpha) - sys.entropy_flux(u, alpha)
-            - (sys.entropy_gradient(u) * (sys.flux(v, alpha) - sys.flux(u, alpha))).sum(axis=-1))
+            - axis_sum(sys.entropy_gradient(u)
+                       * (sys.flux(v, alpha) - sys.flux(u, alpha))))
 
 
 def relative_z(sys: SystemModel, v, u, alpha: int, check: bool = True):
@@ -285,7 +327,7 @@ def estimate_cz(sys: SystemModel, samples: int = 2000, seed: int = 0,
     """
     rng = np.random.default_rng(seed)
     pts = np.vstack([sys.omega.sample(rng, samples), sys.omega.extreme_points()])
-    hess_inf = np.abs(sys.entropy_hessian(pts)).sum(axis=-1).max()
+    hess_inf = axis_sum(np.abs(sys.entropy_hessian(pts))).max()
 
     scale = np.maximum(1.0, np.abs(pts)).max()
     step = 1e-6 * scale
@@ -457,7 +499,7 @@ def make_friedrichs(A_list: Sequence, radius: float = 1.0) -> SystemModel:
     sys = SystemModel(
         name=f"friedrichs{d}d", m=m, d=d,
         flux=flux, flux_jacobian=jac,
-        entropy=lambda u: (np.asarray(u, dtype=float) ** 2).sum(axis=-1),
+        entropy=lambda u: axis_sum(np.asarray(u, dtype=float) ** 2),
         entropy_gradient=lambda u: 2.0 * np.asarray(u, dtype=float),
         entropy_hessian=lambda u: np.broadcast_to(
             2.0 * np.eye(m), np.asarray(u).shape[:-1] + (m, m)).copy(),

@@ -612,13 +612,15 @@ def test_study_with_zero_errors_is_validation_error(tmp_path, capsys):
     assert report["errors"]["cone_l2"] == 0.0
 
 
-@pytest.mark.parametrize("mode, per_step, extra", [("exact", 4, 4),
-                                                   ("none", 2, 2)])
-def test_run_evaluates_entropy_twice_per_step(monkeypatch, mode, per_step,
-                                              extra):
-    # the ledger and the error fold share one eta(u^n), eta(u^{n+1}) pair
-    # per step; a reference adds the relative entropy of each level (two
-    # more), and the ends add the projection masses and the final level
+@pytest.mark.parametrize("mode, per_step, extra", [("exact", 2, 4),
+                                                   ("none", 1, 3)])
+def test_run_entropy_evaluations_per_step(monkeypatch, mode, per_step,
+                                          extra):
+    # each step evaluates eta(u^{n+1}) once, for the ledger and the error
+    # fold; it serves as eta(u^n) of the next step and of the relative
+    # entropy, so only the first step evaluates eta(u^0) (one extra).  A
+    # reference adds eta(ubar^n) per level.  The ends add the projection
+    # masses (two) and, with a reference, eta(ubar^N) of the final level.
     calls, hooks = [], []
     build, run = cli.build_problem, cli.solver.run
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -371,3 +372,93 @@ def test_projection_masses_chunks_keep_the_bits():
     cells = slice(4000, 4400)
     part = hf.solver.tensor_gauss_quadrature(mesh, diag._GAUSS4, "oracle", cells)
     assert np.array_equal(part[0], pts[cells]) and np.array_equal(part[1], wts[cells])
+
+
+def _counting_entropy(sysm):
+    """A copy of `sysm` whose entropy records each call."""
+    calls = []
+
+    def entropy(u):
+        calls.append(np.shape(u))
+        return sysm.entropy(u)
+
+    return dataclasses.replace(sysm, entropy=entropy), calls
+
+
+def test_replays_evaluate_entropy_once_per_state(burgers_sys,
+                                                 burgers_rusanov):
+    # the cone replay folds the error part only: eta(u^n) and eta(ubar^n)
+    # per step.  The mass replay carries eta(u^{n+1}) into the next step:
+    # one per state, plus the two of the projection masses (one chunk)
+    mesh = hf.build_uniform_1d(64, 1.0)
+    T = 0.2
+    traj = hf.run(mesh, burgers_sys, burgers_rusanov, burgers_wave,
+                  hf.RunConfig(final_time=T))
+    n = traj.n_steps
+    assert n > 1
+    ref = hf.exact_burgers(burgers_wave, burgers_wave_prime, (1.0,))
+    counted, calls = _counting_entropy(burgers_sys)
+    cone = hf.cone_l2_error(mesh, counted, traj, ref, r=10.0, T=T,
+                            lf=burgers_sys.lf)
+    assert len(calls) == 2 * n
+    assert cone == hf.cone_l2_error(mesh, burgers_sys, traj, ref, r=10.0,
+                                    T=T, lf=burgers_sys.lf)
+    calls.clear()
+    masses = hf.measure_masses(mesh, counted, burgers_wave, traj, 0.3, T)
+    assert len(calls) == (n + 1) + 2
+    assert masses == hf.measure_masses(mesh, burgers_sys, burgers_wave, traj,
+                                       0.3, T)
+
+
+def test_fold_shares_entropy_bit_for_bit(burgers_sys, burgers_rusanov):
+    # eta(u^{n+1}) of one step serves as eta(u^n) of the next and of the
+    # relative entropy: the series must equal a fresh evaluation per state
+    mesh = hf.build_uniform_1d(24, 1.0)
+    T = 0.05
+    ref = hf.exact_burgers(burgers_wave, burgers_wave_prime, (1.0,))
+    counted, calls = _counting_entropy(burgers_sys)
+    led = hf.DiagnosticsLedger()
+    fold = hf.ErrorFold(led, mesh, counted, burgers_rusanov, burgers_wave,
+                        10.0, T, burgers_sys.lf, ref)
+    traj = hf.run(mesh, counted, burgers_rusanov, burgers_wave,
+                  hf.RunConfig(final_time=T), [fold])
+    fold.finish(traj)
+    n = traj.n_steps
+    assert len(calls) == 2 * n + 4
+    want = [(t, hf.relative_entropy_norm(
+        mesh, burgers_sys, f, hf.reference_cell_means(mesh, ref, t)))
+        for t, f in traj.snapshots]
+    assert led.rel_entropy_series == want
+
+
+def test_gap_flag_matches_relative_floor_oracle(burgers_sys, burgers_rusanov):
+    # the ledger skips the per-interface floors when the least slack is
+    # above -1e-10; the flag must still equal the full check
+    # slack >= -1e-10 max(1, |gap|), also where only the relative floor
+    # lets an interface pass, and on NaN
+    mesh = hf.build_uniform_1d(4, 1.0)
+    fld = hf.StateField(np.full((4, 1), 0.3), 0.0, mesh.mesh_id)
+    coef = burgers_sys.beta0 / (2.0 * burgers_rusanov.lambda_star)
+    big = np.sqrt(100.0 / coef)
+    cases = [([0.0, 1.0, 2.0, 0.5], [0.0, 0.0, 0.0, 0.0]),
+             ([-1e-10, 0.0, 0.0, 0.0], [0.0] * 4),
+             ([-1.5e-10, 0.0, 0.0, 0.0], [0.0] * 4),
+             ([100.0, 0.0, 0.0, 0.0], [big * (1 + 2e-11), 0.0, 0.0, 0.0]),
+             ([100.0, 0.0, 0.0, 0.0], [big * (1 + 2e-9), 0.0, 0.0, 0.0]),
+             ([np.nan, 0.0, 0.0, 0.0], [0.0] * 4)]
+    seen = set()
+    for gap, defect in cases:
+        gap, defect = np.array(gap), np.array(defect)
+        rec = hf.InterfaceFluxRecords(
+            g_value=np.zeros((4, 1)), xi_value=np.zeros(4), x_kl=gap,
+            xi_left=np.zeros(4), defect=defect, dissipation_gap=gap)
+        led = hf.DiagnosticsLedger()
+        hf.accumulate_step(led, mesh, burgers_sys, burgers_rusanov, fld, fld,
+                           rec, 1e-3)
+        slack = gap - coef * defect * defect
+        tol = 1e-10 * np.maximum(1.0, np.abs(gap))
+        want = bool(np.all(slack >= -tol))
+        assert led.gap_all_pass is want
+        seen.add((want, bool(slack.min() >= -1e-10)))
+    # both flag values, with and without the shortcut
+    assert seen == {(True, True), (False, False), (True, False)}

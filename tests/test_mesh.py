@@ -175,6 +175,29 @@ def test_scatter_matches_add_at_bitwise(m):
             assert np.array_equal(out.view(np.int64), ref.view(np.int64))
 
 
+def test_scatter_matches_add_at_special_values_m2():
+    # m = 2 states with signed zeros, infinities, NaN and overflow, on a
+    # jittered mesh and with a Fortran-ordered base; the gathers read
+    # cached contiguous intp columns
+    mesh = hf.build_perturbed_quad_2d(9, 7, 1.0, 0.8, 0.2, 11)
+    cols = mesh._scatter_columns
+    assert all(c.dtype == np.intp and c.flags.c_contiguous for c in cols)
+    rng = np.random.default_rng(2)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308,
+                        5e-324, 1.5, -2.25])
+    base = np.asfortranarray(rng.choice(special, (mesh.n_cells, 2)))
+    to_left = rng.choice(special, (mesh.n_interfaces, 2))
+    to_right = rng.choice(special, (mesh.n_interfaces, 2))
+    ref = base.copy()
+    with np.errstate(all="ignore"):
+        np.add.at(ref, mesh.iface_left, to_left)
+        np.add.at(ref, mesh.iface_right, to_right)
+        out = mesh.scatter(base, to_left, to_right)
+    nan = np.isnan(ref)
+    assert nan.any() and np.array_equal(np.isnan(out), nan)
+    assert np.array_equal(out[~nan].view(np.int64), ref[~nan].view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # array builders against a loop-built oracle
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hypflux as hf
+from hypflux import reference
 from hypflux.errors import AdmissibilityError, ConstructionError, HorizonError
 
 
@@ -262,3 +263,80 @@ def test_fine_grid_cross_validates_against_exact(burgers_sys, burgers_rusanov):
     err_coarse = np.abs(traj.final_field.values[coarse_cells]
                         - exact.eval(xs, t)).mean()
     assert err_fine <= 0.5 * err_coarse
+
+
+def test_exact_burgers_reuses_the_converged_u0():
+    # u0 runs once for the first guess and once per residual; the answer
+    # is the u0(y) of the converged residual, not one more call
+    calls, slopes = [], []
+
+    def counted(x):
+        calls.append(1)
+        return burgers_wave(x)
+
+    def counted_prime(y):
+        slopes.append(1)
+        return burgers_wave_prime(y)
+
+    ref = hf.exact_burgers(counted, counted_prime, (1.0,))
+    x = np.linspace(0.0, 1.0, 33)[:, None]
+    for t in (0.0, 0.1, 0.4):
+        calls.clear()
+        slopes.clear()
+        got = ref.eval(x, t)
+        assert len(calls) == len(slopes) + 2
+        assert (len(slopes) > 0) == (t > 0.0)
+        # the foot point y solves y + u0(y) t = x, and the value is u0(y)
+        y = x[:, 0] - got[:, 0] * t
+        np.testing.assert_allclose(got, burgers_wave(y[:, None]), atol=1e-12)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and \
+        np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("lengths", [(1.0,), (0.7, 1.3), (3.0, 3.0)])
+def test_wrap_matches_np_mod_bitwise(lengths):
+    L = np.asarray(lengths)
+    d = L.size
+    short = L.min()
+    # within one period of every axis: the np.where-free fast path,
+    # including -0.0, +0.0, the smallest subnormals, a negative tiny
+    # enough that y + L rounds to L, and 1 ulp inside +-min(L)
+    inside = np.array([-0.0, 0.0, 5e-324, -5e-324, -1e-17, 1e-17, 0.5 * short,
+                       -0.5 * short, np.nextafter(short, 0.0),
+                       np.nextafter(-short, 0.0), -0.25 * short])
+    assert np.abs(inside).max() < short
+    # at and beyond a period, 1 ulp either side of +-L, inf and NaN: np.mod
+    outside = np.concatenate([inside, np.array(
+        [L.max(), -L.max(), np.nextafter(L.max(), np.inf),
+         np.nextafter(-L.max(), -np.inf), 2.5 * L.max(), -7.25 * L.max(),
+         1e300, -1e300, np.inf, -np.inf, np.nan])])
+    rng = np.random.default_rng(d)
+    for vals in (inside, outside):
+        for shape in ((vals.size, 1, d), (vals.size, d)):
+            y = rng.permutation(np.resize(vals, (vals.size * d,)))
+            y = y.reshape(shape)
+            with np.errstate(invalid="ignore"):
+                want = np.mod(y, L)
+                got = reference._wrap(y, lengths)
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert _same_bits(got[~nan], want[~nan])
+    # non-contiguous input, as a slice of a larger array
+    y = rng.uniform(-short, short, (40, 3, d))[:, ::2]
+    assert _same_bits(reference._wrap(y, lengths), np.mod(y, L))
+
+
+def test_exact_advection_shift_matches_broadcast_bitwise():
+    # the per-axis shift x - c t gives the bits of the broadcast one
+    c = np.array([1.0, 0.5])
+    u0 = lambda x: np.asarray(x)[..., :1] * 1.0
+    ref = hf.exact_advection(c, u0, (1.0, 0.8))
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, 1.0, (50, 4, 2)) * np.array([1.0, 0.8])
+    for t in (0.0, 0.013, 0.37, 2.9):
+        want = np.mod(x - c * t, np.array([1.0, 0.8]))[..., :1]
+        assert _same_bits(ref.eval(x, t), want)

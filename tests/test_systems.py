@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import hypflux as hf
 from hypflux.errors import AdmissibilityError, ConstructionError
-from hypflux.systems import (estimate_cz, generalized_eigvalsh,
-                             validate_system)
+from hypflux.systems import (axis_all, axis_sum, estimate_cz,
+                             generalized_eigvalsh, validate_system)
 
 from conftest import sample_pairs
 
@@ -264,3 +268,81 @@ def test_admissible_set_characteristic_box():
     assert box.contains(w)
     # (1,1) has a characteristic coordinate sqrt(2): outside
     assert not box.contains(np.array([1.0, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# short-axis reductions against the numpy forms they replace
+# ---------------------------------------------------------------------------
+
+_SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308,
+                            -1e308, 5e-324, -5e-324, 1.0, -1.0, 0.1])
+_FLOATS = st.one_of(_SPECIAL, st.floats(width=64))
+
+
+def _same_sum_bits(got, want):
+    """Equal bit for bit, sign of zero included.  A NaN only has to meet a
+    NaN: IEEE 754 leaves open which payload an operation on two NaNs
+    returns, and numpy's loops and plain adds pick differently."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(n=st.integers(1, 11), lead=st.integers(1, 5), trail=st.integers(0, 3),
+       layout=st.sampled_from(["C", "F", "reversed", "strided"]),
+       data=st.data())
+def test_axis_sum_matches_numpy_sum_bitwise(n, lead, trail, layout, data):
+    # the state axis last, and the quadrature axis in the middle of
+    # (cells, points, m); lengths 1-7 add in place, 8 on fall back to .sum
+    shape = (lead, n) + ((trail,) if trail else ())
+    x = data.draw(arrays(np.float64, (2 * lead,) + shape[1:],
+                         elements=_FLOATS))
+    x = {"C": x[:lead], "F": np.asfortranarray(x[:lead]),
+         "reversed": x[:lead, ::-1], "strided": x[::2]}[layout]
+    with np.errstate(all="ignore"):
+        for axis in ({1, -1} if trail else {-1}):
+            _same_sum_bits(axis_sum(x, axis), x.sum(axis=axis))
+        _same_sum_bits(axis_sum(x[0], -1), x[0].sum(axis=-1))
+
+
+def test_axis_sum_fallback_is_pairwise():
+    # from length 8 numpy sums pairwise, which a left-to-right fold does
+    # not reproduce: the helper must hand such axes to .sum
+    x = np.array([[1.0, 1e-16, 1e-16, 1e-16, 1e-16, 1e-16, 1e-16, 1e-16,
+                   1e-16]])
+    left_to_right = 0.0
+    for v in x[0]:
+        left_to_right += v
+    assert x.sum(axis=-1)[0] != left_to_right
+    _same_sum_bits(axis_sum(x), x.sum(axis=-1))
+    empty = np.zeros((3, 0))
+    _same_sum_bits(axis_sum(empty), empty.sum(axis=-1))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(shape=st.tuples(st.integers(0, 5), st.integers(0, 10)),
+       data=st.data())
+def test_axis_all_matches_np_all(shape, data):
+    x = data.draw(arrays(np.bool_, shape))
+    got, want = axis_all(x), np.all(x, axis=-1)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    if shape[0] and shape[-1]:
+        assert type(axis_all(x[0])) is type(np.all(x[0], axis=-1))
+        assert axis_all(x[0]) == np.all(x[0], axis=-1)
+
+
+def test_contains_keeps_shape_and_type(friedrichs_sys, shallow_water_sys):
+    # m = 2 through the plain ands: a batch gives a bool array, one state
+    # a numpy bool, as np.all(axis=-1) did
+    for sysm in (friedrichs_sys, shallow_water_sys):
+        omega = sysm.omega
+        w = np.stack([omega.lo, omega.hi, 0.5 * (omega.lo + omega.hi),
+                      omega.hi + 1.0])
+        u = w if omega.basis is None else w @ omega.basis.T
+        ok = omega.contains(u)
+        assert ok.shape == (4,) and ok.dtype == np.bool_
+        assert ok.tolist() == [True, True, True, False]
+        assert type(omega.contains(u[2])) is np.bool_
