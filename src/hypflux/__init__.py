@@ -7,8 +7,7 @@ convergence."""
 from .errors import (AdmissibilityError, ConfigError, ConstructionError,
                      HorizonError, HypfluxError, MeshError)
 from .mesh import (Mesh, build_perturbed_quad_2d, build_uniform_1d,
-                   build_uniform_quad_2d, mesh_from_json, mesh_to_json,
-                   regularity_constant, validate_mesh)
+                   build_uniform_quad_2d, regularity_constant, validate_mesh)
 from .systems import (AdmissibleSet, StateField, SystemModel, compute_lf,
                       estimate_cz, make_advection, make_burgers,
                       make_friedrichs, make_shallow_water_1d,

@@ -61,16 +61,6 @@ def parse_config_text(text: str) -> dict:
     return {section: dict(cp.items(section)) for section in cp.sections()}
 
 
-def serialize_config(cfg: dict) -> str:
-    lines = []
-    for section, items in cfg.items():
-        lines.append(f"[{section}]")
-        for key, value in items.items():
-            lines.append(f"{key} = {value}")
-        lines.append("")
-    return "\n".join(lines)
-
-
 def load_config(path) -> dict:
     try:
         with open(path) as fh:

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError
 from .mesh import Mesh
 from .numflux import FluxScheme, InterfaceFluxRecords
-from .solver import cell_means, tensor_gauss_quadrature
+from .solver import _point_values, cell_means, tensor_gauss_quadrature
 from .systems import (StateField, SystemModel, axis_sum,
                       relative_entropy_terms)
 
@@ -196,11 +196,8 @@ def projection_masses(mesh: Mesh, sys: SystemModel, u0, field0: StateField,
     per_cell_u = np.empty(mesh.n_cells)
     for start in range(0, mesh.n_cells, _MASS_CHUNK):
         cells = slice(start, start + _MASS_CHUNK)
-        pts, wts = tensor_gauss_quadrature(mesh, _GAUSS4, "measure masses",
-                                           cells)
-        vals = np.asarray(u0(pts), dtype=float)
-        if vals.ndim == 2:
-            vals = vals[..., None]
+        pts, wts = tensor_gauss_quadrature(mesh, _GAUSS4, cells)
+        vals = _point_values(u0, pts)
         u_cell = field0.values[cells]
         eta_exact = sys.entropy(vals)
         eta_cell = sys.entropy(u_cell)[:, None]

@@ -3,10 +3,10 @@
 A mesh is a flat collection of polygonal cells plus oriented interfaces.
 Each interface is stored once, with a unit normal pointing from its
 ``left`` cell to its ``right`` cell; the opposite orientation is obtained
-by negation.  Builders compute the mesh regularity constant ``a`` (the
-largest value such that every cell satisfies |K| >= a*h^d and
-sum|sigma_KL| <= h^(d-1)/a) and store it on the mesh, since the time-step
-bounds depend on it explicitly.
+by negation.  The constructor computes the largest cell diameter ``h``
+and the mesh regularity constant ``a`` (the largest value such that every
+cell satisfies |K| >= a*h^d and sum|sigma_KL| <= h^(d-1)/a) and stores
+them on the mesh, since the time-step bounds depend on them explicitly.
 
 In one dimension the interface measure is the counting measure: every
 interface has area 1 and normal +-1.
@@ -14,7 +14,6 @@ interface has area 1 and normal +-1.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 
 import numpy as np
@@ -38,8 +37,7 @@ class Mesh:
 
     def __init__(self, dim, domain, cell_volumes, cell_centroids,
                  iface_left, iface_right, iface_areas, iface_normals,
-                 iface_midpoints, mesh_id, cell_vertices=None, a=None, h=None,
-                 grid_shape=None):
+                 mesh_id, cell_vertices=None, grid_shape=None):
         self.dim = int(dim)
         self.domain = tuple(float(x) for x in domain)
         self.cell_volumes = np.asarray(cell_volumes, dtype=float)
@@ -48,7 +46,6 @@ class Mesh:
         self.iface_right = np.asarray(iface_right, dtype=int)
         self.iface_areas = np.asarray(iface_areas, dtype=float)
         self.iface_normals = np.asarray(iface_normals, dtype=float).reshape(-1, self.dim)
-        self.iface_midpoints = np.asarray(iface_midpoints, dtype=float).reshape(-1, self.dim)
         self.mesh_id = str(mesh_id)
         ends = np.concatenate([self.iface_left, self.iface_right])
         if np.any((ends < 0) | (ends >= self.n_cells)):
@@ -62,21 +59,19 @@ class Mesh:
         self.cell_iface_ids = np.tile(np.arange(self.n_interfaces), 2)[self._iface_slots]
         self.cell_iface_offsets = np.concatenate(
             [[0], np.cumsum(np.bincount(ends, minlength=self.n_cells))])
-        # (n_cells, k, d) vertex coordinates, kept for quadrature on fresh
-        # meshes; not part of the serialized schema.
+        # (n_cells, k, d) vertex coordinates, for the cell diameters and the
+        # tensor quadrature; a 2D mesh without them is rejected below.
         self.cell_vertices = (None if cell_vertices is None
                               else np.asarray(cell_vertices, dtype=float))
         # (n,) of a uniform segment or (nx, ny) of a quad grid, whose cell
-        # (i, j) has id i*ny + j; like the vertices, known to built meshes
-        # only.
+        # (i, j) has id i*ny + j; set by the builders only.
         self.grid_shape = grid_shape
-        self.h = float(h) if h is not None else float(self._max_diameter())
-        self.a = float(a) if a is not None else regularity_constant(self)
+        self.h = self._max_diameter()
+        self.a = regularity_constant(self)
         for arr in (self.cell_volumes, self.cell_centroids, self.iface_left,
                     self.iface_right, self.iface_areas, self.iface_normals,
-                    self.iface_midpoints, self.cell_iface_ids,
-                    self.cell_iface_offsets, self._iface_slots,
-                    self.cell_vertices):
+                    self.cell_iface_ids, self.cell_iface_offsets,
+                    self._iface_slots, self.cell_vertices):
             if arr is not None:
                 arr.setflags(write=False)
 
@@ -168,12 +163,11 @@ def build_uniform_1d(n_cells: int, length: float) -> Mesh:
         raise MeshError("length must be positive")
     dx = length / n_cells
     x = np.arange(n_cells + 1) * dx  # vertex lattice
-    # interface e sits at vertex x[e + 1] between cells e and e+1 (wrapped)
+    # interface e joins cell e to cell e+1 (wrapped)
     left = np.arange(n_cells)
     mesh = Mesh(1, (length,), np.full(n_cells, dx),
                 ((left + 0.5) * dx).reshape(-1, 1), left, (left + 1) % n_cells,
                 np.ones(n_cells), np.ones((n_cells, 1)),
-                (x[1:] % length).reshape(-1, 1),
                 mesh_id=f"uniform1d:n={n_cells}:L={length!r}",
                 cell_vertices=np.stack([x[:-1], x[1:]], axis=-1)[..., None],
                 grid_shape=(n_cells,))
@@ -246,7 +240,7 @@ def _build_quad_2d(nx, ny, lx, ly, jitter, seed, mesh_id):
 
     mesh = Mesh(2, (lx, ly), volumes, centroids,
                 np.repeat(np.arange(n_cells), 2), right.ravel(), elen,
-                normals, 0.5 * (p1 + p2), mesh_id=mesh_id,
+                normals, mesh_id=mesh_id,
                 cell_vertices=corners, grid_shape=(nx, ny))
     if jitter > 0.0 and mesh.a <= 0.05:
         raise MeshError(f"perturbed mesh violates regularity: a = {mesh.a:.4f} <= 0.05")
@@ -322,60 +316,3 @@ def validate_mesh(mesh: Mesh) -> None:
     closure_norm = np.sqrt((closure ** 2).sum(axis=1))
     if np.any(closure_norm > _CLOSURE_RTOL * perimeter):
         raise MeshError("a cell violates the interface closure identity")
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def mesh_to_json(mesh: Mesh) -> str:
-    """Serialize to the canonical JSON document (round-trips bit-exactly)."""
-    ids, off = mesh.cell_iface_ids.tolist(), mesh.cell_iface_offsets.tolist()
-    doc = {
-        "dim": mesh.dim,
-        "h": mesh.h,
-        "a": mesh.a,
-        "domain": list(mesh.domain),
-        "mesh_id": mesh.mesh_id,
-        "cells": [
-            {"id": i, "volume": float(mesh.cell_volumes[i]),
-             "centroid": [float(x) for x in mesh.cell_centroids[i]],
-             "interfaces": sorted(ids[off[i]:off[i + 1]])}
-            for i in range(mesh.n_cells)],
-        "interfaces": [
-            {"id": e, "left": int(mesh.iface_left[e]),
-             "right": int(mesh.iface_right[e]),
-             "area": float(mesh.iface_areas[e]),
-             "normal": [float(x) for x in mesh.iface_normals[e]],
-             "midpoint": [float(x) for x in mesh.iface_midpoints[e]]}
-            for e in range(mesh.n_interfaces)],
-    }
-    return json.dumps(doc, indent=1)
-
-
-def mesh_from_json(text: str) -> Mesh:
-    doc = json.loads(text)
-    cells = doc["cells"]
-    ifaces = doc["interfaces"]
-    mesh = Mesh(
-        doc["dim"], doc["domain"],
-        [c["volume"] for c in cells],
-        [c["centroid"] for c in cells],
-        [e["left"] for e in ifaces],
-        [e["right"] for e in ifaces],
-        [e["area"] for e in ifaces],
-        [e["normal"] for e in ifaces],
-        [e["midpoint"] for e in ifaces],
-        mesh_id=doc["mesh_id"],
-        cell_vertices=None,
-        a=doc["a"],
-        h=doc["h"],
-    )
-    ids, off = mesh.cell_iface_ids.tolist(), mesh.cell_iface_offsets.tolist()
-    for k, c in enumerate(cells):
-        faces = ids[off[k]:off[k + 1]]
-        if set(c["interfaces"]) != set(faces):
-            raise MeshError(f"cell {k} lists interfaces {sorted(c['interfaces'])}, "
-                            f"but its faces are {sorted(faces)}")
-    validate_mesh(mesh)
-    return mesh

@@ -106,8 +106,7 @@ def _unit_directions(d, n_angles=64):
 # schemes
 # ---------------------------------------------------------------------------
 
-def make_rusanov(sys: SystemModel, c="auto", samples: int = 4096,
-                 seed: int = 0) -> FluxScheme:
+def make_rusanov(sys: SystemModel, c="auto", seed: int = 0) -> FluxScheme:
     """Rusanov flux G = (f(u)+f(v)).n/2 - c (v-u)/2.
 
     c must dominate the wave speeds over Omega ("auto": sampled sup
@@ -116,7 +115,7 @@ def make_rusanov(sys: SystemModel, c="auto", samples: int = 4096,
     lambda_star is calibrated so the interfacial entropy inequality holds
     (see module docstring).
     """
-    speed_sup = sample_wave_speed_sup(sys, samples=samples, seed=seed)
+    speed_sup = sample_wave_speed_sup(sys, seed=seed)
     if c == "auto":
         c_val = 1.05 * speed_sup
     else:
@@ -148,8 +147,7 @@ def make_rusanov(sys: SystemModel, c="auto", samples: int = 4096,
                       params={"c": c_val, "wave_speed_sup": speed_sup})
 
 
-def make_godunov_scalar(sys: SystemModel, samples: int = 4096,
-                        seed: int = 0) -> FluxScheme:
+def make_godunov_scalar(sys: SystemModel, seed: int = 0) -> FluxScheme:
     """Exact Riemann (Godunov) flux for scalar systems, in Osher form.
 
     With f_n(w) = f(w).n the flux is min_{[u,v]} f_n for u <= v and
@@ -169,7 +167,7 @@ def make_godunov_scalar(sys: SystemModel, samples: int = 4096,
         raise ConstructionError(
             f"{sys.name}: the Godunov flux needs the critical points of f.n "
             "(flux_critical_points)")
-    speed_sup = sample_wave_speed_sup(sys, samples=samples, seed=seed)
+    speed_sup = sample_wave_speed_sup(sys, seed=seed)
 
     def kernel(u, v, n):
         w = _godunov_state(sys, u, v, n)

@@ -176,8 +176,8 @@ def fine_grid_reference(mesh: Mesh, sys, scheme, u0, config,
                                 mesh.domain[0])
     elif mesh.grid_shape is None:
         raise ConstructionError(
-            "a 2D fine-grid reference needs the grid shape of a built quad "
-            "mesh; rebuild the mesh instead of loading it from JSON")
+            "a 2D fine-grid reference needs the grid shape of a quad mesh "
+            "from build_uniform_quad_2d or build_perturbed_quad_2d")
     else:
         nx, ny = mesh.grid_shape
         fine = build_uniform_quad_2d(nx * refinement_factor,

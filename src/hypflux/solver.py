@@ -77,28 +77,24 @@ def cell_quadrature(mesh: Mesh, quadrature: str = "midpoint"):
         return pts, wts
     if quadrature != "gauss3":
         raise ConfigError(f"unknown quadrature {quadrature!r}")
-    return tensor_gauss_quadrature(mesh, _GAUSS3, "gauss3")
+    return tensor_gauss_quadrature(mesh, _GAUSS3)
 
 
-def tensor_gauss_quadrature(mesh: Mesh, rule, purpose: str,
-                            cells=slice(None)):
+def tensor_gauss_quadrature(mesh: Mesh, rule, cells=slice(None)):
     """(points, weights) per cell of the tensor product of a 1D rule.
 
     `rule` is (nodes, weights) on [-1, 1]; `cells` is a slice of cell ids
     (all cells by default).  1D cells are reconstructed from centroid and
     volume, 2D cells map the reference square through the bilinear
-    embedding of their stored vertices (fresh-built meshes only; the
-    serialized schema does not carry vertices).  Each cell's points and
-    weights are the same bit for bit whatever slice computes them.
+    embedding of their vertices, which every 2D mesh carries.  Each cell's
+    points and weights are the same bit for bit whatever slice computes
+    them.
     """
     nodes, weights = rule
     if mesh.dim == 1:
         half = 0.5 * mesh.cell_volumes[cells, None]
         pts = mesh.cell_centroids[cells] + half * nodes[None, :]
         return pts[..., None], half * weights[None, :]
-    if mesh.cell_vertices is None:
-        raise ConfigError(f"{purpose} in 2D needs cell vertices; "
-                          "rebuild the mesh instead of loading it from JSON")
     verts = mesh.cell_vertices[cells]  # (N, 4, 2)
     s, t = np.meshgrid(nodes, nodes, indexing="ij")
     ws, wt = np.meshgrid(weights, weights, indexing="ij")
@@ -118,11 +114,17 @@ def tensor_gauss_quadrature(mesh: Mesh, rule, purpose: str,
 def cell_means(mesh: Mesh, fn, quadrature: str = "midpoint"):
     """Cell averages (1/|K|) integral_K fn(x) dx under the given rule."""
     pts, wts = cell_quadrature(mesh, quadrature)
+    return _average(mesh, wts, _point_values(fn, pts))
+
+
+def _point_values(fn, pts):
+    """fn(pts) as float, with a trailing state axis for scalar callables."""
     vals = np.asarray(fn(pts), dtype=float)
-    if vals.ndim == 2:  # scalar-valued callable
-        vals = vals[..., None]
-    acc = axis_sum(wts[..., None] * vals, axis=1)
-    return acc / mesh.cell_volumes[:, None]
+    return vals[..., None] if vals.ndim == 2 else vals
+
+
+def _average(mesh: Mesh, wts, vals):
+    return axis_sum(wts[..., None] * vals, axis=1) / mesh.cell_volumes[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -131,18 +133,20 @@ def cell_means(mesh: Mesh, fn, quadrature: str = "midpoint"):
 
 def project_initial(mesh: Mesh, sys: SystemModel, u0,
                     quadrature: str = "midpoint") -> StateField:
-    """Cell averages of the initial data, checked for admissibility."""
-    pts, _ = cell_quadrature(mesh, quadrature)
-    vals = np.asarray(u0(pts), dtype=float)
-    if vals.ndim == 2:
-        vals = vals[..., None]
+    """Cell averages of the initial data, checked for admissibility.
+
+    u0 is evaluated once; the point-wise check and the means read the
+    same values, so the means are those of `cell_means`.
+    """
+    pts, wts = cell_quadrature(mesh, quadrature)
+    vals = _point_values(u0, pts)
     ok = sys.omega.contains(vals)
     if not np.all(ok):
         cell = int(np.flatnonzero(~np.all(ok, axis=-1))[0])
         raise AdmissibilityError(
             f"initial data leave the admissible set inside cell {cell}")
-    means = cell_means(mesh, u0, quadrature)
-    fld = StateField(values=means, time=0.0, mesh_id=mesh.mesh_id)
+    fld = StateField(values=_average(mesh, wts, vals), time=0.0,
+                     mesh_id=mesh.mesh_id)
     try:
         fld.check_admissible(sys)
     except AdmissibilityError as exc:

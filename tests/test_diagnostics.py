@@ -360,7 +360,7 @@ def test_projection_masses_chunks_keep_the_bits():
     field0 = hf.project_initial(mesh, sysm, u0)
     mask = mesh.periodic_distance_to_origin(mesh.cell_centroids) <= 0.4
 
-    pts, wts = hf.solver.tensor_gauss_quadrature(mesh, diag._GAUSS4, "oracle")
+    pts, wts = hf.solver.tensor_gauss_quadrature(mesh, diag._GAUSS4)
     vals = u0(pts)
     eta = (wts * np.abs(sysm.entropy(vals)
                         - sysm.entropy(field0.values)[:, None])).sum(axis=1)
@@ -370,7 +370,7 @@ def test_projection_masses_chunks_keep_the_bits():
     assert diag.projection_masses(mesh, sysm, u0, field0, mask) == want
 
     cells = slice(4000, 4400)
-    part = hf.solver.tensor_gauss_quadrature(mesh, diag._GAUSS4, "oracle", cells)
+    part = hf.solver.tensor_gauss_quadrature(mesh, diag._GAUSS4, cells)
     assert np.array_equal(part[0], pts[cells]) and np.array_equal(part[1], wts[cells])
 
 

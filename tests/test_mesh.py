@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -76,7 +75,6 @@ def test_perturbed_quad_deterministic():
     b = hf.build_perturbed_quad_2d(8, 8, 1.0, 1.0, 0.2, 7)
     assert np.array_equal(a.cell_centroids, b.cell_centroids)
     assert np.array_equal(a.iface_normals, b.iface_normals)
-    assert np.array_equal(a.iface_midpoints, b.iface_midpoints)
 
 
 def test_perturbed_quad_rejects_large_jitter():
@@ -125,18 +123,6 @@ def test_unit_normals():
     assert np.abs(norms - 1.0).max() <= 1e-14
 
 
-def test_json_round_trip_bit_exact():
-    for m in (hf.build_uniform_1d(6, 1.5),
-              hf.build_perturbed_quad_2d(5, 5, 1.0, 1.0, 0.2, 9)):
-        text = hf.mesh_to_json(m)
-        m2 = hf.mesh_from_json(text)
-        assert hf.mesh_to_json(m2) == text
-        assert np.array_equal(m.cell_volumes, m2.cell_volumes)
-        assert np.array_equal(m.cell_centroids, m2.cell_centroids)
-        assert np.array_equal(m.iface_normals, m2.iface_normals)
-        assert m.h == m2.h and m.a == m2.a
-
-
 def test_periodic_distance():
     m = hf.build_uniform_1d(8, 1.0)
     d = m.periodic_distance_to_origin(np.array([[0.9]]))
@@ -152,8 +138,7 @@ def test_scatter_matches_add_at_bitwise(m):
     left = rng.integers(0, 6, 20)
     right = (left + rng.integers(1, 6, 20)) % 6
     graph = hf.Mesh(1, (1.0,), np.full(6, 1.0 / 6.0), np.zeros(6),
-                    left, right, np.ones(20), np.ones(20),
-                    np.zeros(20), "graph", a=1.0, h=1.0)
+                    left, right, np.ones(20), np.ones(20), "graph")
     for mesh in (hf.build_perturbed_quad_2d(7, 5, 1.0, 1.3, 0.2, 4),
                  hf.build_uniform_1d(9, 1.0), graph):
         base = rng.standard_normal((mesh.n_cells, m))
@@ -209,8 +194,7 @@ def _loop_uniform_1d(n, length):
               "cell_volumes": [dx] * n,
               "iface_left": list(range(n)),
               "iface_right": [(i + 1) % n for i in range(n)],
-              "iface_areas": [1.0] * n, "iface_normals": [[1.0]] * n,
-              "iface_midpoints": [[(i + 1) * dx % length] for i in range(n)]}
+              "iface_areas": [1.0] * n, "iface_normals": [[1.0]] * n}
     verts = [[[i * dx], [(i + 1) * dx]] for i in range(n)]
     rows = [[(i - 1) % n, i] for i in range(n)]
     return arrays, verts, rows
@@ -231,7 +215,7 @@ def _loop_quad_2d(nx, ny, lx, ly, jitter, seed):
 
     verts, rows = [], [[] for _ in range(nx * ny)]
     arrays = {k: [] for k in ("iface_left", "iface_right", "iface_areas",
-                              "iface_normals", "iface_midpoints")}
+                              "iface_normals")}
     for i in range(nx):
         for j in range(ny):
             verts.append([vertex(i, j), vertex(i + 1, j),
@@ -246,8 +230,7 @@ def _loop_quad_2d(nx, ny, lx, ly, jitter, seed):
                     nrm = -nrm
                 rows[cid(i, j)].append(len(arrays["iface_left"]))
                 rows[nb].append(len(arrays["iface_left"]))
-                for key, val in zip(arrays, (cid(i, j), nb, elen, nrm,
-                                             0.5 * (p1 + p2))):
+                for key, val in zip(arrays, (cid(i, j), nb, elen, nrm)):
                     arrays[key].append(val)
     # shoelace area and centroid, one polygon at a time
     for poly in verts:
@@ -307,20 +290,20 @@ def test_quad_2d_matches_loop_oracle(nx, ny, jitter):
 def test_mesh_rejects_interface_outside_mesh():
     with pytest.raises(MeshError):
         hf.Mesh(1, (1.0,), np.full(3, 1 / 3), np.zeros(3), [0, 1, 2],
-                [1, 2, 3], np.ones(3), np.ones(3), np.zeros(3), "bad",
-                a=0.5, h=1 / 3)
+                [1, 2, 3], np.ones(3), np.ones(3), "bad")
 
 
-def test_json_rows_ascending_and_checked():
-    doc = json.loads(hf.mesh_to_json(hf.build_uniform_1d(5, 1.0)))
-    assert [c["interfaces"] for c in doc["cells"]] == \
-        [[0, 4], [0, 1], [1, 2], [2, 3], [3, 4]]
-    doc["cells"][2]["interfaces"] = [1, 3]
-    with pytest.raises(MeshError, match="cell 2"):
-        hf.mesh_from_json(json.dumps(doc))
-    # the listed order does not matter, only the set
-    doc["cells"][2]["interfaces"] = [2, 1]
-    hf.mesh_from_json(json.dumps(doc))
+def test_2d_mesh_without_vertices_rejected():
+    # a 2D cell diameter needs the cell's vertices, so the constructor
+    # cannot compute h without them
+    m = hf.build_perturbed_quad_2d(4, 5, 1.0, 1.0, 0.1, 3)
+    arrays = (m.domain, m.cell_volumes, m.cell_centroids, m.iface_left,
+              m.iface_right, m.iface_areas, m.iface_normals)
+    with pytest.raises(MeshError, match="vertices"):
+        hf.Mesh(2, *arrays, "no-vertices")
+    # with them it gets the built mesh's h and a
+    again = hf.Mesh(2, *arrays, "vertices", cell_vertices=m.cell_vertices)
+    assert (again.h, again.a) == (m.h, m.a)
 
 
 # ---------------------------------------------------------------------------

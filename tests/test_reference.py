@@ -204,10 +204,13 @@ def test_fine_grid_reference_on_non_square_mesh():
     traj = hf.run(fine, sysm, sch, u0, cfg)
     for t, fld in (traj.snapshots[0], traj.snapshots[-1]):
         assert np.array_equal(ref.eval(fine.cell_centroids, t), fld.values)
-    # a mesh loaded from JSON has no grid shape to refine
-    loaded = hf.mesh_from_json(hf.mesh_to_json(mesh))
+    # a 2D mesh from the constructor has no grid shape to refine
+    ungridded = hf.Mesh(2, mesh.domain, mesh.cell_volumes, mesh.cell_centroids,
+                        mesh.iface_left, mesh.iface_right, mesh.iface_areas,
+                        mesh.iface_normals, "ungridded",
+                        cell_vertices=mesh.cell_vertices)
     with pytest.raises(ConstructionError):
-        hf.fine_grid_reference(loaded, sysm, sch, u0, cfg)
+        hf.fine_grid_reference(ungridded, sysm, sch, u0, cfg)
 
 
 def test_shallow_water_self_convergence(shallow_water_sys,

@@ -64,7 +64,7 @@ def test_project_gauss3_quadratic_2d():
     assert fld.values[0, 0] == pytest.approx((1.0 / 3.0) ** 2 / 3.0, rel=1e-13)
     # the same tensor rule with 3 and with 4 points (the mass rule)
     for rule in (solver._GAUSS3, diagnostics._GAUSS4):
-        pts, wts = solver.tensor_gauss_quadrature(mesh, rule, "test")
+        pts, wts = solver.tensor_gauss_quadrature(mesh, rule)
         mean = (wts * pts[..., 0] ** 2).sum(axis=1) / mesh.cell_volumes
         assert mean[0] == pytest.approx((1.0 / 3.0) ** 2 / 3.0, rel=1e-13)
 
@@ -75,6 +75,28 @@ def test_project_rejects_inadmissible():
     with pytest.raises(AdmissibilityError) as exc:
         hf.project_initial(mesh, sys, sine_u0)
     assert "cell" in str(exc.value)
+
+
+@pytest.mark.parametrize("quadrature", ["midpoint", "gauss3"])
+@pytest.mark.parametrize("mesh", [hf.build_uniform_1d(16, 1.0),
+                                  hf.build_perturbed_quad_2d(6, 5, 1.0, 1.0,
+                                                             0.2, 3)],
+                         ids=["1d", "2d"])
+def test_project_evaluates_u0_once(mesh, quadrature):
+    # the point-wise check and the means read one evaluation of u0, and
+    # the means are those of cell_means bit for bit
+    sys = hf.make_advection(mesh.dim, [1.0] * mesh.dim, u_range=(-1.5, 1.5))
+    calls = []
+
+    def u0(x):
+        calls.append(np.shape(x))
+        return sine_u0(x)
+
+    fld = hf.project_initial(mesh, sys, u0, quadrature=quadrature)
+    pts, _ = solver.cell_quadrature(mesh, quadrature)
+    assert calls == [pts.shape]
+    want = hf.cell_means(mesh, sine_u0, quadrature)
+    assert np.array_equal(fld.values.view(np.int64), want.view(np.int64))
 
 
 def _scheme_with_lambda(sys, lam):
@@ -234,24 +256,6 @@ def test_run_hooks_see_every_step(burgers_sys, burgers_rusanov):
     traj = hf.run(mesh, burgers_sys, burgers_rusanov, burgers_wave_u0, cfg,
                   [hook])
     assert seen == list(range(traj.n_steps))
-
-
-def test_run_on_deserialized_mesh(burgers_sys, burgers_rusanov):
-    # JSON round-tripped meshes drive the solver identically (midpoint rule)
-    mesh = hf.build_uniform_1d(24, 1.0)
-    mesh2 = hf.mesh_from_json(hf.mesh_to_json(mesh))
-    cfg = hf.RunConfig(final_time=0.05)
-    t1 = hf.run(mesh, burgers_sys, burgers_rusanov, burgers_wave_u0, cfg)
-    t2 = hf.run(mesh2, burgers_sys, burgers_rusanov, burgers_wave_u0, cfg)
-    assert np.array_equal(t1.final_field.values, t2.final_field.values)
-
-
-def test_gauss3_on_deserialized_2d_mesh_rejected():
-    mesh = hf.build_uniform_quad_2d(3, 3, 1.0, 1.0)
-    mesh2 = hf.mesh_from_json(hf.mesh_to_json(mesh))
-    sys = hf.make_advection(2, [1.0, 0.5], u_range=(-1.0, 1.0))
-    with pytest.raises(ConfigError):
-        hf.project_initial(mesh2, sys, sine_u0, quadrature="gauss3")
 
 
 def test_flux_accumulation_order_insensitive(burgers_sys, burgers_rusanov):
