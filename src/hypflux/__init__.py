@@ -14,9 +14,9 @@ from .systems import (AdmissibleSet, StateField, SystemModel, compute_lf,
                       relative_entropy, relative_entropy_flux, relative_z,
                       validate_system)
 from .numflux import (DissipationGapCheck, FluxScheme, InterfaceFluxRecords,
-                      dissipation_gap_check, make_godunov_scalar,
-                      make_rusanov, omega_stability_check,
-                      sample_wave_speed_sup, x_flux)
+                      InterfaceUpdate, dissipation_gap_check,
+                      make_godunov_scalar, make_rusanov,
+                      omega_stability_check, sample_wave_speed_sup, x_flux)
 from .solver import (RunConfig, Trajectory, cell_means, compute_dt,
                      interface_flux_records, march, project_initial, run,
                      step)

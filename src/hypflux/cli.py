@@ -465,14 +465,14 @@ def _write_snapshots(output_dir, mesh, system, traj, mode):
     coords = ["x", "y"][: mesh.dim]
     header = ",".join(["cell_id"] + coords
                       + [f"u_{k}" for k in range(system.m)])
-    # "cell_id,x[,y]," of every row, formatted once; values are repr'd
-    # Python floats, the same digits as _fmt
-    prefixes = [f"{k},{','.join(map(repr, c))},"
-                for k, c in enumerate(mesh.cell_centroids.tolist())]
+    # one template of every row, "cell_id,x[,y]," formatted once and a %r
+    # per value: %r of a Python float is its repr, the same digits as _fmt
+    values = ",".join(["%r"] * system.m) + "\n"
+    template = "".join(f"{k},{','.join(map(repr, c))},{values}"
+                       for k, c in enumerate(mesh.cell_centroids.tolist()))
     for idx, (t, fld) in enumerate(snaps):
         path = os.path.join(output_dir, f"snapshot_{idx:06d}.csv")
-        rows = "".join([f"{p}{','.join(map(repr, v))}\n"
-                        for p, v in zip(prefixes, fld.values.tolist())])
+        rows = template % tuple(fld.values.ravel().tolist())
         with open(path, "w") as fh:
             fh.write(f"# t = {_fmt(t)}\n{header}\n{rows}")
 

@@ -3,27 +3,31 @@
 The ledger accumulates, step by step, the interface weak-BV sums, the
 entropy-flux and time variation sums, the worst discrete entropy residual
 and the per-interface dissipation-gap slack.  `ErrorFold`, the one solver
-hook, feeds each step to the ledger and folds in the error functionals:
+hook, feeds the steps to the ledger and folds in the error functionals:
 the masses of the error measures, the relative-entropy error series and
-the shrinking-cone L2 error against a reference.  `measure_masses` and
+the shrinking-cone L2 error against a reference.  The ledger is fed in
+blocks of max(1, 8192 // E) steps on a mesh with E interfaces
+(`_LEDGER_BLOCK`): each block runs the flux records part once on stacked
+arrays, and every ledger sum is a row reduction.  `measure_masses` and
 `cone_l2_error` replay a stored trajectory through the part of the fold
 each reports, which needs no flux records.
 
-All reductions fold over interfaces and cells in id order, so repeated
-runs produce identical floating-point results.
+All reductions fold over interfaces and cells in id order, and the rows of
+a block into the ledger in step order, so repeated runs produce identical
+floating-point results, whatever the block size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError
 from .mesh import Mesh
-from .numflux import FluxScheme, InterfaceFluxRecords
+from .numflux import FluxScheme, InterfaceFluxRecords, InterfaceUpdate
 from .solver import _point_values, cell_means, tensor_gauss_quadrature
 from .systems import (StateField, SystemModel, axis_sum,
                       relative_entropy_terms)
@@ -37,6 +41,12 @@ _GAUSS4 = (np.array([-0.8611363115940526, -0.3399810435848563,
            np.array([0.3478548451374538, 0.6521451548625461,
                      0.6521451548625461, 0.3478548451374538]))
 _MASS_CHUNK = 4096  # cells per batch of mass quadrature points
+# Interface entries per ledger block of ErrorFold.  A flush's temporaries
+# grow with the block: at 32768 they lift the traced peak of the 64-cell
+# shallow-water run from 6.1 to 8.3 MB, with no faster run; 2048, 8192 and
+# 32768 run that case and the 1024-cell Godunov one within about 15% of
+# each other, 8192 fastest in the median.  Not tuned finer.
+_LEDGER_BLOCK = 8192
 
 
 @dataclass
@@ -91,91 +101,104 @@ class ConvergenceTable:
 
 
 def accumulate_step(ledger: DiagnosticsLedger, mesh: Mesh, sys: SystemModel,
-                    scheme: FluxScheme, field_n: StateField,
-                    field_np1: StateField, records: InterfaceFluxRecords,
-                    dt: float, entropies=None):
+                    scheme: FluxScheme, field_n, field_np1,
+                    records: InterfaceFluxRecords, dt: float, entropies=None):
     """Add one step's interface and cell contributions to every ledger sum;
     return the step's per-cell |K| |u^{n+1} - u^n| and |K| |eta^{n+1} - eta^n|.
 
-    `entropies` is (eta(u^n), eta(u^{n+1})) when the caller has them.
+    `entropies` is (eta(u^n), eta(u^{n+1})) when the caller has them.  A
+    block of K steps of one dt passes the states as (K, n_cells, m) value
+    arrays instead of `StateField`s, with `records` and `entropies` on the
+    same leading step axis, and gets (K, n_cells) arrays back.  Every sum
+    is a row reduction, folded into the ledger in step order, so a block
+    adds the bits its steps would add one by one; a single step is the
+    block of one, through views.
     """
-    if records.g_value.shape[0] != mesh.n_interfaces:
+    single = isinstance(field_n, StateField)
+    if single:
+        u_n, u_np1 = field_n.values[None], field_np1.values[None]
+        records = InterfaceFluxRecords(*(getattr(records, f.name)[None]
+                                         for f in fields(records)))
+        if entropies is not None:
+            entropies = tuple(eta[None] for eta in entropies)
+    else:
+        u_n, u_np1 = field_n, field_np1
+    if records.g_value.shape[-2] != mesh.n_interfaces:
         raise ConfigError("flux records do not match the mesh")
-    eta_jump, vol_du, vol_deta = _cell_variation(mesh, sys, field_n,
-                                                 field_np1, entropies)
+    if entropies is None:
+        entropies = (sys.entropy(u_n), sys.entropy(u_np1))
+    eta_jump, vol_du, vol_deta = _cell_variation(mesh, u_n, u_np1, *entropies)
 
     areas = mesh.iface_areas
     vols = mesh.cell_volumes
     d = records.defect
     area_d = areas * d
-    ledger.wbv_sq += dt * float((area_d * d).sum())
-    ledger.wbv_l1 += dt * float(area_d.sum())
-    ledger.interface_measure_total += dt * mesh.total_iface_area
-
-    ledger.entropy_flux_bv += dt * float(
-        (areas * np.abs(records.xi_value - records.xi_left)).sum())
-
-    ledger.time_bv_u += float(vol_du.sum())
-    ledger.time_bv_eta += float(vol_deta.sum())
-
-    # discrete entropy residual: (|K|/dt)(eta^{n+1} - eta^n) + sum |sigma| xi_KL
-    area_xi = areas * records.xi_value
-    xi_div = mesh.scatter(np.zeros(mesh.n_cells), area_xi, -area_xi)
+    # discrete entropy residual: (|K|/dt)(eta^{n+1} - eta^n) + sum |sigma| xi_KL;
+    # the scatter adds per column, so it takes the steps as columns
+    area_xi = (areas * records.xi_value).T
+    xi_div = mesh.scatter(np.zeros((mesh.n_cells, len(d))), area_xi,
+                          -area_xi).T
     resid = (vols / dt) * eta_jump + xi_div
-    ledger.entropy_residual_max = max(ledger.entropy_residual_max,
-                                      _worst(resid))
-    ledger.entropy_residual_max_scaled = max(
-        ledger.entropy_residual_max_scaled, _worst(resid * (dt / vols)))
-
     # per-interface dissipation-gap inequality
     bound = (sys.beta0 / (2.0 * scheme.lambda_star)) * d * d
     slack = records.dissipation_gap - bound
     least = _least(slack)
-    ledger.min_gap_slack = min(ledger.min_gap_slack, least)
-    # every floor -1e-10 max(1, |gap|) lies at or below -1e-10, so a
-    # least slack above it passes every interface without the floors
-    if ledger.gap_all_pass and not least >= -1e-10:
-        floor = -1e-10 * np.maximum(1.0, np.abs(records.dissipation_gap))
-        ledger.gap_all_pass = bool((slack >= floor).all())
+    rows = zip(*(a.tolist() for a in (
+        (area_d * d).sum(axis=-1), area_d.sum(axis=-1),
+        (areas * np.abs(records.xi_value - records.xi_left)).sum(axis=-1),
+        vol_du.sum(axis=-1), vol_deta.sum(axis=-1), _worst(resid),
+        _worst(resid * (dt / vols)), least)))
+    for sq, l1, xi_bv, du, deta, top, top_scaled, low in rows:
+        ledger.wbv_sq += dt * sq
+        ledger.wbv_l1 += dt * l1
+        ledger.interface_measure_total += dt * mesh.total_iface_area
+        ledger.entropy_flux_bv += dt * xi_bv
+        ledger.time_bv_u += du
+        ledger.time_bv_eta += deta
+        ledger.entropy_residual_max = max(ledger.entropy_residual_max, top)
+        ledger.entropy_residual_max_scaled = max(
+            ledger.entropy_residual_max_scaled, top_scaled)
+        ledger.min_gap_slack = min(ledger.min_gap_slack, low)
+    # every floor -1e-10 max(1, |gap|) lies at or below -1e-10, so a step
+    # whose least slack is above it passes every interface without them
+    check = ~(least >= -1e-10)
+    if ledger.gap_all_pass and check.any():
+        floor = -1e-10 * np.maximum(1.0, np.abs(records.dissipation_gap[check]))
+        ledger.gap_all_pass = bool((slack[check] >= floor).all())
 
-    ledger.n_steps_accumulated += 1
-    return vol_du, vol_deta
+    ledger.n_steps_accumulated += len(d)
+    return (vol_du[0], vol_deta[0]) if single else (vol_du, vol_deta)
 
 
-def _cell_variation(mesh: Mesh, sys: SystemModel, field_n: StateField,
-                    field_np1: StateField, entropies=None):
-    """Per-cell time variation of one step: eta^{n+1} - eta^n,
-    |K| |u^{n+1} - u^n| and |K| |eta^{n+1} - eta^n|.  `entropies` is
-    (eta(u^n), eta(u^{n+1})), evaluated here when not given."""
-    if field_n.values.shape[0] != mesh.n_cells or \
-            field_np1.values.shape[0] != mesh.n_cells:
+def _cell_variation(mesh: Mesh, u_n, u_np1, eta_n, eta_np1):
+    """Per-cell time variation of one step, or of steps on leading axes,
+    from the states' values and entropies: eta^{n+1} - eta^n,
+    |K| |u^{n+1} - u^n| and |K| |eta^{n+1} - eta^n|."""
+    if u_n.shape[-2] != mesh.n_cells or u_np1.shape[-2] != mesh.n_cells:
         raise ConfigError("state fields do not match the mesh")
-    if entropies is None:
-        entropies = (sys.entropy(field_n.values),
-                     sys.entropy(field_np1.values))
-    eta_n, eta_np1 = entropies
-    du = field_np1.values - field_n.values
+    du = u_np1 - u_n
     eta_jump = eta_np1 - eta_n
     return (eta_jump, mesh.cell_volumes * np.sqrt(axis_sum(du ** 2)),
             mesh.cell_volumes * np.abs(eta_jump))
 
 
-def _worst(values) -> float:
-    """Largest entry, or inf when any entry is not finite.
+def _worst(values):
+    """Largest entry along the last axis, or inf where any entry is not
+    finite.
 
     A plain max() of an array with a NaN is NaN, and NaN compares false
     with everything, so a NaN cell would leave the running maximum (and
     the flag built on it) untouched.
     """
     # a NaN makes the max NaN, an inf makes the max or the min infinite
-    top = float(values.max())
-    if not (math.isfinite(top) and math.isfinite(values.min())):
-        return math.inf
-    return top
+    top = values.max(axis=-1)
+    return np.where(np.isfinite(top) & np.isfinite(values.min(axis=-1)),
+                    top, np.inf)
 
 
-def _least(values) -> float:
-    """Smallest entry, or -inf when any entry is not finite (see `_worst`)."""
+def _least(values):
+    """Smallest entry along the last axis, or -inf where any entry is not
+    finite (see `_worst`)."""
     return -_worst(-values)
 
 
@@ -239,6 +262,11 @@ def _cell_sq_error(mesh, diff):
     return mesh.cell_volumes * axis_sum(diff ** 2)
 
 
+def _stack(arrays):
+    """The arrays on a new leading axis; a single one as a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
 class ErrorFold:
     """The run's one solver hook: `accumulate_step`, then the error functionals.
 
@@ -253,8 +281,16 @@ class ErrorFold:
     is kept as eta(u^n) of the next, which the solver hands the same state
     object (states are never changed in place).  `finish(trajectory)` adds
     the projection masses mu_0, mu_bar_0 of the first state and the level
-    at the final time.  Time sums use the left-endpoint rule; nothing is
-    kept per step.
+    at the final time.  Time sums use the left-endpoint rule.
+
+    eta(u^{n+1}) and the error functionals are folded at every step, so a
+    reference shared by several folds is read in time order.  The ledger
+    and the masses wait for a block of max(1, 8192 // E) steps
+    (E interfaces): the flush runs the scheme's records part on the
+    block's stacked `InterfaceUpdate`s and hands it to `accumulate_step`
+    as one block, which adds the same bits in the same order as step by
+    step.  A block is flushed when full, at step round(T / dt) (so the
+    ledger is complete when a run to T returns) and by `finish`.
     """
 
     def __init__(self, ledger: DiagnosticsLedger, mesh: Mesh,
@@ -266,20 +302,44 @@ class ErrorFold:
         self.reference, self.quadrature = reference, quadrature
         self.dist = mesh.periodic_distance_to_origin(mesh.cell_centroids)
         self.ball = self.dist <= r
-        # a ball over every cell selects by a plain slice, which copies
-        # nothing and sums the same
-        self._ball = slice(None) if self.ball.all() else self.ball
+        # a ball over every cell needs no selection, which copies nothing;
+        # the cell ids of a smaller ball gather C-ordered rows (a boolean
+        # mask on the last axis of a block gives F order, whose row sums
+        # add in another order)
+        self._ball = None if self.ball.all() else np.flatnonzero(self.ball)
         self.cone = 0.0
         self.mbeta_ok = True
         self._last = (None, None)  # the latest new state and its eta
+        self._block = max(1, _LEDGER_BLOCK // mesh.n_interfaces)
+        self._pending = []  # (field_n, field_np1, update, entropies, dt)
 
-    def __call__(self, n, field_n, field_np1, records, dt):
+    def __call__(self, n, field_n, field_np1, update, dt):
         entropies = self._step_entropies(field_n, field_np1)
-        vol_du, vol_deta = accumulate_step(self.ledger, self.mesh, self.sys,
-                                           self.scheme, field_n, field_np1,
-                                           records, dt, entropies)
-        self._fold_masses(vol_du, vol_deta, dt)
+        if self._pending and dt != self._pending[-1][-1]:
+            raise ConfigError("the steps of one ErrorFold share one dt")
+        self._pending.append((field_n, field_np1, update, entropies, dt))
         self._fold_error(field_n, entropies[0], dt)
+        if len(self._pending) == self._block or n + 1 == round(self.T / dt):
+            self._flush()
+
+    def _flush(self):
+        """Fold the pending steps into the ledger and the masses."""
+        if not self._pending:
+            return
+        pending, self._pending = self._pending, []
+        dt = pending[0][4]
+        u_n, u_np1, eta_n, eta_np1, g, left, right, *parts = map(_stack, zip(*(
+            (fa.values, fb.values, *etas, up.g_value, up.left, up.right,
+             *up.parts) for fa, fb, up, etas, _ in pending)))
+        del pending  # the stacked rows hold the block from here on
+        records = self.scheme.records(
+            InterfaceUpdate(g, left, right, tuple(parts)),
+            self.mesh.iface_normals)
+        del left, right, parts  # free before the ledger's temporaries
+        vol_du, vol_deta = accumulate_step(
+            self.ledger, self.mesh, self.sys, self.scheme, u_n, u_np1,
+            records, dt, (eta_n, eta_np1))
+        self._fold_masses(vol_du, vol_deta, dt)
 
     def _entropy(self, field: StateField):
         """eta of a state; the carried one when it is the latest new state."""
@@ -294,9 +354,17 @@ class ErrorFold:
         return eta_n, eta_np1
 
     def _fold_masses(self, vol_du, vol_deta, dt):
-        """The step's share of mu_T and mu_bar_T."""
-        self.ledger.mu_t_mass += dt * float(vol_deta[self._ball].sum())
-        self.ledger.mu_bar_t_mass += dt * float(vol_du[self._ball].sum())
+        """The share of mu_T and mu_bar_T of a step, or of the rows of a
+        block of steps in step order."""
+        for deta, du in zip(self._ball_sums(vol_deta), self._ball_sums(vol_du)):
+            self.ledger.mu_t_mass += dt * deta
+            self.ledger.mu_bar_t_mass += dt * du
+
+    def _ball_sums(self, values):
+        """Sums over the cells of B(0, r) along the last axis, as floats."""
+        if self._ball is not None:
+            values = values.take(self._ball, axis=-1)
+        return np.atleast_1d(values.sum(axis=-1)).tolist()
 
     def _fold_error(self, field_n, eta_n, dt):
         """The step's share of the error functionals at t^n."""
@@ -327,7 +395,9 @@ class ErrorFold:
         return cell_sq, esq
 
     def finish(self, trajectory):
-        """Add the projection masses and the final level of a finished run."""
+        """Fold any pending steps; add the projection masses and the final
+        level of a finished run."""
+        self._flush()
         if not np.any(self.ball):
             raise ConfigError("no cell centroid lies in the requested ball")
         self.ledger.mu0_mass, self.ledger.mu_bar0_mass = projection_masses(
@@ -347,7 +417,7 @@ def _replay(fold: ErrorFold, trajectory, masses: bool) -> None:
     for (_, fa), (_, fb) in zip(snaps[:-1], snaps[1:]):
         if masses:
             _, vol_du, vol_deta = _cell_variation(
-                fold.mesh, fold.sys, fa, fb, fold._step_entropies(fa, fb))
+                fold.mesh, fa.values, fb.values, *fold._step_entropies(fa, fb))
             fold._fold_masses(vol_du, vol_deta, trajectory.dt)
         else:
             fold._fold_error(fa, fold._entropy(fa), trajectory.dt)

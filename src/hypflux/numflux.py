@@ -19,12 +19,17 @@ eigenvalue of (cI - Df_n)^T D2eta (cI - Df_n) against 2c D2eta, which is
 state grid plus a bisection scan of sampled state pairs, with a small
 safety margin.
 
-Each scheme has one interface kernel, which evaluates f(u).n, f(v).n,
-xi(u).n, xi(v).n, Deta(u) and Deta(v) once and derives G_KL, xi_KL, X_KL,
-the defect and the dissipation gap from them; `FluxScheme.g` and
-`.xi_num` are views of it.  The Godunov state is exact (Osher form): f.n
+Each scheme's interface kernel has two parts.  The update part, which the
+time loop runs every step, gives G_KL and the intermediates the records
+reuse: f(u).n and f(v).n for Rusanov, the Godunov state w* for Godunov.
+The records part takes that `InterfaceUpdate` with any leading shape (a
+block of steps stacks them on a leading axis) and derives xi_KL, X_KL,
+xi(u).n, the defect and the dissipation gap; every operation is
+elementwise per interface, so a block gives the bits of its steps one by
+one.  `FluxScheme.kernel` is the two parts in turn, and `.g` and
+`.xi_num` read from them.  The Godunov state is exact (Osher form): f.n
 is extremal over the interval hull of (u, v) at an endpoint or at a
-critical point of f.n, so the kernel compares those candidates only.
+critical point of f.n, so the update compares those candidates only.
 """
 
 from __future__ import annotations
@@ -44,13 +49,18 @@ class FluxScheme:
     """Numerical flux pair (G_KL, xi_KL) with its stability parameter."""
 
     name: str
-    kernel: Callable   # (u, v, n) -> InterfaceFluxRecords
+    update: Callable   # (u, v, n) -> InterfaceUpdate, run every step
+    records: Callable  # (InterfaceUpdate, n) -> InterfaceFluxRecords
     lambda_star: float
     params: dict = field(default_factory=dict)
 
+    def kernel(self, u, v, n):
+        """Both parts of the interface kernel: the records of (u, v, n)."""
+        return self.records(self.update(u, v, n), n)
+
     def g(self, u, v, n):
         """G_KL(u, v, n), shape (..., m)."""
-        return self.kernel(u, v, n).g_value
+        return self.update(u, v, n).g_value
 
     def xi_num(self, u, v, n):
         """xi_KL(u, v, n), shape (...)."""
@@ -58,8 +68,20 @@ class FluxScheme:
 
 
 @dataclass
+class InterfaceUpdate:
+    """The update part's output: G_KL of u_K = `left` and u_L = `right`,
+    with the intermediates that the records part reuses."""
+
+    g_value: np.ndarray   # (..., E, m)
+    left: np.ndarray      # (..., E, m)
+    right: np.ndarray     # (..., E, m)
+    parts: tuple = ()     # Rusanov: (f(u).n, f(v).n); Godunov: (w*,)
+
+
+@dataclass
 class InterfaceFluxRecords:
-    """Per-interface flux data for one time level (struct of arrays)."""
+    """Per-interface flux data (struct of arrays); a block of steps adds a
+    leading step axis to every array."""
 
     g_value: np.ndarray          # (E, m)
     xi_value: np.ndarray         # (E,)
@@ -125,12 +147,17 @@ def make_rusanov(sys: SystemModel, c="auto", seed: int = 0) -> FluxScheme:
                 f"Rusanov speed {c_val} is below the sampled wave-speed sup "
                 f"{speed_sup:.6g}")
 
-    def kernel(u, v, n):
+    def update(u, v, n):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
         fu = sys.directional_flux(u, n)
         fv = sys.directional_flux(v, n)
         g = 0.5 * (fu + fv) - (0.5 * c_val) * (v - u)
+        return InterfaceUpdate(g, u, v, (fu, fv))
+
+    def records(step, n):
+        u, v, g = step.left, step.right, step.g_value
+        fu, fv = step.parts
         xi_u = sys.directional_entropy_flux(u, n)
         delta = g - fu
         x = _dissipation_flux(sys, u, delta, xi_u)
@@ -141,9 +168,11 @@ def make_rusanov(sys: SystemModel, c="auto", seed: int = 0) -> FluxScheme:
                                   sys.directional_entropy_flux(v, n))
         return _records(g, delta, xi_u, x, 0.5 * (x + x_rev))
 
-    lam = _calibrate_lambda_star(sys, kernel, c_val, seed=seed,
-                                 rusanov_c=c_val)
-    return FluxScheme(name="rusanov", kernel=kernel, lambda_star=lam,
+    lam = _calibrate_lambda_star(
+        sys, lambda u, v, n: records(update(u, v, n), n), c_val, seed=seed,
+        rusanov_c=c_val)
+    return FluxScheme(name="rusanov", update=update, records=records,
+                      lambda_star=lam,
                       params={"c": c_val, "wave_speed_sup": speed_sup})
 
 
@@ -169,20 +198,25 @@ def make_godunov_scalar(sys: SystemModel, seed: int = 0) -> FluxScheme:
             "(flux_critical_points)")
     speed_sup = sample_wave_speed_sup(sys, seed=seed)
 
-    def kernel(u, v, n):
+    def update(u, v, n):
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
         w = _godunov_state(sys, u, v, n)
-        g = sys.directional_flux(w, n)
+        return InterfaceUpdate(sys.directional_flux(w, n), u, v, (w,))
+
+    def records(step, n):
+        u, g = step.left, step.g_value
+        (w,) = step.parts
         xi_u = sys.directional_entropy_flux(u, n)
         delta = g - sys.directional_flux(u, n)
         x = _dissipation_flux(sys, u, delta, xi_u)
         return _records(g, delta, xi_u, x, sys.directional_entropy_flux(w, n))
 
-    lam = max(1.05 * speed_sup,
-              _calibrate_lambda_star(sys, kernel, 1.05 * speed_sup,
-                                     seed=seed, rusanov_c=None,
-                                     include_c_floor=False))
-    return FluxScheme(name="godunov", kernel=kernel, lambda_star=lam,
-                      params={"wave_speed_sup": speed_sup})
+    lam = max(1.05 * speed_sup, _calibrate_lambda_star(
+        sys, lambda u, v, n: records(update(u, v, n), n), 1.05 * speed_sup,
+        seed=seed, rusanov_c=None, include_c_floor=False))
+    return FluxScheme(name="godunov", update=update, records=records,
+                      lambda_star=lam, params={"wave_speed_sup": speed_sup})
 
 
 def _godunov_state(sys, u, v, n):
@@ -195,8 +229,6 @@ def _godunov_state(sys, u, v, n):
     interface compare the same candidates, so conservativity holds
     bitwise.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
     a, b = u[..., 0], v[..., 0]
     n = _as_direction(n, 1)
     ncoef = np.broadcast_to(n[..., 0], a.shape).astype(float)

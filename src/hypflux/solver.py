@@ -7,8 +7,11 @@ The update is the first-order balance
 with the cell averages of the initial data as starting values.  Each
 interface flux is evaluated once per step and scattered with opposite
 signs into its two cells, so the discrete balance is conservative
-bit-exactly.  The time step is uniform over the whole run and pre-shrunk
-so that an integer number of steps lands exactly on the final time.
+bit-exactly.  The loop runs only the update part of the flux kernel,
+which gives G_KL; the flux records (entropy fluxes, defect, gap) come from
+the records part, which `diagnostics.ErrorFold` runs over blocks of
+steps.  The time step is uniform over the whole run and pre-shrunk so
+that an integer number of steps lands exactly on the final time.
 """
 
 from __future__ import annotations
@@ -181,28 +184,35 @@ def compute_dt(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
     return config.final_time / n
 
 
+def _gather(mesh: Mesh, field: StateField):
+    """(u_K, u_L, n) of every interface, the arguments of a flux kernel."""
+    return (field.values.take(mesh.iface_left, axis=0),
+            field.values.take(mesh.iface_right, axis=0), mesh.iface_normals)
+
+
 def interface_flux_records(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
                            field: StateField) -> InterfaceFluxRecords:
     """Evaluate every interface flux once for the given state."""
-    return scheme.kernel(field.values.take(mesh.iface_left, axis=0),
-                         field.values.take(mesh.iface_right, axis=0),
-                         mesh.iface_normals)
+    return scheme.kernel(*_gather(mesh, field))
 
 
 def march(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
           field: StateField, dt: float, n_steps: int,
           check_admissibility: bool = False):
     """The one time loop: n_steps updates of size dt from `field`, yielding
-    (n, field_n, field_np1, records) after each.  The caller is
-    responsible for the CFL bound."""
+    (n, field_n, field_np1, update) after each, where `update` is the
+    `InterfaceUpdate` of field_n that the step used: G_KL with the gathered
+    states and the intermediates the flux records need.  Only the update
+    part of the kernel runs; `scheme.records(update, mesh.iface_normals)`
+    gives the records.  The caller is responsible for the CFL bound."""
     if field.values.shape[0] != mesh.n_cells:
         raise ConfigError("state field does not match the mesh")
     t0 = field.time
     to_left = (dt / mesh.cell_volumes[mesh.iface_left])[:, None]
     to_right = (dt / mesh.cell_volumes[mesh.iface_right])[:, None]
     for n in range(n_steps):
-        records = interface_flux_records(mesh, sys, scheme, field)
-        flux = mesh.iface_areas[:, None] * records.g_value
+        update = scheme.update(*_gather(mesh, field))
+        flux = mesh.iface_areas[:, None] * update.g_value
         new = StateField(
             values=mesh.scatter(field.values, -(to_left * flux), to_right * flux),
             time=t0 + (n + 1) * dt, mesh_id=field.mesh_id)
@@ -211,7 +221,7 @@ def march(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
                 new.check_admissible(sys)
             except AdmissibilityError as exc:
                 raise AdmissibilityError(f"step {n + 1}: {exc}") from exc
-        yield n, field, new, records
+        yield n, field, new, update
         field = new
 
 
@@ -227,17 +237,18 @@ def run(mesh: Mesh, sys: SystemModel, scheme: FluxScheme, u0,
     """Project, then march N_T uniform steps to the final time.
 
     Hooks are invoked after every step as hook(n, field_n, field_np1,
-    records, dt).  The first state, every `record_every`-th state and the
-    last state are kept on the trajectory.
+    update, dt), with the `InterfaceUpdate` that `march` yields.  The
+    first state, every `record_every`-th state and the last state are
+    kept on the trajectory.
     """
     field = project_initial(mesh, sys, u0, config.quadrature)
     dt = compute_dt(mesh, sys, scheme, config)
     n_steps = 0 if config.final_time == 0.0 else int(round(config.final_time / dt))
     traj = Trajectory(snapshots=[(0.0, field)], dt=dt, n_steps=n_steps)
-    for n, field_n, field_np1, records in march(
+    for n, field_n, field_np1, update in march(
             mesh, sys, scheme, field, dt, n_steps, config.check_admissibility):
         for hook in hooks:
-            hook(n, field_n, field_np1, records, dt)
+            hook(n, field_n, field_np1, update, dt)
         if (n + 1) % config.record_every == 0 or n + 1 == n_steps:
             traj.snapshots.append((field_np1.time, field_np1))
     return traj

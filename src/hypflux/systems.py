@@ -531,11 +531,15 @@ def make_shallow_water_1d(g: float = 9.81, h_min: float = 0.5,
         u = np.asarray(u, dtype=float)
         return u[..., 0], u[..., 1]
 
+    # flux and entropy_gradient fill their two output columns in place,
+    # the bits of np.stack([first, second], axis=-1) without its overhead
     def flux(u, a):
         h, q = split(u)
+        out = np.empty(h.shape + (2,))
+        out[..., 0] = q
         with np.errstate(divide="ignore", invalid="ignore"):
-            f2 = np.where(h > 0, q * q / h + 0.5 * g * h * h, np.inf)
-        return np.stack([q, f2], axis=-1)
+            out[..., 1] = np.where(h > 0, q * q / h + 0.5 * g * h * h, np.inf)
+        return out
 
     def jac(u, a):
         h, q = split(u)
@@ -556,7 +560,10 @@ def make_shallow_water_1d(g: float = 9.81, h_min: float = 0.5,
         h, q = split(u)
         with np.errstate(divide="ignore", invalid="ignore"):
             v = np.where(h > 0, q / h, np.inf)
-        return np.stack([g * h - 0.5 * v * v, v], axis=-1)
+        out = np.empty(h.shape + (2,))
+        out[..., 0] = g * h - 0.5 * v * v
+        out[..., 1] = v
+        return out
 
     def entropy_hessian(u):
         h, q = split(u)

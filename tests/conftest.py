@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -69,3 +71,14 @@ def sample_pairs(sys, n, seed):
         th = rng.uniform(0.0, 2.0 * np.pi, n)
         nrm = np.stack([np.cos(th), np.sin(th)], axis=-1)
     return u, v, nrm
+
+
+def tree_bytes(root):
+    """{path relative to root: file bytes} of every file under root."""
+    out = {}
+    for dirpath, _, files in os.walk(root):
+        for name in sorted(files):
+            p = os.path.join(dirpath, name)
+            with open(p, "rb") as fh:
+                out[os.path.relpath(p, root)] = fh.read()
+    return out

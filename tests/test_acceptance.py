@@ -6,7 +6,6 @@ fixture) and shared across criteria.
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -16,7 +15,7 @@ import pytest
 
 import hypflux as hf
 
-from conftest import sample_pairs
+from conftest import sample_pairs, tree_bytes
 
 LEVELS = (32, 64, 128, 256)
 T_BURGERS = 0.2
@@ -411,14 +410,6 @@ dir = study
                              capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         return res
-
-    def tree_bytes(root):
-        out = {}
-        for dirpath, _, files in os.walk(root):
-            for name in sorted(files):
-                p = os.path.join(dirpath, name)
-                out[os.path.relpath(p, root)] = open(p, "rb").read()
-        return out
 
     invoke("run", str(run_path), "--output-dir", str(tmp_path / "r1"),
            "--jobs", "1")

@@ -11,7 +11,10 @@ import pytest
 
 import hypflux as hf
 import hypflux.cli as cli
+from hypflux import diagnostics
 from hypflux.errors import AdmissibilityError
+
+from conftest import tree_bytes
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -536,12 +539,50 @@ def _fine_advection2d(tmp_path):
 
 
 def test_validate_runs_no_fine_solve(monkeypatch, tmp_path):
+    # a fine solve calls the update part of the flux kernel once per fine
+    # step; validate calls it never
     calls = []
-    records = cli.solver.interface_flux_records
-    monkeypatch.setattr(cli.solver, "interface_flux_records",
-                        lambda *args: calls.append(1) or records(*args))
-    assert cli.validate_only(_fine_advection2d(tmp_path)) == cli.EXIT_OK
+    make = cli.numflux.make_rusanov
+
+    def counted_make(*args, **kwargs):
+        scheme = make(*args, **kwargs)
+        update = scheme.update
+        scheme.update = lambda *a: calls.append(1) or update(*a)
+        return scheme
+
+    monkeypatch.setattr(cli.numflux, "make_rusanov", counted_make)
+    path = _fine_advection2d(tmp_path)
+    assert cli.validate_only(path) == cli.EXIT_OK
     assert calls == []
+    # the count does see a fine solve: a validate that queries the fine
+    # reference one fine step in counts that step
+    build = cli.build_problem
+
+    def querying_build(*args, **kwargs):
+        setup = build(*args, **kwargs)
+        setup.ref.eval(setup.mesh.cell_centroids, setup.ref.params["fine_dt"])
+        return setup
+
+    monkeypatch.setattr(cli, "build_problem", querying_build)
+    assert cli.validate_only(path) == cli.EXIT_OK
+    assert calls == [1]
+
+
+def test_shipped_configs_write_the_same_bytes_step_by_step(monkeypatch,
+                                                          tmp_path):
+    # the ledger folded over blocks of steps writes the bytes of a fold
+    # step by step (block size 1), on every shipped config
+    default = diagnostics._LEDGER_BLOCK
+    for name in sorted(os.listdir(CONFIG_DIR)):
+        path = os.path.join(CONFIG_DIR, name)
+        command = "study" if "study" in cli.load_config(path) else "run"
+        trees = []
+        for block in (default, 1):
+            monkeypatch.setattr(diagnostics, "_LEDGER_BLOCK", block)
+            out = str(tmp_path / f"{name}-{block}")
+            assert cli.main([command, path, "--output-dir", out]) == cli.EXIT_OK
+            trees.append(tree_bytes(out))
+        assert trees[0] and trees[0] == trees[1], name
 
 
 def test_fine_reference_run_memory(tmp_path):

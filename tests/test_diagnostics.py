@@ -462,3 +462,97 @@ def test_gap_flag_matches_relative_floor_oracle(burgers_sys, burgers_rusanov):
         seen.add((want, bool(slack.min() >= -1e-10)))
     # both flag values, with and without the shortcut
     assert seen == {(True, True), (False, False), (True, False)}
+
+
+# ---------------------------------------------------------------------------
+# the ledger folded over blocks of steps against step by step
+# ---------------------------------------------------------------------------
+
+def _adv2d_wave(x):
+    x = np.asarray(x, dtype=float)
+    return (0.3 * np.sin(2 * np.pi * (x[..., 0] + 2 * x[..., 1])))[..., None]
+
+
+def _sw_wave(x):
+    s = np.sin(2 * np.pi * np.asarray(x, dtype=float)[..., 0])
+    return np.stack([1.2 + 0.1 * s, 0.3 + 0.05 * s], axis=-1)
+
+
+def _blocked_case(name, request):
+    """(mesh, system, scheme, u0, T, reference, check_admissibility)."""
+    burgers = request.getfixturevalue("burgers_sys")
+    exact = hf.exact_burgers(burgers_wave, burgers_wave_prime, (1.0,))
+    line = hf.build_uniform_1d(1024, 1.0)
+    if name == "burgers-rusanov":
+        return (line, burgers, request.getfixturevalue("burgers_rusanov"),
+                burgers_wave, 0.05, exact, True)
+    if name == "burgers-godunov":
+        return (line, burgers, request.getfixturevalue("burgers_godunov"),
+                burgers_wave, 0.05, exact, True)
+    if name == "shallow-water":
+        return (hf.build_uniform_1d(256, 1.0),
+                request.getfixturevalue("shallow_water_sys"),
+                request.getfixturevalue("shallow_water_rusanov"), _sw_wave,
+                0.002, None, True)
+    if name == "advection2d-jittered":
+        sysm = hf.make_advection(2, [1.0, 0.5], u_range=(-0.4, 0.4))
+        return (hf.build_perturbed_quad_2d(24, 24, 1.0, 1.0, 0.15, 3), sysm,
+                hf.make_rusanov(sysm), _adv2d_wave, 0.04,
+                hf.exact_advection([1.0, 0.5], _adv2d_wave, (1.0, 1.0)), True)
+    # lambda* far below the wave speeds and no admissibility check: the
+    # run blows up to NaN
+    sysm = hf.make_burgers(1, u_range=(0.2, 0.8))
+    bad = dataclasses.replace(hf.make_rusanov(sysm), lambda_star=0.02)
+    return (line, sysm, bad, burgers_wave, 4.0, None, False)
+
+
+@pytest.mark.parametrize("name", ["burgers-rusanov", "burgers-godunov",
+                                  "shallow-water", "advection2d-jittered",
+                                  "non-finite"])
+def test_blocked_ledger_matches_step_by_step_bitwise(request, monkeypatch,
+                                                     name):
+    mesh, sysm, sch, u0, T, ref, check = _blocked_case(name, request)
+    cfg = hf.RunConfig(final_time=T, check_admissibility=check)
+    ledgers, folds = [], []
+    for block in (diag._LEDGER_BLOCK, 1):
+        monkeypatch.setattr(diag, "_LEDGER_BLOCK", block)
+        led = hf.DiagnosticsLedger()
+        fold = hf.ErrorFold(led, mesh, sysm, sch, u0, 0.3, T, sysm.lf, ref)
+        with np.errstate(all="ignore"):
+            traj = hf.run(mesh, sysm, sch, u0, cfg, [fold])
+        # complete when the run returns, without finish
+        assert led.n_steps_accumulated == traj.n_steps and not fold._pending
+        ledgers.append(repr(dataclasses.asdict(led)))
+        fold.finish(traj)
+        ledgers.append(repr(dataclasses.asdict(led)))
+        folds.append(fold)
+    # several full blocks and a partial one
+    default = folds[0]._block
+    assert default == max(1, 8192 // mesh.n_interfaces) > 1
+    assert folds[1]._block == 1
+    assert traj.n_steps > 2 * default and traj.n_steps % default != 0
+    # repr tells -0.0 from 0.0 and gives every other float exactly
+    assert ledgers[0] == ledgers[2] and ledgers[1] == ledgers[3]
+    assert repr((folds[0].cone, folds[0].mbeta_ok)) == \
+        repr((folds[1].cone, folds[1].mbeta_ok))
+    led = folds[0].ledger
+    if name == "non-finite":
+        assert not np.isfinite(traj.final_field.values).all()
+        assert not led.entropy_residual_max_scaled <= 1e-10
+        assert not led.gap_all_pass
+    else:
+        assert led.entropy_residual_max_scaled <= 1e-10 and led.gap_all_pass
+
+
+def test_fold_rejects_a_second_dt(burgers_sys, burgers_rusanov):
+    # a block of steps shares one dt; a run never changes it
+    mesh = hf.build_uniform_1d(32, 1.0)
+    fold = hf.ErrorFold(hf.DiagnosticsLedger(), mesh, burgers_sys,
+                        burgers_rusanov, burgers_wave, 0.3, 1.0,
+                        burgers_sys.lf)
+    field = hf.project_initial(mesh, burgers_sys, burgers_wave)
+    (n, fa, fb, up), = hf.march(mesh, burgers_sys, burgers_rusanov, field,
+                                1e-3, 1)
+    fold(n, fa, fb, up, 1e-3)
+    with pytest.raises(ConfigError):
+        fold(n + 1, fb, fb, up, 2e-3)

@@ -366,3 +366,26 @@ def test_one_records_call_evaluates_two_fluxes(request, monkeypatch,
     monkeypatch.setattr(hf.SystemModel, "directional_flux", counted)
     hf.interface_flux_records(mesh, burgers_sys, sch, fld)
     assert len(calls) == 2
+
+
+def test_records_part_on_stacked_steps_matches_kernel_bitwise(request):
+    # the records part on updates stacked on a leading step axis, with
+    # one set of normals as on a mesh, gives every step's kernel records
+    # bit for bit; the kernel is the update part, then the records part
+    for sys, sch in all_pairs(request):
+        steps = [sample_pairs(sys, 257, seed=s) for s in (31, 32, 33)]
+        n = steps[0][2]
+        updates = [sch.update(u, v, n) for u, v, _ in steps]
+        block = sch.records(hf.InterfaceUpdate(
+            *(np.stack([getattr(up, name) for up in updates])
+              for name in ("g_value", "left", "right")),
+            tuple(map(np.stack, zip(*(up.parts for up in updates))))), n)
+        for k, (u, v, _) in enumerate(steps):
+            one = sch.kernel(u, v, n)
+            assert np.array_equal(sch.g(u, v, n), one.g_value)
+            for f in dataclasses.fields(one):
+                got, want = getattr(block, f.name)[k], getattr(one, f.name)
+                assert got.shape == want.shape, (sys.name, sch.name, f.name)
+                assert np.array_equal(got.view(np.int64),
+                                      want.view(np.int64)), \
+                    (sys.name, sch.name, f.name)

@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import math
 
@@ -186,6 +187,30 @@ def test_fine_grid_reference_restarts_after_a_failed_march(monkeypatch):
                           hf.project_initial(fine, sysm, burgers_wave).values)
 
 
+def test_fine_grid_reference_runs_only_the_update_part(burgers_sys,
+                                                       burgers_rusanov):
+    # the fine march needs G only: a query runs the update part once per
+    # fine step and the records part never
+    calls = {"update": 0, "records": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    sch = dataclasses.replace(
+        burgers_rusanov, update=counted("update", burgers_rusanov.update),
+        records=counted("records", burgers_rusanov.records))
+    cfg = hf.RunConfig(final_time=0.05)
+    ref = hf.fine_grid_reference(hf.build_uniform_1d(16, 1.0), burgers_sys,
+                                 sch, burgers_wave, cfg)
+    ref.eval(np.array([[0.25]]), cfg.final_time)
+    assert calls == {"update": round(cfg.final_time / ref.params["fine_dt"]),
+                     "records": 0}
+    assert calls["update"] > 1
+
+
 def test_fine_grid_reference_on_non_square_mesh():
     # a 12x6 mesh is refined to 96x48 cells, indexed with its own sides
     sysm = hf.make_advection(2, [1.0, 0.5], u_range=(-0.6, 0.6))
@@ -237,9 +262,9 @@ def test_shallow_water_self_convergence(shallow_water_sys,
         # (t^n, fold, hook arguments) for every step of one coarse run
         dt = hf.compute_dt(mesh, sysm, sch, cfg)
         field = hf.project_initial(mesh, sysm, wave)
-        for k, fa, fb, records in hf.march(mesh, sysm, sch, field, dt,
-                                           round(T / dt)):
-            yield fa.time, fold, (k, fa, fb, records, dt)
+        for k, fa, fb, update in hf.march(mesh, sysm, sch, field, dt,
+                                          round(T / dt)):
+            yield fa.time, fold, (k, fa, fb, update, dt)
 
     # the coarse runs read the shared reference in time order, so its fine
     # run only moves forward and is solved once

@@ -248,9 +248,10 @@ def test_run_hooks_see_every_step(burgers_sys, burgers_rusanov):
     cfg = hf.RunConfig(final_time=0.05)
     seen = []
 
-    def hook(n, f0, f1, records, dt):
+    def hook(n, f0, f1, update, dt):
         seen.append(n)
-        assert records.g_value.shape == (mesh.n_interfaces, 1)
+        assert update.g_value.shape == (mesh.n_interfaces, 1)
+        assert np.array_equal(update.left, f0.values[mesh.iface_left])
         return None
 
     traj = hf.run(mesh, burgers_sys, burgers_rusanov, burgers_wave_u0, cfg,
@@ -306,14 +307,14 @@ def test_march_property(nx, ny, jitter, seed, data_seed):
     assert [n for n, *_ in marches[0]] == list(range(traj.n_steps))
     assert len(traj.snapshots) == traj.n_steps + 1
     mass0 = (mesh.cell_volumes[:, None] * fld.values).sum(axis=0)
-    for (n, fa, fb, rec), (_, ga, gb, _), (t, snap) in zip(
+    for (n, fa, fb, update), (_, ga, gb, _), (t, snap) in zip(
             marches[0], marches[1], traj.snapshots[1:]):
         assert np.array_equal(fb.values, gb.values)
         assert np.array_equal(fb.values, snap.values) and fb.time == t
         assert fb.time == (n + 1) * dt
         mass = (mesh.cell_volumes[:, None] * fb.values).sum(axis=0)
         assert np.abs(mass - mass0).max() <= 1e-12 * max(1.0, np.abs(mass0).max())
-        assert np.array_equal(rec.g_value, hf.interface_flux_records(
+        assert np.array_equal(update.g_value, hf.interface_flux_records(
             mesh, sysm, sch, fa).g_value)
     first = hf.step(mesh, sysm, sch, fld, dt)
     assert np.array_equal(first.values, marches[0][0][2].values)

@@ -346,3 +346,29 @@ def test_contains_keeps_shape_and_type(friedrichs_sys, shallow_water_sys):
         assert ok.shape == (4,) and ok.dtype == np.bool_
         assert ok.tolist() == [True, True, True, False]
         assert type(omega.contains(u[2])) is np.bool_
+
+
+def test_shallow_water_columns_match_np_stack_bitwise(shallow_water_sys):
+    # flux and entropy_gradient fill their (..., 2) output column by
+    # column; the bits must be those of the np.stack forms, on states
+    # with h <= 0 (inf), NaN, infinities, -0.0 and subnormals
+    sysm = shallow_water_sys
+    g = sysm.params["g"]
+    special = np.array([1.2, 0.8, 0.0, -0.0, -0.5, np.nan, np.inf, -np.inf,
+                        5e-324, 1e308, -1e-300])
+    h, q = np.meshgrid(special, special, indexing="ij")
+    u = np.stack([h, q], axis=-1)
+    for states in (u, u.reshape(-1, 2), u[::2, 1::3], u[None]):
+        hh, qq = states[..., 0], states[..., 1]
+        with np.errstate(all="ignore"):
+            f2 = np.where(hh > 0, qq * qq / hh + 0.5 * g * hh * hh, np.inf)
+            v = np.where(hh > 0, qq / hh, np.inf)
+            want = (np.stack([qq, f2], axis=-1),
+                    np.stack([g * hh - 0.5 * v * v, v], axis=-1))
+            got = (sysm.flux(states, 0), sysm.entropy_gradient(states))
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    # h = 0 gives inf, h = NaN a NaN first gradient component
+    flux, grad = want
+    assert np.isinf(flux[0, 2, 0, 1]) and np.isnan(grad[0, 5, 0, 0])
