@@ -16,8 +16,19 @@ sharp threshold in the near-equal-state limit is the largest generalized
 eigenvalue of (cI - Df_n)^T D2eta (cI - Df_n) against 2c D2eta, which is
 (c + M)^2 / (2c) for constant-Hessian entropies with wave speeds up to M.
 `make_rusanov` therefore calibrates lambda_star over that quotient on a
-state grid plus a bisection scan of sampled state pairs, with a small
-safety margin.
+state grid and over finite state pairs, with a small safety margin.
+
+For a constant Hessian D2eta = beta0 I (advection, Burgers, Friedrichs)
+the inequality is exactly quadratic in 1/lam (Tadmor 1987; Bouchut 2004):
+with delta = G - f(u).n,
+
+    -lam * (eta(u - delta/lam) - eta(u)) = Deta(u).delta - beta0 |delta|^2 / (2 lam),
+
+so it reads X_KL - xi_KL >= beta0 |delta|^2 / (2 lam), and each pair's
+critical lam is beta0 |delta|^2 / (2 (X_KL - xi_KL)) in closed form.  These
+systems take the maximum of that over a fixed grid of pairs, so lambda_star
+does not depend on the seed.  Other entropies (shallow water) bisect the
+critical lam of sampled pairs.
 
 Each scheme's interface kernel has two parts.  The update part, which the
 time loop runs every step, gives G_KL and the intermediates the records
@@ -168,12 +179,12 @@ def make_rusanov(sys: SystemModel, c="auto", seed: int = 0) -> FluxScheme:
                                   sys.directional_entropy_flux(v, n))
         return _records(g, delta, xi_u, x, 0.5 * (x + x_rev))
 
-    lam = _calibrate_lambda_star(
-        sys, lambda u, v, n: records(update(u, v, n), n), c_val, seed=seed,
-        rusanov_c=c_val)
-    return FluxScheme(name="rusanov", update=update, records=records,
-                      lambda_star=lam,
-                      params={"c": c_val, "wave_speed_sup": speed_sup})
+    scheme = FluxScheme(name="rusanov", update=update, records=records,
+                        lambda_star=np.nan,
+                        params={"c": c_val, "wave_speed_sup": speed_sup})
+    scheme.lambda_star, scheme.params["lambda_star_source"] = \
+        _calibrate_lambda_star(sys, scheme, c_val, seed=seed, rusanov_c=c_val)
+    return scheme
 
 
 def make_godunov_scalar(sys: SystemModel, seed: int = 0) -> FluxScheme:
@@ -212,11 +223,16 @@ def make_godunov_scalar(sys: SystemModel, seed: int = 0) -> FluxScheme:
         x = _dissipation_flux(sys, u, delta, xi_u)
         return _records(g, delta, xi_u, x, sys.directional_entropy_flux(w, n))
 
-    lam = max(1.05 * speed_sup, _calibrate_lambda_star(
-        sys, lambda u, v, n: records(update(u, v, n), n), 1.05 * speed_sup,
-        seed=seed, rusanov_c=None, include_c_floor=False))
-    return FluxScheme(name="godunov", update=update, records=records,
-                      lambda_star=lam, params={"wave_speed_sup": speed_sup})
+    scheme = FluxScheme(name="godunov", update=update, records=records,
+                        lambda_star=np.nan,
+                        params={"wave_speed_sup": speed_sup})
+    floor = 1.05 * speed_sup
+    lam, source = _calibrate_lambda_star(sys, scheme, floor, seed=seed,
+                                         rusanov_c=None, include_c_floor=False)
+    if floor >= lam:
+        lam, source = floor, "wave-speed"
+    scheme.lambda_star, scheme.params["lambda_star_source"] = lam, source
+    return scheme
 
 
 def _godunov_state(sys, u, v, n):
@@ -302,29 +318,94 @@ def omega_stability_check(sys: SystemModel, scheme: FluxScheme, u, v, n,
 # lambda_star calibration
 # ---------------------------------------------------------------------------
 
-def _calibrate_lambda_star(sys: SystemModel, kernel, c: float,
+def _calibrate_lambda_star(sys: SystemModel, scheme: FluxScheme, c: float,
                            seed: int, rusanov_c: Optional[float],
-                           include_c_floor: bool = True) -> float:
-    """Smallest lambda (with margin) making the entropy inequality hold.
+                           include_c_floor: bool = True):
+    """Smallest lambda (with margin) making the entropy inequality hold,
+    and the name of the term that set it.
 
-    Combines the closed-form near-equal-state quotient (Rusanov only) on a
-    state grid with a geometric bisection of the critical lambda on
-    sampled finite state pairs.  The margin is 2% for constant-Hessian
-    entropies (where the quotient is exact) and 5% otherwise.
+    The terms are the floor c (`include_c_floor`), the closed-form
+    near-equal-state quotient (Rusanov only, `rusanov_c`) on a state grid,
+    and the largest critical lambda of finite state pairs.  A constant
+    Hessian (beta0 == beta1) gives each pair's critical lambda in closed
+    form (module docstring) on the deterministic pairs of `_grid_pairs`,
+    and the margin is 2%; the term names are "c", "near-equal" and
+    "pairs".  Otherwise the near-equal points add 512 samples, a geometric
+    bisection finds the critical lambda of sampled pairs, and the margin
+    is 5%.  A pair no finite lambda satisfies raises ConstructionError.
     """
-    rng = np.random.default_rng(seed + 1)
     omega = sys.omega
-    margin = 1.02 if sys.beta0 == sys.beta1 else 1.05
-    best = c if include_c_floor else 0.0
+    terms = {"c": c} if include_c_floor else {}
+    if sys.beta0 == sys.beta1:
+        margin = 1.02
+        if rusanov_c is not None:
+            # the grid holds the extreme points
+            terms["near-equal"] = _near_equal_lambda(sys, omega.grid(
+                2001 if sys.m == 1 else _pair_grid_size(sys.m)), rusanov_c)
+        terms["pairs"] = _closed_form_pair_lambda(sys, scheme)
+    else:
+        margin = 1.05
+        rng = np.random.default_rng(seed + 1)
+        if rusanov_c is not None:
+            pts = np.vstack([omega.sample(rng, 512), omega.extreme_points()])
+            if sys.m == 1:
+                pts = np.vstack([pts, omega.grid(2001)])
+            terms["near-equal"] = _near_equal_lambda(sys, pts, rusanov_c)
+        terms["pairs"] = _bisected_pair_lambda(sys, scheme, c, rng)
+    # the first of equal terms names the source: pairs only when larger
+    source = max(terms, key=terms.get)
+    return margin * terms[source], source
 
-    if rusanov_c is not None:
-        pts = np.vstack([omega.sample(rng, 512), omega.extreme_points()])
-        if sys.m == 1:
-            grid = np.linspace(omega.lo[0], omega.hi[0], 2001).reshape(-1, 1)
-            pts = np.vstack([pts, grid])
-        for n in _axis_directions(sys.d):
-            best = max(best, _near_equal_lambda(sys, pts, n, rusanov_c))
 
+def _pair_grid_size(m):
+    """Grid points per axis: about 128 states, so about 16k ordered pairs."""
+    return int(128 ** (1.0 / m))
+
+
+def _grid_pairs(omega, k):
+    """All ordered pairs (u, v) of the k^m hull grid with |v - u| above
+    1e-6 diam Omega; the near-equal quotient covers the limit v -> u, where
+    the closed form is roundoff over roundoff."""
+    pts = omega.grid(k)
+    U = np.repeat(pts, len(pts), axis=0)
+    V = np.tile(pts, (len(pts), 1))
+    diam = np.sqrt(axis_sum((omega.hi - omega.lo) ** 2))
+    far = np.sqrt(axis_sum((V - U) ** 2)) > 1e-6 * diam
+    return U[far], V[far]
+
+
+def _cycled_directions(d, n):
+    """n directions, cycling through `_axis_directions(d)`."""
+    dirs = np.asarray(_axis_directions(d))
+    return dirs[np.arange(n) % len(dirs)]
+
+
+def _closed_form_pair_lambda(sys, scheme):
+    """max over grid pairs of beta0 |delta|^2 / (2 (X_KL - xi_KL)).
+
+    One kernel call and no entropy evaluation: the defect and the gap of
+    the records are all the closed form needs.  A pair with a negative
+    gap, or a zero gap and delta != 0, satisfies no finite lambda.
+    """
+    U, V = _grid_pairs(sys.omega, _pair_grid_size(sys.m))
+    rec = scheme.kernel(U, V, _cycled_directions(sys.d, len(U)))
+    d2 = rec.defect ** 2
+    gap = rec.dissipation_gap
+    bad = ~(np.isfinite(d2) & np.where(d2 > 0.0, gap > 0.0, gap >= 0.0))
+    if np.any(bad):
+        i = int(np.flatnonzero(bad)[0])
+        raise ConstructionError(
+            f"{sys.name}: no finite lambda satisfies the interfacial entropy "
+            f"inequality at u={U[i]}, v={V[i]} (dissipation gap {gap[i]:.3g}, "
+            f"defect {rec.defect[i]:.3g}); the flux is not entropy dissipative")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.where(d2 > 0.0, sys.beta0 * d2 / (2.0 * gap), 0.0)
+    return float(lam.max())
+
+
+def _bisected_pair_lambda(sys, scheme, c, rng):
+    """Largest critical lambda of sampled pairs, by geometric bisection."""
+    omega = sys.omega
     # finite pairs: random, corner-anchored, and near-equal
     n_pairs = 4096
     us = omega.sample(rng, n_pairs)
@@ -338,10 +419,9 @@ def _calibrate_lambda_star(sys: SystemModel, kernel, c: float,
         eps_pairs_v.append(us + t * (vs - us))
     U = np.vstack([us, cu] + eps_pairs_u)
     V = np.vstack([vs, cv] + eps_pairs_v)
-    dirs = _axis_directions(sys.d)
-    nd = np.stack([dirs[i % len(dirs)] for i in range(U.shape[0])])
+    nd = _cycled_directions(sys.d, U.shape[0])
 
-    rec = kernel(U, V, nd)
+    rec = scheme.kernel(U, V, nd)
     lhs = rec.xi_value - rec.xi_left
     delta = rec.g_value - sys.directional_flux(U, nd)
     eta_u = sys.entropy(U)
@@ -369,8 +449,7 @@ def _calibrate_lambda_star(sys: SystemModel, kernel, c: float,
         viol = margin_at(mid) > 0.0
         lam_lo = np.where(viol, mid, lam_lo)
         lam_hi = np.where(viol, lam_hi, mid)
-    best = max(best, float(lam_hi.max()))
-    return margin * best
+    return float(lam_hi.max())
 
 
 def _axis_directions(d):
@@ -388,14 +467,15 @@ def _axis_directions(d):
     return dirs
 
 
-def _near_equal_lambda(sys, pts, n, c):
-    """sup_w of w^T (cI - Df_n)^T B (cI - Df_n) w / (2c w^T B w) over pts."""
-    dfn = sys.directional_jacobian(pts, n)
+def _near_equal_lambda(sys, pts, c):
+    """sup_w of w^T (cI - Df_n)^T B (cI - Df_n) w / (2c w^T B w) over pts
+    and the directions of `_axis_directions`, in one batched call."""
+    n = np.asarray(_axis_directions(sys.d))[:, None, :]
+    M = c * np.eye(sys.m) - sys.directional_jacobian(pts, n)
     B = sys.entropy_hessian(pts)
-    eye = np.eye(sys.m)
-    M = c * eye - dfn
-    S = np.swapaxes(M, -1, -2) @ B @ M
     if sys.m == 1:
-        q = (S[..., 0, 0] / (2.0 * c * B[..., 0, 0]))
-        return float(q.max())
+        # the 1x1 products of M^T B M, elementwise and in the same order
+        m, b = M[..., 0, 0], B[..., 0, 0]
+        return float((m * b * m / (2.0 * c * b)).max())
+    S = np.swapaxes(M, -1, -2) @ B @ M
     return float(generalized_eigvalsh(S, 2.0 * c * B).max())

@@ -23,6 +23,7 @@ from .errors import AdmissibilityError, ConstructionError
 
 _MBETA_GUARD = 1e-9  # slack for the admissibility tolerance in pair checks
 _SHORT_AXIS = 8  # numpy reduces axes at least this long pairwise
+_CONTAINS_TOL = 1e-12  # default relative slack of AdmissibleSet.contains
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +83,8 @@ class AdmissibleSet:
     lo: np.ndarray
     hi: np.ndarray
     basis: Optional[np.ndarray] = None
+    # (scale, lo - tol*scale, hi + tol*scale) at the default tol of contains
+    _bounds: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lo", np.atleast_1d(np.asarray(self.lo, dtype=float)))
@@ -95,6 +98,10 @@ class AdmissibleSet:
             if np.abs(B @ B.T - np.eye(B.shape[0])).max() > 1e-12:
                 raise ConstructionError("admissible-set basis must be orthogonal")
             object.__setattr__(self, "basis", B)
+        scale = np.maximum(1.0, np.maximum(np.abs(self.lo), np.abs(self.hi)))
+        object.__setattr__(self, "_bounds", (
+            scale, self.lo - _CONTAINS_TOL * scale,
+            self.hi + _CONTAINS_TOL * scale))
 
     @property
     def m(self):
@@ -104,14 +111,15 @@ class AdmissibleSet:
         u = np.asarray(u, dtype=float)
         return u if self.basis is None else u @ self.basis
 
-    def contains(self, u, tol: float = 1e-12):
+    def contains(self, u, tol: float = _CONTAINS_TOL):
         """Membership in the bounded hull, broadcast over leading axes."""
         w = self._coords(u)
-        scale = np.maximum(1.0, np.maximum(np.abs(self.lo), np.abs(self.hi)))
-        return axis_all((w >= self.lo - tol * scale)
-                        & (w <= self.hi + tol * scale))
+        scale, lo, hi = self._bounds
+        if tol != _CONTAINS_TOL:
+            lo, hi = self.lo - tol * scale, self.hi + tol * scale
+        return axis_all((w >= lo) & (w <= hi))
 
-    def stable_contains(self, u, tol: float = 1e-12):
+    def stable_contains(self, u, tol: float = _CONTAINS_TOL):
         """Membership in the convex set preserved by interface updates."""
         u = np.asarray(u, dtype=float)
         if self.kind == "positivity-constrained":
@@ -123,13 +131,17 @@ class AdmissibleSet:
         w = rng.uniform(self.lo, self.hi, size=(n, self.m))
         return w if self.basis is None else w @ self.basis.T
 
+    def grid(self, k: int):
+        """The k^m states of the tensor grid of the hull, k points from lo
+        to hi per box coordinate (mapped back from box coordinates)."""
+        axes = [np.linspace(self.lo[i], self.hi[i], k) for i in range(self.m)]
+        grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")],
+                        axis=-1)
+        return grid if self.basis is None else grid @ self.basis.T
+
     def extreme_points(self):
         """Corners of the hull (mapped back from box coordinates)."""
-        m = self.m
-        grids = np.meshgrid(*[(self.lo[i], self.hi[i]) for i in range(m)],
-                            indexing="ij")
-        corners = np.stack([g.ravel() for g in grids], axis=-1)
-        return corners if self.basis is None else corners @ self.basis.T
+        return self.grid(2)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import hypflux as hf
+from hypflux import numflux
+from hypflux.systems import generalized_eigvalsh
 from hypflux.errors import ConstructionError
 
 from conftest import sample_pairs
@@ -231,9 +233,9 @@ def test_lambda_star_values(burgers_sys):
     c = sch.params["c"]
     M = sch.params["wave_speed_sup"]
     assert sch.lambda_star == pytest.approx(1.02 * (c + M) ** 2 / (2 * c), rel=1e-12)
-    # Godunov keeps the 5%-inflated wave-speed sup
+    # Godunov keeps the 5%-inflated wave-speed sup, exactly
     god = hf.make_godunov_scalar(burgers_sys)
-    assert god.lambda_star == pytest.approx(1.05 * M, rel=1e-12)
+    assert god.lambda_star == 1.05 * M
 
 
 def test_bouchut_fails_at_wave_speed_for_rusanov(burgers_sys, burgers_rusanov):
@@ -389,3 +391,133 @@ def test_records_part_on_stacked_steps_matches_kernel_bitwise(request):
                 assert np.array_equal(got.view(np.int64),
                                       want.view(np.int64)), \
                     (sys.name, sch.name, f.name)
+
+
+# -- lambda_star calibration ---------------------------------------------------
+
+def test_cycled_directions_match_stacked_list():
+    # one indexed take gives the rows of the per-pair stack it replaced
+    for d in (1, 2):
+        dirs = numflux._axis_directions(d)
+        for n in (1, 2, 131, 132, 133, 16448):
+            want = np.stack([dirs[i % len(dirs)] for i in range(n)])
+            got = numflux._cycled_directions(d, n)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def _count_calls(obj, name, calls):
+    fn = getattr(obj, name)
+
+    def counted(*args):
+        calls.append(name)
+        return fn(*args)
+    return counted
+
+
+@pytest.mark.parametrize("build", ["burgers", "advection2d", "friedrichs"])
+def test_closed_form_calibration_runs_one_kernel_and_no_entropy(build):
+    # constant Hessian: one records call on the pair grid and no entropy
+    # evaluation (the bisection evaluated eta at 140 trial lambdas)
+    sys = {"burgers": lambda: hf.make_burgers(1),
+           "advection2d": lambda: hf.make_advection(2, [1.0, 0.5]),
+           "friedrichs": lambda: hf.make_friedrichs(
+               [np.array([[0.0, 1.0], [1.0, 0.0]])], radius=1.5)}[build]()
+    schemes = [(hf.make_rusanov(sys), True)]
+    if sys.m == 1 and sys.d == 1:
+        schemes.append((hf.make_godunov_scalar(sys), False))
+    entropy = sys.entropy
+    for sch, rusanov in schemes:
+        calls = []
+        sys.entropy = _count_calls(sys, "entropy", calls)
+        counted = dataclasses.replace(
+            sch, records=_count_calls(sch, "records", calls))
+        c = sch.params["c"] if rusanov else 1.05 * sch.params["wave_speed_sup"]
+        lam, source = numflux._calibrate_lambda_star(
+            sys, counted, c, seed=0, rusanov_c=c if rusanov else None,
+            include_c_floor=rusanov)
+        assert calls == ["records"], (build, sch.name)
+        if rusanov:
+            assert (lam, source) == (sch.lambda_star,
+                                     sch.params["lambda_star_source"])
+        sys.entropy = entropy
+
+
+def test_lambda_star_sources(burgers_rusanov, burgers_godunov,
+                             advection_godunov, friedrichs_rusanov,
+                             shallow_water_rusanov):
+    # which term set lambda_star: Burgers' near-equal quotient (c + M)^2/(2c)
+    # at the box edge, Godunov's inflated wave speed, the Friedrichs pair
+    # maximum (the near-equal value plus roundoff) and shallow water's
+    # near-equal quotient on its sampled points
+    sources = [sch.params["lambda_star_source"]
+               for sch in (burgers_rusanov, burgers_godunov, advection_godunov,
+                           friedrichs_rusanov, shallow_water_rusanov)]
+    assert sources == ["near-equal", "wave-speed", "wave-speed", "pairs",
+                       "near-equal"]
+    c = friedrichs_rusanov.params["c"]
+    M = friedrichs_rusanov.params["wave_speed_sup"]
+    assert friedrichs_rusanov.lambda_star == pytest.approx(
+        1.02 * (c + M) ** 2 / (2 * c), rel=1e-13)
+
+
+def test_godunov_lambda_star_is_exactly_the_inflated_wave_speed():
+    for lo, hi in ((0.225, 0.775), (-0.3, 2.0)):
+        sys = hf.make_burgers(1, u_range=(lo, hi))
+        for seed in (0, 1, 7):
+            sch = hf.make_godunov_scalar(sys, seed=seed)
+            assert sch.lambda_star == 1.05 * sch.params["wave_speed_sup"]
+            assert sch.params["wave_speed_sup"] == max(abs(lo), abs(hi))
+    # upwind advection: every pair's critical lambda is the speed squared
+    sys = hf.make_advection(1, [1.0], u_range=(0.7325, 0.7675))
+    sch = hf.make_godunov_scalar(sys, seed=3)
+    assert sch.lambda_star == 1.05
+
+
+def test_centred_flux_fails_the_closed_form_calibration(advection_sys):
+    # G = (f(u) + f(v)).n/2 with xi_KL = (xi(u) + xi(v)).n/2 has the gap
+    # -(a.n)(v - u)^2/4 < 0 for a.n > 0: no lambda satisfies the inequality
+    sys = advection_sys
+
+    def update(u, v, n):
+        fu, fv = sys.directional_flux(u, n), sys.directional_flux(v, n)
+        return hf.InterfaceUpdate(0.5 * (fu + fv), u, v, (fu,))
+
+    def records(step, n):
+        u, v, g = step.left, step.right, step.g_value
+        xi_u = sys.directional_entropy_flux(u, n)
+        delta = g - step.parts[0]
+        x = numflux._dissipation_flux(sys, u, delta, xi_u)
+        return numflux._records(
+            g, delta, xi_u, x, 0.5 * (xi_u + sys.directional_entropy_flux(v, n)))
+
+    centred = hf.FluxScheme("centred", update, records, np.nan)
+    rec = centred.kernel(np.array([[0.0]]), np.array([[0.5]]), np.array([1.0]))
+    assert rec.dissipation_gap[0] == -0.0625
+    with pytest.raises(ConstructionError, match="not entropy dissipative"):
+        numflux._calibrate_lambda_star(sys, centred, 1.0, seed=0,
+                                       rusanov_c=None, include_c_floor=False)
+
+
+def test_batched_near_equal_quotient_matches_per_direction_loop(request):
+    # one call over every direction (and elementwise for m = 1) gives the
+    # maximum of the per-direction matrix form bit for bit
+    adv2 = hf.make_advection(2, [1.0, 0.5], u_range=(-0.4, 0.6))
+    systems = [request.getfixturevalue(name) for name in
+               ("burgers_sys", "advection_sys", "friedrichs_sys",
+                "shallow_water_sys")] + [adv2]
+    for sys in systems:
+        rng = np.random.default_rng(5)
+        pts = np.vstack([sys.omega.sample(rng, 512),
+                         sys.omega.extreme_points()])
+        for c in (1.05 * hf.sample_wave_speed_sup(sys), 7.3):
+            want = 0.0
+            for n in numflux._axis_directions(sys.d):
+                M = c * np.eye(sys.m) - sys.directional_jacobian(pts, n)
+                B = sys.entropy_hessian(pts)
+                S = np.swapaxes(M, -1, -2) @ B @ M
+                q = (S[..., 0, 0] / (2.0 * c * B[..., 0, 0]) if sys.m == 1
+                     else generalized_eigvalsh(S, 2.0 * c * B))
+                want = max(want, float(q.max()))
+            got = numflux._near_equal_lambda(sys, pts, c)
+            assert np.float64(got).view(np.int64) == \
+                np.float64(want).view(np.int64), (sys.name, c)

@@ -348,6 +348,36 @@ def test_contains_keeps_shape_and_type(friedrichs_sys, shallow_water_sys):
         assert type(omega.contains(u[2])) is np.bool_
 
 
+def test_contains_precomputed_bounds_match_formula_bitwise(
+        burgers_sys, friedrichs_sys, shallow_water_sys):
+    # contains keeps lo/hi -/+ tol*scale from construction for the default
+    # tol; the answers must be those of the bounds formed on every call,
+    # on a plain box, a basis box and the positivity-constrained hull
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308])
+    for sysm in (burgers_sys, friedrichs_sys, shallow_water_sys):
+        omega = sysm.omega
+        edges = np.concatenate([omega.lo, omega.hi])
+        vals = np.concatenate([special, edges, np.nextafter(edges, np.inf),
+                               np.nextafter(edges, -np.inf),
+                               edges * (1.0 + 1e-12), edges * (1.0 - 1e-12)])
+        u = np.stack(np.meshgrid(*[vals] * omega.m, indexing="ij"), axis=-1)
+        u = u.reshape(-1, omega.m)
+        for tol in (1e-12, 0.0, 1e-9, np.nextafter(1e-12, 1.0)):
+            with np.errstate(invalid="ignore"):  # inf - inf in the basis map
+                w = u if omega.basis is None else u @ omega.basis
+                got = omega.contains(u, tol=tol)
+            scale = np.maximum(1.0, np.maximum(np.abs(omega.lo),
+                                               np.abs(omega.hi)))
+            want = np.all((w >= omega.lo - tol * scale)
+                          & (w <= omega.hi + tol * scale), axis=-1)
+            assert got.dtype == np.bool_ and np.array_equal(got, want), \
+                (sysm.name, tol)
+            if tol == 1e-12:
+                with np.errstate(invalid="ignore"):
+                    assert np.array_equal(omega.contains(u), want)
+        assert omega.contains(u[:1, :]).shape == (1,)
+
+
 def test_shallow_water_columns_match_np_stack_bitwise(shallow_water_sys):
     # flux and entropy_gradient fill their (..., 2) output column by
     # column; the bits must be those of the np.stack forms, on states
