@@ -5,12 +5,13 @@ entropy-flux and time variation sums, the worst discrete entropy residual
 and the per-interface dissipation-gap slack.  `ErrorFold`, the one solver
 hook, feeds the steps to the ledger and folds in the error functionals:
 the masses of the error measures, the relative-entropy error series and
-the shrinking-cone L2 error against a reference.  The ledger is fed in
-blocks of max(1, 8192 // E) steps on a mesh with E interfaces
-(`_LEDGER_BLOCK`): each block runs the flux records part once on stacked
-arrays, and every ledger sum is a row reduction.  `measure_masses` and
-`cone_l2_error` replay a stored trajectory through the part of the fold
-each reports, which needs no flux records.
+the shrinking-cone L2 error against a reference.  Both wait for a block
+of max(1, 4096 // E) steps on a mesh with E interfaces (`_LEDGER_BLOCK`):
+each block evaluates the reference once over its time levels, runs the
+flux records part once on stacked arrays, and every ledger sum is a row
+reduction.  `measure_masses` and `cone_l2_error` replay a stored
+trajectory through the part of the fold each reports, which needs no
+flux records.
 
 All reductions fold over interfaces and cells in id order, and the rows of
 a block into the ledger in step order, so repeated runs produce identical
@@ -28,7 +29,8 @@ import numpy as np
 from .errors import ConfigError
 from .mesh import Mesh
 from .numflux import FluxScheme, InterfaceFluxRecords, InterfaceUpdate
-from .solver import _point_values, cell_means, tensor_gauss_quadrature
+from .solver import (_average, _point_values, cell_quadrature,
+                     tensor_gauss_quadrature)
 from .systems import (StateField, SystemModel, axis_sum,
                       relative_entropy_terms)
 
@@ -41,12 +43,15 @@ _GAUSS4 = (np.array([-0.8611363115940526, -0.3399810435848563,
            np.array([0.3478548451374538, 0.6521451548625461,
                      0.6521451548625461, 0.3478548451374538]))
 _MASS_CHUNK = 4096  # cells per batch of mass quadrature points
-# Interface entries per ledger block of ErrorFold.  A flush's temporaries
-# grow with the block: at 32768 they lift the traced peak of the 64-cell
-# shallow-water run from 6.1 to 8.3 MB, with no faster run; 2048, 8192 and
-# 32768 run that case and the 1024-cell Godunov one within about 15% of
-# each other, 8192 fastest in the median.  Not tuned finer.
-_LEDGER_BLOCK = 8192
+# Interface entries per block of ErrorFold.  A flush's temporaries grow
+# with the block.  While they fit in the free space inside glibc's heap,
+# the flush leaves the heap as it found it; once they reach its top, the
+# flush's frees leave a top chunk above glibc's trim threshold, so every
+# flush gives pages back and the next faults them in again.  On the
+# 1024-cell Godunov run (K = 4 steps, 64 on the 64-cell shallow-water one)
+# 4096 takes about 810 minor faults, setup included; 6144 takes 24,000 and
+# 8192 28,000.
+_LEDGER_BLOCK = 4096
 
 
 @dataclass
@@ -234,7 +239,15 @@ def projection_masses(mesh: Mesh, sys: SystemModel, u0, field0: StateField,
 def reference_cell_means(mesh: Mesh, reference, t: float,
                          quadrature: str = "midpoint"):
     """Cell averages of the reference at time t, same rule as the projection."""
-    return cell_means(mesh, lambda x: reference.eval(x, t), quadrature)
+    return reference_level_means(mesh, reference, (t,), quadrature)[0]
+
+
+def reference_level_means(mesh: Mesh, reference, ts,
+                          quadrature: str = "midpoint"):
+    """`reference_cell_means` at each time of `ts`, on a leading axis, from
+    one evaluation of the reference over all the levels."""
+    pts, wts = cell_quadrature(mesh, quadrature)
+    return _average(mesh, wts, reference.eval_levels(pts, ts))
 
 
 def relative_entropy_norm(mesh: Mesh, sys: SystemModel, field: StateField,
@@ -268,29 +281,32 @@ def _stack(arrays):
 
 
 class ErrorFold:
-    """The run's one solver hook: `accumulate_step`, then the error functionals.
+    """The run's one solver hook: the error functionals, then `accumulate_step`.
 
     Cells count as inside a ball when their centroid is (periodic
     minimum-image distance).  The measure masses mu_T and mu_bar_T on
     B(0, r) are ball-masked sums of the per-cell time variation that
-    `accumulate_step` returns.  With a reference, its cell means are
-    evaluated once per time level t^n; u^n - ubar^n and |K| |u^n - ubar^n|^2
-    are formed once and shared by the shrinking-cone L2 error (`cone`), the
-    relative-entropy series and the M-beta bracket (`mbeta_ok`).  eta(u^n)
+    `accumulate_step` returns.  With a reference, its cell means at the
+    time levels t^n of a block are evaluated in one call; per level,
+    u^n - ubar^n and |K| |u^n - ubar^n|^2 are formed once and shared by the
+    shrinking-cone L2 error (`cone`), the relative-entropy series and the
+    M-beta bracket (`mbeta_ok`), folded in step order.  eta(u^n)
     serves the ledger and the relative entropy, and eta(u^{n+1}) of a step
     is kept as eta(u^n) of the next, which the solver hands the same state
     object (states are never changed in place).  `finish(trajectory)` adds
     the projection masses mu_0, mu_bar_0 of the first state and the level
     at the final time.  Time sums use the left-endpoint rule.
 
-    eta(u^{n+1}) and the error functionals are folded at every step, so a
-    reference shared by several folds is read in time order.  The ledger
-    and the masses wait for a block of max(1, 8192 // E) steps
-    (E interfaces): the flush runs the scheme's records part on the
-    block's stacked `InterfaceUpdate`s and hands it to `accumulate_step`
-    as one block, which adds the same bits in the same order as step by
-    step.  A block is flushed when full, at step round(T / dt) (so the
-    ledger is complete when a run to T returns) and by `finish`.
+    eta(u^{n+1}) is evaluated at every step.  The error functionals, the
+    ledger and the masses wait for a block of max(1, 4096 // E) steps
+    (E interfaces): the flush evaluates the reference over the block's
+    levels, runs the scheme's records part on the block's stacked
+    `InterfaceUpdate`s and hands it to `accumulate_step` as one block,
+    which adds the same bits in the same order as step by step.  A block
+    is flushed when full, at step round(T / dt) (so the ledger is complete
+    when a run to T returns) and by `finish`.  A reference is read in time
+    order within one fold; several folds sharing a fine-grid reference
+    read it in time order only with blocks of one step.
     """
 
     def __init__(self, ledger: DiagnosticsLedger, mesh: Mesh,
@@ -318,16 +334,18 @@ class ErrorFold:
         if self._pending and dt != self._pending[-1][-1]:
             raise ConfigError("the steps of one ErrorFold share one dt")
         self._pending.append((field_n, field_np1, update, entropies, dt))
-        self._fold_error(field_n, entropies[0], dt)
         if len(self._pending) == self._block or n + 1 == round(self.T / dt):
             self._flush()
 
     def _flush(self):
-        """Fold the pending steps into the ledger and the masses."""
+        """Fold the pending steps into the error functionals, the ledger
+        and the masses."""
         if not self._pending:
             return
         pending, self._pending = self._pending, []
         dt = pending[0][4]
+        self._fold_errors([p[0] for p in pending],
+                          [p[3][0] for p in pending], dt)
         u_n, u_np1, eta_n, eta_np1, g, left, right, *parts = map(_stack, zip(*(
             (fa.values, fb.values, *etas, up.g_value, up.left, up.right,
              *up.parts) for fa, fb, up, etas, _ in pending)))
@@ -366,33 +384,41 @@ class ErrorFold:
             values = values.take(self._ball, axis=-1)
         return np.atleast_1d(values.sum(axis=-1)).tolist()
 
-    def _fold_error(self, field_n, eta_n, dt):
-        """The step's share of the error functionals at t^n."""
+    def _fold_errors(self, fields, etas, dt):
+        """The share of the error functionals of steps from t^n, for the
+        states u^n of a block of steps, in step order."""
         if self.reference is None:
             return
-        cell_sq, esq = self._level(field_n, eta_n)
-        cone = self.dist <= self.r + self.lf * (self.T - field_n.time)
-        self.cone += dt * (esq if cone.all() else float(cell_sq[cone].sum()))
+        for field_n, (cell_sq, esq) in zip(fields, self._levels(fields, etas)):
+            cone = self.dist <= self.r + self.lf * (self.T - field_n.time)
+            self.cone += dt * (esq if cone.all()
+                               else float(cell_sq[cone].sum()))
 
-    def _level(self, field: StateField, eta):
-        """Series entry and M-beta check at t = field.time, where eta =
-        eta(u); returns the per-cell squared error and its sum."""
-        t = field.time
-        if t > self.reference.valid_until * (1 + 1e-12):
-            raise ConfigError(f"reference not valid at t={t}")
-        ubar = reference_cell_means(self.mesh, self.reference, t,
-                                    self.quadrature)
-        diff = field.values - ubar
-        hnorm = _relative_entropy_sum(self.mesh, self.sys, eta, ubar, diff)
-        cell_sq = _cell_sq_error(self.mesh, diff)
-        esq = float(cell_sq.sum())
-        self.ledger.rel_entropy_series.append((t, hnorm))
-        lo = 0.5 * self.sys.beta0 * esq
-        hi = 0.5 * self.sys.beta1 * esq
-        tol = 1e-10 * max(1.0, esq) + 1e-10 * abs(hnorm)
-        if not (lo - tol <= hnorm <= hi + tol):
-            self.mbeta_ok = False
-        return cell_sq, esq
+    def _levels(self, fields, etas):
+        """Series entries and M-beta checks at the times of `fields`, in
+        order, where etas are their eta(u); one evaluation of the
+        reference serves them all.  Returns each level's per-cell squared
+        error and its sum."""
+        ts = [field.time for field in fields]
+        for t in ts:
+            if t > self.reference.valid_until * (1 + 1e-12):
+                raise ConfigError(f"reference not valid at t={t}")
+        ubars = reference_level_means(self.mesh, self.reference, ts,
+                                      self.quadrature)
+        out = []
+        for t, field, eta, ubar in zip(ts, fields, etas, ubars):
+            diff = field.values - ubar
+            hnorm = _relative_entropy_sum(self.mesh, self.sys, eta, ubar, diff)
+            cell_sq = _cell_sq_error(self.mesh, diff)
+            esq = float(cell_sq.sum())
+            self.ledger.rel_entropy_series.append((t, hnorm))
+            lo = 0.5 * self.sys.beta0 * esq
+            hi = 0.5 * self.sys.beta1 * esq
+            tol = 1e-10 * max(1.0, esq) + 1e-10 * abs(hnorm)
+            if not (lo - tol <= hnorm <= hi + tol):
+                self.mbeta_ok = False
+            out.append((cell_sq, esq))
+        return out
 
     def finish(self, trajectory):
         """Fold any pending steps; add the projection masses and the final
@@ -405,22 +431,28 @@ class ErrorFold:
             self.ball)
         if self.reference is not None:
             final = trajectory.final_field
-            self._level(final, self._entropy(final))
+            self._levels([final], [self._entropy(final)])
 
 
 def _replay(fold: ErrorFold, trajectory, masses: bool) -> None:
     """Fold every step of a stored trajectory (no flux records needed):
-    its share of the measure masses, or else of the error functionals."""
+    its share of the measure masses, or else of the error functionals,
+    over blocks of the fold's size as in a run."""
     snaps = trajectory.snapshots
     if len(snaps) != trajectory.n_steps + 1:
         raise ConfigError("the error functionals need snapshots at every step")
-    for (_, fa), (_, fb) in zip(snaps[:-1], snaps[1:]):
-        if masses:
+    states = [fld for _, fld in snaps]
+    if masses:
+        for fa, fb in zip(states[:-1], states[1:]):
             _, vol_du, vol_deta = _cell_variation(
                 fold.mesh, fa.values, fb.values, *fold._step_entropies(fa, fb))
             fold._fold_masses(vol_du, vol_deta, trajectory.dt)
-        else:
-            fold._fold_error(fa, fold._entropy(fa), trajectory.dt)
+        return
+    firsts = states[:-1]
+    for start in range(0, len(firsts), fold._block):
+        block = firsts[start:start + fold._block]
+        fold._fold_errors(block, [fold._entropy(fa) for fa in block],
+                          trajectory.dt)
 
 
 def measure_masses(mesh: Mesh, sys: SystemModel, u0, trajectory, r: float,

@@ -5,6 +5,9 @@ systems (characteristic decomposition), and pre-shock Burgers (method of
 characteristics, solved per point by safeguarded Newton).  Where no
 closed form exists the solver itself provides a reference on a mesh
 refined by a factor of at least 8, flagged as numerical.
+
+A closed form evaluates many time levels at once (`levels`), with the
+bits of one `eval` per level; its `eval` is the one-level case.
 """
 
 from __future__ import annotations
@@ -26,6 +29,22 @@ class ReferenceSolution:
     eval: Callable              # (x, t) -> (..., m)
     valid_until: float
     params: dict = field(default_factory=dict)
+    levels: Callable = None     # (x, ts) -> (K, ..., m), or None
+
+    def eval_levels(self, x, ts):
+        """The reference at each time of `ts`, on a leading axis: `levels`
+        where the solution has it, else one `eval` per time, in order."""
+        if self.levels is not None:
+            return self.levels(x, ts)
+        vals = [self.eval(x, t) for t in ts]
+        return vals[0][None] if len(vals) == 1 else np.stack(vals)
+
+
+def _closed_form(kind, levels, valid_until, params) -> ReferenceSolution:
+    """A reference whose `eval` is the one-level case of `levels`."""
+    return ReferenceSolution(kind=kind, eval=lambda x, t: levels(x, (t,))[0],
+                             valid_until=valid_until, params=params,
+                             levels=levels)
 
 
 def _wrap(y, lengths):
@@ -42,14 +61,16 @@ def _wrap(y, lengths):
     return np.mod(y, lengths)
 
 
-def _axiswise(op, y, consts):
-    """op(y, consts) for a (d,) `consts` along the last axis of y.
+def _axiswise(op, y, consts, out=None):
+    """op(y, consts) for a (d,) `consts` along the last axis of y, into
+    `out` when given.
 
     numpy broadcasts a (d,) operand with an inner loop of length d, which
     is several times slower than d strided passes with a scalar each; the
     elements, and so the bits, are the same.
     """
-    out = np.empty(np.shape(y))
+    if out is None:
+        out = np.empty(np.shape(y))
     consts = np.asarray(consts)
     if consts.shape != out.shape[-1:]:
         consts = np.broadcast_to(consts, out.shape[-1:])
@@ -63,12 +84,16 @@ def exact_advection(speed_vector, u0, domain) -> ReferenceSolution:
     c = np.atleast_1d(np.asarray(speed_vector, dtype=float))
     lengths = tuple(float(L) for L in domain)
 
-    def evalfn(x, t):
+    def levels(x, ts):
+        # the shift of each level per axis; the wrap and u0 run once
         x = np.asarray(x, dtype=float)
-        return u0(_wrap(_axiswise(np.subtract, x, c * t), lengths))
+        shifted = np.empty((len(ts),) + x.shape)
+        for k, t in enumerate(ts):
+            _axiswise(np.subtract, x, c * t, out=shifted[k])
+        return u0(_wrap(shifted, lengths))
 
-    return ReferenceSolution(kind="exact-advection", eval=evalfn,
-                             valid_until=math.inf, params={"speed": tuple(c)})
+    return _closed_form("exact-advection", levels, math.inf,
+                        {"speed": tuple(c)})
 
 
 def exact_friedrichs(A, u0, domain) -> ReferenceSolution:
@@ -86,8 +111,9 @@ def exact_friedrichs(A, u0, domain) -> ReferenceSolution:
     lengths = tuple(float(L) for L in domain)
     m = A.shape[0]
 
-    def evalfn(x, t):
+    def levels(x, ts):
         x = np.asarray(x, dtype=float)
+        t = _level_axis(ts, x.ndim)
         comps = []
         for i in range(m):
             shifted = _wrap(x - lam[i] * t, lengths)
@@ -96,9 +122,8 @@ def exact_friedrichs(A, u0, domain) -> ReferenceSolution:
         w_all = np.stack(comps, axis=-1)
         return w_all @ R.T
 
-    return ReferenceSolution(kind="exact-friedrichs", eval=evalfn,
-                             valid_until=math.inf,
-                             params={"eigenvalues": lam.tolist()})
+    return _closed_form("exact-friedrichs", levels, math.inf,
+                        {"eigenvalues": lam.tolist()})
 
 
 def exact_burgers(u0, u0_derivative, domain) -> ReferenceSolution:
@@ -119,19 +144,30 @@ def exact_burgers(u0, u0_derivative, domain) -> ReferenceSolution:
     else:
         horizon = 0.9 / (-min_slope)
 
-    def evalfn(x, t):
+    def levels(x, ts):
         x = np.asarray(x, dtype=float)
-        if t > horizon * (1 + 1e-12):
-            raise HorizonError(f"t={t} exceeds the characteristics horizon {horizon}")
+        late = [t for t in ts if t > horizon * (1 + 1e-12)]
+        if late:
+            raise HorizonError(f"t={float(late[0])} exceeds the "
+                               f"characteristics horizon {horizon}")
         xs = x[..., 0]
+        t = _level_axis(ts, xs.ndim)
         y = xs - _scalar_eval(u0, xs) * t
         lo = xs - (umax + 1.0) * t - 1e-9
         hi = xs + (umax + 1.0) * t + 1e-9
+        # each level stops at its own converged iterate and keeps its u0(y)
+        out = np.empty(y.shape)
+        rows = np.arange(len(y))
         for _ in range(100):
             u_y = _scalar_eval(u0, y)
             res = y + u_y * t - xs
-            if float(np.abs(res).max()) <= 1e-13:
-                break
+            done = np.abs(res).max(axis=tuple(range(1, res.ndim))) <= 1e-13
+            if done.any():
+                out[rows[done]] = u_y[done]
+                if done.all():
+                    break
+                rows, y, u_y, res, lo, hi, t = (
+                    a[~done] for a in (rows, y, u_y, res, lo, hi, t))
             dg = 1.0 + np.asarray(u0_derivative(y), dtype=float) * t
             newton = y - res / dg
             # keep iterates inside the monotone bracket, bisect otherwise
@@ -141,11 +177,15 @@ def exact_burgers(u0, u0_derivative, domain) -> ReferenceSolution:
             y = np.where(bad, 0.5 * (lo + hi), newton)
         else:
             raise ConstructionError("characteristic solve did not converge")
-        return u_y[..., None]
+        return out[..., None]
 
-    return ReferenceSolution(kind="exact-burgers-characteristics", eval=evalfn,
-                             valid_until=horizon,
-                             params={"shock_horizon": horizon})
+    return _closed_form("exact-burgers-characteristics", levels, horizon,
+                        {"shock_horizon": horizon})
+
+
+def _level_axis(ts, ndim):
+    """The times `ts` as a (K, 1, ..., 1) array against ndim point axes."""
+    return np.asarray(ts, dtype=float).reshape((-1,) + (1,) * ndim)
 
 
 def _scalar_eval(u0, x):

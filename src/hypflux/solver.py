@@ -127,7 +127,10 @@ def _point_values(fn, pts):
 
 
 def _average(mesh: Mesh, wts, vals):
-    return axis_sum(wts[..., None] * vals, axis=1) / mesh.cell_volumes[:, None]
+    """Cell averages of point values (..., n_cells, points, m), where the
+    leading axes, if any, are time levels."""
+    return (axis_sum(wts[..., None] * vals, axis=-2)
+            / mesh.cell_volumes[:, None])
 
 
 # ---------------------------------------------------------------------------

@@ -172,16 +172,18 @@ class _EndsOnly(list):
 
 
 def test_run_takes_one_reference_mean_per_level(monkeypatch):
-    # the error functionals are folded into the step loop: one reference
-    # evaluation per time level t^0..t^N, and after solver.run nothing
-    # reads more than the first and last state
+    # the error functionals are folded over the ledger's blocks of K steps:
+    # one batched reference evaluation per flush, over the block's levels,
+    # and one more at the final time; each of t^0..t^N is evaluated once,
+    # in order, and after solver.run nothing reads more than the first and
+    # last state
     means = []
-    ref_means = cli.diag.reference_cell_means
+    level_means = cli.diag.reference_level_means
     run = cli.solver.run
 
     def counted_means(*args, **kwargs):
-        means.append(args[2])
-        return ref_means(*args, **kwargs)
+        means.append(list(args[2]))
+        return level_means(*args, **kwargs)
 
     def guarded_run(*args, **kwargs):
         traj = run(*args, **kwargs)
@@ -189,12 +191,14 @@ def test_run_takes_one_reference_mean_per_level(monkeypatch):
         traj.snapshots = _EndsOnly(traj.snapshots)
         return traj
 
-    monkeypatch.setattr(cli.diag, "reference_cell_means", counted_means)
+    monkeypatch.setattr(cli.diag, "reference_level_means", counted_means)
     monkeypatch.setattr(cli.solver, "run", guarded_run)
     report = cli.execute_run(cli.parse_config_text(BURGERS_RUN))
     md = report["metadata"]
-    assert len(means) == md["n_steps"] + 1
-    assert means == [n * md["dt"] for n in range(md["n_steps"] + 1)]
+    n, k = md["n_steps"], max(1, diagnostics._LEDGER_BLOCK // 64)
+    flushes = [k] * (n // k) + ([n % k] if n % k else [])
+    assert [len(ts) for ts in means] == flushes + [1]
+    assert sum(means, []) == [i * md["dt"] for i in range(n + 1)]
     assert report["passed"] is True
 
 
@@ -243,6 +247,39 @@ def test_advection_study_rate_band(tmp_path):
     assert csv[0] == "h,dt,err_l2,wbv_l1,wbv_sq,mu0,mu_t"
     assert csv[-1].startswith("# fitted_rate = ")
     assert len(csv) == 1 + 4 + 1
+
+
+def test_study_flux_must_agree_with_flux_section(tmp_path, capsys):
+    # [study] flux and [flux] name must name the same scheme; neither
+    # silently wins.  The same name in another case is the same scheme.
+    text = ADVECTION_STUDY.replace("[study]", "[study]\nflux = rusanov")
+    path = write(tmp_path, "s.ini", text)
+    out = str(tmp_path / "o")
+    assert cli.validate_only(path) == cli.EXIT_VALIDATION
+    assert cli.run_study(path, output_dir=out, jobs=1) == cli.EXIT_VALIDATION
+    want = ("validation error: [study] flux = rusanov disagrees with "
+            "[flux] name = godunov\n")
+    assert capsys.readouterr().err == want * 2
+    assert not os.path.exists(out)
+    text = ADVECTION_STUDY.replace("[study]", "[study]\nflux = Godunov")
+    assert cli.validate_only(write(tmp_path, "t.ini", text)) == cli.EXIT_OK
+
+
+def test_shipped_study_specs_agree_on_the_flux(tmp_path):
+    # the shipped spec and the benchmark's study template (parsed, not
+    # imported) name the flux in both places, alike, and validate
+    path = os.path.join(os.path.dirname(__file__), "..", "hfbench",
+                        "workloads.py")
+    tree = ast.parse(open(path).read())
+    template = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets] == ["BURGERS_STUDY"])
+    bench = write(tmp_path, "bench.ini",
+                  template.format(levels="32, 64, 128", t=0.2, seed=1))
+    for spec in (os.path.join(CONFIG_DIR, "burgers1d_study.ini"), bench):
+        cfg = cli.load_config(spec)
+        assert cfg["study"]["flux"] == cfg["flux"]["name"] == "rusanov"
+        assert cli.validate_only(spec) == cli.EXIT_OK
 
 
 def test_study_needs_three_levels(tmp_path):
@@ -523,6 +560,34 @@ def test_snapshot_csv_matches_row_by_row_bytes(tmp_path):
             == (tmp_path / "old" / name).read_bytes()
     text = (tmp_path / "new" / names[0]).read_text()
     assert all(tok in text for tok in (",-0.0,", "1e-07", "1e+16", "5e-324"))
+
+
+def test_write_bytes_loops_on_short_writes_and_keeps_open_mode(
+        tmp_path, monkeypatch):
+    # os.write may write less than asked; the rest follows.  The file is
+    # truncated and gets the mode a text-mode open() gives it.
+    data = ("# t = 0.1\n" + "0,0.5,-0.0,5e-324\n" * 40).encode()
+    path = tmp_path / "s.csv"
+    path.write_bytes(b"x" * (2 * len(data)))
+    sizes = []
+    write = os.write
+
+    def short_write(fd, buf):
+        sizes.append(len(buf))
+        return write(fd, bytes(buf[:7]))
+
+    monkeypatch.setattr(cli.os, "write", short_write)
+    cli._write_bytes(str(path), data)
+    assert path.read_bytes() == data
+    assert len(sizes) == -(-len(data) // 7) and sizes[0] == len(data)
+    umask = os.umask(0)
+    os.umask(umask)
+    fresh = tmp_path / "fresh.csv"
+    cli._write_bytes(str(fresh), data)
+    with open(tmp_path / "text.csv", "w") as fh:
+        fh.write(data.decode())
+    mode = os.stat(fresh).st_mode & 0o777
+    assert mode == 0o666 & ~umask == os.stat(tmp_path / "text.csv").st_mode & 0o777
 
 
 FINE_ADVECTION2D = {"nx = 12": "nx = 24", "ny = 12": "ny = 24",

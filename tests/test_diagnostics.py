@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -514,7 +518,8 @@ def test_blocked_ledger_matches_step_by_step_bitwise(request, monkeypatch,
     mesh, sysm, sch, u0, T, ref, check = _blocked_case(name, request)
     cfg = hf.RunConfig(final_time=T, check_admissibility=check)
     ledgers, folds = [], []
-    for block in (diag._LEDGER_BLOCK, 1):
+    entries = diag._LEDGER_BLOCK
+    for block in (entries, 1):
         monkeypatch.setattr(diag, "_LEDGER_BLOCK", block)
         led = hf.DiagnosticsLedger()
         fold = hf.ErrorFold(led, mesh, sysm, sch, u0, 0.3, T, sysm.lf, ref)
@@ -528,7 +533,7 @@ def test_blocked_ledger_matches_step_by_step_bitwise(request, monkeypatch,
         folds.append(fold)
     # several full blocks and a partial one
     default = folds[0]._block
-    assert default == max(1, 8192 // mesh.n_interfaces) > 1
+    assert default == max(1, entries // mesh.n_interfaces) > 1
     assert folds[1]._block == 1
     assert traj.n_steps > 2 * default and traj.n_steps % default != 0
     # repr tells -0.0 from 0.0 and gives every other float exactly
@@ -556,3 +561,78 @@ def test_fold_rejects_a_second_dt(burgers_sys, burgers_rusanov):
     fold(n, fa, fb, up, 1e-3)
     with pytest.raises(ConfigError):
         fold(n + 1, fb, fb, up, 2e-3)
+
+
+@pytest.mark.parametrize("quadrature", ["midpoint", "gauss3"])
+def test_level_means_match_cell_means_per_level_bitwise(quadrature):
+    # the quadrature sum runs over the points axis of every level alike,
+    # the 9-point 2D rule (numpy's pairwise sum) included
+    line = hf.build_uniform_1d(96, 1.0)
+    burgers = hf.exact_burgers(
+        lambda x: (0.5 + 0.25 * np.sin(2 * np.pi * np.asarray(x)[..., 0]))[..., None],
+        lambda y: 0.5 * np.pi * np.cos(2 * np.pi * np.asarray(y)), (1.0,))
+    grid = hf.build_perturbed_quad_2d(16, 16, 1.0, 1.0, 0.15, 3)
+    advection = hf.exact_advection([1.0, 0.5], _adv2d_wave, (1.0, 1.0))
+    for mesh, ref in ((line, burgers), (grid, advection)):
+        ts = (0.0, 0.02, 0.3)
+        got = diag.reference_level_means(mesh, ref, ts, quadrature)
+        want = [hf.solver.cell_means(mesh, lambda x: ref.eval(x, t),
+                                     quadrature) for t in ts]
+        assert got.shape == (3, mesh.n_cells, 1)
+        assert np.array_equal(got.view(np.int64), np.stack(want).view(np.int64))
+
+
+GODUNOV_1024 = """
+[run]
+problem = burgers1d
+n_cells = 1024
+t = 0.2
+zeta = 0.1
+cfl_mode = strengthened
+record_every = 1
+check_admissibility = true
+quadrature = midpoint
+seed = 1
+r = 10.0
+
+[initial]
+kind = sine
+mean = 0.5
+amplitude = 0.25
+frequency = 1
+
+[flux]
+name = godunov
+
+[output]
+reference = exact
+snapshots = ends
+"""
+
+_FAULTS = """
+import resource, sys
+from hypflux import cli
+cfg = cli.parse_config_text(sys.stdin.read())
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+report = cli.execute_run(cfg, write_snapshots="ends")
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print(report["metadata"]["n_steps"], after - before, report["passed"])
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="counts glibc heap trims through minor faults")
+def test_flushes_do_not_make_the_heap_trim():
+    # a flush whose temporaries reach the top of glibc's heap leaves a top
+    # chunk above the trim threshold; glibc gives its pages back and the
+    # next flush faults them in again, tens of faults per step on this
+    # 1024-cell Godunov run (K = 4 steps per block).  Setup included, a run
+    # whose flushes fit in the heap takes under one per step.
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    res = subprocess.run([sys.executable, "-c", _FAULTS], input=GODUNOV_1024,
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    n_steps, faults, passed = res.stdout.split()
+    assert passed == "True" and int(n_steps) == 741
+    assert int(faults) < 2 * int(n_steps)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hypflux as hf
-from hypflux import reference
+from hypflux import diagnostics, reference
 from hypflux.errors import AdmissibilityError, ConstructionError, HorizonError
 
 
@@ -238,11 +238,16 @@ def test_fine_grid_reference_on_non_square_mesh():
         hf.fine_grid_reference(ungridded, sysm, sch, u0, cfg)
 
 
-def test_shallow_water_self_convergence(shallow_water_sys,
+def test_shallow_water_self_convergence(monkeypatch, shallow_water_sys,
                                         shallow_water_rusanov):
     # no closed form: a factor-8 fine-grid run serves as the reference and
     # the error against it must shrink under refinement
     sysm, sch = shallow_water_sys, shallow_water_rusanov
+    # a fold reads the reference when it flushes a block of steps: with
+    # the default blocks each fold would read its levels at its own
+    # flushes and restart the shared fine run, so these folds flush every
+    # step
+    monkeypatch.setattr(diagnostics, "_LEDGER_BLOCK", 1)
 
     def wave(x):
         x = np.asarray(x, dtype=float)
@@ -368,3 +373,109 @@ def test_exact_advection_shift_matches_broadcast_bitwise():
     for t in (0.0, 0.013, 0.37, 2.9):
         want = np.mod(x - c * t, np.array([1.0, 0.8]))[..., :1]
         assert _same_bits(ref.eval(x, t), want)
+
+
+# ---------------------------------------------------------------------------
+# many time levels in one evaluation against one eval per level
+# ---------------------------------------------------------------------------
+
+def _burgers_eval_as_it_was(u0, du0, x, t):
+    """The one-level characteristic solve before levels were batched,
+    verbatim: the bitwise oracle of `exact_burgers`."""
+    umax = float(np.max(np.abs(u0(np.linspace(0.0, 1.0, 20001)[:, None])[..., 0])))
+    xs = x[..., 0]
+    y = xs - u0(xs[..., None])[..., 0] * t
+    lo = xs - (umax + 1.0) * t - 1e-9
+    hi = xs + (umax + 1.0) * t + 1e-9
+    for _ in range(100):
+        u_y = u0(y[..., None])[..., 0]
+        res = y + u_y * t - xs
+        if float(np.abs(res).max()) <= 1e-13:
+            return u_y[..., None]
+        dg = 1.0 + du0(y) * t
+        newton = y - res / dg
+        bad = (newton <= lo) | (newton >= hi) | ~np.isfinite(newton)
+        lo = np.where(res < 0, y, lo)
+        hi = np.where(res > 0, y, hi)
+        y = np.where(bad, 0.5 * (lo + hi), newton)
+    raise AssertionError("no convergence")
+
+
+def test_exact_burgers_levels_match_per_level_eval_bitwise():
+    # each level stops at its own iteration: t = 0 at once, the others
+    # after different numbers of Newton steps
+    u0_sizes, slope_sizes = [], []
+
+    def counted(x):
+        u0_sizes.append(np.size(x))
+        return burgers_wave(x)
+
+    def counted_prime(y):
+        slope_sizes.append(np.size(y))
+        return burgers_wave_prime(y)
+
+    ref = hf.exact_burgers(counted, counted_prime, (1.0,))
+    rng = np.random.default_rng(11)
+    x = rng.uniform(0.0, 1.0, (257, 1))
+    ts = (0.0, 0.05, 0.3, 0.55)
+    steps, want = [], []
+    for t in ts:
+        slope_sizes.clear()
+        want.append(ref.eval(x, t))
+        steps.append(len(slope_sizes))
+        assert _same_bits(want[-1],
+                          _burgers_eval_as_it_was(burgers_wave,
+                                                  burgers_wave_prime, x, t))
+    assert steps[0] == 0 and len(set(steps)) == len(ts)
+    u0_sizes.clear()
+    slope_sizes.clear()
+    got = ref.levels(x, ts)
+    assert _same_bits(got, np.stack(want))
+    # per level: u0 once per residual and the slope once per Newton step,
+    # on that level's points only; the first guess is shared
+    n = len(x)
+    assert len(u0_sizes) == len(slope_sizes) + 2 == max(steps) + 2
+    assert sum(slope_sizes) == n * sum(steps)
+    assert sum(u0_sizes) == n + n * (sum(steps) + len(ts))
+    assert _same_bits(ref.eval_levels(x, ts), got)
+    with pytest.raises(HorizonError):
+        ref.levels(x, (0.1, 0.6))
+
+
+def test_exact_advection_2d_levels_match_per_level_eval_bitwise():
+    c = np.array([1.0, 0.5])
+
+    def wave(x):
+        x = np.asarray(x, dtype=float)
+        return (0.3 * np.sin(2 * np.pi * (x[..., 0] + 2 * x[..., 1])))[..., None]
+
+    ref = hf.exact_advection(c, wave, (1.0, 1.0))
+    mesh = hf.build_perturbed_quad_2d(24, 24, 1.0, 1.0, 0.15, 3)
+    gauss, _ = hf.solver.cell_quadrature(mesh, "gauss3")
+    # within one period of the box, and past it (np.mod for every level)
+    for ts in ((0.0, 0.013, 0.37), (0.0, 0.2, 2.9), (0.05,)):
+        for x in (mesh.cell_centroids, gauss):
+            want = np.stack([ref.eval(x, t) for t in ts])
+            assert _same_bits(ref.levels(x, ts), want)
+            assert _same_bits(want, np.stack([
+                wave(np.mod(x - c * t, 1.0)) for t in ts]))
+
+
+def test_exact_friedrichs_levels_match_per_level_eval_bitwise():
+    A = np.array([[0.3, 1.0], [1.0, -0.2]])
+    ref = hf.exact_friedrichs(A, vec2, (1.0,))
+    x = np.random.default_rng(2).uniform(0.0, 1.0, (129, 3, 1))
+    for ts in ((0.0, 0.3, 0.71), (0.0, 1.9)):
+        want = np.stack([ref.eval(x, t) for t in ts])
+        assert _same_bits(ref.levels(x, ts), want)
+
+
+def test_levels_without_a_batched_form_read_eval_in_order():
+    seen = []
+    ref = hf.ReferenceSolution(
+        kind="fine-grid", valid_until=1.0,
+        eval=lambda x, t: seen.append(t) or np.full(x.shape[:-1] + (1,), t))
+    x = np.zeros((4, 1))
+    got = ref.eval_levels(x, (0.0, 0.25, 0.5))
+    assert seen == [0.0, 0.25, 0.5] and ref.levels is None
+    assert got.shape == (3, 4, 1) and (got[:, 0, 0] == [0.0, 0.25, 0.5]).all()
