@@ -558,6 +558,9 @@ def _parse_levels(cfg: dict):
 
 
 def _study_to_run_config(cfg: dict) -> dict:
+    if "snapshots" in cfg.get("output", {}):
+        raise ConfigError("[output] snapshots does not apply to a study: "
+                          "each level writes its first and last snapshots")
     run = dict(cfg.get("study", {}))
     run.pop("levels", None)
     flux = run.pop("flux", None)

@@ -28,7 +28,8 @@ so it reads X_KL - xi_KL >= beta0 |delta|^2 / (2 lam), and each pair's
 critical lam is beta0 |delta|^2 / (2 (X_KL - xi_KL)) in closed form.  These
 systems take the maximum of that over a fixed grid of pairs, so lambda_star
 does not depend on the seed.  Other entropies (shallow water) bisect the
-critical lam of sampled pairs.
+critical lam of sampled pairs; each sweep drops the pairs whose bracket
+lies below another's, which cannot hold the maximum.
 
 Each scheme's interface kernel has two parts.  The update part, which the
 time loop runs every step, gives G_KL and the intermediates the records
@@ -51,8 +52,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConstructionError
-from .systems import (SystemModel, _as_direction, axis_sum,
-                      generalized_eigvalsh)
+from .systems import SystemModel, _as_direction, axis_sum, eigvals_extremes
 
 
 @dataclass
@@ -331,8 +331,10 @@ def _calibrate_lambda_star(sys: SystemModel, scheme: FluxScheme, c: float,
     form (module docstring) on the deterministic pairs of `_grid_pairs`,
     and the margin is 2%; the term names are "c", "near-equal" and
     "pairs".  Otherwise the near-equal points add 512 samples, a geometric
-    bisection finds the critical lambda of sampled pairs, and the margin
-    is 5%.  A pair no finite lambda satisfies raises ConstructionError.
+    bisection finds the critical lambda of sampled pairs (`_sampled_pairs`,
+    without pairs closer than 1e-6 diam Omega, as on the grid), and the
+    margin is 5%.  A pair no finite lambda satisfies raises
+    ConstructionError.
     """
     omega = sys.omega
     terms = {"c": c} if include_c_floor else {}
@@ -351,7 +353,8 @@ def _calibrate_lambda_star(sys: SystemModel, scheme: FluxScheme, c: float,
             if sys.m == 1:
                 pts = np.vstack([pts, omega.grid(2001)])
             terms["near-equal"] = _near_equal_lambda(sys, pts, rusanov_c)
-        terms["pairs"] = _bisected_pair_lambda(sys, scheme, c, rng)
+        terms["pairs"] = _bisected_pair_lambda(
+            sys, scheme, c, *_sampled_pairs(sys, rng))
     # the first of equal terms names the source: pairs only when larger
     source = max(terms, key=terms.get)
     return margin * terms[source], source
@@ -363,15 +366,20 @@ def _pair_grid_size(m):
 
 
 def _grid_pairs(omega, k):
-    """All ordered pairs (u, v) of the k^m hull grid with |v - u| above
-    1e-6 diam Omega; the near-equal quotient covers the limit v -> u, where
-    the closed form is roundoff over roundoff."""
+    """All ordered pairs (u, v) of the k^m hull grid that `_far_apart` keeps."""
     pts = omega.grid(k)
     U = np.repeat(pts, len(pts), axis=0)
     V = np.tile(pts, (len(pts), 1))
-    diam = np.sqrt(axis_sum((omega.hi - omega.lo) ** 2))
-    far = np.sqrt(axis_sum((V - U) ** 2)) > 1e-6 * diam
+    far = _far_apart(omega, U, V)
     return U[far], V[far]
+
+
+def _far_apart(omega, U, V):
+    """Whether |v - u| exceeds 1e-6 diam Omega, pair by pair.  The
+    near-equal quotient covers the limit v -> u, where a pair's critical
+    lambda is roundoff over roundoff."""
+    diam = np.sqrt(axis_sum((omega.hi - omega.lo) ** 2))
+    return np.sqrt(axis_sum((V - U) ** 2)) > 1e-6 * diam
 
 
 def _cycled_directions(d, n):
@@ -403,10 +411,10 @@ def _closed_form_pair_lambda(sys, scheme):
     return float(lam.max())
 
 
-def _bisected_pair_lambda(sys, scheme, c, rng):
-    """Largest critical lambda of sampled pairs, by geometric bisection."""
+def _sampled_pairs(sys, rng):
+    """Random, corner-anchored and near-equal pairs (u, v) with their cycled
+    directions, less the pairs `_far_apart` drops."""
     omega = sys.omega
-    # finite pairs: random, corner-anchored, and near-equal
     n_pairs = 4096
     us = omega.sample(rng, n_pairs)
     vs = omega.sample(rng, n_pairs)
@@ -420,22 +428,36 @@ def _bisected_pair_lambda(sys, scheme, c, rng):
     U = np.vstack([us, cu] + eps_pairs_u)
     V = np.vstack([vs, cv] + eps_pairs_v)
     nd = _cycled_directions(sys.d, U.shape[0])
+    far = _far_apart(omega, U, V)
+    return U[far], V[far], nd[far]
 
+
+def _bisected_pair_lambda(sys, scheme, c, U, V, nd):
+    """Largest critical lambda of the pairs (U, V) with normals nd, by
+    geometric bisection.
+
+    Only a pair whose bracket reaches the largest lower end can hold the
+    maximum: brackets only shrink, and sqrt(lo hi) stays inside them
+    (rounding is monotone and sqrt(x * x) == x), so each sweep drops the
+    pairs whose upper end is below it.  The kept pairs run the same
+    elementwise arithmetic, which gives the bits of bisecting all pairs.
+    """
     rec = scheme.kernel(U, V, nd)
     lhs = rec.xi_value - rec.xi_left
     delta = rec.g_value - sys.directional_flux(U, nd)
     eta_u = sys.entropy(U)
 
-    def margin_at(lam):
+    def margin_at(lam, U, delta, lhs, eta_u):
         lam = np.asarray(lam, dtype=float)
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             shifted = U - delta / lam[..., None]
             val = lhs + lam * (sys.entropy(shifted) - eta_u)
         return np.where(np.isfinite(val), val, np.inf)
 
+    pairs = (U, delta, lhs, eta_u)
     lam_hi = np.full(U.shape[0], max(c, 1.0))
     for _ in range(60):
-        bad = margin_at(lam_hi) > 0.0
+        bad = margin_at(lam_hi, *pairs) > 0.0
         if not np.any(bad):
             break
         lam_hi = np.where(bad, 2.0 * lam_hi, lam_hi)
@@ -446,9 +468,13 @@ def _bisected_pair_lambda(sys, scheme, c, rng):
     lam_lo = np.full_like(lam_hi, 1e-9 * max(c, 1.0))
     for _ in range(80):
         mid = np.sqrt(lam_lo * lam_hi)
-        viol = margin_at(mid) > 0.0
+        viol = margin_at(mid, *pairs) > 0.0
         lam_lo = np.where(viol, mid, lam_lo)
         lam_hi = np.where(viol, lam_hi, mid)
+        keep = lam_hi >= lam_lo.max()
+        if not keep.all():
+            lam_lo, lam_hi = lam_lo[keep], lam_hi[keep]
+            pairs = tuple(a[keep] for a in pairs)
     return float(lam_hi.max())
 
 
@@ -478,4 +504,4 @@ def _near_equal_lambda(sys, pts, c):
         m, b = M[..., 0, 0], B[..., 0, 0]
         return float((m * b * m / (2.0 * c * b)).max())
     S = np.swapaxes(M, -1, -2) @ B @ M
-    return float(generalized_eigvalsh(S, 2.0 * c * B).max())
+    return eigvals_extremes(S, 2.0 * c * B)[1]

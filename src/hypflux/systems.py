@@ -287,7 +287,9 @@ def compute_lf(sys: SystemModel, samples: int = 4096, seed: int = 0) -> float:
     computed exactly per sampled pair as a symmetric generalized
     eigenproblem (the quadratic form only sees the symmetric part); only
     the (u, v) sampling is approximate, backed by hull corners and, for
-    scalar systems, a dense state grid.  The result is stored on the model.
+    scalar systems, a dense state grid.  `eigvals_extremes` solves the
+    pencils that can hold the largest |mu| only, with the bits of solving
+    all of them.  The result is stored on the model.
     """
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
@@ -315,7 +317,8 @@ def compute_lf(sys: SystemModel, samples: int = 4096, seed: int = 0) -> float:
         B = sys.entropy_hessian(pair_v)
         S = B @ A
         S = 0.5 * (S + np.swapaxes(S, -1, -2))
-        best = max(best, float(np.abs(generalized_eigvalsh(S, B)).max()))
+        lo, hi = eigvals_extremes(S, B)
+        best = max(best, abs(lo), abs(hi))
     sys.lf = best
     return best
 
@@ -329,6 +332,80 @@ def generalized_eigvalsh(S, B):
     """
     L_inv = np.linalg.inv(np.linalg.cholesky(B))
     return np.linalg.eigvalsh(L_inv @ S @ np.swapaxes(L_inv, -1, -2))
+
+
+# Candidate window of `eigvals_extremes`, relative to the batch's largest
+# |mu|.  The screen and the exact kernel both take the eigenvalues of the
+# whitened matrix L^-1 S L^-T (B = L L^T).  Cholesky and the symmetric
+# eigenvalues are backward stable, and Weyl's inequality carries a matrix
+# error to the eigenvalues, so the two differ by c eps kappa(B) |mu|_max
+# per pencil, c a small constant (under 3 on random pencils).  The
+# extreme LAPACK gives is missed only if that difference, counted twice,
+# exceeds the window: below the conditioning cap it is about 1e-11
+# |mu|_max, five orders short of the window.
+_SCREEN_TOL = 1e-6
+_SCREEN_MAX_COND = 1e4  # largest kappa(B) the screen accepts
+
+
+def _sym2_eigvals(a, b, d):
+    """(lo, hi) eigenvalues of the symmetric 2x2 matrices [[a, b], [b, d]],
+    by the closed-form roots of their characteristic quadratic."""
+    mean = 0.5 * (a + d)
+    rad = np.hypot(0.5 * (a - d), b)
+    return mean - rad, mean + rad
+
+
+def _screened_eigvals(S, B):
+    """Closed-form (lo, hi) eigenvalues of 2x2 pencils (S, B), (n, 2, 2) each
+    (B = I when None), or None when B is not safely definite: the roots of
+    the whitened matrix L^-1 S L^-T, B = L L^T."""
+    s00, s01, s11 = S[:, 0, 0], S[:, 0, 1], S[:, 1, 1]
+    if B is None:
+        return _sym2_eigvals(s00, s01, s11)
+    b00, b01, b11 = B[:, 0, 0], B[:, 0, 1], B[:, 1, 1]
+    b_lo, b_hi = _sym2_eigvals(b00, b01, b11)
+    if not np.all((b_lo > 0.0) & (b_hi <= _SCREEN_MAX_COND * b_lo)):
+        return None
+    l00 = np.sqrt(b00)
+    l10 = b01 / l00
+    p = 1.0 / l00                       # L^-1 = [[p, 0], [r, t]]
+    t = 1.0 / np.sqrt(b11 - l10 * l10)
+    r = -l10 * p * t
+    return _sym2_eigvals(p * p * s00, p * (r * s00 + t * s01),
+                         r * r * s00 + 2.0 * r * t * s01 + t * t * s11)
+
+
+def eigvals_extremes(S, B=None):
+    """(min, max) over a batch of the eigenvalues of the symmetric pencils
+    S w = mu B w, (..., m, m) each; B = I when None.
+
+    The numbers are those of `np.linalg.eigvalsh` (B = None) or
+    `generalized_eigvalsh` over the whole batch, bit for bit.  Those
+    kernels treat each matrix on its own, so for m = 2 they run only on
+    the candidates of a closed-form screen: the members whose screened
+    eigenvalue lies within `_SCREEN_TOL` of the screened extreme, a
+    window wider than both errors.  m != 2, a pencil beyond the
+    conditioning cap and a non-finite screened value take the whole batch.
+    """
+    S = np.asarray(S, dtype=float)
+    if B is not None:
+        S, B = np.broadcast_arrays(S, np.asarray(B, dtype=float))
+        B = B.reshape(-1, *B.shape[-2:])
+    S = S.reshape(-1, *S.shape[-2:])
+    keep = slice(None)
+    if S.shape[-1] == 2:
+        with np.errstate(all="ignore"):  # non-finite: the whole batch
+            screened = _screened_eigvals(S, B)
+        if screened is not None and np.isfinite(screened).all():
+            lo, hi = screened
+            lo_min, hi_max = lo.min(), hi.max()
+            window = _SCREEN_TOL * max(-lo_min, hi_max)
+            keep = (lo <= lo_min + window) | (hi >= hi_max - window)
+    if B is None:
+        eigs = np.linalg.eigvalsh(S[keep])
+    else:
+        eigs = generalized_eigvalsh(S[keep], B[keep])
+    return float(eigs.min()), float(eigs.max())
 
 
 def estimate_cz(sys: SystemModel, samples: int = 2000, seed: int = 0,
@@ -531,7 +608,10 @@ def make_shallow_water_1d(g: float = 9.81, h_min: float = 0.5,
 
     eta = q^2/(2h) + g h^2/2 (nonnegative for h > 0, so the normalizing
     shift is zero) and xi = (q^2/(2h) + g h^2) q/h.  beta0/beta1 come from
-    a dense eigenvalue scan of D2eta over the admissible box.
+    a dense eigenvalue scan of D2eta over the admissible box (257^2
+    states), which `eigvals_extremes` hands to LAPACK only where the
+    closed-form eigenvalues come near an extreme.  The model functions
+    return inf where h <= 0 or h is NaN.
     """
     if h_min <= 0 or h_max <= h_min or q_max <= 0:
         raise ConstructionError("shallow water needs 0 < h_min < h_max and q_max > 0")
@@ -543,20 +623,27 @@ def make_shallow_water_1d(g: float = 9.81, h_min: float = 0.5,
         u = np.asarray(u, dtype=float)
         return u[..., 0], u[..., 1]
 
+    def over_h(num, den, pos, plus=None):
+        """num / den + plus where pos (h > 0), inf elsewhere: the bits of
+        np.where(h > 0, num / den + plus, inf) without np.errstate, since
+        no division runs where h <= 0 or h is NaN."""
+        out = np.divide(num, den, out=np.full(pos.shape, np.inf), where=pos)
+        if plus is not None:
+            np.add(out, plus, out=out, where=pos)
+        return out
+
     # flux and entropy_gradient fill their two output columns in place,
     # the bits of np.stack([first, second], axis=-1) without its overhead
     def flux(u, a):
         h, q = split(u)
         out = np.empty(h.shape + (2,))
         out[..., 0] = q
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[..., 1] = np.where(h > 0, q * q / h + 0.5 * g * h * h, np.inf)
+        out[..., 1] = over_h(q * q, h, h > 0, 0.5 * g * h * h)
         return out
 
     def jac(u, a):
         h, q = split(u)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = np.where(h > 0, q / h, np.inf)
+        v = over_h(q, h, h > 0)
         out = np.zeros(h.shape + (2, 2))
         out[..., 0, 1] = 1.0
         out[..., 1, 0] = g * h - v * v
@@ -565,13 +652,11 @@ def make_shallow_water_1d(g: float = 9.81, h_min: float = 0.5,
 
     def entropy(u):
         h, q = split(u)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(h > 0, 0.5 * q * q / h + 0.5 * g * h * h, np.inf)
+        return over_h(0.5 * q * q, h, h > 0, 0.5 * g * h * h)
 
     def entropy_gradient(u):
         h, q = split(u)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = np.where(h > 0, q / h, np.inf)
+        v = over_h(q, h, h > 0)
         out = np.empty(h.shape + (2,))
         out[..., 0] = g * h - 0.5 * v * v
         out[..., 1] = v
@@ -579,9 +664,9 @@ def make_shallow_water_1d(g: float = 9.81, h_min: float = 0.5,
 
     def entropy_hessian(u):
         h, q = split(u)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = np.where(h > 0, q / h, np.inf)
-            inv_h = np.where(h > 0, 1.0 / h, np.inf)
+        pos = h > 0
+        v = over_h(q, h, pos)
+        inv_h = over_h(1.0, h, pos)
         out = np.empty(h.shape + (2, 2))
         out[..., 0, 0] = v * v * inv_h + g
         out[..., 0, 1] = -v * inv_h
@@ -591,14 +676,12 @@ def make_shallow_water_1d(g: float = 9.81, h_min: float = 0.5,
 
     def entropy_flux(u, a):
         h, q = split(u)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(h > 0, 0.5 * q ** 3 / h ** 2 + g * h * q, np.inf)
+        return over_h(0.5 * q ** 3, h ** 2, h > 0, g * h * q)
 
     def wave(u, n):
         h, q = split(u)
         n = _as_direction(n, 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = np.where(h > 0, q / h, np.inf)
+        v = over_h(q, h, h > 0)
         return np.abs(v * n[..., 0]) + np.sqrt(g * np.maximum(h, 0.0))
 
     # dense spectral scan for the Hessian bounds
@@ -606,9 +689,7 @@ def make_shallow_water_1d(g: float = 9.81, h_min: float = 0.5,
     qq = np.linspace(-q_max, q_max, 257)
     H, Q = np.meshgrid(hh, qq, indexing="ij")
     grid = np.stack([H.ravel(), Q.ravel()], axis=-1)
-    eigs = np.linalg.eigvalsh(entropy_hessian(grid))
-    beta0 = float(eigs.min())
-    beta1 = float(eigs.max())
+    beta0, beta1 = eigvals_extremes(entropy_hessian(grid))
 
     sys = SystemModel(
         name="shallow_water1d", m=2, d=1,

@@ -265,6 +265,19 @@ def test_study_flux_must_agree_with_flux_section(tmp_path, capsys):
     assert cli.validate_only(write(tmp_path, "t.ini", text)) == cli.EXIT_OK
 
 
+def test_study_rejects_output_snapshots(tmp_path, capsys):
+    # a study writes ends only, so a snapshots key would be ignored
+    text = ADVECTION_STUDY.replace("dir = study_out",
+                                   "dir = study_out\nsnapshots = all")
+    path = write(tmp_path, "s.ini", text)
+    out = str(tmp_path / "o")
+    assert cli.validate_only(path) == cli.EXIT_VALIDATION
+    assert cli.run_study(path, output_dir=out, jobs=1) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all("[output] snapshots" in line for line in err)
+    assert not os.path.exists(out)
+
+
 def test_shipped_study_specs_agree_on_the_flux(tmp_path):
     # the shipped spec and the benchmark's study template (parsed, not
     # imported) name the flux in both places, alike, and validate

@@ -521,3 +521,102 @@ def test_batched_near_equal_quotient_matches_per_direction_loop(request):
             got = numflux._near_equal_lambda(sys, pts, c)
             assert np.float64(got).view(np.int64) == \
                 np.float64(want).view(np.int64), (sys.name, c)
+
+
+# -- the shallow-water bisection -------------------------------------------------
+
+def _unpruned_bisection(sys, scheme, c, U, V, nd):
+    """The geometric bisection over every pair in every sweep, verbatim from
+    before the pruning: the oracle of `_bisected_pair_lambda`."""
+    rec = scheme.kernel(U, V, nd)
+    lhs = rec.xi_value - rec.xi_left
+    delta = rec.g_value - sys.directional_flux(U, nd)
+    eta_u = sys.entropy(U)
+
+    def margin_at(lam):
+        lam = np.asarray(lam, dtype=float)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            shifted = U - delta / lam[..., None]
+            val = lhs + lam * (sys.entropy(shifted) - eta_u)
+        return np.where(np.isfinite(val), val, np.inf)
+
+    lam_hi = np.full(U.shape[0], max(c, 1.0))
+    for _ in range(60):
+        bad = margin_at(lam_hi) > 0.0
+        if not np.any(bad):
+            break
+        lam_hi = np.where(bad, 2.0 * lam_hi, lam_hi)
+        if lam_hi.max() > 1e9 * max(c, 1.0):
+            raise ConstructionError(
+                f"{sys.name}: no finite lambda satisfies the interfacial "
+                "entropy inequality; the flux is not entropy dissipative")
+    lam_lo = np.full_like(lam_hi, 1e-9 * max(c, 1.0))
+    for _ in range(80):
+        mid = np.sqrt(lam_lo * lam_hi)
+        viol = margin_at(mid) > 0.0
+        lam_lo = np.where(viol, mid, lam_lo)
+        lam_hi = np.where(viol, lam_hi, mid)
+    return float(lam_hi.max())
+
+
+def _calibration_pairs(sys, seed):
+    """The sampled pairs of `_calibrate_lambda_star` at `seed`."""
+    rng = np.random.default_rng(seed + 1)
+    sys.omega.sample(rng, 512)  # the near-equal points come first
+    return numflux._sampled_pairs(sys, rng)
+
+
+def test_pruned_bisection_matches_unpruned_loop_bitwise(
+        shallow_water_sys, shallow_water_rusanov):
+    sys, sch = shallow_water_sys, shallow_water_rusanov
+    c = sch.params["c"]
+    for seed in range(12):
+        pairs = _calibration_pairs(sys, seed)
+        got = numflux._bisected_pair_lambda(sys, sch, c, *pairs)
+        want = _unpruned_bisection(sys, sch, c, *pairs)
+        assert np.float64(got).view(np.int64) == \
+            np.float64(want).view(np.int64), seed
+    # 40 copies of the 64 pairs of seed 0 with the smallest gaps: 40 pairs
+    # tie at the batch maximum, and the pruning must keep every one
+    U, V, nd = _calibration_pairs(sys, 0)
+    rec = sch.kernel(U, V, nd)
+    top = np.argsort(rec.dissipation_gap)[:64]
+    tied = tuple(np.tile(a[top], (40, 1)) for a in (U, V, nd))
+    got = numflux._bisected_pair_lambda(sys, sch, c, *tied)
+    assert got == _unpruned_bisection(sys, sch, c, *tied)
+
+
+class _Draws:
+    """Stands in for a generator whose uniform draws are given, in turn."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def uniform(self, lo, hi, size):
+        return self.draws.pop(0)
+
+
+def test_shallow_water_bisection_drops_roundoff_pairs(shallow_water_sys,
+                                                      shallow_water_rusanov):
+    sys, sch = shallow_water_sys, shallow_water_rusanov
+    c = sch.params["c"]
+    for seed in range(12):
+        assert hf.make_rusanov(sys, seed=seed).lambda_star == 9.817005481409263
+    # 1e-9 apart, the pair's critical lambda is roundoff over roundoff: on
+    # its own it stops the setup
+    u = np.array([[1.5, 0.9]])
+    v = u + np.array([0.0, 1e-9])
+    with pytest.raises(ConstructionError, match="not entropy dissipative"):
+        numflux._bisected_pair_lambda(sys, sch, c, u, v, np.array([[1.0]]))
+    # drawn as the first random pair, it goes with its three near-equal
+    # copies, as do the four corner pairs (u, u); nothing else is that close
+    rng = np.random.default_rng(0)
+    us, vs = sys.omega.sample(rng, 4096), sys.omega.sample(rng, 4096)
+    us[0], vs[0] = u[0], v[0]
+    U, V, nd = numflux._sampled_pairs(sys, _Draws(us, vs))
+    assert len(U) == 4 * 4096 + 16 - 8
+    diam = np.hypot(*(sys.omega.hi - sys.omega.lo))
+    assert np.sqrt(((V - U) ** 2).sum(axis=-1)).min() > 1e-6 * diam
+    assert not np.any(np.all(U == u, axis=-1) & np.all(V == v, axis=-1))
+    assert numflux._bisected_pair_lambda(sys, sch, c, U, V, nd) < \
+        sch.lambda_star / 1.05

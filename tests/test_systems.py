@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import hypflux as hf
+from hypflux import systems
 from hypflux.errors import AdmissibilityError, ConstructionError
-from hypflux.systems import (axis_all, axis_sum, estimate_cz,
-                             generalized_eigvalsh, validate_system)
+from hypflux.systems import (axis_all, axis_sum, eigvals_extremes,
+                             estimate_cz, generalized_eigvalsh,
+                             validate_system)
 
 from conftest import sample_pairs
 
@@ -378,27 +380,233 @@ def test_contains_precomputed_bounds_match_formula_bitwise(
         assert omega.contains(u[:1, :]).shape == (1,)
 
 
-def test_shallow_water_columns_match_np_stack_bitwise(shallow_water_sys):
-    # flux and entropy_gradient fill their (..., 2) output column by
-    # column; the bits must be those of the np.stack forms, on states
-    # with h <= 0 (inf), NaN, infinities, -0.0 and subnormals
+def _errstate_where_model(g):
+    """The shallow-water model functions in their np.errstate / np.where
+    form: the reference for the masked divisions."""
+    def hq(u):
+        return u[..., 0], u[..., 1]
+
+    def flux(u):
+        h, q = hq(u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f2 = np.where(h > 0, q * q / h + 0.5 * g * h * h, np.inf)
+        return np.stack([q, f2], axis=-1)
+
+    def vel(h, q):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(h > 0, q / h, np.inf)
+
+    def jac(u):
+        h, q = hq(u)
+        v = vel(h, q)
+        out = np.zeros(h.shape + (2, 2))
+        out[..., 0, 1] = 1.0
+        out[..., 1, 0] = g * h - v * v
+        out[..., 1, 1] = 2.0 * v
+        return out
+
+    def entropy(u):
+        h, q = hq(u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(h > 0, 0.5 * q * q / h + 0.5 * g * h * h, np.inf)
+
+    def gradient(u):
+        h, q = hq(u)
+        v = vel(h, q)
+        return np.stack([g * h - 0.5 * v * v, v], axis=-1)
+
+    def hessian(u):
+        h, q = hq(u)
+        v = vel(h, q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv_h = np.where(h > 0, 1.0 / h, np.inf)
+        out = np.empty(h.shape + (2, 2))
+        out[..., 0, 0] = v * v * inv_h + g
+        out[..., 0, 1] = -v * inv_h
+        out[..., 1, 0] = -v * inv_h
+        out[..., 1, 1] = inv_h
+        return out
+
+    def entropy_flux(u):
+        h, q = hq(u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(h > 0, 0.5 * q ** 3 / h ** 2 + g * h * q, np.inf)
+
+    def wave(u, n):
+        h, q = hq(u)
+        return np.abs(vel(h, q) * n[..., 0]) + np.sqrt(g * np.maximum(h, 0.0))
+
+    return flux, jac, entropy, gradient, hessian, entropy_flux, wave
+
+
+def test_shallow_water_model_matches_errstate_where_forms_bitwise(
+        shallow_water_sys):
+    # the masked divisions give the bits of the np.where forms, and flux
+    # and entropy_gradient, filled column by column, those of np.stack;
+    # on h <= 0 (inf), -0.0, NaN, infinities, subnormals and h whose
+    # square underflows
     sysm = shallow_water_sys
-    g = sysm.params["g"]
     special = np.array([1.2, 0.8, 0.0, -0.0, -0.5, np.nan, np.inf, -np.inf,
-                        5e-324, 1e308, -1e-300])
+                        5e-324, 1e-310, 1e-170, 1e308, -1e-300, 3.0])
     h, q = np.meshgrid(special, special, indexing="ij")
     u = np.stack([h, q], axis=-1)
-    for states in (u, u.reshape(-1, 2), u[::2, 1::3], u[None]):
-        hh, qq = states[..., 0], states[..., 1]
+    n = np.array([-1.0])
+    flux, jac, entropy, gradient, hessian, entropy_flux, wave = \
+        _errstate_where_model(sysm.params["g"])
+    for states in (u, u.reshape(-1, 2), u[::2, 1::3], u[None], u[3, 4]):
         with np.errstate(all="ignore"):
-            f2 = np.where(hh > 0, qq * qq / hh + 0.5 * g * hh * hh, np.inf)
-            v = np.where(hh > 0, qq / hh, np.inf)
-            want = (np.stack([qq, f2], axis=-1),
-                    np.stack([g * hh - 0.5 * v * v, v], axis=-1))
-            got = (sysm.flux(states, 0), sysm.entropy_gradient(states))
-        for a, b in zip(got, want):
-            assert a.shape == b.shape and a.dtype == b.dtype
-            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+            pairs = [(sysm.flux(states, 0), flux(states)),
+                     (sysm.flux_jacobian(states, 0), jac(states)),
+                     (sysm.entropy(states), entropy(states)),
+                     (sysm.entropy_gradient(states), gradient(states)),
+                     (sysm.entropy_hessian(states), hessian(states)),
+                     (sysm.entropy_flux(states, 0), entropy_flux(states)),
+                     (sysm.max_wave_speed(states, n), wave(states, n))]
+        for got, want in pairs:
+            got, want = np.asarray(got), np.asarray(want)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
     # h = 0 gives inf, h = NaN a NaN first gradient component
-    flux, grad = want
-    assert np.isinf(flux[0, 2, 0, 1]) and np.isnan(grad[0, 5, 0, 0])
+    with np.errstate(all="ignore"):
+        assert np.isinf(sysm.flux(u, 0)[2, 0, 1])
+        assert np.isnan(sysm.entropy_gradient(u)[5, 0, 0])
+
+
+# -- screened extreme eigenvalues ----------------------------------------------
+
+def _full_extremes(S, B=None):
+    """(min, max) of the eigenvalues of the whole batch, as LAPACK gives."""
+    eigs = np.linalg.eigvalsh(S) if B is None else generalized_eigvalsh(S, B)
+    return float(eigs.min()), float(eigs.max())
+
+
+def _same_float_bits(got, want):
+    assert np.array(got).view(np.int64).tolist() == \
+        np.array(want).view(np.int64).tolist(), (got, want)
+
+
+def _hessian_grid(sysm, k=257):
+    p = sysm.params
+    H, Q = np.meshgrid(np.linspace(p["h_min"], p["h_max"], k),
+                       np.linspace(-p["q_max"], p["q_max"], k), indexing="ij")
+    return sysm.entropy_hessian(np.stack([H.ravel(), Q.ravel()], axis=-1))
+
+
+def _lf_pencils(sysm):
+    """The (S, B) pencils `compute_lf` forms at its defaults (d = 1)."""
+    rng = np.random.default_rng(0)
+    corners = sysm.omega.extreme_points()
+    us = np.vstack([sysm.omega.sample(rng, 4096), corners])
+    vs = np.vstack([sysm.omega.sample(rng, 4096), corners])
+    pair_u = np.vstack([us, us, rng.permutation(us)])
+    pair_v = np.vstack([vs, us, rng.permutation(vs)])
+    B = sysm.entropy_hessian(pair_v)
+    S = B @ sysm.flux_jacobian(pair_u, 0)
+    return 0.5 * (S + np.swapaxes(S, -1, -2)), B
+
+
+def test_eigvals_extremes_match_full_lapack_bitwise(shallow_water_sys,
+                                                    friedrichs_sys):
+    # the 257^2 Hessian grid of beta0/beta1 (default and shipped boxes),
+    # the compute_lf pencils and the near-equal pencils, with directions
+    # on a leading axis and B broadcast over them
+    sw_default = hf.make_shallow_water_1d()
+    for sysm in (sw_default, shallow_water_sys):
+        grid = _hessian_grid(sysm)
+        want = _full_extremes(grid)
+        _same_float_bits(eigvals_extremes(grid), want)
+        _same_float_bits((sysm.beta0, sysm.beta1), want)
+    for sysm in (sw_default, shallow_water_sys, friedrichs_sys):
+        S, B = _lf_pencils(sysm)
+        lo, hi = eigvals_extremes(S, B)
+        _same_float_bits((lo, hi), _full_extremes(S, B))
+        _same_float_bits(sysm.lf, np.abs(generalized_eigvalsh(S, B)).max())
+        for S, B in _pencils(sysm, seed=4):
+            _same_float_bits(eigvals_extremes(S, B), _full_extremes(S, B))
+        pts = np.vstack([sysm.omega.sample(np.random.default_rng(1), 512),
+                         sysm.omega.extreme_points()])
+        c = 1.05 * hf.sample_wave_speed_sup(sysm)
+        n = np.array([[1.0], [-1.0]])[:, None, :]
+        M = c * np.eye(2) - sysm.directional_jacobian(pts, n)
+        B = sysm.entropy_hessian(pts)
+        S = np.swapaxes(M, -1, -2) @ B @ M
+        _same_float_bits(eigvals_extremes(S, 2.0 * c * B),
+                         _full_extremes(S, 2.0 * c * B))
+
+
+def _count_eigvalsh(monkeypatch):
+    """Record the batch shape of every np.linalg.eigvalsh call."""
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kw):
+        sizes.append(np.shape(a)[:-2])
+        return eigvalsh(a, *args, **kw)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return sizes
+
+
+def test_shallow_water_setup_screens_its_eigenvalue_scans(monkeypatch):
+    # LAPACK sees 4 of the 66,049 Hessians of the beta0/beta1 scan (the
+    # two q = +-q_max rows at each extreme) and 2 of the 12,291 compute_lf
+    # pencils; a screen that stopped pruning would hand it whole batches
+    sizes = _count_eigvalsh(monkeypatch)
+    hf.make_shallow_water_1d(9.81, 0.8, 1.7, 1.0)
+    assert sizes == [(4,), (2,)]
+
+
+def test_eigvals_extremes_take_the_whole_batch_when_unscreenable(monkeypatch):
+    # a non-finite screened value, a pencil beyond the conditioning cap and
+    # m != 2 go to LAPACK whole, and give its numbers
+    rng = np.random.default_rng(3)
+    S = rng.standard_normal((50, 2, 2))
+    S = S + np.swapaxes(S, -1, -2)
+    B = np.broadcast_to(np.eye(2), S.shape).copy()
+    sizes = _count_eigvalsh(monkeypatch)
+    assert eigvals_extremes(S, B) == _full_extremes(S, B)
+    assert sizes[0][0] < 50
+    cases = []
+    for bad in (np.inf, np.nan):
+        T = S.copy()
+        T[7, 0, 0] = bad
+        cases.append((T, None))
+    U = S.copy()
+    U[11, 0, 0] = U[11, 1, 1] = 1.5e308  # the closed form's a + d overflows
+    cases.append((U, B))
+    C = B.copy()
+    C[4] = np.diag([1.0, 1.0 / (2.0 * systems._SCREEN_MAX_COND)])
+    cases.append((S, C))
+    R = rng.standard_normal((50, 3, 3))
+    cases.append((R + np.swapaxes(R, -1, -2), None))
+    for T, Bc in cases:
+        sizes.clear()
+        with np.errstate(all="ignore"):
+            got = eigvals_extremes(T, Bc)
+        assert sizes[-1] == (50,)
+        with np.errstate(all="ignore"):
+            want = _full_extremes(T, Bc)
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_screen_window_is_wide_against_the_closed_form_error():
+    # pencils up to the conditioning cap: the screen and LAPACK differ by
+    # far less than the candidate window, so the screen cannot miss the
+    # extreme LAPACK would pick
+    rng = np.random.default_rng(11)
+    n = 20000
+    th = rng.uniform(0.0, np.pi, n)
+    c, s = np.cos(th), np.sin(th)
+    Q = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    kappa = 10.0 ** rng.uniform(0.0, 3.9, n)
+    D = np.zeros((n, 2, 2))
+    D[:, 0, 0] = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    D[:, 1, 1] = D[:, 0, 0] * kappa
+    B = Q @ D @ np.swapaxes(Q, -1, -2)
+    B = 0.5 * (B + np.swapaxes(B, -1, -2))
+    S = rng.standard_normal((n, 2, 2)) * 10.0 ** rng.uniform(-3, 3, (n, 1, 1))
+    S = 0.5 * (S + np.swapaxes(S, -1, -2))
+    lo, hi = systems._screened_eigvals(S, B)
+    full = generalized_eigvalsh(S, B)
+    scale = np.abs(full).max(axis=-1)
+    err = np.maximum(np.abs(lo - full[:, 0]), np.abs(hi - full[:, 1])) / scale
+    assert 1e-14 < err.max() <= 1e-3 * systems._SCREEN_TOL
