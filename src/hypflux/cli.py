@@ -17,9 +17,9 @@ error, 5 invariant failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import configparser
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -34,7 +34,7 @@ from .errors import ConfigError, ConstructionError, HypfluxError, MeshError
 from .mesh import (build_perturbed_quad_2d, build_uniform_1d,
                    build_uniform_quad_2d)
 from .systems import (make_advection, make_burgers, make_friedrichs,
-                      make_shallow_water_1d)
+                      make_shallow_water_1d, scratch_slices)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -378,6 +378,7 @@ def execute_run(cfg: dict, n_override=None, output_dir=None,
     if write_snapshots != "all":
         # only the first and last states are read: keep no others
         run_config = dataclasses.replace(run_config, record_every=_sys.maxsize)
+    _keep_step_heap()
     traj = solver.run(mesh, system, scheme, setup.u0, run_config, [fold])
     fold.finish(traj)
 
@@ -456,7 +457,48 @@ def execute_run(cfg: dict, n_override=None, output_dir=None,
     return report
 
 
+# mallopt parameters of glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_step_heap():
+    """Keep the step loop's working set mapped between steps (glibc only).
+
+    Each step allocates and frees the same interface-sized arrays.  glibc
+    gives the top of its heap back to the system once more than its trim
+    threshold lies free there, and by default that threshold is twice the
+    largest block it has mapped and unmapped so far, so it follows the
+    largest transient array.  With setup in bounded scratch it is below
+    the working set of a 2D step, so every step would return its pages and
+    fault them in again (about 490 minor faults per step on a 128 x 128
+    mesh).  Fixed thresholds keep arrays up to 32 MiB in the heap and its
+    top mapped.  They are set after the problem is built, so that the
+    setup of a single run still gives its larger transients back.
+    """
+    if not _sys.platform.startswith("linux"):
+        return
+    import ctypes
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def _write_snapshots(output_dir, mesh, system, traj, mode):
+    """Write the kept snapshots ("all", or the first and last for "ends")
+    as CSV files of one row per cell.
+
+    Rows are formatted and written in chunks of cells under the scratch
+    bound (`scratch_slices`, counting four entries, 32 bytes of text, per
+    value of a row).  Each chunk has one template, "cell_id,x[,y]," per
+    row formatted once per call and a %r per value: %r of a Python float
+    is its repr, the same digits as _fmt.  So a file has the bytes of one
+    whole-file template, and a file of one chunk is one write.
+    """
     if mode == "none":
         return
     snaps = traj.snapshots
@@ -465,27 +507,33 @@ def _write_snapshots(output_dir, mesh, system, traj, mode):
     coords = ["x", "y"][: mesh.dim]
     header = ",".join(["cell_id"] + coords
                       + [f"u_{k}" for k in range(system.m)])
-    # one template of every row, "cell_id,x[,y]," formatted once and a %r
-    # per value: %r of a Python float is its repr, the same digits as _fmt
     values = ",".join(["%r"] * system.m) + "\n"
-    template = "".join(f"{k},{','.join(map(repr, c))},{values}"
-                       for k, c in enumerate(mesh.cell_centroids.tolist()))
+    chunks = list(scratch_slices(mesh.n_cells, 4 * (mesh.dim + system.m)))
+    templates = ["".join(f"{k},{','.join(map(repr, c))},{values}"
+                         for k, c in enumerate(
+                             mesh.cell_centroids[cells].tolist(), cells.start))
+                 for cells in chunks]
     for idx, (t, fld) in enumerate(snaps):
         path = os.path.join(output_dir, f"snapshot_{idx:06d}.csv")
-        rows = template % tuple(fld.values.ravel().tolist())
-        _write_bytes(path, f"# t = {_fmt(t)}\n{header}\n{rows}".encode())
+        texts = (template % tuple(fld.values[cells].ravel().tolist())
+                 for template, cells in zip(templates, chunks))
+        head = f"# t = {_fmt(t)}\n{header}\n"
+        _write_bytes(path, (head + next(texts)).encode(),
+                     (text.encode() for text in texts))
 
 
-def _write_bytes(path, data: bytes):
+def _write_bytes(path, data: bytes, more=()):
     """Create or truncate the file at `path` (mode 0o666 less the umask, as
-    open() does) and write `data` to it, looping on short writes.  It skips
-    open()'s buffered text layer, a measurable share of writing thousands
-    of small snapshot files."""
+    open() does) and write `data`, then each bytes object of the iterable
+    `more`, looping on short writes.  It skips open()'s buffered text
+    layer, a measurable share of writing thousands of small snapshot
+    files."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
+        for chunk in itertools.chain([data], more):
+            view = memoryview(chunk)
+            while view:
+                view = view[os.write(fd, view):]
     finally:
         os.close(fd)
 
@@ -591,6 +639,9 @@ def run_study(spec_path, output_dir=None, jobs: int = 1) -> int:
         tasks = [(run_cfg, lvl, os.path.join(out, f"level_{lvl}"))
                  for lvl in levels]
         if jobs > 1:
+            # imported here: concurrent.futures loads logging, which every
+            # run would carry for the fan-out of a study alone
+            import concurrent.futures
             with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
                 results = dict(ex.map(_level_worker, tasks))
         else:

@@ -32,7 +32,7 @@ from .numflux import FluxScheme, InterfaceFluxRecords, InterfaceUpdate
 from .solver import (_average, _point_values, cell_quadrature,
                      tensor_gauss_quadrature)
 from .systems import (StateField, SystemModel, axis_sum,
-                      relative_entropy_terms)
+                      relative_entropy_terms, scratch_slices)
 
 # Gauss-Legendre 4-point rule (per axis) for the mass integrals.  It is
 # deliberately independent of the projection quadrature: with a midpoint
@@ -42,7 +42,6 @@ _GAUSS4 = (np.array([-0.8611363115940526, -0.3399810435848563,
                      0.3399810435848563, 0.8611363115940526]),
            np.array([0.3478548451374538, 0.6521451548625461,
                      0.6521451548625461, 0.3478548451374538]))
-_MASS_CHUNK = 4096  # cells per batch of mass quadrature points
 # Interface entries per block of ErrorFold.  A flush's temporaries grow
 # with the block.  While they fit in the free space inside glibc's heap,
 # the flush leaves the heap as it found it; once they reach its top, the
@@ -50,7 +49,9 @@ _MASS_CHUNK = 4096  # cells per batch of mass quadrature points
 # flush gives pages back and the next faults them in again.  On the
 # 1024-cell Godunov run (K = 4 steps, 64 on the 64-cell shallow-water one)
 # 4096 takes about 810 minor faults, setup included; 6144 takes 24,000 and
-# 8192 28,000.
+# 8192 28,000.  Those counts are under glibc's default thresholds; a
+# `hypflux run` fixes them before its step loop (`cli._keep_step_heap`),
+# so that its heap is not trimmed whatever the block.
 _LEDGER_BLOCK = 4096
 
 
@@ -128,7 +129,8 @@ def accumulate_step(ledger: DiagnosticsLedger, mesh: Mesh, sys: SystemModel,
             entropies = tuple(eta[None] for eta in entropies)
     else:
         u_n, u_np1 = field_n, field_np1
-    if records.g_value.shape[-2] != mesh.n_interfaces:
+    d = records.defect
+    if d.shape[-1] != mesh.n_interfaces:
         raise ConfigError("flux records do not match the mesh")
     if entropies is None:
         entropies = (sys.entropy(u_n), sys.entropy(u_np1))
@@ -136,23 +138,34 @@ def accumulate_step(ledger: DiagnosticsLedger, mesh: Mesh, sys: SystemModel,
 
     areas = mesh.iface_areas
     vols = mesh.cell_volumes
-    d = records.defect
-    area_d = areas * d
     # discrete entropy residual: (|K|/dt)(eta^{n+1} - eta^n) + sum |sigma| xi_KL;
     # the scatter adds per column, so it takes the steps as columns
     area_xi = (areas * records.xi_value).T
     xi_div = mesh.scatter(np.zeros((mesh.n_cells, len(d))), area_xi,
-                          -area_xi).T
+                          area_xi, signs=(1, -1)).T
+    del area_xi
     resid = (vols / dt) * eta_jump + xi_div
-    # per-interface dissipation-gap inequality
-    bound = (sys.beta0 / (2.0 * scheme.lambda_star)) * d * d
-    slack = records.dissipation_gap - bound
+    del xi_div, eta_jump
+    # per-interface dissipation-gap inequality, slack = gap - bound formed
+    # in the bound's buffer
+    slack = (sys.beta0 / (2.0 * scheme.lambda_star)) * d
+    slack *= d
+    np.subtract(records.dissipation_gap, slack, out=slack)
     least = _least(slack)
+    # |sigma| d, then |sigma| d d, and |sigma| |xi_KL - xi(u_K).n|, each in
+    # one buffer (a product is the same float in either operand order)
+    area_d = areas * d
+    l1 = area_d.sum(axis=-1)
+    area_d *= d
+    sq = area_d.sum(axis=-1)
+    del area_d
+    xi_bv = records.xi_value - records.xi_left
+    np.abs(xi_bv, out=xi_bv)
+    xi_bv *= areas
+    xi_bv = xi_bv.sum(axis=-1)
     rows = zip(*(a.tolist() for a in (
-        (area_d * d).sum(axis=-1), area_d.sum(axis=-1),
-        (areas * np.abs(records.xi_value - records.xi_left)).sum(axis=-1),
-        vol_du.sum(axis=-1), vol_deta.sum(axis=-1), _worst(resid),
-        _worst(resid * (dt / vols)), least)))
+        sq, l1, xi_bv, vol_du.sum(axis=-1), vol_deta.sum(axis=-1),
+        _worst(resid), _worst(resid * (dt / vols)), least)))
     for sq, l1, xi_bv, du, deta, top, top_scaled, low in rows:
         ledger.wbv_sq += dt * sq
         ledger.wbv_l1 += dt * l1
@@ -216,14 +229,16 @@ def projection_masses(mesh: Mesh, sys: SystemModel, u0, field0: StateField,
     """mu0 = integral |eta(u0) - eta(u^h(.,0))| and mu_bar0 with |u0 - u^h|,
     over the cells selected by the boolean `cell_mask`.
 
-    The per-cell integrals are filled in chunks of `_MASS_CHUNK` cells, so
-    the quadrature temporaries stay small; the masked sums then fold over
-    all cells in id order at once.
+    The per-cell integrals are filled in chunks of cells under the scratch
+    bound (`scratch_slices`, counting the larger of d and m entries per
+    quadrature point); each cell's integral has the same bits whatever
+    chunk holds it.  The masked sums then fold over all cells in id order
+    at once.
     """
     per_cell_eta = np.empty(mesh.n_cells)
     per_cell_u = np.empty(mesh.n_cells)
-    for start in range(0, mesh.n_cells, _MASS_CHUNK):
-        cells = slice(start, start + _MASS_CHUNK)
+    per_cell = _GAUSS4[0].size ** mesh.dim * max(mesh.dim, sys.m)
+    for cells in scratch_slices(mesh.n_cells, per_cell):
         pts, wts = tensor_gauss_quadrature(mesh, _GAUSS4, cells)
         vals = _point_values(u0, pts)
         u_cell = field0.values[cells]
@@ -307,6 +322,16 @@ class ErrorFold:
     when a run to T returns) and by `finish`.  A reference is read in time
     order within one fold; several folds sharing a fine-grid reference
     read it in time order only with blocks of one step.
+
+    Scratch: besides the block's stacked states, entropies and
+    `InterfaceUpdate`s (views of the step's own arrays when a block is one
+    step, which the solver holds until the hook returns), a flush holds
+    at most about nine block-sized arrays at once.  The stacked updates
+    go once the records part has run, and of the records only the four
+    fields the ledger reads stay (defect, xi_KL, xi(u_K).n and the gap);
+    the ledger forms its products and its slack in place.  That is about
+    2.3 MiB on the 128 x 128 mesh (K = 1) and about 545 KB on the
+    1024-cell Godunov run (K = 4).
     """
 
     def __init__(self, ledger: DiagnosticsLedger, mesh: Mesh,
@@ -353,7 +378,10 @@ class ErrorFold:
         records = self.scheme.records(
             InterfaceUpdate(g, left, right, tuple(parts)),
             self.mesh.iface_normals)
-        del left, right, parts  # free before the ledger's temporaries
+        # free before the ledger's temporaries; the ledger reads neither
+        # G nor X_KL of the records
+        del g, left, right, parts
+        records.g_value = records.x_kl = None
         vol_du, vol_deta = accumulate_step(
             self.ledger, self.mesh, self.sys, self.scheme, u_n, u_np1,
             records, dt, (eta_n, eta_np1))

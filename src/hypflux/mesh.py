@@ -22,6 +22,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .errors import MeshError
+from .systems import scratch_slices
 
 # Relative tolerances used by the validation pass.
 _CLOSURE_RTOL = 1.0e-12
@@ -56,9 +57,10 @@ class Mesh:
         # K, each in interface order.  _iface_slots holds the same rows as
         # indices into [left values; right values].
         self._iface_slots = np.argsort(ends, kind="stable")
-        self.cell_iface_ids = np.tile(np.arange(self.n_interfaces), 2)[self._iface_slots]
+        self.cell_iface_ids = self._iface_slots % self.n_interfaces
         self.cell_iface_offsets = np.concatenate(
             [[0], np.cumsum(np.bincount(ends, minlength=self.n_cells))])
+        del ends
         # (n_cells, k, d) vertex coordinates, for the cell diameters and the
         # tensor quadrature; a 2D mesh without them is rejected below.
         self.cell_vertices = (None if cell_vertices is None
@@ -97,43 +99,67 @@ class Mesh:
 
     @cached_property
     def _scatter_columns(self):
-        """Columns of the (n_cells, k) table of rows into [left values;
-        right values; -0.0], as contiguous intp arrays (the index type of
-        `take`, which then converts nothing).
+        """Columns of the (n_cells, k) table of the CSR rows, each as
+        (source, rows), where rows is a contiguous intp array (the index
+        type of `take`, which then converts nothing).
 
-        Row K of the table is the CSR row of K as slots, padded with the
-        index of the -0.0 row.
+        Row K of the table is the CSR row of K as slots into [left values;
+        right values], padded with the index of a -0.0 row after them.
+        When every column reads one side only and has no padding, as on
+        the built meshes, source is that side (0 left, 1 right) and rows
+        index its values; otherwise source is 2 and rows index the stack
+        [left values; right values; -0.0].
         """
         slots = self._iface_slots
         counts = np.diff(self.cell_iface_offsets)
         rank = np.arange(slots.size) - np.repeat(self.cell_iface_offsets[:-1], counts)
         table = np.full((counts.max(), self.n_cells), slots.size, np.intp)
         table[rank, np.repeat(np.arange(self.n_cells), counts)] = slots
-        return tuple(table)
+        n = self.n_interfaces
+        right = ((table >= n) & (table < 2 * n)).all(axis=1)
+        if not ((table < n).all(axis=1) | right).all():
+            return tuple((2, col) for col in table)
+        table[right] -= n
+        return tuple(zip(right.astype(int).tolist(), table))
 
-    def scatter(self, base, to_left, to_right):
-        """base plus, per cell, the interface values of its faces.
+    def scatter(self, base, to_left, to_right, signs=(1, 1)):
+        """base plus, per cell, the interface values of its faces, each
+        side's values added (sign 1) or subtracted (sign -1).
 
-        Adds in the order of np.add.at(base, iface_left, to_left) followed
-        by np.add.at(base, iface_right, to_right), so the sums are the
-        same bit for bit; padding adds -0.0, which changes no float.
-        The gathers use `take`, which on a (n, m) array is several times
-        faster than fancy indexing and copies the same rows.
+        Adds in the order of np.add.at(base, iface_left, signs[0] * to_left)
+        followed by np.add.at(base, iface_right, signs[1] * to_right), so
+        the sums are the same bit for bit: x - y is x + (-y) in IEEE
+        arithmetic.  One-sided columns gather from `to_left` or `to_right`
+        directly; a mesh with a mixed column gathers from the stack of
+        both sides' signed values and -0.0, whose padding changes no
+        float.  The gathers use `take`, which on a (n, m) array is several
+        times faster than fancy indexing and copies the same rows.
         """
-        vals = np.concatenate([to_left, to_right,
-                               np.full((1,) + to_left.shape[1:], -0.0)])
-        first, *rest = self._scatter_columns
-        out = base + vals.take(first, axis=0)
-        for col in rest:
-            out += vals.take(col, axis=0)
+        cols = self._scatter_columns
+        sources, signs = [to_left, to_right], list(signs)
+        if cols[0][0] == 2:
+            sources.append(np.concatenate(
+                [x if sign > 0 else -x for x, sign in zip(sources, signs)]
+                + [np.full((1,) + to_left.shape[1:], -0.0)]))
+            signs.append(1)
+        (src, col), *rest = cols
+        vals = sources[src].take(col, axis=0)
+        out = base + vals if signs[src] > 0 else base - vals
+        for src, col in rest:
+            if signs[src] > 0:
+                out += sources[src].take(col, axis=0)
+            else:
+                out -= sources[src].take(col, axis=0)
         return out
 
     def _max_diameter(self):
         if self.cell_vertices is not None:
+            # one vertex pair at a time; the max of the pairs' maxima is
+            # the max over all pairs
             v = self.cell_vertices
-            a, b = np.triu_indices(v.shape[1], 1)  # each vertex pair once
-            diff = v[:, a] - v[:, b]
-            return float(np.sqrt((diff ** 2).sum(-1)).max())
+            return float(np.max([
+                np.sqrt(((v[:, a] - v[:, b]) ** 2).sum(-1)).max()
+                for a, b in zip(*np.triu_indices(v.shape[1], 1))]))
         if self.dim == 1:
             return float(self.cell_volumes.max())
         raise MeshError("cell vertices required to compute diameters in 2D")
@@ -197,46 +223,37 @@ def build_perturbed_quad_2d(nx: int, ny: int, lx: float, ly: float,
 
 
 def _build_quad_2d(nx, ny, lx, ly, jitter, seed, mesh_id):
+    """Quad mesh on the vertex lattice of `_vertex_lattice`.
+
+    Only what the mesh stores outlives a step here: the lattice and the
+    edge vectors are freed before `Mesh` builds its adjacency, and the
+    shoelace geometry and the convexity test run over cells in chunks
+    under the scratch bound (`scratch_slices`); each cell's numbers are
+    the same whichever chunk holds it.
+    """
     if nx < 3 or ny < 3:
         raise MeshError(f"need at least 3 cells per direction, got {nx}x{ny}")
     if lx <= 0 or ly <= 0:
         raise MeshError("box extents must be positive")
     dx, dy = lx / nx, ly / ny
-    rng = np.random.default_rng(seed)
-    offsets = rng.uniform(-1.0, 1.0, size=(nx, ny, 2)) * (jitter * min(dx, dy))
-    base = np.stack(np.meshgrid(np.arange(nx) * dx, np.arange(ny) * dy,
-                                indexing="ij"), axis=-1)
-    verts = base + offsets  # periodic vertex lattice, index (i, j)
-    # padded lattice (nx+1, ny+1): unwrapped coordinates, shifted by a full
-    # period where the index wraps
-    ii, jj = np.arange(nx + 1), np.arange(ny + 1)
-    shift = np.stack(np.meshgrid((ii // nx) * lx, (jj // ny) * ly,
-                                 indexing="ij"), axis=-1)
-    p = verts[np.ix_(ii % nx, jj % ny)] + shift
-
+    n_cells = nx * ny
+    p = _vertex_lattice(nx, ny, lx, ly, jitter, seed)
     # cell (i, j) has id i*ny + j and corners p[i, j], p[i+1, j],
     # p[i+1, j+1], p[i, j+1] (counterclockwise)
-    n_cells = nx * ny
     corners = np.stack([p[:-1, :-1], p[1:, :-1], p[1:, 1:], p[:-1, 1:]],
                        axis=2).reshape(n_cells, 4, 2)
-    volumes, centroids = _polygon_geometry(corners)
-    if jitter > 0.0:
-        cross = _corner_cross_products(corners)
-        if np.any(cross <= 1e-12 * dx * dy):
+    elen, normals = _quad_edges(p, dx, dy)
+    del p
+    volumes = np.empty(n_cells)
+    centroids = np.empty((n_cells, 2))
+    for cells in scratch_slices(n_cells, corners[0].size):
+        volumes[cells], centroids[cells] = _polygon_geometry(corners[cells])
+        if jitter > 0.0 and np.any(_corner_cross_products(corners[cells])
+                                   <= 1e-12 * dx * dy):
             raise MeshError("perturbed mesh contains a non-convex cell")
-
-    # interfaces 2k and 2k+1: the +x and +y edges of cell k
-    p1 = np.stack([p[1:, :-1], p[1:, 1:]], axis=2).reshape(-1, 2)
-    p2 = np.stack([p[1:, 1:], p[:-1, 1:]], axis=2).reshape(-1, 2)
-    t = p2 - p1
-    elen = np.hypot(t[:, 0], t[:, 1])
-    normals = np.stack([t[:, 1], -t[:, 0]], axis=-1) / elen[:, None]
-    # orient from each cell to its +x / +y neighbor
-    toward = np.tile([[dx, 0.0], [0.0, dy]], (n_cells, 1))
-    flip = (normals * toward).sum(axis=-1) < 0
-    normals = np.where(flip[:, None], -normals, normals)
     i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
     right = np.stack([((i + 1) % nx) * ny + j, i * ny + (j + 1) % ny], axis=-1)
+    del i, j
 
     mesh = Mesh(2, (lx, ly), volumes, centroids,
                 np.repeat(np.arange(n_cells), 2), right.ravel(), elen,
@@ -246,6 +263,43 @@ def _build_quad_2d(nx, ny, lx, ly, jitter, seed, mesh_id):
         raise MeshError(f"perturbed mesh violates regularity: a = {mesh.a:.4f} <= 0.05")
     validate_mesh(mesh)
     return mesh
+
+
+def _vertex_lattice(nx, ny, lx, ly, jitter, seed):
+    """(nx+1, ny+1, 2) vertex coordinates: lattice point (i mod nx, j mod
+    ny) displaced by its seeded offset of at most jitter*min(dx, dy), and
+    unwrapped, that is shifted by a full period where the index wraps."""
+    dx, dy = lx / nx, ly / ny
+    rng = np.random.default_rng(seed)
+    offsets = rng.uniform(-1.0, 1.0, size=(nx, ny, 2)) * (jitter * min(dx, dy))
+    base = np.stack(np.meshgrid(np.arange(nx) * dx, np.arange(ny) * dy,
+                                indexing="ij"), axis=-1)
+    verts = base + offsets  # periodic vertex lattice, index (i, j)
+    del base, offsets
+    ii, jj = np.arange(nx + 1), np.arange(ny + 1)
+    shift = np.stack(np.meshgrid((ii // nx) * lx, (jj // ny) * ly,
+                                 indexing="ij"), axis=-1)
+    return verts[np.ix_(ii % nx, jj % ny)] + shift
+
+
+def _quad_edges(p, dx, dy):
+    """(lengths, unit normals) of interfaces 2k and 2k+1, the +x and +y
+    edges of cell k on the lattice p, each normal oriented toward the +x
+    / +y neighbor."""
+    t = np.empty(p[1:, 1:].shape[:2] + (2, 2))
+    t[:, :, 0] = p[1:, 1:] - p[1:, :-1]   # +x edge, p[i+1, j] to p[i+1, j+1]
+    t[:, :, 1] = p[:-1, 1:] - p[1:, 1:]   # +y edge, p[i+1, j+1] to p[i, j+1]
+    t = t.reshape(-1, 2)
+    elen = np.hypot(t[:, 0], t[:, 1])
+    normals = np.empty_like(t)
+    normals[:, 0] = t[:, 1]
+    np.negative(t[:, 0], out=normals[:, 1])
+    del t
+    normals /= elen[:, None]
+    toward = np.array([[dx, 0.0], [0.0, dy]])
+    flip = (normals.reshape(-1, 2, 2) * toward).sum(axis=-1).reshape(-1, 1) < 0
+    np.negative(normals, out=normals, where=flip)
+    return elen, normals
 
 
 def _polygon_geometry(corners):
@@ -312,7 +366,7 @@ def validate_mesh(mesh: Mesh) -> None:
     # closed-polygon identity per cell, outward orientation
     contrib = mesh.iface_areas[:, None] * mesh.iface_normals
     closure = mesh.scatter(np.zeros((mesh.n_cells, mesh.dim)), contrib,
-                           -contrib)
+                           contrib, signs=(1, -1))
     closure_norm = np.sqrt((closure ** 2).sum(axis=1))
     if np.any(closure_norm > _CLOSURE_RTOL * perimeter):
         raise MeshError("a cell violates the interface closure identity")

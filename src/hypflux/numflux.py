@@ -52,7 +52,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConstructionError
-from .systems import SystemModel, _as_direction, axis_sum, eigvals_extremes
+from .systems import (SystemModel, _as_direction, axis_sum,
+                      eigvals_extremes, scratch_slices)
 
 
 @dataclass
@@ -174,10 +175,14 @@ def make_rusanov(sys: SystemModel, c="auto", seed: int = 0) -> FluxScheme:
         x = _dissipation_flux(sys, u, delta, xi_u)
         # X_LK(v, u) is -(xi(v).n + Deta(v).(G - f(v).n)) bit for bit:
         # G(v, u, -n) = -G and f(v).(-n) = -f(v).n hold exactly in IEEE
-        # arithmetic, so the reverse orientation needs no evaluation
-        x_rev = _dissipation_flux(sys, v, g - fv,
-                                  sys.directional_entropy_flux(v, n))
-        return _records(g, delta, xi_u, x, 0.5 * (x + x_rev))
+        # arithmetic, so the reverse orientation needs no evaluation.
+        # xi = 0.5 (x + x_rev) is formed in x_rev's buffer: a sum and a
+        # product are the same float in either operand order
+        xi = _dissipation_flux(sys, v, g - fv,
+                               sys.directional_entropy_flux(v, n))
+        xi += x
+        xi *= 0.5
+        return _records(g, delta, xi_u, x, xi)
 
     scheme = FluxScheme(name="rusanov", update=update, records=records,
                         lambda_star=np.nan,
@@ -240,10 +245,11 @@ def _godunov_state(sys, u, v, n):
 
     A continuous f_n is extremal on [lo, hi] at an endpoint or at a
     critical point of f_n inside it (Osher 1984), so the candidates are
-    lo, hi and the critical points clipped to [lo, hi].  The endpoints
-    come first, so ties resolve to them.  Both orientations of an
-    interface compare the same candidates, so conservativity holds
-    bitwise.
+    lo, hi and the critical points clipped to [lo, hi].  A running best
+    goes through them in that order under argmin's rules: a candidate
+    replaces it only when strictly smaller, or when it is the first NaN,
+    so the endpoints win ties.  Both orientations of an interface compare
+    the same candidates, so conservativity holds bitwise.
     """
     a, b = u[..., 0], v[..., 0]
     n = _as_direction(n, 1)
@@ -252,11 +258,14 @@ def _godunov_state(sys, u, v, n):
     coef = np.where(a <= b, 1.0, -1.0) * ncoef
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
-    cand = np.stack([lo, hi] + [
-        np.clip(np.broadcast_to(wc, a.shape), lo, hi)
-        for wc in np.atleast_1d(sys.flux_critical_points(n))], axis=0)
-    vals = coef * sys.flux(cand[..., None], 0)[..., 0]
-    w_star = np.take_along_axis(cand, np.argmin(vals, axis=0)[None], axis=0)[0]
+    w_star = lo
+    best = coef * sys.flux(lo[..., None], 0)[..., 0]
+    for w in [hi] + [np.clip(np.broadcast_to(wc, a.shape), lo, hi)
+                     for wc in np.atleast_1d(sys.flux_critical_points(n))]:
+        val = coef * sys.flux(w[..., None], 0)[..., 0]
+        better = (val < best) | (np.isnan(val) & ~np.isnan(best))
+        w_star = np.where(better, w, w_star)
+        best = np.where(better, val, best)
     return w_star[..., None]
 
 
@@ -495,13 +504,26 @@ def _axis_directions(d):
 
 def _near_equal_lambda(sys, pts, c):
     """sup_w of w^T (cI - Df_n)^T B (cI - Df_n) w / (2c w^T B w) over pts
-    and the directions of `_axis_directions`, in one batched call."""
-    n = np.asarray(_axis_directions(sys.d))[:, None, :]
-    M = c * np.eye(sys.m) - sys.directional_jacobian(pts, n)
+    and the directions of `_axis_directions`.
+
+    The directions go in chunks under the scratch bound (m^2 entries per
+    point and direction), and the largest of the chunks' maxima is the
+    maximum of one batch over all of them.
+    """
+    dirs = np.asarray(_axis_directions(sys.d))[:, None, :]
     B = sys.entropy_hessian(pts)
+    per_dir = len(pts) * sys.m * sys.m
+    return float(np.max([_near_equal_max(sys, pts, B, dirs[chunk], c)
+                         for chunk in scratch_slices(len(dirs), per_dir)]))
+
+
+def _near_equal_max(sys, pts, B, n, c):
+    """The largest near-equal quotient over pts and the directions n,
+    (k, 1, d), in one batched call."""
+    M = c * np.eye(sys.m) - sys.directional_jacobian(pts, n)
     if sys.m == 1:
         # the 1x1 products of M^T B M, elementwise and in the same order
         m, b = M[..., 0, 0], B[..., 0, 0]
-        return float((m * b * m / (2.0 * c * b)).max())
+        return (m * b * m / (2.0 * c * b)).max()
     S = np.swapaxes(M, -1, -2) @ B @ M
     return eigvals_extremes(S, 2.0 * c * B)[1]

@@ -217,14 +217,17 @@ def march(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
         update = scheme.update(*_gather(mesh, field))
         flux = mesh.iface_areas[:, None] * update.g_value
         new = StateField(
-            values=mesh.scatter(field.values, -(to_left * flux), to_right * flux),
+            values=mesh.scatter(field.values, to_left * flux,
+                                to_right * flux, signs=(-1, 1)),
             time=t0 + (n + 1) * dt, mesh_id=field.mesh_id)
+        del flux
         if check_admissibility:
             try:
                 new.check_admissible(sys)
             except AdmissibilityError as exc:
                 raise AdmissibilityError(f"step {n + 1}: {exc}") from exc
         yield n, field, new, update
+        del update  # before the next step's flux
         field = new
 
 
@@ -252,6 +255,7 @@ def run(mesh: Mesh, sys: SystemModel, scheme: FluxScheme, u0,
             mesh, sys, scheme, field, dt, n_steps, config.check_admissibility):
         for hook in hooks:
             hook(n, field_n, field_np1, update, dt)
+        del update  # before the next step's flux
         if (n + 1) % config.record_every == 0 or n + 1 == n_steps:
             traj.snapshots.append((field_np1.time, field_np1))
     return traj

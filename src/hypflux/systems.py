@@ -24,6 +24,21 @@ from .errors import AdmissibilityError, ConstructionError
 _MBETA_GUARD = 1e-9  # slack for the admissibility tolerance in pair checks
 _SHORT_AXIS = 8  # numpy reduces axes at least this long pairwise
 _CONTAINS_TOL = 1e-12  # default relative slack of AdmissibleSet.contains
+# The scratch bound: the batches that setup, the error fold and the
+# snapshot writer form hold about this many float64 entries at a time
+# (256 KiB, one interface array of a 128 x 128 quad mesh), so that a
+# run's peak memory is what it keeps plus one bounded working set.  Only
+# elementwise work and max/min are split into such chunks; no sum is
+# reassociated, so no result depends on the bound.
+SCRATCH_ENTRIES = 2 ** 15
+
+
+def scratch_slices(n: int, per_item: int):
+    """Slices over range(n), in order, of at most
+    max(1, SCRATCH_ENTRIES // per_item) items each: the chunks of a batch
+    of n items that take `per_item` entries each."""
+    step = max(1, SCRATCH_ENTRIES // per_item)
+    return (slice(start, start + step) for start in range(0, n, step))
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +302,10 @@ def compute_lf(sys: SystemModel, samples: int = 4096, seed: int = 0) -> float:
     computed exactly per sampled pair as a symmetric generalized
     eigenproblem (the quadratic form only sees the symmetric part); only
     the (u, v) sampling is approximate, backed by hull corners and, for
-    scalar systems, a dense state grid.  `eigvals_extremes` solves the
-    pencils that can hold the largest |mu| only, with the bits of solving
-    all of them.  The result is stored on the model.
+    scalar systems, a dense state grid.  `pencil_extremes` forms the
+    pencils a chunk at a time and solves those that can hold the largest
+    |mu| only, with the bits of solving all of them.  The result is
+    stored on the model.
     """
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
@@ -313,11 +329,13 @@ def compute_lf(sys: SystemModel, samples: int = 4096, seed: int = 0) -> float:
     pair_v = np.vstack([vs, us, rng.permutation(vs)])
     best = 0.0
     for a in range(sys.d):
-        A = sys.flux_jacobian(pair_u, a)
-        B = sys.entropy_hessian(pair_v)
-        S = B @ A
-        S = 0.5 * (S + np.swapaxes(S, -1, -2))
-        lo, hi = eigvals_extremes(S, B)
+        def pencils(items, a=a):
+            A = sys.flux_jacobian(pair_u[items], a)
+            B = sys.entropy_hessian(pair_v[items])
+            S = B @ A
+            return 0.5 * (S + np.swapaxes(S, -1, -2)), B
+
+        lo, hi = pencil_extremes(pencils, len(pair_u))
         best = max(best, abs(lo), abs(hi))
     sys.lf = best
     return best
@@ -334,7 +352,7 @@ def generalized_eigvalsh(S, B):
     return np.linalg.eigvalsh(L_inv @ S @ np.swapaxes(L_inv, -1, -2))
 
 
-# Candidate window of `eigvals_extremes`, relative to the batch's largest
+# Candidate window of `pencil_extremes`, relative to the batch's largest
 # |mu|.  The screen and the exact kernel both take the eigenvalues of the
 # whitened matrix L^-1 S L^-T (B = L L^T).  Cholesky and the symmetric
 # eigenvalues are backward stable, and Weyl's inequality carries a matrix
@@ -377,34 +395,76 @@ def _screened_eigvals(S, B):
 
 def eigvals_extremes(S, B=None):
     """(min, max) over a batch of the eigenvalues of the symmetric pencils
-    S w = mu B w, (..., m, m) each; B = I when None.
+    S w = mu B w, (..., m, m) each; B = I when None.  `pencil_extremes`
+    over the batch."""
+    S = np.asarray(S, dtype=float)
+    if B is not None:
+        S, B = np.broadcast_arrays(S, np.asarray(B, dtype=float))
+        B = B.reshape(-1, *B.shape[-2:])
+    S = S.reshape(-1, *S.shape[-2:])
+    return pencil_extremes(
+        lambda items: (S[items], None if B is None else B[items]), len(S))
+
+
+def pencil_extremes(pencils, n):
+    """(min, max) of the eigenvalues of n symmetric pencils S w = mu B w,
+    where pencils(items) gives (S, B) of a slice of them, (k, m, m) each,
+    with B None for B = I.
 
     The numbers are those of `np.linalg.eigvalsh` (B = None) or
     `generalized_eigvalsh` over the whole batch, bit for bit.  Those
     kernels treat each matrix on its own, so for m = 2 they run only on
     the candidates of a closed-form screen: the members whose screened
     eigenvalue lies within `_SCREEN_TOL` of the screened extreme, a
-    window wider than both errors.  m != 2, a pencil beyond the
-    conditioning cap and a non-finite screened value take the whole batch.
+    window wider than both errors.  The screen goes over chunks under the
+    scratch bound twice: once for the screened extremes, then for the
+    candidates, recomputing only the chunks whose own screened extremes
+    reach the window.  m != 2, a pencil beyond the conditioning cap and a
+    non-finite screened value take the whole batch.  Candidates that are
+    all bitwise equal, as the pencils of a constant-coefficient system
+    are, share one solve.
     """
-    S = np.asarray(S, dtype=float)
-    if B is not None:
-        S, B = np.broadcast_arrays(S, np.asarray(B, dtype=float))
-        B = B.reshape(-1, *B.shape[-2:])
-    S = S.reshape(-1, *S.shape[-2:])
-    keep = slice(None)
-    if S.shape[-1] == 2:
+    chunks = list(scratch_slices(n, 16))
+    screened = []  # (items, least lo, largest hi) of each chunk
+    for items in chunks:
+        S, B = pencils(items)
+        if S.shape[-1] != 2:
+            return _lapack_extremes(pencils, chunks)
         with np.errstate(all="ignore"):  # non-finite: the whole batch
-            screened = _screened_eigvals(S, B)
-        if screened is not None and np.isfinite(screened).all():
-            lo, hi = screened
-            lo_min, hi_max = lo.min(), hi.max()
-            window = _SCREEN_TOL * max(-lo_min, hi_max)
-            keep = (lo <= lo_min + window) | (hi >= hi_max - window)
-    if B is None:
-        eigs = np.linalg.eigvalsh(S[keep])
-    else:
-        eigs = generalized_eigvalsh(S[keep], B[keep])
+            lohi = _screened_eigvals(S, B)
+        if lohi is None or not np.isfinite(lohi).all():
+            return _lapack_extremes(pencils, chunks)
+        screened.append((items, lohi[0].min(), lohi[1].max()))
+    lo_min = min(lo for _, lo, _ in screened)
+    hi_max = max(hi for _, _, hi in screened)
+    window = _SCREEN_TOL * max(-lo_min, hi_max)
+
+    def candidates(items):
+        S, B = pencils(items)
+        with np.errstate(all="ignore"):  # the bits of the first pass
+            lo, hi = _screened_eigvals(S, B)
+        keep = (lo <= lo_min + window) | (hi >= hi_max - window)
+        return S[keep], None if B is None else B[keep]
+
+    return _lapack_extremes(candidates, [
+        items for items, lo, hi in screened
+        if lo <= lo_min + window or hi >= hi_max - window])
+
+
+def _lapack_extremes(pencils, chunks):
+    """(min, max) of the eigenvalues of the pencils of `chunks`, by LAPACK;
+    once when they are all bitwise equal."""
+    parts = [pencils(items) for items in chunks]
+    S = np.concatenate([S for S, _ in parts])
+    B = None if parts[0][1] is None else np.concatenate([B for _, B in parts])
+    rows = S.reshape(len(S), -1)
+    if B is not None:
+        rows = np.hstack([rows, B.reshape(len(B), -1)])
+    rows = rows.view(np.int64)
+    if (rows == rows[0]).all():
+        S = S[:1]
+        B = None if B is None else B[:1]
+    eigs = np.linalg.eigvalsh(S) if B is None else generalized_eigvalsh(S, B)
     return float(eigs.min()), float(eigs.max())
 
 
@@ -609,8 +669,8 @@ def make_shallow_water_1d(g: float = 9.81, h_min: float = 0.5,
     eta = q^2/(2h) + g h^2/2 (nonnegative for h > 0, so the normalizing
     shift is zero) and xi = (q^2/(2h) + g h^2) q/h.  beta0/beta1 come from
     a dense eigenvalue scan of D2eta over the admissible box (257^2
-    states), which `eigvals_extremes` hands to LAPACK only where the
-    closed-form eigenvalues come near an extreme.  The model functions
+    states, formed a chunk at a time), which `pencil_extremes` hands to
+    LAPACK only where the closed-form eigenvalues come near an extreme.  The model functions
     return inf where h <= 0 or h is NaN.
     """
     if h_min <= 0 or h_max <= h_min or q_max <= 0:
@@ -684,12 +744,16 @@ def make_shallow_water_1d(g: float = 9.81, h_min: float = 0.5,
         v = over_h(q, h, h > 0)
         return np.abs(v * n[..., 0]) + np.sqrt(g * np.maximum(h, 0.0))
 
-    # dense spectral scan for the Hessian bounds
+    # dense spectral scan for the Hessian bounds: state (hh[i], qq[j]) is
+    # row i*257 + j of the scan, formed a chunk at a time
     hh = np.linspace(h_min, h_max, 257)
     qq = np.linspace(-q_max, q_max, 257)
-    H, Q = np.meshgrid(hh, qq, indexing="ij")
-    grid = np.stack([H.ravel(), Q.ravel()], axis=-1)
-    beta0, beta1 = eigvals_extremes(entropy_hessian(grid))
+
+    def hessians(items):
+        i, j = np.divmod(np.arange(*items.indices(257 ** 2)), 257)
+        return entropy_hessian(np.stack([hh[i], qq[j]], axis=-1)), None
+
+    beta0, beta1 = pencil_extremes(hessians, 257 ** 2)
 
     sys = SystemModel(
         name="shallow_water1d", m=2, d=1,

@@ -1,9 +1,18 @@
+import gc
 import os
+import subprocess
+import sys
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import hypflux as hf
+from hypflux.systems import SCRATCH_ENTRIES
+
+# bytes of one float64 scratch chunk, the unit of the memory budgets
+SCRATCH_BYTES = 8 * SCRATCH_ENTRIES
 
 
 @pytest.fixture(scope="session")
@@ -82,3 +91,59 @@ def tree_bytes(root):
             with open(p, "rb") as fh:
                 out[os.path.relpath(p, root)] = fh.read()
     return out
+
+
+def traced_peak(fn, *args):
+    """fn(*args) under tracemalloc: (result, peak, retained), where peak is
+    the largest number of bytes the call had allocated at once and
+    retained the bytes it still holds when it returns (its result, caches
+    it filled).  peak - retained is the scratch the call needed."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, retained
+
+
+# Runs `python ARGS...` and writes its peak RSS (KiB, from os.wait4) to
+# the file named by argv[1]; the exit code is the child's.
+_LAUNCHER = """\
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable] + sys.argv[2:], os.environ)
+_, status, usage = os.wait4(pid, 0)
+with open(sys.argv[1], "w") as fh:
+    fh.write(str(usage.ru_maxrss))
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+def fresh_maxrss(code, *args, stdin=None, env=None):
+    """Run `python -c code *args` in a fresh interpreter with `stdin` as
+    its input text; return (CompletedProcess, peak RSS in MiB), the peak
+    taken from the child's rusage through os.wait4.
+
+    Linux carries a process's peak RSS across exec, and a child forked
+    from the test process would start from that process's size; so a
+    small launcher interpreter starts the child and reports its peak.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("in", "out", "err", "rss")]
+        with open(paths[0], "w") as fh:
+            fh.write(stdin or "")
+        with open(paths[0]) as inp, open(paths[1], "w") as out, \
+                open(paths[2], "w") as err:
+            rc = subprocess.run(
+                [sys.executable, "-c", _LAUNCHER, paths[3], "-c", code, *args],
+                stdin=inp, stdout=out, stderr=err, env=env).returncode
+        out, err, maxrss_kib = map(_read, paths[1:])
+    res = subprocess.CompletedProcess([sys.executable, "-c", code, *args], rc,
+                                      out, err)
+    return res, int(maxrss_kib) / 1024.0
+
+
+def _read(path):
+    with open(path) as fh:
+        return fh.read()

@@ -2,6 +2,7 @@ import ast
 import importlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import types
@@ -14,7 +15,9 @@ import hypflux.cli as cli
 from hypflux import diagnostics
 from hypflux.errors import AdmissibilityError
 
-from conftest import tree_bytes
+from hypflux.systems import SCRATCH_ENTRIES
+
+from conftest import SCRATCH_BYTES, fresh_maxrss, traced_peak, tree_bytes
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -524,6 +527,16 @@ def test_import_leaves_scipy_unloaded():
     assert res.stdout.strip() == "[]"
 
 
+def test_import_leaves_concurrent_futures_unloaded():
+    # only a study with --jobs > 1 fans out; the import of concurrent.futures
+    # (and of logging with it) waits for one
+    res, _ = fresh_maxrss(
+        "import sys, hypflux.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('concurrent')))")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 def test_benchmark_tracer_targets_exist():
     # the benchmark's tracer wraps these names; a rename or deletion here
     # would break its traced runs.  The file is parsed, not imported.
@@ -573,6 +586,68 @@ def test_snapshot_csv_matches_row_by_row_bytes(tmp_path):
             == (tmp_path / "old" / name).read_bytes()
     text = (tmp_path / "new" / names[0]).read_text()
     assert all(tok in text for tok in (",-0.0,", "1e-07", "1e+16", "5e-324"))
+
+
+def _write_snapshots_whole_file(output_dir, mesh, system, traj):
+    """The writer as it was, one template and one write per file: the byte
+    oracle of the chunked writer."""
+    coords = ["x", "y"][: mesh.dim]
+    header = ",".join(["cell_id"] + coords
+                      + [f"u_{k}" for k in range(system.m)])
+    values = ",".join(["%r"] * system.m) + "\n"
+    template = "".join(f"{k},{','.join(map(repr, c))},{values}"
+                       for k, c in enumerate(mesh.cell_centroids.tolist()))
+    for idx, (t, fld) in enumerate(traj.snapshots):
+        path = os.path.join(output_dir, f"snapshot_{idx:06d}.csv")
+        rows = template % tuple(fld.values.ravel().tolist())
+        with open(path, "wb") as fh:
+            fh.write(f"# t = {repr(float(t))}\n{header}\n{rows}".encode())
+
+
+@pytest.mark.parametrize("mesh, m", [
+    (hf.build_perturbed_quad_2d(128, 64, 1.0, 0.5, 0.15, 2), 1),
+    (hf.build_uniform_1d(6000, 1.0), 2)], ids=["quad-m1", "line-m2"])
+def test_chunked_snapshots_match_whole_file_bytes(tmp_path, monkeypatch,
+                                                  mesh, m):
+    # several chunks of rows and a remainder; each chunk is one write
+    rows = SCRATCH_ENTRIES // (4 * (mesh.dim + m))
+    assert mesh.n_cells > 2 * rows and mesh.n_cells % rows
+    special = np.array([-0.0, 1e-7, 1e16, 5e-324, -1.5, 0.1, 1e300,
+                        -2.5e-310, 0.0, np.inf, np.nan])
+    traj = cli.solver.Trajectory(snapshots=[], dt=0.1, n_steps=1)
+    for k, t in enumerate((0.0, 0.1)):
+        vals = np.resize(np.roll(special, k), (mesh.n_cells, m))
+        traj.snapshots.append((t, hf.StateField(vals, t, mesh.mesh_id)))
+    system = types.SimpleNamespace(m=m)
+    sizes = []
+    write = os.write
+
+    def counted_write(fd, buf):
+        sizes.append(len(buf))
+        return write(fd, buf)
+
+    monkeypatch.setattr(cli.os, "write", counted_write)
+    (tmp_path / "new").mkdir()
+    (tmp_path / "old").mkdir()
+    cli._write_snapshots(str(tmp_path / "new"), mesh, system, traj, "all")
+    _write_snapshots_whole_file(str(tmp_path / "old"), mesh, system, traj)
+    assert tree_bytes(tmp_path / "new") == tree_bytes(tmp_path / "old")
+    assert len(sizes) == 2 * -(-mesh.n_cells // rows)
+
+
+def test_snapshot_write_scratch_is_bounded(tmp_path):
+    # one 128 x 128 file: formatted and written in chunks of rows, with no
+    # whole-file string and no whole-file bytes (those took about 15
+    # scratch chunks)
+    mesh = hf.build_perturbed_quad_2d(128, 128, 1.0, 1.0, 0.15, 1)
+    vals = np.random.default_rng(0).standard_normal((mesh.n_cells, 1))
+    traj = cli.solver.Trajectory(
+        snapshots=[(0.0, hf.StateField(vals, 0.0, mesh.mesh_id))], dt=0.1,
+        n_steps=0)
+    _, peak, kept = traced_peak(cli._write_snapshots, str(tmp_path), mesh,
+                                types.SimpleNamespace(m=1), traj, "all")
+    assert peak - kept <= 8 * SCRATCH_BYTES
+    assert os.listdir(tmp_path) == ["snapshot_000000.csv"]
 
 
 def test_write_bytes_loops_on_short_writes_and_keeps_open_mode(
@@ -663,20 +738,80 @@ def test_shipped_configs_write_the_same_bytes_step_by_step(monkeypatch,
         assert trees[0] and trees[0] == trees[1], name
 
 
+_MAIN = "import sys; from hypflux.cli import main; print(main(sys.argv[1:]))"
+
+
 def test_fine_reference_run_memory(tmp_path):
     # the fine-grid reference keeps one fine state; storing its whole
     # trajectory instead peaks near 250 MB on this config
-    code = ("import resource, sys; from hypflux.cli import main; "
-            "rc = main(sys.argv[1:]); "
-            "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
-    res = subprocess.run([sys.executable, "-c", code, "run",
-                          _fine_advection2d(tmp_path), "--output-dir",
-                          str(tmp_path / "o")],
-                         capture_output=True, text=True)
+    res, maxrss_mb = fresh_maxrss(_MAIN, "run", _fine_advection2d(tmp_path),
+                                  "--output-dir", str(tmp_path / "o"))
     assert res.returncode == 0, res.stderr
-    rc, maxrss_kb = map(int, res.stdout.split()[-2:])
+    rc = int(res.stdout.split()[-1])
     assert rc == cli.EXIT_OK
-    assert maxrss_kb / 1024 < 120.0
+    assert maxrss_mb < 120.0
+
+
+def _adv2d_128(tmp_path, t):
+    """The shipped advection2d config at 128 x 128 to time t, snapshots at
+    the ends; returns its path."""
+    text = _shipped("advection2d.ini")
+    for old, new in {"nx = 12": "nx = 128", "ny = 12": "ny = 128",
+                     "t = 0.1": f"t = {t!r}",
+                     "reference = exact": "reference = exact\nsnapshots = ends"
+                     }.items():
+        assert old in text
+        text = text.replace(old, new)
+    return write(tmp_path, f"a{t!r}.ini", text)
+
+
+_MAIN_FAULTS = ("import resource, sys; from hypflux.cli import main; "
+                "rc = main(sys.argv[1:]); "
+                "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_minflt)")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="counts glibc heap trims through minor faults")
+def test_steps_fault_in_no_memory(tmp_path):
+    # a 2D step allocates and frees about 4 MiB of interface arrays; if
+    # glibc gave the top of its heap back after each step, every step
+    # would fault it in again (about 490 minor faults per step at
+    # 128 x 128).  So 27 more steps take next to no more faults.
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    faults = []
+    for t, steps in ((0.0006, 3), (0.006, 30)):
+        out = tmp_path / f"o{steps}"
+        res, _ = fresh_maxrss(_MAIN_FAULTS, "run", _adv2d_128(tmp_path, t),
+                              "--output-dir", str(out), env=env)
+        assert res.returncode == 0, res.stderr
+        rc, minflt = map(int, res.stdout.split()[-2:])
+        assert rc == cli.EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["metadata"]["n_steps"] == steps
+        faults.append(minflt)
+    assert faults[1] - faults[0] < 27 * 50, faults
+
+
+def test_run_peak_memory_above_the_import(tmp_path):
+    # a 128 x 128 jittered run of three steps, snapshots at the ends: the
+    # peak above a fresh import is what the run keeps (about 5 MiB: mesh,
+    # states, scheme) and one bounded working set: about 46 scratch chunks
+    # (11.5 MiB); with whole-batch setup, flush and writer it was about 76
+    # (19 MiB)
+    out = tmp_path / "o"
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    res, run_mb = fresh_maxrss(_MAIN, "run", _adv2d_128(tmp_path, 0.0006),
+                               "--output-dir", str(out), env=env)
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout.split()[-1]) == cli.EXIT_OK
+    assert json.loads((out / "report.json").read_text())["metadata"][
+        "n_steps"] == 3
+    assert sorted(os.listdir(out))[-2:] == ["snapshot_000000.csv",
+                                            "snapshot_000001.csv"]
+    imp, import_mb = fresh_maxrss("import hypflux.cli", env=env)
+    assert imp.returncode == 0, imp.stderr
+    assert (run_mb - import_mb) * 2 ** 20 <= 52 * SCRATCH_BYTES
 
 
 def _shipped(name):

@@ -2,7 +2,6 @@ import dataclasses
 import math
 import os
 import platform
-import subprocess
 import sys
 
 import numpy as np
@@ -11,6 +10,9 @@ import pytest
 import hypflux as hf
 from hypflux import diagnostics as diag
 from hypflux.errors import ConfigError
+from hypflux.systems import SCRATCH_ENTRIES
+
+from conftest import SCRATCH_BYTES, fresh_maxrss, traced_peak
 
 
 def burgers_wave(x):
@@ -354,10 +356,11 @@ def test_cauchy_schwarz_relation_on_run(burgers_sys, burgers_rusanov):
 
 
 def test_projection_masses_chunks_keep_the_bits():
-    # more cells than one chunk: the chunked fold must give the bits of
-    # one whole-mesh quadrature batch
+    # several chunks and a remainder: the chunked fold must give the bits
+    # of one whole-mesh quadrature batch
     mesh = hf.build_perturbed_quad_2d(72, 60, 1.0, 1.0, 0.2, 5)
-    assert mesh.n_cells > diag._MASS_CHUNK
+    chunk = SCRATCH_ENTRIES // (diag._GAUSS4[0].size ** 2 * 2)
+    assert mesh.n_cells > 2 * chunk and mesh.n_cells % chunk
     sysm = hf.make_advection(2, [1.0, 0.5], u_range=(-1.0, 1.0))
     u0 = lambda x: (0.5 * np.sin(2 * np.pi * x[..., 0])
                     * np.cos(2 * np.pi * x[..., 1]))[..., None]
@@ -630,9 +633,56 @@ def test_flushes_do_not_make_the_heap_trim():
     # 1024-cell Godunov run (K = 4 steps per block).  Setup included, a run
     # whose flushes fit in the heap takes under one per step.
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-    res = subprocess.run([sys.executable, "-c", _FAULTS], input=GODUNOV_1024,
-                         capture_output=True, text=True, env=env)
+    res, _ = fresh_maxrss(_FAULTS, stdin=GODUNOV_1024, env=env)
     assert res.returncode == 0, res.stderr
     n_steps, faults, passed = res.stdout.split()
     assert passed == "True" and int(n_steps) == 741
     assert int(faults) < 2 * int(n_steps)
+
+
+# ---------------------------------------------------------------------------
+# scratch memory at 128 x 128, where an interface array is one scratch chunk
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def adv2d_128():
+    mesh = hf.build_perturbed_quad_2d(128, 128, 1.0, 1.0, 0.15, 1)
+    assert mesh.n_interfaces * 8 == SCRATCH_BYTES
+    sysm = hf.make_advection(2, [1.0, 0.5], u_range=(-0.45, 0.65))
+    ref = hf.exact_advection([1.0, 0.5], _adv2d_wave, (1.0, 1.0))
+    return mesh, sysm, hf.make_rusanov(sysm, seed=1), ref
+
+
+def test_projection_masses_scratch_is_bounded(adv2d_128):
+    # chunks of 1024 cells (16 points of 2 coordinates each): under 9
+    # scratch chunks, where chunks of 4096 cells took about 29
+    mesh, sysm, _, _ = adv2d_128
+    field0 = hf.project_initial(mesh, sysm, _adv2d_wave)
+    ball = mesh.periodic_distance_to_origin(mesh.cell_centroids) <= 0.4
+    got, peak, kept = traced_peak(diag.projection_masses, mesh, sysm,
+                                  _adv2d_wave, field0, ball)
+    assert peak - kept <= 10 * SCRATCH_BYTES
+    assert got[0] > 0.0 and got[1] > 0.0
+
+
+def test_step_and_flush_scratch_is_bounded(adv2d_128):
+    # one step of E = 32,768 interfaces, a block of K = 1, with its flush:
+    # march's step and the update it hands the fold, then the flush's
+    # records and ledger temporaries (ErrorFold): about 16 interface
+    # arrays at the peak, where a flush that kept every record field and
+    # the ledger's products took about 22
+    mesh, sysm, sch, ref = adv2d_128
+    dt = hf.compute_dt(mesh, sysm, sch, hf.RunConfig(final_time=0.0))
+    fold = hf.ErrorFold(hf.DiagnosticsLedger(), mesh, sysm, sch, _adv2d_wave,
+                        10.0, 2 * dt, sysm.lf, ref)
+    assert fold._block == 1
+    field = hf.project_initial(mesh, sysm, _adv2d_wave)
+
+    def one_step():
+        for n, fa, fb, up in hf.march(mesh, sysm, sch, field, dt, 1):
+            fold(n, fa, fb, up, dt)
+        return fb
+
+    _, peak, kept = traced_peak(one_step)
+    assert fold.ledger.n_steps_accumulated == 1 and not fold._pending
+    assert peak - kept <= 18 * SCRATCH_BYTES

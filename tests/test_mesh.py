@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 import hypflux as hf
 from hypflux.errors import MeshError
 
+from conftest import SCRATCH_BYTES, traced_peak
+
 
 def test_uniform_1d_basic():
     m = hf.build_uniform_1d(4, 1.0)
@@ -131,6 +133,13 @@ def test_periodic_distance():
 
 
 
+SIGNS = [(1, 1), (-1, 1), (1, -1), (-1, -1)]
+
+
+def _signed(x, sign):
+    return x if sign > 0 else -x
+
+
 @pytest.mark.parametrize("m", [1, 2])
 def test_scatter_matches_add_at_bitwise(m):
     rng = np.random.default_rng(m)
@@ -148,16 +157,25 @@ def test_scatter_matches_add_at_bitwise(m):
         to_left[::4] = 0.0
         to_left[1::5] = -0.0
         to_right[::3] = -0.0
-        # all -0.0 sums to -0.0, which a +0.0 padding would turn into 0.0
+        # all -0.0 sums to -0.0, which a +0.0 padding would turn into 0.0;
+        # a subtracted side adds the negated values
         for args in ((base, to_left, to_right),
                      tuple(np.full_like(x, -0.0)
+                           for x in (base, to_left, to_right)),
+                     tuple(np.full_like(x, 0.0)
                            for x in (base, to_left, to_right))):
-            ref = args[0].copy()
-            np.add.at(ref, mesh.iface_left, args[1])
-            np.add.at(ref, mesh.iface_right, args[2])
-            out = mesh.scatter(*args)
-            # compare bit patterns, so that -0.0 and 0.0 count as different
-            assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+            for signs in SIGNS:
+                ref = args[0].copy()
+                np.add.at(ref, mesh.iface_left, _signed(args[1], signs[0]))
+                np.add.at(ref, mesh.iface_right, _signed(args[2], signs[1]))
+                out = mesh.scatter(*args, signs=signs)
+                # compare bit patterns, so that -0.0 and 0.0 count as
+                # different
+                assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+    # the built meshes gather one side per column, the graph the stack
+    assert {src for src, _ in graph._scatter_columns} == {2}
+    assert [src for src, _ in hf.build_uniform_1d(9, 1.0)._scatter_columns] \
+        == [0, 1]
 
 
 def test_scatter_matches_add_at_special_values_m2():
@@ -166,21 +184,24 @@ def test_scatter_matches_add_at_special_values_m2():
     # cached contiguous intp columns
     mesh = hf.build_perturbed_quad_2d(9, 7, 1.0, 0.8, 0.2, 11)
     cols = mesh._scatter_columns
-    assert all(c.dtype == np.intp and c.flags.c_contiguous for c in cols)
+    assert [src for src, _ in cols] == [0, 0, 1, 1]
+    assert all(c.dtype == np.intp and c.flags.c_contiguous for _, c in cols)
     rng = np.random.default_rng(2)
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308,
                         5e-324, 1.5, -2.25])
     base = np.asfortranarray(rng.choice(special, (mesh.n_cells, 2)))
     to_left = rng.choice(special, (mesh.n_interfaces, 2))
     to_right = rng.choice(special, (mesh.n_interfaces, 2))
-    ref = base.copy()
-    with np.errstate(all="ignore"):
-        np.add.at(ref, mesh.iface_left, to_left)
-        np.add.at(ref, mesh.iface_right, to_right)
-        out = mesh.scatter(base, to_left, to_right)
-    nan = np.isnan(ref)
-    assert nan.any() and np.array_equal(np.isnan(out), nan)
-    assert np.array_equal(out[~nan].view(np.int64), ref[~nan].view(np.int64))
+    for signs in SIGNS:
+        ref = base.copy()
+        with np.errstate(all="ignore"):
+            np.add.at(ref, mesh.iface_left, _signed(to_left, signs[0]))
+            np.add.at(ref, mesh.iface_right, _signed(to_right, signs[1]))
+            out = mesh.scatter(base, to_left, to_right, signs=signs)
+        nan = np.isnan(ref)
+        assert nan.any() and np.array_equal(np.isnan(out), nan)
+        assert np.array_equal(out[~nan].view(np.int64),
+                              ref[~nan].view(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +342,24 @@ def test_scatter_matches_add_at_property(nx, ny, jitter, seed, m, values_seed):
     to_left = rng.standard_normal((mesh.n_interfaces, m)) * 1e3
     to_right = rng.standard_normal((mesh.n_interfaces, m))
     to_right[rng.random(mesh.n_interfaces) < 0.3] = -0.0
+    signs = SIGNS[values_seed % len(SIGNS)]
     ref = base.copy()
-    np.add.at(ref, mesh.iface_left, to_left)
-    np.add.at(ref, mesh.iface_right, to_right)
-    assert _same_bits(mesh.scatter(base, to_left, to_right), ref)
+    np.add.at(ref, mesh.iface_left, _signed(to_left, signs[0]))
+    np.add.at(ref, mesh.iface_right, _signed(to_right, signs[1]))
+    assert _same_bits(mesh.scatter(base, to_left, to_right, signs=signs), ref)
+
+
+# ---------------------------------------------------------------------------
+# scratch memory of the builder
+# ---------------------------------------------------------------------------
+
+def test_quad_builder_scratch_is_bounded():
+    # the builder's temporaries freed before the mesh builds its
+    # adjacency, and the diameters one vertex pair at a time: at 128 x 128
+    # (an interface array is one scratch chunk) under 8 chunks of scratch.
+    # With every temporary alive it took about 34, and the (n, 6, 2)
+    # vertex-pair differences alone need more than 10
+    mesh, peak, kept = traced_peak(hf.build_perturbed_quad_2d, 128, 128, 1.0,
+                                   1.0, 0.15, 1)
+    assert mesh.n_interfaces * 8 == SCRATCH_BYTES
+    assert peak - kept <= 10 * SCRATCH_BYTES

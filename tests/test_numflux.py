@@ -8,7 +8,7 @@ from hypflux import numflux
 from hypflux.systems import generalized_eigvalsh
 from hypflux.errors import ConstructionError
 
-from conftest import sample_pairs
+from conftest import SCRATCH_BYTES, sample_pairs, traced_peak
 
 
 def all_pairs(request):
@@ -620,3 +620,63 @@ def test_shallow_water_bisection_drops_roundoff_pairs(shallow_water_sys,
     assert not np.any(np.all(U == u, axis=-1) & np.all(V == v, axis=-1))
     assert numflux._bisected_pair_lambda(sys, sch, c, U, V, nd) < \
         sch.lambda_star / 1.05
+
+
+# -- Godunov state ---------------------------------------------------------------
+
+def _godunov_state_stacked(sys, u, v, n):
+    """`_godunov_state` as it was, stacking the candidates for one argmin:
+    the bitwise oracle of the running comparison."""
+    a, b = u[..., 0], v[..., 0]
+    n = numflux._as_direction(n, 1)
+    ncoef = np.broadcast_to(n[..., 0], a.shape).astype(float)
+    coef = np.where(a <= b, 1.0, -1.0) * ncoef
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    cand = np.stack([lo, hi] + [
+        np.clip(np.broadcast_to(wc, a.shape), lo, hi)
+        for wc in np.atleast_1d(sys.flux_critical_points(n))], axis=0)
+    vals = coef * sys.flux(cand[..., None], 0)[..., 0]
+    w_star = np.take_along_axis(cand, np.argmin(vals, axis=0)[None], axis=0)[0]
+    return w_star[..., None]
+
+
+def test_godunov_state_matches_stacked_argmin_bitwise(burgers_sys,
+                                                     advection_sys):
+    # every ordered pair of special states under the normals +-1 and +-0.0
+    # (0 * inf gives NaN values): ties (+-0.0, |u| = |v| for Burgers,
+    # repeated critical points) go to the first candidate and the first NaN
+    # wins, as under argmin
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 0.5, -0.5, 1.0,
+                        -1.0, 0.25, 5e-324, -5e-324, 1e308, -1e308])
+    u = np.repeat(special, special.size)[:, None]
+    v = np.tile(special, special.size)[:, None]
+    rng = np.random.default_rng(5)
+    normals = [np.full((len(u), 1), x) for x in (1.0, -1.0, 0.0, -0.0)]
+    normals.append(rng.choice([1.0, -1.0, 0.0, -0.0], (len(u), 1)))
+    repeated = dataclasses.replace(
+        burgers_sys,
+        flux_critical_points=lambda n: np.array([0.0, -0.0, 0.25, 0.25, -1.0]))
+    for sysm in (burgers_sys, advection_sys, repeated):
+        for n in normals:
+            with np.errstate(all="ignore"):
+                got = numflux._godunov_state(sysm, u, v, n)
+                want = _godunov_state_stacked(sysm, u, v, n)
+            assert got.shape == want.shape == u.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # random pairs through the kernel, on both orientations
+    uu, vv = (rng.uniform(-1.0, 1.0, (4000, 1)) for _ in range(2))
+    for sysm in (burgers_sys, advection_sys):
+        for n in (1.0, -1.0):
+            assert np.array_equal(
+                numflux._godunov_state(sysm, uu, vv, np.array([n])),
+                _godunov_state_stacked(sysm, uu, vv, np.array([n])))
+
+
+def test_make_rusanov_scratch_is_bounded():
+    # the near-equal quotient of the 2D system covers 132 directions x
+    # 2001 states; in one batch it needed about 25 scratch chunks
+    sysm = hf.make_advection(2, [1.0, 0.5], u_range=(-0.45, 0.65))
+    sch, peak, kept = traced_peak(numflux.make_rusanov, sysm, "auto", 1)
+    assert peak - kept <= 10 * SCRATCH_BYTES
+    assert sch.lambda_star == hf.make_rusanov(sysm, seed=2).lambda_star

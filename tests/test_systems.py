@@ -12,7 +12,7 @@ from hypflux.systems import (axis_all, axis_sum, eigvals_extremes,
                              estimate_cz, generalized_eigvalsh,
                              validate_system)
 
-from conftest import sample_pairs
+from conftest import SCRATCH_BYTES, sample_pairs, traced_peak
 
 
 def test_relative_entropy_friedrichs_value(friedrichs_diag_sys):
@@ -553,6 +553,29 @@ def test_shallow_water_setup_screens_its_eigenvalue_scans(monkeypatch):
     sizes = _count_eigvalsh(monkeypatch)
     hf.make_shallow_water_1d(9.81, 0.8, 1.7, 1.0)
     assert sizes == [(4,), (2,)]
+
+
+def test_friedrichs_setup_solves_one_pencil(monkeypatch):
+    # A and the entropy Hessian 2I are constant, so every compute_lf pair
+    # gives the pencil (2A, 2I): bitwise-equal pencils share one solve
+    sizes = _count_eigvalsh(monkeypatch)
+    sysm = hf.make_friedrichs([np.array([[0.0, 1.0], [1.0, 0.0]])], radius=1.5)
+    assert sizes == [(1,)]
+    assert sysm.lf == 0.9999999999999998
+    S, B = _lf_pencils(sysm)
+    sizes.clear()
+    _same_float_bits(eigvals_extremes(S, B), _full_extremes(S, B))
+    assert sizes == [(1,), (len(S),)]
+
+
+def test_shallow_water_constants_scratch_is_bounded():
+    # the 257^2 Hessian scan of beta0/beta1 and the compute_lf pencils,
+    # formed and screened a chunk at a time: about 4 scratch chunks, where
+    # the whole batches took about 25
+    sysm, peak, kept = traced_peak(hf.make_shallow_water_1d, 9.81, 0.8, 1.7,
+                                   1.0)
+    assert peak - kept <= 6 * SCRATCH_BYTES
+    assert sysm.beta0 < sysm.beta1 and sysm.lf > 0.0
 
 
 def test_eigvals_extremes_take_the_whole_batch_when_unscreenable(monkeypatch):
