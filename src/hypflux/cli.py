@@ -555,15 +555,21 @@ def _exit_code(exc: HypfluxError) -> int:
             return code
 
 
+def _snapshot_mode(cfg: dict) -> str:
+    """The [output] snapshots mode of a run config: all, ends or none."""
+    mode = _get(cfg, "output", "snapshots", "all").strip().lower()
+    if mode not in ("all", "ends", "none"):
+        raise ConfigError(f"unknown snapshots mode {mode!r}")
+    return mode
+
+
 def run_single(config_path, output_dir=None) -> int:
     """Exit-code wrapper around execute_run for one config file."""
     try:
         cfg = load_config(config_path)
         out = output_dir or _get(cfg, "output", "dir", "hypflux_out")
-        snap_mode = _get(cfg, "output", "snapshots", "all").strip().lower()
-        if snap_mode not in ("all", "ends", "none"):
-            raise ConfigError(f"unknown snapshots mode {snap_mode!r}")
-        report = execute_run(cfg, output_dir=out, write_snapshots=snap_mode)
+        report = execute_run(cfg, output_dir=out,
+                             write_snapshots=_snapshot_mode(cfg))
     except HypfluxError as exc:
         return _exit_code(exc)
     if not report["passed"]:
@@ -582,6 +588,7 @@ def validate_only(config_path) -> int:
             levels = _parse_levels(cfg)
             build_problem(_study_to_run_config(cfg), n_override=levels[0])
         else:
+            _snapshot_mode(cfg)
             build_problem(cfg)
     except HypfluxError as exc:
         return _exit_code(exc)

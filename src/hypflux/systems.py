@@ -302,10 +302,9 @@ def compute_lf(sys: SystemModel, samples: int = 4096, seed: int = 0) -> float:
     computed exactly per sampled pair as a symmetric generalized
     eigenproblem (the quadratic form only sees the symmetric part); only
     the (u, v) sampling is approximate, backed by hull corners and, for
-    scalar systems, a dense state grid.  `pencil_extremes` forms the
-    pencils a chunk at a time and solves those that can hold the largest
-    |mu| only, with the bits of solving all of them.  The result is
-    stored on the model.
+    scalar systems, a dense state grid.  `pencil_extremes` forms and
+    solves the pencils a chunk at a time, in closed form for m = 2.  The
+    result is stored on the model.
     """
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
@@ -352,17 +351,7 @@ def generalized_eigvalsh(S, B):
     return np.linalg.eigvalsh(L_inv @ S @ np.swapaxes(L_inv, -1, -2))
 
 
-# Candidate window of `pencil_extremes`, relative to the batch's largest
-# |mu|.  The screen and the exact kernel both take the eigenvalues of the
-# whitened matrix L^-1 S L^-T (B = L L^T).  Cholesky and the symmetric
-# eigenvalues are backward stable, and Weyl's inequality carries a matrix
-# error to the eigenvalues, so the two differ by c eps kappa(B) |mu|_max
-# per pencil, c a small constant (under 3 on random pencils).  The
-# extreme LAPACK gives is missed only if that difference, counted twice,
-# exceeds the window: below the conditioning cap it is about 1e-11
-# |mu|_max, five orders short of the window.
-_SCREEN_TOL = 1e-6
-_SCREEN_MAX_COND = 1e4  # largest kappa(B) the screen accepts
+_CLOSED_FORM_MAX_COND = 1e4  # largest kappa(B) the closed form takes
 
 
 def _sym2_eigvals(a, b, d):
@@ -373,7 +362,7 @@ def _sym2_eigvals(a, b, d):
     return mean - rad, mean + rad
 
 
-def _screened_eigvals(S, B):
+def _closed_form_eigvals(S, B):
     """Closed-form (lo, hi) eigenvalues of 2x2 pencils (S, B), (n, 2, 2) each
     (B = I when None), or None when B is not safely definite: the roots of
     the whitened matrix L^-1 S L^-T, B = L L^T."""
@@ -382,7 +371,7 @@ def _screened_eigvals(S, B):
         return _sym2_eigvals(s00, s01, s11)
     b00, b01, b11 = B[:, 0, 0], B[:, 0, 1], B[:, 1, 1]
     b_lo, b_hi = _sym2_eigvals(b00, b01, b11)
-    if not np.all((b_lo > 0.0) & (b_hi <= _SCREEN_MAX_COND * b_lo)):
+    if not np.all((b_lo > 0.0) & (b_hi <= _CLOSED_FORM_MAX_COND * b_lo)):
         return None
     l00 = np.sqrt(b00)
     l10 = b01 / l00
@@ -395,8 +384,8 @@ def _screened_eigvals(S, B):
 
 def eigvals_extremes(S, B=None):
     """(min, max) over a batch of the eigenvalues of the symmetric pencils
-    S w = mu B w, (..., m, m) each; B = I when None.  `pencil_extremes`
-    over the batch."""
+    S w = mu B w, (..., m, m) each; B = I when None: `pencil_extremes`
+    over the array, so in closed form for m = 2."""
     S = np.asarray(S, dtype=float)
     if B is not None:
         S, B = np.broadcast_arrays(S, np.asarray(B, dtype=float))
@@ -411,61 +400,28 @@ def pencil_extremes(pencils, n):
     where pencils(items) gives (S, B) of a slice of them, (k, m, m) each,
     with B None for B = I.
 
-    The numbers are those of `np.linalg.eigvalsh` (B = None) or
-    `generalized_eigvalsh` over the whole batch, bit for bit.  Those
-    kernels treat each matrix on its own, so for m = 2 they run only on
-    the candidates of a closed-form screen: the members whose screened
-    eigenvalue lies within `_SCREEN_TOL` of the screened extreme, a
-    window wider than both errors.  The screen goes over chunks under the
-    scratch bound twice: once for the screened extremes, then for the
-    candidates, recomputing only the chunks whose own screened extremes
-    reach the window.  m != 2, a pencil beyond the conditioning cap and a
-    non-finite screened value take the whole batch.  Candidates that are
-    all bitwise equal, as the pencils of a constant-coefficient system
-    are, share one solve.
+    One pass over chunks under the scratch bound, folded into a running
+    min and max that carry a NaN.  For m = 2 a chunk takes the closed-form
+    eigenvalues of the whitened pencil (`_closed_form_eigvals`); m != 2, a
+    chunk with a pencil beyond the conditioning cap and a chunk with a
+    non-finite closed-form value go to `np.linalg.eigvalsh` (B = None) or
+    `generalized_eigvalsh`.  Cholesky and the symmetric eigenvalues are
+    backward stable, and Weyl's inequality carries a matrix error to the
+    eigenvalues, so the two kernels differ by c eps kappa(B) |mu|_max per
+    pencil, c a small constant: under the cap, about 1e-11 relative at
+    worst and an ulp or two on the shipped systems.
     """
-    chunks = list(scratch_slices(n, 16))
-    screened = []  # (items, least lo, largest hi) of each chunk
-    for items in chunks:
+    lo, hi = np.inf, -np.inf
+    for items in scratch_slices(n, 16):
         S, B = pencils(items)
-        if S.shape[-1] != 2:
-            return _lapack_extremes(pencils, chunks)
-        with np.errstate(all="ignore"):  # non-finite: the whole batch
-            lohi = _screened_eigvals(S, B)
-        if lohi is None or not np.isfinite(lohi).all():
-            return _lapack_extremes(pencils, chunks)
-        screened.append((items, lohi[0].min(), lohi[1].max()))
-    lo_min = min(lo for _, lo, _ in screened)
-    hi_max = max(hi for _, _, hi in screened)
-    window = _SCREEN_TOL * max(-lo_min, hi_max)
-
-    def candidates(items):
-        S, B = pencils(items)
-        with np.errstate(all="ignore"):  # the bits of the first pass
-            lo, hi = _screened_eigvals(S, B)
-        keep = (lo <= lo_min + window) | (hi >= hi_max - window)
-        return S[keep], None if B is None else B[keep]
-
-    return _lapack_extremes(candidates, [
-        items for items, lo, hi in screened
-        if lo <= lo_min + window or hi >= hi_max - window])
-
-
-def _lapack_extremes(pencils, chunks):
-    """(min, max) of the eigenvalues of the pencils of `chunks`, by LAPACK;
-    once when they are all bitwise equal."""
-    parts = [pencils(items) for items in chunks]
-    S = np.concatenate([S for S, _ in parts])
-    B = None if parts[0][1] is None else np.concatenate([B for _, B in parts])
-    rows = S.reshape(len(S), -1)
-    if B is not None:
-        rows = np.hstack([rows, B.reshape(len(B), -1)])
-    rows = rows.view(np.int64)
-    if (rows == rows[0]).all():
-        S = S[:1]
-        B = None if B is None else B[:1]
-    eigs = np.linalg.eigvalsh(S) if B is None else generalized_eigvalsh(S, B)
-    return float(eigs.min()), float(eigs.max())
+        with np.errstate(all="ignore"):  # non-finite: LAPACK's numbers
+            eigs = _closed_form_eigvals(S, B) if S.shape[-1] == 2 else None
+        if eigs is None or not np.isfinite(eigs).all():
+            eigs = (np.linalg.eigvalsh(S) if B is None
+                    else generalized_eigvalsh(S, B))
+        lo = np.minimum(lo, np.min(eigs))
+        hi = np.maximum(hi, np.max(eigs))
+    return float(lo), float(hi)
 
 
 def estimate_cz(sys: SystemModel, samples: int = 2000, seed: int = 0,
@@ -669,9 +625,9 @@ def make_shallow_water_1d(g: float = 9.81, h_min: float = 0.5,
     eta = q^2/(2h) + g h^2/2 (nonnegative for h > 0, so the normalizing
     shift is zero) and xi = (q^2/(2h) + g h^2) q/h.  beta0/beta1 come from
     a dense eigenvalue scan of D2eta over the admissible box (257^2
-    states, formed a chunk at a time), which `pencil_extremes` hands to
-    LAPACK only where the closed-form eigenvalues come near an extreme.  The model functions
-    return inf where h <= 0 or h is NaN.
+    states, formed a chunk at a time), whose 2x2 eigenvalues
+    `pencil_extremes` takes in closed form.  The model functions return
+    inf where h <= 0 or h is NaN.
     """
     if h_min <= 0 or h_max <= h_min or q_max <= 0:
         raise ConstructionError("shallow water needs 0 < h_min < h_max and q_max > 0")

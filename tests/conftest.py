@@ -82,6 +82,28 @@ def sample_pairs(sys, n, seed):
     return u, v, nrm
 
 
+def same_bits(got, want):
+    """True when got and want have one shape, one dtype and the same bits,
+    sign of zero included.  A NaN only has to meet a NaN: IEEE 754 leaves
+    open which payload an operation on two NaNs returns, and numpy's loops
+    and plain adds pick differently."""
+    got, want = np.asarray(got), np.asarray(want)
+    if got.shape != want.shape or got.dtype != want.dtype:
+        return False
+    nan = np.isnan(want)
+    bits = f"u{want.itemsize}"
+    return (np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(bits), want[~nan].view(bits)))
+
+
+def rel_close(got, want, rtol=1e-12):
+    """True when got and want have one shape and agree to rtol relative,
+    elementwise."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and bool(
+        np.all(np.abs(got - want) <= rtol * np.abs(want)))
+
+
 def tree_bytes(root):
     """{path relative to root: file bytes} of every file under root."""
     out = {}

@@ -268,6 +268,18 @@ def test_study_flux_must_agree_with_flux_section(tmp_path, capsys):
     assert cli.validate_only(write(tmp_path, "t.ini", text)) == cli.EXIT_OK
 
 
+def test_validate_rejects_what_run_rejects_in_snapshots(tmp_path, capsys):
+    # an unknown snapshots mode fails validate as it fails run, with one
+    # message, and the run writes nothing
+    path = write(tmp_path, "b.ini", BURGERS_RUN + "snapshots = bogus\n")
+    out = str(tmp_path / "o")
+    assert cli.validate_only(path) == cli.EXIT_VALIDATION == 3
+    assert cli.run_single(path, output_dir=out) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["validation error: unknown snapshots mode 'bogus'"] * 2
+    assert not os.path.exists(out)
+
+
 def test_study_rejects_output_snapshots(tmp_path, capsys):
     # a study writes ends only, so a snapshots key would be ignored
     text = ADVECTION_STUDY.replace("dir = study_out",

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import hypflux as hf
 from hypflux.errors import MeshError
 
-from conftest import SCRATCH_BYTES, traced_peak
+from conftest import SCRATCH_BYTES, same_bits, traced_peak
 
 
 def test_uniform_1d_basic():
@@ -266,19 +266,13 @@ def _loop_quad_2d(nx, ny, lx, ly, jitter, seed):
     return arrays, verts, rows
 
 
-def _same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and \
-        np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
 def _assert_matches_oracle(mesh, oracle):
     arrays, verts, rows = oracle
     for key, val in arrays.items():
         want = np.asarray(val, dtype=getattr(mesh, key).dtype).reshape(
             getattr(mesh, key).shape)
-        assert _same_bits(getattr(mesh, key), want), key
-    assert _same_bits(mesh.cell_vertices, np.asarray(verts, dtype=float))
+        assert same_bits(getattr(mesh, key), want), key
+    assert same_bits(mesh.cell_vertices, np.asarray(verts, dtype=float))
     off, ids = mesh.cell_iface_offsets, mesh.cell_iface_ids
     for k, row in enumerate(rows):
         # left faces first, then right faces, each in interface order
@@ -346,7 +340,7 @@ def test_scatter_matches_add_at_property(nx, ny, jitter, seed, m, values_seed):
     ref = base.copy()
     np.add.at(ref, mesh.iface_left, _signed(to_left, signs[0]))
     np.add.at(ref, mesh.iface_right, _signed(to_right, signs[1]))
-    assert _same_bits(mesh.scatter(base, to_left, to_right, signs=signs), ref)
+    assert same_bits(mesh.scatter(base, to_left, to_right, signs=signs), ref)
 
 
 # ---------------------------------------------------------------------------

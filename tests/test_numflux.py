@@ -8,7 +8,8 @@ from hypflux import numflux
 from hypflux.systems import generalized_eigvalsh
 from hypflux.errors import ConstructionError
 
-from conftest import SCRATCH_BYTES, sample_pairs, traced_peak
+from conftest import (SCRATCH_BYTES, rel_close, same_bits, sample_pairs,
+                      traced_peak)
 
 
 def all_pairs(request):
@@ -499,8 +500,9 @@ def test_centred_flux_fails_the_closed_form_calibration(advection_sys):
 
 
 def test_batched_near_equal_quotient_matches_per_direction_loop(request):
-    # one call over every direction (and elementwise for m = 1) gives the
-    # maximum of the per-direction matrix form bit for bit
+    # one call over every direction gives the maximum of the per-direction
+    # matrix form: bit for bit elementwise for m = 1, and for m = 2, whose
+    # pencils go in closed form, to 1e-12 relative of LAPACK's
     adv2 = hf.make_advection(2, [1.0, 0.5], u_range=(-0.4, 0.6))
     systems = [request.getfixturevalue(name) for name in
                ("burgers_sys", "advection_sys", "friedrichs_sys",
@@ -519,8 +521,10 @@ def test_batched_near_equal_quotient_matches_per_direction_loop(request):
                      else generalized_eigvalsh(S, 2.0 * c * B))
                 want = max(want, float(q.max()))
             got = numflux._near_equal_lambda(sys, pts, c)
-            assert np.float64(got).view(np.int64) == \
-                np.float64(want).view(np.int64), (sys.name, c)
+            if sys.m == 1:
+                assert same_bits(got, want), (sys.name, c)
+            else:
+                assert rel_close(got, want), (sys.name, c)
 
 
 # -- the shallow-water bisection -------------------------------------------------
@@ -601,7 +605,7 @@ def test_shallow_water_bisection_drops_roundoff_pairs(shallow_water_sys,
     sys, sch = shallow_water_sys, shallow_water_rusanov
     c = sch.params["c"]
     for seed in range(12):
-        assert hf.make_rusanov(sys, seed=seed).lambda_star == 9.817005481409263
+        assert hf.make_rusanov(sys, seed=seed).lambda_star == 9.81700548140926
     # 1e-9 apart, the pair's critical lambda is roundoff over roundoff: on
     # its own it stops the setup
     u = np.array([[1.5, 0.9]])

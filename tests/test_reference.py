@@ -9,6 +9,8 @@ import hypflux as hf
 from hypflux import diagnostics, reference
 from hypflux.errors import AdmissibilityError, ConstructionError, HorizonError
 
+from conftest import same_bits
+
 
 def sine1(x):
     x = np.asarray(x, dtype=float)
@@ -324,12 +326,6 @@ def test_exact_burgers_reuses_the_converged_u0():
         np.testing.assert_allclose(got, burgers_wave(y[:, None]), atol=1e-12)
 
 
-def _same_bits(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    return got.shape == want.shape and got.dtype == want.dtype and \
-        np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
 @pytest.mark.parametrize("lengths", [(1.0,), (0.7, 1.3), (3.0, 3.0)])
 def test_wrap_matches_np_mod_bitwise(lengths):
     L = np.asarray(lengths)
@@ -355,12 +351,10 @@ def test_wrap_matches_np_mod_bitwise(lengths):
             with np.errstate(invalid="ignore"):
                 want = np.mod(y, L)
                 got = reference._wrap(y, lengths)
-            nan = np.isnan(want)
-            assert np.array_equal(np.isnan(got), nan)
-            assert _same_bits(got[~nan], want[~nan])
+            assert same_bits(got, want)
     # non-contiguous input, as a slice of a larger array
     y = rng.uniform(-short, short, (40, 3, d))[:, ::2]
-    assert _same_bits(reference._wrap(y, lengths), np.mod(y, L))
+    assert same_bits(reference._wrap(y, lengths), np.mod(y, L))
 
 
 def test_exact_advection_shift_matches_broadcast_bitwise():
@@ -372,7 +366,7 @@ def test_exact_advection_shift_matches_broadcast_bitwise():
     x = rng.uniform(0.0, 1.0, (50, 4, 2)) * np.array([1.0, 0.8])
     for t in (0.0, 0.013, 0.37, 2.9):
         want = np.mod(x - c * t, np.array([1.0, 0.8]))[..., :1]
-        assert _same_bits(ref.eval(x, t), want)
+        assert same_bits(ref.eval(x, t), want)
 
 
 # ---------------------------------------------------------------------------
@@ -423,21 +417,21 @@ def test_exact_burgers_levels_match_per_level_eval_bitwise():
         slope_sizes.clear()
         want.append(ref.eval(x, t))
         steps.append(len(slope_sizes))
-        assert _same_bits(want[-1],
+        assert same_bits(want[-1],
                           _burgers_eval_as_it_was(burgers_wave,
                                                   burgers_wave_prime, x, t))
     assert steps[0] == 0 and len(set(steps)) == len(ts)
     u0_sizes.clear()
     slope_sizes.clear()
     got = ref.levels(x, ts)
-    assert _same_bits(got, np.stack(want))
+    assert same_bits(got, np.stack(want))
     # per level: u0 once per residual and the slope once per Newton step,
     # on that level's points only; the first guess is shared
     n = len(x)
     assert len(u0_sizes) == len(slope_sizes) + 2 == max(steps) + 2
     assert sum(slope_sizes) == n * sum(steps)
     assert sum(u0_sizes) == n + n * (sum(steps) + len(ts))
-    assert _same_bits(ref.eval_levels(x, ts), got)
+    assert same_bits(ref.eval_levels(x, ts), got)
     with pytest.raises(HorizonError):
         ref.levels(x, (0.1, 0.6))
 
@@ -456,8 +450,8 @@ def test_exact_advection_2d_levels_match_per_level_eval_bitwise():
     for ts in ((0.0, 0.013, 0.37), (0.0, 0.2, 2.9), (0.05,)):
         for x in (mesh.cell_centroids, gauss):
             want = np.stack([ref.eval(x, t) for t in ts])
-            assert _same_bits(ref.levels(x, ts), want)
-            assert _same_bits(want, np.stack([
+            assert same_bits(ref.levels(x, ts), want)
+            assert same_bits(want, np.stack([
                 wave(np.mod(x - c * t, 1.0)) for t in ts]))
 
 
@@ -467,7 +461,7 @@ def test_exact_friedrichs_levels_match_per_level_eval_bitwise():
     x = np.random.default_rng(2).uniform(0.0, 1.0, (129, 3, 1))
     for ts in ((0.0, 0.3, 0.71), (0.0, 1.9)):
         want = np.stack([ref.eval(x, t) for t in ts])
-        assert _same_bits(ref.levels(x, ts), want)
+        assert same_bits(ref.levels(x, ts), want)
 
 
 def test_levels_without_a_batched_form_read_eval_in_order():

@@ -12,7 +12,8 @@ from hypflux.systems import (axis_all, axis_sum, eigvals_extremes,
                              estimate_cz, generalized_eigvalsh,
                              validate_system)
 
-from conftest import SCRATCH_BYTES, sample_pairs, traced_peak
+from conftest import (SCRATCH_BYTES, rel_close, same_bits, sample_pairs,
+                      traced_peak)
 
 
 def test_relative_entropy_friedrichs_value(friedrichs_diag_sys):
@@ -281,17 +282,6 @@ _SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308,
 _FLOATS = st.one_of(_SPECIAL, st.floats(width=64))
 
 
-def _same_sum_bits(got, want):
-    """Equal bit for bit, sign of zero included.  A NaN only has to meet a
-    NaN: IEEE 754 leaves open which payload an operation on two NaNs
-    returns, and numpy's loops and plain adds pick differently."""
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.shape == want.shape and got.dtype == want.dtype
-    nan = np.isnan(want)
-    assert np.array_equal(np.isnan(got), nan)
-    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
-
-
 @settings(max_examples=300, deadline=None, database=None)
 @given(n=st.integers(1, 11), lead=st.integers(1, 5), trail=st.integers(0, 3),
        layout=st.sampled_from(["C", "F", "reversed", "strided"]),
@@ -306,8 +296,8 @@ def test_axis_sum_matches_numpy_sum_bitwise(n, lead, trail, layout, data):
          "reversed": x[:lead, ::-1], "strided": x[::2]}[layout]
     with np.errstate(all="ignore"):
         for axis in ({1, -1} if trail else {-1}):
-            _same_sum_bits(axis_sum(x, axis), x.sum(axis=axis))
-        _same_sum_bits(axis_sum(x[0], -1), x[0].sum(axis=-1))
+            assert same_bits(axis_sum(x, axis), x.sum(axis=axis))
+        assert same_bits(axis_sum(x[0], -1), x[0].sum(axis=-1))
 
 
 def test_axis_sum_fallback_is_pairwise():
@@ -319,9 +309,9 @@ def test_axis_sum_fallback_is_pairwise():
     for v in x[0]:
         left_to_right += v
     assert x.sum(axis=-1)[0] != left_to_right
-    _same_sum_bits(axis_sum(x), x.sum(axis=-1))
+    assert same_bits(axis_sum(x), x.sum(axis=-1))
     empty = np.zeros((3, 0))
-    _same_sum_bits(axis_sum(empty), empty.sum(axis=-1))
+    assert same_bits(axis_sum(empty), empty.sum(axis=-1))
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -472,17 +462,12 @@ def test_shallow_water_model_matches_errstate_where_forms_bitwise(
         assert np.isnan(sysm.entropy_gradient(u)[5, 0, 0])
 
 
-# -- screened extreme eigenvalues ----------------------------------------------
+# -- extreme eigenvalues ------------------------------------------------------
 
 def _full_extremes(S, B=None):
     """(min, max) of the eigenvalues of the whole batch, as LAPACK gives."""
     eigs = np.linalg.eigvalsh(S) if B is None else generalized_eigvalsh(S, B)
     return float(eigs.min()), float(eigs.max())
-
-
-def _same_float_bits(got, want):
-    assert np.array(got).view(np.int64).tolist() == \
-        np.array(want).view(np.int64).tolist(), (got, want)
 
 
 def _hessian_grid(sysm, k=257):
@@ -505,24 +490,24 @@ def _lf_pencils(sysm):
     return 0.5 * (S + np.swapaxes(S, -1, -2)), B
 
 
-def test_eigvals_extremes_match_full_lapack_bitwise(shallow_water_sys,
-                                                    friedrichs_sys):
+def test_eigvals_extremes_match_full_lapack(shallow_water_sys, friedrichs_sys):
     # the 257^2 Hessian grid of beta0/beta1 (default and shipped boxes),
     # the compute_lf pencils and the near-equal pencils, with directions
-    # on a leading axis and B broadcast over them
+    # on a leading axis and B broadcast over them: the closed form agrees
+    # with LAPACK on the same inputs to 1e-12 relative
     sw_default = hf.make_shallow_water_1d()
     for sysm in (sw_default, shallow_water_sys):
         grid = _hessian_grid(sysm)
         want = _full_extremes(grid)
-        _same_float_bits(eigvals_extremes(grid), want)
-        _same_float_bits((sysm.beta0, sysm.beta1), want)
+        assert rel_close(eigvals_extremes(grid), want)
+        assert rel_close((sysm.beta0, sysm.beta1), want)
     for sysm in (sw_default, shallow_water_sys, friedrichs_sys):
         S, B = _lf_pencils(sysm)
         lo, hi = eigvals_extremes(S, B)
-        _same_float_bits((lo, hi), _full_extremes(S, B))
-        _same_float_bits(sysm.lf, np.abs(generalized_eigvalsh(S, B)).max())
+        assert rel_close((lo, hi), _full_extremes(S, B))
+        assert rel_close(sysm.lf, np.abs(generalized_eigvalsh(S, B)).max())
         for S, B in _pencils(sysm, seed=4):
-            _same_float_bits(eigvals_extremes(S, B), _full_extremes(S, B))
+            assert rel_close(eigvals_extremes(S, B), _full_extremes(S, B))
         pts = np.vstack([sysm.omega.sample(np.random.default_rng(1), 512),
                          sysm.omega.extreme_points()])
         c = 1.05 * hf.sample_wave_speed_sup(sysm)
@@ -530,7 +515,7 @@ def test_eigvals_extremes_match_full_lapack_bitwise(shallow_water_sys,
         M = c * np.eye(2) - sysm.directional_jacobian(pts, n)
         B = sysm.entropy_hessian(pts)
         S = np.swapaxes(M, -1, -2) @ B @ M
-        _same_float_bits(eigvals_extremes(S, 2.0 * c * B),
+        assert rel_close(eigvals_extremes(S, 2.0 * c * B),
                          _full_extremes(S, 2.0 * c * B))
 
 
@@ -546,31 +531,31 @@ def _count_eigvalsh(monkeypatch):
     return sizes
 
 
-def test_shallow_water_setup_screens_its_eigenvalue_scans(monkeypatch):
-    # LAPACK sees 4 of the 66,049 Hessians of the beta0/beta1 scan (the
-    # two q = +-q_max rows at each extreme) and 2 of the 12,291 compute_lf
-    # pencils; a screen that stopped pruning would hand it whole batches
+def test_shallow_water_setup_runs_no_lapack(monkeypatch):
+    # the 66,049 Hessians of the beta0/beta1 scan, the 12,291 compute_lf
+    # pencils and the near-equal quotient of the lambda* calibration are
+    # all 2x2 pencils under the conditioning cap: closed form, no LAPACK
     sizes = _count_eigvalsh(monkeypatch)
-    hf.make_shallow_water_1d(9.81, 0.8, 1.7, 1.0)
-    assert sizes == [(4,), (2,)]
+    sysm = hf.make_shallow_water_1d(9.81, 0.8, 1.7, 1.0)
+    hf.make_rusanov(sysm)
+    assert sizes == []
 
 
-def test_friedrichs_setup_solves_one_pencil(monkeypatch):
+def test_friedrichs_setup_runs_no_lapack(monkeypatch):
     # A and the entropy Hessian 2I are constant, so every compute_lf pair
-    # gives the pencil (2A, 2I): bitwise-equal pencils share one solve
+    # gives the pencil (2A, 2I), which the closed form takes as it comes
     sizes = _count_eigvalsh(monkeypatch)
     sysm = hf.make_friedrichs([np.array([[0.0, 1.0], [1.0, 0.0]])], radius=1.5)
-    assert sizes == [(1,)]
+    assert sizes == []
     assert sysm.lf == 0.9999999999999998
     S, B = _lf_pencils(sysm)
-    sizes.clear()
-    _same_float_bits(eigvals_extremes(S, B), _full_extremes(S, B))
-    assert sizes == [(1,), (len(S),)]
+    assert rel_close(eigvals_extremes(S, B), _full_extremes(S, B))
+    assert sizes == [(len(S),)]
 
 
 def test_shallow_water_constants_scratch_is_bounded():
     # the 257^2 Hessian scan of beta0/beta1 and the compute_lf pencils,
-    # formed and screened a chunk at a time: about 4 scratch chunks, where
+    # formed and solved a chunk at a time: about 4 scratch chunks, where
     # the whole batches took about 25
     sysm, peak, kept = traced_peak(hf.make_shallow_water_1d, 9.81, 0.8, 1.7,
                                    1.0)
@@ -578,16 +563,27 @@ def test_shallow_water_constants_scratch_is_bounded():
     assert sysm.beta0 < sysm.beta1 and sysm.lf > 0.0
 
 
+def test_friedrichs_constants_scratch_is_bounded():
+    # the 12,291 constant compute_lf pencils, a chunk at a time: about 4
+    # scratch chunks, where gathering them for one solve took about 12
+    sysm, peak, kept = traced_peak(
+        hf.make_friedrichs, [np.array([[0.0, 1.0], [1.0, 0.0]])])
+    assert peak - kept <= 6 * SCRATCH_BYTES
+    assert sysm.lf == 0.9999999999999998
+
+
 def test_eigvals_extremes_take_the_whole_batch_when_unscreenable(monkeypatch):
-    # a non-finite screened value, a pencil beyond the conditioning cap and
-    # m != 2 go to LAPACK whole, and give its numbers
+    # a non-finite closed-form value, a pencil beyond the conditioning cap
+    # and m != 2 send their chunk, here the whole batch, to LAPACK, and
+    # give its numbers; a batch the closed form takes never reaches it
     rng = np.random.default_rng(3)
     S = rng.standard_normal((50, 2, 2))
     S = S + np.swapaxes(S, -1, -2)
     B = np.broadcast_to(np.eye(2), S.shape).copy()
     sizes = _count_eigvalsh(monkeypatch)
-    assert eigvals_extremes(S, B) == _full_extremes(S, B)
-    assert sizes[0][0] < 50
+    got = eigvals_extremes(S, B)
+    assert sizes == []
+    assert rel_close(got, _full_extremes(S, B))
     cases = []
     for bad in (np.inf, np.nan):
         T = S.copy()
@@ -597,7 +593,7 @@ def test_eigvals_extremes_take_the_whole_batch_when_unscreenable(monkeypatch):
     U[11, 0, 0] = U[11, 1, 1] = 1.5e308  # the closed form's a + d overflows
     cases.append((U, B))
     C = B.copy()
-    C[4] = np.diag([1.0, 1.0 / (2.0 * systems._SCREEN_MAX_COND)])
+    C[4] = np.diag([1.0, 1.0 / (2.0 * systems._CLOSED_FORM_MAX_COND)])
     cases.append((S, C))
     R = rng.standard_normal((50, 3, 3))
     cases.append((R + np.swapaxes(R, -1, -2), None))
@@ -611,10 +607,10 @@ def test_eigvals_extremes_take_the_whole_batch_when_unscreenable(monkeypatch):
         assert np.array_equal(got, want, equal_nan=True)
 
 
-def test_screen_window_is_wide_against_the_closed_form_error():
-    # pencils up to the conditioning cap: the screen and LAPACK differ by
-    # far less than the candidate window, so the screen cannot miss the
-    # extreme LAPACK would pick
+def test_closed_form_eigvals_are_accurate_up_to_the_conditioning_cap():
+    # pencils up to the conditioning cap: the closed form and LAPACK differ
+    # by c eps kappa(B) |mu|_max (Weyl), far under 1e-9 relative, and not
+    # by nothing, so the test would see a drift in either kernel
     rng = np.random.default_rng(11)
     n = 20000
     th = rng.uniform(0.0, np.pi, n)
@@ -628,8 +624,8 @@ def test_screen_window_is_wide_against_the_closed_form_error():
     B = 0.5 * (B + np.swapaxes(B, -1, -2))
     S = rng.standard_normal((n, 2, 2)) * 10.0 ** rng.uniform(-3, 3, (n, 1, 1))
     S = 0.5 * (S + np.swapaxes(S, -1, -2))
-    lo, hi = systems._screened_eigvals(S, B)
+    lo, hi = systems._closed_form_eigvals(S, B)
     full = generalized_eigvalsh(S, B)
     scale = np.abs(full).max(axis=-1)
     err = np.maximum(np.abs(lo - full[:, 0]), np.abs(hi - full[:, 1])) / scale
-    assert 1e-14 < err.max() <= 1e-3 * systems._SCREEN_TOL
+    assert 1e-14 < err.max() <= 1e-9
