@@ -17,11 +17,13 @@ from .numflux import (DissipationGapCheck, FluxScheme, InterfaceFluxRecords,
                       InterfaceUpdate, dissipation_gap_check,
                       make_godunov_scalar, make_rusanov,
                       omega_stability_check, sample_wave_speed_sup, x_flux)
-from .solver import (RunConfig, Trajectory, cell_means, compute_dt,
-                     interface_flux_records, march, project_initial, run,
-                     step)
+from .solver import (RunConfig, StepBlock, Trajectory, cell_means,
+                     compute_dt, interface_flux_records, march,
+                     march_blocks, project_initial, run, step,
+                     steps_per_block)
 from .diagnostics import (ConvergenceRow, ConvergenceTable, DiagnosticsLedger,
-                          ErrorFold, MeasureMasses, accumulate_step,
+                          ErrorFold, MeasureMasses, accumulate_block,
+                          accumulate_step,
                           cone_l2_error, fit_rate, measure_masses,
                           measure_scaling_report, projection_masses,
                           reference_cell_means, relative_entropy_norm,

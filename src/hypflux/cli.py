@@ -465,13 +465,14 @@ _M_MMAP_THRESHOLD = -3
 def _keep_step_heap():
     """Keep the step loop's working set mapped between steps (glibc only).
 
-    Each step allocates and frees the same interface-sized arrays.  glibc
+    Each step, or block of steps, allocates and frees the same
+    interface-sized arrays, march's buffers aside.  glibc
     gives the top of its heap back to the system once more than its trim
     threshold lies free there, and by default that threshold is twice the
     largest block it has mapped and unmapped so far, so it follows the
     largest transient array.  With setup in bounded scratch it is below
     the working set of a 2D step, so every step would return its pages and
-    fault them in again (about 490 minor faults per step on a 128 x 128
+    fault them in again (about 640 minor faults per step on a 128 x 128
     mesh).  Fixed thresholds keep arrays up to 32 MiB in the heap and its
     top mapped.  They are set after the problem is built, so that the
     setup of a single run still gives its larger transients back.

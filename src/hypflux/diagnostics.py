@@ -3,15 +3,14 @@
 The ledger accumulates, step by step, the interface weak-BV sums, the
 entropy-flux and time variation sums, the worst discrete entropy residual
 and the per-interface dissipation-gap slack.  `ErrorFold`, the one solver
-hook, feeds the steps to the ledger and folds in the error functionals:
-the masses of the error measures, the relative-entropy error series and
-the shrinking-cone L2 error against a reference.  Both wait for a block
-of max(1, 4096 // E) steps on a mesh with E interfaces (`_LEDGER_BLOCK`):
-each block evaluates the reference once over its time levels, runs the
-flux records part once on stacked arrays, and every ledger sum is a row
-reduction.  `measure_masses` and `cone_l2_error` replay a stored
-trajectory through the part of the fold each reports, which needs no
-flux records.
+hook, takes each block of K steps that `solver.march_blocks` yields and
+folds it into the ledger and the error functionals: the masses of the
+error measures, the relative-entropy error series and the shrinking-cone
+L2 error against a reference.  A block evaluates eta and the reference
+once over its time levels, runs the flux records part once on the
+block's update, and every sum is a row reduction.  `measure_masses` and
+`cone_l2_error` replay a stored trajectory, in blocks of the same size,
+through the part of the fold each reports, which needs no flux records.
 
 All reductions fold over interfaces and cells in id order, and the rows of
 a block into the ledger in step order, so repeated runs produce identical
@@ -28,9 +27,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .mesh import Mesh
-from .numflux import FluxScheme, InterfaceFluxRecords, InterfaceUpdate
+from .numflux import FluxScheme, InterfaceFluxRecords
 from .solver import (_average, _point_values, cell_quadrature,
-                     tensor_gauss_quadrature)
+                     steps_per_block, tensor_gauss_quadrature)
 from .systems import (StateField, SystemModel, axis_sum,
                       relative_entropy_terms, scratch_slices)
 
@@ -42,17 +41,6 @@ _GAUSS4 = (np.array([-0.8611363115940526, -0.3399810435848563,
                      0.3399810435848563, 0.8611363115940526]),
            np.array([0.3478548451374538, 0.6521451548625461,
                      0.6521451548625461, 0.3478548451374538]))
-# Interface entries per block of ErrorFold.  A flush's temporaries grow
-# with the block.  While they fit in the free space inside glibc's heap,
-# the flush leaves the heap as it found it; once they reach its top, the
-# flush's frees leave a top chunk above glibc's trim threshold, so every
-# flush gives pages back and the next faults them in again.  On the
-# 1024-cell Godunov run (K = 4 steps, 64 on the 64-cell shallow-water one)
-# 4096 takes about 810 minor faults, setup included; 6144 takes 24,000 and
-# 8192 28,000.  Those counts are under glibc's default thresholds; a
-# `hypflux run` fixes them before its step loop (`cli._keep_step_heap`),
-# so that its heap is not trimmed whatever the block.
-_LEDGER_BLOCK = 4096
 
 
 @dataclass
@@ -107,28 +95,36 @@ class ConvergenceTable:
 
 
 def accumulate_step(ledger: DiagnosticsLedger, mesh: Mesh, sys: SystemModel,
-                    scheme: FluxScheme, field_n, field_np1,
-                    records: InterfaceFluxRecords, dt: float, entropies=None):
+                    scheme: FluxScheme, field_n: StateField,
+                    field_np1: StateField, records: InterfaceFluxRecords,
+                    dt: float):
     """Add one step's interface and cell contributions to every ledger sum;
     return the step's per-cell |K| |u^{n+1} - u^n| and |K| |eta^{n+1} - eta^n|.
 
-    `entropies` is (eta(u^n), eta(u^{n+1})) when the caller has them.  A
-    block of K steps of one dt passes the states as (K, n_cells, m) value
-    arrays instead of `StateField`s, with `records` and `entropies` on the
-    same leading step axis, and gets (K, n_cells) arrays back.  Every sum
-    is a row reduction, folded into the ledger in step order, so a block
-    adds the bits its steps would add one by one; a single step is the
-    block of one, through views.
+    `accumulate_block` on the block of this one step, through views.
     """
-    single = isinstance(field_n, StateField)
-    if single:
-        u_n, u_np1 = field_n.values[None], field_np1.values[None]
-        records = InterfaceFluxRecords(*(getattr(records, f.name)[None]
-                                         for f in fields(records)))
-        if entropies is not None:
-            entropies = tuple(eta[None] for eta in entropies)
-    else:
-        u_n, u_np1 = field_n, field_np1
+    rows = InterfaceFluxRecords(*(getattr(records, f.name)[None]
+                                  for f in fields(records)))
+    vol_du, vol_deta = accumulate_block(
+        ledger, mesh, sys, scheme, field_n.values[None],
+        field_np1.values[None], rows, dt)
+    return vol_du[0], vol_deta[0]
+
+
+def accumulate_block(ledger: DiagnosticsLedger, mesh: Mesh, sys: SystemModel,
+                     scheme: FluxScheme, u_n, u_np1,
+                     records: InterfaceFluxRecords, dt: float,
+                     entropies=None):
+    """Add the interface and cell contributions of K steps of one dt to
+    every ledger sum; return the per-cell |K| |u^{n+1} - u^n| and
+    |K| |eta^{n+1} - eta^n| of each step as (K, n_cells) arrays.
+
+    u_n and u_np1 are the (K, n_cells, m) states before and after each
+    step, `records` carry the same leading step axis, and `entropies` is
+    (eta(u_n), eta(u_np1)) when the caller has them.  Every sum is a row
+    reduction, folded into the ledger in step order, so a block adds the
+    bits its steps would add one by one.
+    """
     d = records.defect
     if d.shape[-1] != mesh.n_interfaces:
         raise ConfigError("flux records do not match the mesh")
@@ -185,7 +181,7 @@ def accumulate_step(ledger: DiagnosticsLedger, mesh: Mesh, sys: SystemModel,
         ledger.gap_all_pass = bool((slack[check] >= floor).all())
 
     ledger.n_steps_accumulated += len(d)
-    return (vol_du[0], vol_deta[0]) if single else (vol_du, vol_deta)
+    return vol_du, vol_deta
 
 
 def _cell_variation(mesh: Mesh, u_n, u_np1, eta_n, eta_np1):
@@ -269,8 +265,8 @@ def relative_entropy_norm(mesh: Mesh, sys: SystemModel, field: StateField,
                           reference_means) -> float:
     """sum_K |K| H(u_K, ubar_K); brackets the squared L2 cell error."""
     ubar = np.asarray(reference_means, dtype=float)
-    return _relative_entropy_sum(mesh, sys, sys.entropy(field.values), ubar,
-                                 field.values - ubar)
+    return float(_relative_entropy_sum(mesh, sys, sys.entropy(field.values),
+                                       ubar, field.values - ubar))
 
 
 def squared_l2_cell_error(mesh: Mesh, field: StateField, reference_means) -> float:
@@ -278,11 +274,12 @@ def squared_l2_cell_error(mesh: Mesh, field: StateField, reference_means) -> flo
     return float(_cell_sq_error(mesh, diff).sum())
 
 
-def _relative_entropy_sum(mesh, sys, eta_u, ubar, diff) -> float:
-    """sum_K |K| H(u_K, ubar_K) from eta(u) and diff = u - ubar."""
+def _relative_entropy_sum(mesh, sys, eta_u, ubar, diff):
+    """sum_K |K| H(u_K, ubar_K) from eta(u) and diff = u - ubar, per level
+    when they have leading level axes."""
     # no Omega check: a run checks its states under its own config
     H = relative_entropy_terms(sys, eta_u, ubar, diff)
-    return float((mesh.cell_volumes * H).sum())
+    return (mesh.cell_volumes * H).sum(axis=-1)
 
 
 def _cell_sq_error(mesh, diff):
@@ -290,48 +287,32 @@ def _cell_sq_error(mesh, diff):
     return mesh.cell_volumes * axis_sum(diff ** 2)
 
 
-def _stack(arrays):
-    """The arrays on a new leading axis; a single one as a view."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
 class ErrorFold:
-    """The run's one solver hook: the error functionals, then `accumulate_step`.
+    """The run's one solver hook: folds each `StepBlock` of a march into
+    the error functionals, the ledger (`accumulate_block`) and the masses.
 
     Cells count as inside a ball when their centroid is (periodic
     minimum-image distance).  The measure masses mu_T and mu_bar_T on
     B(0, r) are ball-masked sums of the per-cell time variation that
-    `accumulate_step` returns.  With a reference, its cell means at the
+    `accumulate_block` returns.  With a reference, its cell means at the
     time levels t^n of a block are evaluated in one call; per level,
-    u^n - ubar^n and |K| |u^n - ubar^n|^2 are formed once and shared by the
-    shrinking-cone L2 error (`cone`), the relative-entropy series and the
-    M-beta bracket (`mbeta_ok`), folded in step order.  eta(u^n)
-    serves the ledger and the relative entropy, and eta(u^{n+1}) of a step
-    is kept as eta(u^n) of the next, which the solver hands the same state
-    object (states are never changed in place).  `finish(trajectory)` adds
-    the projection masses mu_0, mu_bar_0 of the first state and the level
-    at the final time.  Time sums use the left-endpoint rule.
+    u^n - ubar^n and |K| |u^n - ubar^n|^2 are formed once and shared by
+    the shrinking-cone L2 error (`cone`), the relative-entropy series and
+    the M-beta bracket (`mbeta_ok`), as row reductions over the block,
+    folded in step order.  `finish(trajectory)` adds the projection masses
+    mu_0, mu_bar_0 of the first state and the level at the final time.
+    Time sums use the left-endpoint rule.
 
-    eta(u^{n+1}) is evaluated at every step.  The error functionals, the
-    ledger and the masses wait for a block of max(1, 4096 // E) steps
-    (E interfaces): the flush evaluates the reference over the block's
-    levels, runs the scheme's records part on the block's stacked
-    `InterfaceUpdate`s and hands it to `accumulate_step` as one block,
-    which adds the same bits in the same order as step by step.  A block
-    is flushed when full, at step round(T / dt) (so the ledger is complete
-    when a run to T returns) and by `finish`.  A reference is read in time
+    A block runs the records part once on the block's update, which it
+    takes over, so that the update's arrays go as soon as the records are
+    formed; of the records only the four fields the ledger reads stay
+    (defect, xi_KL, xi(u_K).n and the gap).  One `sys.entropy` call then
+    gives eta at the block's k + 1 states, for the ledger and the relative
+    entropy, and the error levels come last, once the records have gone.
+    A step and its fold on the 128 x 128 mesh (K = 1) take at most 14.5
+    scratch chunks, in the records part.  A reference is read in time
     order within one fold; several folds sharing a fine-grid reference
     read it in time order only with blocks of one step.
-
-    Scratch: besides the block's stacked states, entropies and
-    `InterfaceUpdate`s (views of the step's own arrays when a block is one
-    step, which the solver holds until the hook returns), a flush holds
-    at most about nine block-sized arrays at once.  The stacked updates
-    go once the records part has run, and of the records only the four
-    fields the ledger reads stay (defect, xi_KL, xi(u_K).n and the gap);
-    the ledger forms its products and its slack in place.  That is about
-    2.3 MiB on the 128 x 128 mesh (K = 1) and about 545 KB on the
-    1024-cell Godunov run (K = 4).
     """
 
     def __init__(self, ledger: DiagnosticsLedger, mesh: Mesh,
@@ -348,60 +329,36 @@ class ErrorFold:
         # mask on the last axis of a block gives F order, whose row sums
         # add in another order)
         self._ball = None if self.ball.all() else np.flatnonzero(self.ball)
+        self._dist_max = self.dist.max()
         self.cone = 0.0
         self.mbeta_ok = True
-        self._last = (None, None)  # the latest new state and its eta
-        self._block = max(1, _LEDGER_BLOCK // mesh.n_interfaces)
-        self._pending = []  # (field_n, field_np1, update, entropies, dt)
+        self._dt = None
 
-    def __call__(self, n, field_n, field_np1, update, dt):
-        entropies = self._step_entropies(field_n, field_np1)
-        if self._pending and dt != self._pending[-1][-1]:
+    def __call__(self, block):
+        """Fold the steps of one `StepBlock`, taking its update."""
+        if self._dt is not None and block.dt != self._dt:
             raise ConfigError("the steps of one ErrorFold share one dt")
-        self._pending.append((field_n, field_np1, update, entropies, dt))
-        if len(self._pending) == self._block or n + 1 == round(self.T / dt):
-            self._flush()
-
-    def _flush(self):
-        """Fold the pending steps into the error functionals, the ledger
-        and the masses."""
-        if not self._pending:
-            return
-        pending, self._pending = self._pending, []
-        dt = pending[0][4]
-        self._fold_errors([p[0] for p in pending],
-                          [p[3][0] for p in pending], dt)
-        u_n, u_np1, eta_n, eta_np1, g, left, right, *parts = map(_stack, zip(*(
-            (fa.values, fb.values, *etas, up.g_value, up.left, up.right,
-             *up.parts) for fa, fb, up, etas, _ in pending)))
-        del pending  # the stacked rows hold the block from here on
-        records = self.scheme.records(
-            InterfaceUpdate(g, left, right, tuple(parts)),
-            self.mesh.iface_normals)
-        # free before the ledger's temporaries; the ledger reads neither
-        # G nor X_KL of the records
-        del g, left, right, parts
+        self._dt = block.dt
+        update, block.update = block.update, None  # taken over
+        records = self.scheme.records(update, self.mesh.iface_normals)
+        del update
+        # the update has gone with the records part; the ledger reads
+        # neither G nor X_KL, so they go before its temporaries, and the
+        # records go before the error levels'
         records.g_value = records.x_kl = None
-        vol_du, vol_deta = accumulate_step(
-            self.ledger, self.mesh, self.sys, self.scheme, u_n, u_np1,
-            records, dt, (eta_n, eta_np1))
+        states, dt = block.states, block.dt
+        eta = self.sys.entropy(states)
+        vol_du, vol_deta = accumulate_block(
+            self.ledger, self.mesh, self.sys, self.scheme, states[:-1],
+            states[1:], records, dt, (eta[:-1], eta[1:]))
+        del records
         self._fold_masses(vol_du, vol_deta, dt)
-
-    def _entropy(self, field: StateField):
-        """eta of a state; the carried one when it is the latest new state."""
-        last, eta = self._last
-        return eta if field is last else self.sys.entropy(field.values)
-
-    def _step_entropies(self, field_n, field_np1):
-        """(eta(u^n), eta(u^{n+1})) of a step; keeps the second for the next."""
-        eta_n = self._entropy(field_n)
-        eta_np1 = self.sys.entropy(field_np1.values)
-        self._last = (field_np1, eta_np1)
-        return eta_n, eta_np1
+        del vol_du, vol_deta
+        self._fold_errors(block.times[:-1], states[:-1], eta[:-1], dt)
 
     def _fold_masses(self, vol_du, vol_deta, dt):
-        """The share of mu_T and mu_bar_T of a step, or of the rows of a
-        block of steps in step order."""
+        """The share of mu_T and mu_bar_T of the rows of a block of steps,
+        in step order."""
         for deta, du in zip(self._ball_sums(vol_deta), self._ball_sums(vol_du)):
             self.ledger.mu_t_mass += dt * deta
             self.ledger.mu_bar_t_mass += dt * du
@@ -410,77 +367,79 @@ class ErrorFold:
         """Sums over the cells of B(0, r) along the last axis, as floats."""
         if self._ball is not None:
             values = values.take(self._ball, axis=-1)
-        return np.atleast_1d(values.sum(axis=-1)).tolist()
+        return values.sum(axis=-1).tolist()
 
-    def _fold_errors(self, fields, etas, dt):
-        """The share of the error functionals of steps from t^n, for the
-        states u^n of a block of steps, in step order."""
+    def _fold_errors(self, ts, states, etas, dt):
+        """The share of the error functionals of steps from the levels t^n
+        of a block, whose (k, N, m) states and (k, N) entropies are given,
+        in step order."""
         if self.reference is None:
             return
-        for field_n, (cell_sq, esq) in zip(fields, self._levels(fields, etas)):
-            cone = self.dist <= self.r + self.lf * (self.T - field_n.time)
-            self.cone += dt * (esq if cone.all()
-                               else float(cell_sq[cone].sum()))
+        cell_sq, esq = self._levels(ts, states, etas)
+        radii = (self.r + self.lf * (self.T - t) for t in ts)
+        for row, value, radius in zip(cell_sq, esq.tolist(), radii):
+            # the whole mesh lies in the cone when its farthest centroid does
+            # (a NaN radius holds no cell, as the mask does)
+            if not radius >= self._dist_max:
+                value = float(row[self.dist <= radius].sum())
+            self.cone += dt * value
 
-    def _levels(self, fields, etas):
-        """Series entries and M-beta checks at the times of `fields`, in
-        order, where etas are their eta(u); one evaluation of the
-        reference serves them all.  Returns each level's per-cell squared
-        error and its sum."""
-        ts = [field.time for field in fields]
+    def _levels(self, ts, states, etas):
+        """Series entries and M-beta checks at the times `ts`, in order,
+        of (k, N, m) states whose entropies are `etas`; one evaluation of
+        the reference serves them all.  Returns each level's per-cell
+        squared error and their sums, as (k, N) and (k,) arrays."""
         for t in ts:
             if t > self.reference.valid_until * (1 + 1e-12):
                 raise ConfigError(f"reference not valid at t={t}")
         ubars = reference_level_means(self.mesh, self.reference, ts,
                                       self.quadrature)
-        out = []
-        for t, field, eta, ubar in zip(ts, fields, etas, ubars):
-            diff = field.values - ubar
-            hnorm = _relative_entropy_sum(self.mesh, self.sys, eta, ubar, diff)
-            cell_sq = _cell_sq_error(self.mesh, diff)
-            esq = float(cell_sq.sum())
-            self.ledger.rel_entropy_series.append((t, hnorm))
-            lo = 0.5 * self.sys.beta0 * esq
-            hi = 0.5 * self.sys.beta1 * esq
-            tol = 1e-10 * max(1.0, esq) + 1e-10 * abs(hnorm)
-            if not (lo - tol <= hnorm <= hi + tol):
-                self.mbeta_ok = False
-            out.append((cell_sq, esq))
-        return out
+        diff = states - ubars
+        hnorm = _relative_entropy_sum(self.mesh, self.sys, etas, ubars, diff)
+        del ubars
+        cell_sq = _cell_sq_error(self.mesh, diff)
+        esq = cell_sq.sum(axis=-1)
+        self.ledger.rel_entropy_series.extend(zip(ts, hnorm.tolist()))
+        # max(1, esq) as Python's max takes it, 1 for a NaN
+        tol = 1e-10 * np.where(esq > 1.0, esq, 1.0) + 1e-10 * np.abs(hnorm)
+        inside = ((0.5 * self.sys.beta0 * esq - tol <= hnorm)
+                  & (hnorm <= 0.5 * self.sys.beta1 * esq + tol))
+        self.mbeta_ok = self.mbeta_ok and bool(inside.all())
+        return cell_sq, esq
 
     def finish(self, trajectory):
-        """Fold any pending steps; add the projection masses and the final
-        level of a finished run."""
-        self._flush()
+        """Add the projection masses and the final level of a finished
+        run."""
         if not np.any(self.ball):
             raise ConfigError("no cell centroid lies in the requested ball")
         self.ledger.mu0_mass, self.ledger.mu_bar0_mass = projection_masses(
             self.mesh, self.sys, self.u0, trajectory.snapshots[0][1],
             self.ball)
         if self.reference is not None:
-            final = trajectory.final_field
-            self._levels([final], [self._entropy(final)])
+            final = trajectory.final_field.values[None]
+            self._levels([trajectory.final_field.time], final,
+                         self.sys.entropy(final))
 
 
 def _replay(fold: ErrorFold, trajectory, masses: bool) -> None:
     """Fold every step of a stored trajectory (no flux records needed):
     its share of the measure masses, or else of the error functionals,
-    over blocks of the fold's size as in a run."""
+    over blocks of `steps_per_block` steps as in a run."""
     snaps = trajectory.snapshots
     if len(snaps) != trajectory.n_steps + 1:
         raise ConfigError("the error functionals need snapshots at every step")
-    states = [fld for _, fld in snaps]
-    if masses:
-        for fa, fb in zip(states[:-1], states[1:]):
+    k = steps_per_block(fold.mesh)
+    for start in range(0, trajectory.n_steps, k):
+        levels = snaps[start:start + k + 1]
+        states = np.stack([fld.values for _, fld in levels])
+        eta = fold.sys.entropy(states)
+        if masses:
             _, vol_du, vol_deta = _cell_variation(
-                fold.mesh, fa.values, fb.values, *fold._step_entropies(fa, fb))
+                fold.mesh, states[:-1], states[1:], eta[:-1], eta[1:])
             fold._fold_masses(vol_du, vol_deta, trajectory.dt)
-        return
-    firsts = states[:-1]
-    for start in range(0, len(firsts), fold._block):
-        block = firsts[start:start + fold._block]
-        fold._fold_errors(block, [fold._entropy(fa) for fa in block],
-                          trajectory.dt)
+        else:
+            fold._fold_errors([t for t, _ in levels[:-1]], states[:-1],
+                              eta[:-1], trajectory.dt)
 
 
 def measure_masses(mesh: Mesh, sys: SystemModel, u0, trajectory, r: float,

@@ -122,9 +122,10 @@ class Mesh:
         table[right] -= n
         return tuple(zip(right.astype(int).tolist(), table))
 
-    def scatter(self, base, to_left, to_right, signs=(1, 1)):
+    def scatter(self, base, to_left, to_right, signs=(1, 1), out=None):
         """base plus, per cell, the interface values of its faces, each
-        side's values added (sign 1) or subtracted (sign -1).
+        side's values added (sign 1) or subtracted (sign -1), in a new
+        array or in `out` (an array of base's shape other than base).
 
         Adds in the order of np.add.at(base, iface_left, signs[0] * to_left)
         followed by np.add.at(base, iface_right, signs[1] * to_right), so
@@ -144,7 +145,7 @@ class Mesh:
             signs.append(1)
         (src, col), *rest = cols
         vals = sources[src].take(col, axis=0)
-        out = base + vals if signs[src] > 0 else base - vals
+        out = (np.add if signs[src] > 0 else np.subtract)(base, vals, out=out)
         for src, col in rest:
             if signs[src] > 0:
                 out += sources[src].take(col, axis=0)

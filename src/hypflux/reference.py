@@ -202,8 +202,10 @@ def fine_grid_reference(mesh: Mesh, sys, scheme, u0, config,
     grid has refinement_factor times the cells of the coarse mesh along
     each axis, so in 2D the coarse mesh must be a built quad grid.
 
-    The fine run is a `march` cursor holding one state, advanced as the
-    reference is read and restarted by a query for an earlier level.
+    The fine run is a cursor over the blocks of `march_blocks`, holding
+    the states of one block (checked for admissibility as the run's are),
+    advanced as the reference is read and restarted from the projection
+    by a query for a level before its block.
     Evaluation is piecewise-constant in space and in time (left limits),
     matching the shape of the approximation itself.  The reference is
     flagged as numerical; it shares the flux, so its error is correlated
@@ -227,29 +229,31 @@ def fine_grid_reference(mesh: Mesh, sys, scheme, u0, config,
     n_steps = 0 if T == 0.0 else int(round(T / dt))
     lengths = np.asarray(fine.domain)
     shape = np.asarray(fine.grid_shape)
-    level, state, steps = None, None, None
+    cursor = None  # (the march's blocks, level of the first row, rows)
 
     def evalfn(x, t):
-        nonlocal level, state, steps
+        nonlocal cursor
         if t > T * (1 + 1e-12):
             raise HorizonError(f"fine-grid reference only covers [0, {T}]")
         k = min(n_steps, int(np.floor(t / dt + 1e-12)))
-        if level is None or k < level:
+        if cursor is None or k < cursor[1]:
             state = _solver.project_initial(fine, sys, u0, config.quadrature)
-            steps = _solver.march(fine, sys, scheme, state, dt, n_steps,
-                                  config.check_admissibility)
-            level = 0
-        reached, level = level, None  # a march that raised restarts
-        while reached < k:
-            _, _, state, _ = next(steps)
-            reached += 1
-        level = reached
+            cursor = (_solver.march_blocks(fine, sys, scheme, state, dt,
+                                           n_steps, config.check_admissibility),
+                      0, state.values[None])
+        blocks, first, rows = cursor
+        cursor = None  # a march that raised restarts
+        while k >= first + len(rows):
+            block = next(blocks)
+            first, rows = block.start, block.states
+            del block
+        cursor = (blocks, first, rows)
         x = np.asarray(x, dtype=float)
         cell = np.minimum((np.mod(x, lengths) / (lengths / shape)).astype(int),
                           shape - 1)
         idx = np.ravel_multi_index(tuple(np.moveaxis(cell, -1, 0)),
                                    fine.grid_shape)
-        return state.values[idx]
+        return rows[k - first][idx]
 
     return ReferenceSolution(kind="fine-grid", eval=evalfn, valid_until=T,
                              params={"numerical": True,

@@ -8,10 +8,12 @@ with the cell averages of the initial data as starting values.  Each
 interface flux is evaluated once per step and scattered with opposite
 signs into its two cells, so the discrete balance is conservative
 bit-exactly.  The loop runs only the update part of the flux kernel,
-which gives G_KL; the flux records (entropy fluxes, defect, gap) come from
-the records part, which `diagnostics.ErrorFold` runs over blocks of
-steps.  The time step is uniform over the whole run and pre-shrunk so
-that an integer number of steps lands exactly on the final time.
+which gives G_KL, and hands its steps out in blocks (`march_blocks`):
+the states, G, the gathered sides and the kernel's intermediates of K
+steps on a leading axis, from which `diagnostics.ErrorFold` derives the
+flux records (entropy fluxes, defect, gap) and every functional as row
+reductions.  The time step is uniform over the whole run and pre-shrunk
+so that an integer number of steps lands exactly on the final time.
 """
 
 from __future__ import annotations
@@ -24,8 +26,16 @@ import numpy as np
 
 from .errors import AdmissibilityError, ConfigError
 from .mesh import Mesh
-from .numflux import FluxScheme, InterfaceFluxRecords
-from .systems import StateField, SystemModel, axis_sum
+from .numflux import FluxScheme, InterfaceFluxRecords, InterfaceUpdate
+from .systems import SCRATCH_ENTRIES, StateField, SystemModel, axis_sum
+
+# Interface entries per block of steps: `march_blocks` yields blocks of
+# K = max(1, _BLOCK_ENTRIES // E) steps on a mesh of E interfaces.  The
+# records part, the ledger and the error levels of a block run on (K, E)
+# arrays, so their scratch grows with the block; at 8192 entries, a
+# quarter of the scratch bound, blocks of 16,384 or 32,768 entries raised
+# the peak of the 1024-cell Godunov run by 1.7 or 5.2 MiB.
+_BLOCK_ENTRIES = SCRATCH_ENTRIES // 4
 
 _GAUSS3 = (np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)]),
            np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0]))
@@ -187,47 +197,142 @@ def compute_dt(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
     return config.final_time / n
 
 
-def _gather(mesh: Mesh, field: StateField):
-    """(u_K, u_L, n) of every interface, the arguments of a flux kernel."""
-    return (field.values.take(mesh.iface_left, axis=0),
-            field.values.take(mesh.iface_right, axis=0), mesh.iface_normals)
-
-
 def interface_flux_records(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
                            field: StateField) -> InterfaceFluxRecords:
     """Evaluate every interface flux once for the given state."""
-    return scheme.kernel(*_gather(mesh, field))
+    u = field.values
+    return scheme.kernel(u.take(mesh.iface_left, axis=0),
+                         u.take(mesh.iface_right, axis=0), mesh.iface_normals)
+
+
+def steps_per_block(mesh: Mesh) -> int:
+    """K, the steps of a block of `march_blocks` on `mesh`."""
+    return max(1, _BLOCK_ENTRIES // mesh.n_interfaces)
+
+
+@dataclass
+class StepBlock:
+    """k consecutive steps of one march, from step `start`.
+
+    Row j of `states` is the state after start + j steps, at `times[j]`;
+    row j of the arrays of `update` is the `InterfaceUpdate` of the step
+    from row j to row j + 1.  The rows are the march's buffers, which its
+    next block rewrites, so a consumer copies what it keeps.  A consumer
+    that takes `update` (setting it to None) frees its arrays, when they
+    are the step's own, as soon as it is done with them.
+    """
+
+    start: int
+    dt: float
+    times: list
+    states: np.ndarray       # (k + 1, n_cells, m)
+    update: InterfaceUpdate  # arrays with a leading step axis of length k
+
+
+def march_blocks(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
+                 field: StateField, dt: float, n_steps: int,
+                 check_admissibility: bool = False, steps: int = None):
+    """The one time loop: n_steps updates of size dt from `field`, yielded
+    in `StepBlock`s of `steps` steps (`steps_per_block(mesh)` by default;
+    the last may be shorter).  Only the update part of the kernel runs;
+    `scheme.records(update, mesh.iface_normals)` gives the records.  The
+    caller is responsible for the CFL bound.
+
+    The states are one (K + 1, N, m) buffer for the run: a step gathers
+    from its row and scatters into the next.  With K > 1 the sides are
+    gathered into (K, E, m) buffers, and G and the parts are copied into
+    theirs; a block of one step is the step's own arrays.  With
+    `check_admissibility`, the new states of a block are tested at once:
+    the steps before the first one outside Omega are yielded, and then the
+    march raises what checking that step alone raises.
+    """
+    if field.values.shape[0] != mesh.n_cells:
+        raise ConfigError("state field does not match the mesh")
+    k_max = steps or steps_per_block(mesh)
+    areas = mesh.iface_areas[:, None]
+    to_left = (dt / mesh.cell_volumes[mesh.iface_left])[:, None]
+    to_right = (dt / mesh.cell_volumes[mesh.iface_right])[:, None]
+    states = np.empty((k_max + 1,) + field.values.shape)
+    states[-1] = field.values
+    times = [field.time]
+    # for K > 1: the G and side buffers, then the parts' in the shapes of
+    # the first step's
+    shape = (k_max, mesh.n_interfaces) + field.values.shape[1:]
+    rows = [np.empty(shape) for _ in range(3)] if k_max > 1 else None
+    # a checked block may step on from a state outside Omega, whose
+    # floating-point warnings belong to steps that are never yielded
+    quiet = "ignore" if check_admissibility else None
+    for start in range(0, n_steps, k_max):
+        states[0] = states[-1]  # the last state of the previous, full block
+        times = times[-1:]
+        k = min(k_max, n_steps - start)
+        with np.errstate(all=quiet):
+            for j in range(k):
+                u = states[j]
+                # the mesh's indices are in range, and a clipped take
+                # writes into `out` without a buffer
+                out = (None, None) if rows is None else (rows[1][j], rows[2][j])
+                update = scheme.update(
+                    u.take(mesh.iface_left, axis=0, out=out[0], mode="clip"),
+                    u.take(mesh.iface_right, axis=0, out=out[1], mode="clip"),
+                    mesh.iface_normals)
+                flux = areas * update.g_value
+                mesh.scatter(u, to_left * flux, to_right * flux,
+                             signs=(-1, 1), out=states[j + 1])
+                times.append(field.time + (start + j + 1) * dt)
+                if rows is None:  # a block of one step: the step's arrays
+                    block_rows = [a[None] for a in (
+                        update.g_value, update.left, update.right,
+                        *update.parts)]
+                else:
+                    if len(rows) == 3:
+                        rows += [np.empty((k_max,) + p.shape)
+                                 for p in update.parts]
+                    rows[0][j] = update.g_value
+                    for row, p in zip(rows[3:], update.parts):
+                        row[j] = p
+                    block_rows = rows
+                del update, flux
+        ok = _admissible_rows(sys, states[1:k + 1]) if check_admissibility else k
+        if ok:
+            block_rows = [a[:ok] for a in block_rows]
+            block = StepBlock(start, dt, times[:ok + 1], states[:ok + 1],
+                              InterfaceUpdate(*block_rows[:3],
+                                              tuple(block_rows[3:])))
+            del block_rows  # the block holds the update from here on
+            yield block
+        if ok < k:
+            try:
+                StateField(states[ok + 1], times[ok + 1],
+                           field.mesh_id).check_admissible(sys)
+            except AdmissibilityError as exc:
+                raise AdmissibilityError(
+                    f"step {start + ok + 1}: {exc}") from exc
+
+
+def _admissible_rows(sys: SystemModel, states) -> int:
+    """How many leading rows of a (k, N, m) block of states lie in Omega,
+    from one membership test over the whole block."""
+    ok = sys.omega.contains(states.reshape(-1, states.shape[-1]))
+    bad = ~ok.reshape(len(states), -1).all(axis=1)
+    return int(bad.argmax()) if bad.any() else len(states)
 
 
 def march(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
           field: StateField, dt: float, n_steps: int,
           check_admissibility: bool = False):
-    """The one time loop: n_steps updates of size dt from `field`, yielding
-    (n, field_n, field_np1, update) after each, where `update` is the
-    `InterfaceUpdate` of field_n that the step used: G_KL with the gathered
-    states and the intermediates the flux records need.  Only the update
-    part of the kernel runs; `scheme.records(update, mesh.iface_normals)`
-    gives the records.  The caller is responsible for the CFL bound."""
-    if field.values.shape[0] != mesh.n_cells:
-        raise ConfigError("state field does not match the mesh")
-    t0 = field.time
-    to_left = (dt / mesh.cell_volumes[mesh.iface_left])[:, None]
-    to_right = (dt / mesh.cell_volumes[mesh.iface_right])[:, None]
-    for n in range(n_steps):
-        update = scheme.update(*_gather(mesh, field))
-        flux = mesh.iface_areas[:, None] * update.g_value
-        new = StateField(
-            values=mesh.scatter(field.values, to_left * flux,
-                                to_right * flux, signs=(-1, 1)),
-            time=t0 + (n + 1) * dt, mesh_id=field.mesh_id)
-        del flux
-        if check_admissibility:
-            try:
-                new.check_admissible(sys)
-            except AdmissibilityError as exc:
-                raise AdmissibilityError(f"step {n + 1}: {exc}") from exc
-        yield n, field, new, update
-        del update  # before the next step's flux
+    """`march_blocks` one step at a time: yields (n, field_n, field_np1,
+    update) after each step, where `update` is the step's own
+    `InterfaceUpdate` (G_KL, the gathered states and the intermediates the
+    flux records need) and each new state is a `StateField` of its own."""
+    for block in march_blocks(mesh, sys, scheme, field, dt, n_steps,
+                              check_admissibility, steps=1):
+        new = StateField(values=block.states[1].copy(), time=block.times[1],
+                         mesh_id=field.mesh_id)
+        up = block.update
+        yield block.start, field, new, InterfaceUpdate(
+            up.g_value[0], up.left[0], up.right[0],
+            tuple(p[0] for p in up.parts))
         field = new
 
 
@@ -242,20 +347,22 @@ def run(mesh: Mesh, sys: SystemModel, scheme: FluxScheme, u0,
         config: RunConfig, hooks: Sequence[Callable] = ()) -> Trajectory:
     """Project, then march N_T uniform steps to the final time.
 
-    Hooks are invoked after every step as hook(n, field_n, field_np1,
-    update, dt), with the `InterfaceUpdate` that `march` yields.  The
-    first state, every `record_every`-th state and the last state are
-    kept on the trajectory.
+    Each hook is invoked as hook(block) with every `StepBlock` of the
+    march, in order.  The first state, every `record_every`-th state and
+    the last state are kept on the trajectory, as copies of block rows.
     """
     field = project_initial(mesh, sys, u0, config.quadrature)
     dt = compute_dt(mesh, sys, scheme, config)
     n_steps = 0 if config.final_time == 0.0 else int(round(config.final_time / dt))
     traj = Trajectory(snapshots=[(0.0, field)], dt=dt, n_steps=n_steps)
-    for n, field_n, field_np1, update in march(
-            mesh, sys, scheme, field, dt, n_steps, config.check_admissibility):
+    for block in march_blocks(mesh, sys, scheme, field, dt, n_steps,
+                              config.check_admissibility):
         for hook in hooks:
-            hook(n, field_n, field_np1, update, dt)
-        del update  # before the next step's flux
-        if (n + 1) % config.record_every == 0 or n + 1 == n_steps:
-            traj.snapshots.append((field_np1.time, field_np1))
+            hook(block)
+        for j, t in enumerate(block.times[1:], 1):
+            n = block.start + j
+            if n % config.record_every == 0 or n == n_steps:
+                traj.snapshots.append((t, StateField(
+                    values=block.states[j].copy(), time=t,
+                    mesh_id=field.mesh_id)))
     return traj

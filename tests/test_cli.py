@@ -12,7 +12,6 @@ import pytest
 
 import hypflux as hf
 import hypflux.cli as cli
-from hypflux import diagnostics
 from hypflux.errors import AdmissibilityError
 
 from hypflux.systems import SCRATCH_ENTRIES
@@ -175,8 +174,8 @@ class _EndsOnly(list):
 
 
 def test_run_takes_one_reference_mean_per_level(monkeypatch):
-    # the error functionals are folded over the ledger's blocks of K steps:
-    # one batched reference evaluation per flush, over the block's levels,
+    # the error functionals are folded over the march's blocks of K steps:
+    # one batched reference evaluation per block, over the block's levels,
     # and one more at the final time; each of t^0..t^N is evaluated once,
     # in order, and after solver.run nothing reads more than the first and
     # last state
@@ -198,9 +197,10 @@ def test_run_takes_one_reference_mean_per_level(monkeypatch):
     monkeypatch.setattr(cli.solver, "run", guarded_run)
     report = cli.execute_run(cli.parse_config_text(BURGERS_RUN))
     md = report["metadata"]
-    n, k = md["n_steps"], max(1, diagnostics._LEDGER_BLOCK // 64)
-    flushes = [k] * (n // k) + ([n % k] if n % k else [])
-    assert [len(ts) for ts in means] == flushes + [1]
+    # blocks of 8192 interface entries on 64 interfaces
+    n, k = md["n_steps"], 128
+    blocks = [k] * (n // k) + ([n % k] if n % k else [])
+    assert [len(ts) for ts in means] == blocks + [1]
     assert sum(means, []) == [i * md["dt"] for i in range(n + 1)]
     assert report["passed"] is True
 
@@ -480,6 +480,46 @@ def _blown_up_run(monkeypatch, check):
     return cli.execute_run(cli.parse_config_text(text))
 
 
+# the first state outside Omega of the run below, as checking every step
+# names it
+_STEP_8 = ("step 8: cell 32 holds inadmissible state [0.77982255] at "
+           "t=0.35555555555555557")
+
+
+def test_admissibility_is_checked_inside_a_block(monkeypatch, tmp_path,
+                                                 capsys):
+    # twenty times the CFL step: the state leaves Omega at step 8 of 22,
+    # inside the run's one block of up to 128 steps.  The block's check
+    # names the step, cell, state and time that checking each step named,
+    # with the same exit code; hooks see the 7 steps before it only, so no
+    # hook, ledger row or snapshot covers step 8 or a later one
+    text = (BURGERS_RUN.replace("t = 0.1", "t = 1.0")
+            .replace("reference = exact", "reference = none")
+            .replace("seed = 7", "seed = 7\ncheck_admissibility = true"))
+    compute_dt = cli.solver.compute_dt
+    monkeypatch.setattr(cli.solver, "compute_dt",
+                        lambda *args: 20.0 * compute_dt(*args))
+    out = tmp_path / "o"
+    path = write(tmp_path, "b.ini", text)
+    assert cli.run_single(path, str(out)) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == f"runtime error: {_STEP_8}\n"
+    assert not out.exists()
+
+    setup = cli.build_problem(cli.parse_config_text(text))
+    mesh, system, scheme = setup.mesh, setup.system, setup.scheme
+    dt = cli.solver.compute_dt(mesh, system, scheme, setup.run_config)
+    assert round(1.0 / dt) == 22 and hf.steps_per_block(mesh) == 128
+    seen, ledger = [], hf.DiagnosticsLedger()
+    fold = hf.ErrorFold(ledger, mesh, system, scheme, setup.u0, 10.0, 1.0,
+                        system.lf)
+    with pytest.raises(AdmissibilityError) as exc:
+        hf.run(mesh, system, scheme, setup.u0, setup.run_config,
+               [lambda block: seen.append(list(block.times)), fold])
+    assert str(exc.value) == _STEP_8
+    assert seen == [[n * dt for n in range(8)]]
+    assert ledger.n_steps_accumulated == 7
+
+
 def test_admissibility_flag_checks_final_state(monkeypatch):
     with pytest.raises(AdmissibilityError):
         _blown_up_run(monkeypatch, "true")
@@ -735,15 +775,16 @@ def test_validate_runs_no_fine_solve(monkeypatch, tmp_path):
 
 def test_shipped_configs_write_the_same_bytes_step_by_step(monkeypatch,
                                                           tmp_path):
-    # the ledger folded over blocks of steps writes the bytes of a fold
-    # step by step (block size 1), on every shipped config
-    default = diagnostics._LEDGER_BLOCK
+    # a run marched and folded in blocks of steps writes the bytes of one
+    # marched and folded step by step (block size 1), on every shipped
+    # config
+    default = cli.solver._BLOCK_ENTRIES
     for name in sorted(os.listdir(CONFIG_DIR)):
         path = os.path.join(CONFIG_DIR, name)
         command = "study" if "study" in cli.load_config(path) else "run"
         trees = []
         for block in (default, 1):
-            monkeypatch.setattr(diagnostics, "_LEDGER_BLOCK", block)
+            monkeypatch.setattr(cli.solver, "_BLOCK_ENTRIES", block)
             out = str(tmp_path / f"{name}-{block}")
             assert cli.main([command, path, "--output-dir", out]) == cli.EXIT_OK
             trees.append(tree_bytes(out))
@@ -788,7 +829,7 @@ _MAIN_FAULTS = ("import resource, sys; from hypflux.cli import main; "
 def test_steps_fault_in_no_memory(tmp_path):
     # a 2D step allocates and frees about 4 MiB of interface arrays; if
     # glibc gave the top of its heap back after each step, every step
-    # would fault it in again (about 490 minor faults per step at
+    # would fault it in again (about 640 minor faults per step at
     # 128 x 128).  So 27 more steps take next to no more faults.
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     faults = []
@@ -808,8 +849,8 @@ def test_steps_fault_in_no_memory(tmp_path):
 def test_run_peak_memory_above_the_import(tmp_path):
     # a 128 x 128 jittered run of three steps, snapshots at the ends: the
     # peak above a fresh import is what the run keeps (about 5 MiB: mesh,
-    # states, scheme) and one bounded working set: about 46 scratch chunks
-    # (11.5 MiB); with whole-batch setup, flush and writer it was about 76
+    # states, scheme) and one bounded working set: about 43 scratch chunks
+    # (10.8 MiB); with whole-batch setup, flush and writer it was about 76
     # (19 MiB)
     out = tmp_path / "o"
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
@@ -887,15 +928,15 @@ def test_study_with_zero_errors_is_validation_error(tmp_path, capsys):
     assert report["errors"]["cone_l2"] == 0.0
 
 
-@pytest.mark.parametrize("mode, per_step, extra", [("exact", 2, 4),
-                                                   ("none", 1, 3)])
-def test_run_entropy_evaluations_per_step(monkeypatch, mode, per_step,
+@pytest.mark.parametrize("mode, per_block, extra", [("exact", 2, 4),
+                                                    ("none", 1, 2)])
+def test_run_entropy_evaluations_per_step(monkeypatch, mode, per_block,
                                           extra):
-    # each step evaluates eta(u^{n+1}) once, for the ledger and the error
-    # fold; it serves as eta(u^n) of the next step and of the relative
-    # entropy, so only the first step evaluates eta(u^0) (one extra).  A
-    # reference adds eta(ubar^n) per level.  The ends add the projection
-    # masses (two) and, with a reference, eta(ubar^N) of the final level.
+    # each block of K steps evaluates eta at its K + 1 states in one call,
+    # for the ledger and the error fold; a reference adds one call for
+    # eta(ubar^n) over the block's levels.  The ends add the projection
+    # masses (two) and, with a reference, eta(u^N) and eta(ubar^N) of the
+    # final level.  180 steps on 128 interfaces are 3 blocks of up to 64.
     calls, hooks = [], []
     build, run = cli.build_problem, cli.solver.run
 
@@ -922,7 +963,32 @@ def test_run_entropy_evaluations_per_step(monkeypatch, mode, per_step,
     n_steps = report["metadata"]["n_steps"]
     assert n_steps == 180 and report["passed"] is True
     assert hooks == [1]
-    assert len(calls) == per_step * n_steps + extra
+    assert len(calls) == per_block * 3 + extra
+
+
+def test_run_tests_omega_once_per_block(monkeypatch):
+    # the march tests Omega membership once per block, on the block's new
+    # states at once; the projection tests the point values and the
+    # means, and the report the final state.  180 steps on 128 interfaces
+    # are 3 blocks of up to 64
+    shapes = []
+    contains, build = hf.AdmissibleSet.contains, cli.build_problem
+
+    def counted(self, u, *args, **kwargs):
+        shapes.append(np.shape(u))
+        return contains(self, u, *args, **kwargs)
+
+    def counted_build(cfg, n_override=None):
+        setup = build(cfg, n_override=n_override)
+        shapes.clear()  # the count starts with the run
+        return setup
+
+    monkeypatch.setattr(hf.AdmissibleSet, "contains", counted)
+    monkeypatch.setattr(cli, "build_problem", counted_build)
+    report = cli.execute_run(cli.parse_config_text(_shipped("burgers1d.ini")))
+    assert report["metadata"]["n_steps"] == 180 and report["passed"] is True
+    assert shapes == [(128, 1, 1), (128, 1), (64 * 128, 1), (64 * 128, 1),
+                      (52 * 128, 1), (128, 1)]
 
 
 GAUSSIAN_BUMP = """

@@ -392,34 +392,35 @@ def _counting_entropy(sysm):
     return dataclasses.replace(sysm, entropy=entropy), calls
 
 
-def test_replays_evaluate_entropy_once_per_state(burgers_sys,
+def test_replays_evaluate_entropy_once_per_block(monkeypatch, burgers_sys,
                                                  burgers_rusanov):
-    # the cone replay folds the error part only: eta(u^n) and eta(ubar^n)
-    # per step.  The mass replay carries eta(u^{n+1}) into the next step:
-    # one per state, plus the two of the projection masses (one chunk)
+    # a replay stacks the stored states of each block of K steps and
+    # evaluates eta on them in one call.  The cone replay adds eta(ubar^n)
+    # over the block's levels, the mass replay the two of the projection
+    # masses (one chunk).  117 steps in blocks of 16: 8 blocks
+    monkeypatch.setattr(hf.solver, "_BLOCK_ENTRIES", 16 * 64)
     mesh = hf.build_uniform_1d(64, 1.0)
     T = 0.2
     traj = hf.run(mesh, burgers_sys, burgers_rusanov, burgers_wave,
                   hf.RunConfig(final_time=T))
-    n = traj.n_steps
-    assert n > 1
+    assert traj.n_steps == 117 and hf.steps_per_block(mesh) == 16
     ref = hf.exact_burgers(burgers_wave, burgers_wave_prime, (1.0,))
     counted, calls = _counting_entropy(burgers_sys)
     cone = hf.cone_l2_error(mesh, counted, traj, ref, r=10.0, T=T,
                             lf=burgers_sys.lf)
-    assert len(calls) == 2 * n
+    assert len(calls) == 2 * 8
     assert cone == hf.cone_l2_error(mesh, burgers_sys, traj, ref, r=10.0,
                                     T=T, lf=burgers_sys.lf)
     calls.clear()
     masses = hf.measure_masses(mesh, counted, burgers_wave, traj, 0.3, T)
-    assert len(calls) == (n + 1) + 2
+    assert len(calls) == 8 + 2
     assert masses == hf.measure_masses(mesh, burgers_sys, burgers_wave, traj,
                                        0.3, T)
 
 
 def test_fold_shares_entropy_bit_for_bit(burgers_sys, burgers_rusanov):
-    # eta(u^{n+1}) of one step serves as eta(u^n) of the next and of the
-    # relative entropy: the series must equal a fresh evaluation per state
+    # eta of a block's states serves the ledger and the relative entropy:
+    # the series must equal a fresh evaluation per state
     mesh = hf.build_uniform_1d(24, 1.0)
     T = 0.05
     ref = hf.exact_burgers(burgers_wave, burgers_wave_prime, (1.0,))
@@ -430,8 +431,10 @@ def test_fold_shares_entropy_bit_for_bit(burgers_sys, burgers_rusanov):
     traj = hf.run(mesh, counted, burgers_rusanov, burgers_wave,
                   hf.RunConfig(final_time=T), [fold])
     fold.finish(traj)
-    n = traj.n_steps
-    assert len(calls) == 2 * n + 4
+    # one block of 11 steps: eta(u) and eta(ubar) once each, and four at
+    # the ends (the projection masses, and the final level's two)
+    assert traj.n_steps == 11 and hf.steps_per_block(mesh) > 11
+    assert len(calls) == 2 + 4
     want = [(t, hf.relative_entropy_norm(
         mesh, burgers_sys, f, hf.reference_cell_means(mesh, ref, t)))
         for t, f in traj.snapshots]
@@ -520,24 +523,25 @@ def test_blocked_ledger_matches_step_by_step_bitwise(request, monkeypatch,
                                                      name):
     mesh, sysm, sch, u0, T, ref, check = _blocked_case(name, request)
     cfg = hf.RunConfig(final_time=T, check_admissibility=check)
-    ledgers, folds = [], []
-    entries = diag._LEDGER_BLOCK
+    ledgers, folds, ks = [], [], []
+    entries = hf.solver._BLOCK_ENTRIES
     for block in (entries, 1):
-        monkeypatch.setattr(diag, "_LEDGER_BLOCK", block)
+        monkeypatch.setattr(hf.solver, "_BLOCK_ENTRIES", block)
         led = hf.DiagnosticsLedger()
         fold = hf.ErrorFold(led, mesh, sysm, sch, u0, 0.3, T, sysm.lf, ref)
         with np.errstate(all="ignore"):
             traj = hf.run(mesh, sysm, sch, u0, cfg, [fold])
         # complete when the run returns, without finish
-        assert led.n_steps_accumulated == traj.n_steps and not fold._pending
+        assert led.n_steps_accumulated == traj.n_steps
         ledgers.append(repr(dataclasses.asdict(led)))
         fold.finish(traj)
         ledgers.append(repr(dataclasses.asdict(led)))
         folds.append(fold)
+        ks.append(hf.steps_per_block(mesh))
     # several full blocks and a partial one
-    default = folds[0]._block
+    default = ks[0]
     assert default == max(1, entries // mesh.n_interfaces) > 1
-    assert folds[1]._block == 1
+    assert ks[1] == 1
     assert traj.n_steps > 2 * default and traj.n_steps % default != 0
     # repr tells -0.0 from 0.0 and gives every other float exactly
     assert ledgers[0] == ledgers[2] and ledgers[1] == ledgers[3]
@@ -553,17 +557,21 @@ def test_blocked_ledger_matches_step_by_step_bitwise(request, monkeypatch,
 
 
 def test_fold_rejects_a_second_dt(burgers_sys, burgers_rusanov):
-    # a block of steps shares one dt; a run never changes it
+    # the blocks of one fold share one dt; a run never changes it
     mesh = hf.build_uniform_1d(32, 1.0)
     fold = hf.ErrorFold(hf.DiagnosticsLedger(), mesh, burgers_sys,
                         burgers_rusanov, burgers_wave, 0.3, 1.0,
                         burgers_sys.lf)
     field = hf.project_initial(mesh, burgers_sys, burgers_wave)
-    (n, fa, fb, up), = hf.march(mesh, burgers_sys, burgers_rusanov, field,
-                                1e-3, 1)
-    fold(n, fa, fb, up, 1e-3)
-    with pytest.raises(ConfigError):
-        fold(n + 1, fb, fb, up, 2e-3)
+    for dt in (1e-3, 1e-3, 2e-3):
+        block, = hf.march_blocks(mesh, burgers_sys, burgers_rusanov, field,
+                                 dt, 1)
+        if dt == 2e-3:
+            with pytest.raises(ConfigError):
+                fold(block)
+        else:
+            fold(block)
+    assert fold.ledger.n_steps_accumulated == 2
 
 
 @pytest.mark.parametrize("quadrature", ["midpoint", "gauss3"])
@@ -627,11 +635,12 @@ print(report["metadata"]["n_steps"], after - before, report["passed"])
                     or platform.libc_ver()[0] != "glibc",
                     reason="counts glibc heap trims through minor faults")
 def test_flushes_do_not_make_the_heap_trim():
-    # a flush whose temporaries reach the top of glibc's heap leaves a top
-    # chunk above the trim threshold; glibc gives its pages back and the
-    # next flush faults them in again, tens of faults per step on this
-    # 1024-cell Godunov run (K = 4 steps per block).  Setup included, a run
-    # whose flushes fit in the heap takes under one per step.
+    # a block fold whose temporaries reach the top of glibc's heap leaves
+    # a top chunk above the trim threshold; glibc gives its pages back and
+    # the next block faults them in again, tens of faults per step on this
+    # 1024-cell Godunov run (K = 8 steps per block; about 16,600 faults
+    # without `cli._keep_step_heap`).  Setup included, a run whose blocks
+    # keep the heap takes under one per step.
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     res, _ = fresh_maxrss(_FAULTS, stdin=GODUNOV_1024, env=env)
     assert res.returncode == 0, res.stderr
@@ -666,23 +675,24 @@ def test_projection_masses_scratch_is_bounded(adv2d_128):
 
 
 def test_step_and_flush_scratch_is_bounded(adv2d_128):
-    # one step of E = 32,768 interfaces, a block of K = 1, with its flush:
-    # march's step and the update it hands the fold, then the flush's
-    # records and ledger temporaries (ErrorFold): about 16 interface
-    # arrays at the peak, where a flush that kept every record field and
-    # the ledger's products took about 22
+    # one step of E = 32,768 interfaces, a block of K = 1, with its fold:
+    # march's step, then the records part on the update the fold takes
+    # over from the block, and the fold's and the ledger's temporaries once
+    # the update is gone.  14.5 chunks at the peak (the records part),
+    # where a fold that ran the ledger with the step's update still held
+    # (5 interface arrays) took 16.0
     mesh, sysm, sch, ref = adv2d_128
     dt = hf.compute_dt(mesh, sysm, sch, hf.RunConfig(final_time=0.0))
     fold = hf.ErrorFold(hf.DiagnosticsLedger(), mesh, sysm, sch, _adv2d_wave,
                         10.0, 2 * dt, sysm.lf, ref)
-    assert fold._block == 1
+    assert hf.steps_per_block(mesh) == 1
     field = hf.project_initial(mesh, sysm, _adv2d_wave)
 
     def one_step():
-        for n, fa, fb, up in hf.march(mesh, sysm, sch, field, dt, 1):
-            fold(n, fa, fb, up, dt)
-        return fb
+        for block in hf.march_blocks(mesh, sysm, sch, field, dt, 1):
+            fold(block)
+        return block.states[-1].copy()
 
     _, peak, kept = traced_peak(one_step)
-    assert fold.ledger.n_steps_accumulated == 1 and not fold._pending
-    assert peak - kept <= 18 * SCRATCH_BYTES
+    assert fold.ledger.n_steps_accumulated == 1
+    assert peak - kept <= 15.6 * SCRATCH_BYTES

@@ -172,6 +172,11 @@ def test_scatter_matches_add_at_bitwise(m):
                 # compare bit patterns, so that -0.0 and 0.0 count as
                 # different
                 assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+                # into a row of a block of states, as the march scatters
+                rows = np.full((2,) + ref.shape, np.nan)
+                mesh.scatter(*args, signs=signs, out=rows[1])
+                assert np.array_equal(rows[1].view(np.int64),
+                                      ref.view(np.int64))
     # the built meshes gather one side per column, the graph the stack
     assert {src for src, _ in graph._scatter_columns} == {2}
     assert [src for src, _ in hf.build_uniform_1d(9, 1.0)._scatter_columns] \

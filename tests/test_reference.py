@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import hypflux as hf
-from hypflux import diagnostics, reference
+from hypflux import reference
 from hypflux.errors import AdmissibilityError, ConstructionError, HorizonError
 
 from conftest import same_bits
@@ -240,16 +240,11 @@ def test_fine_grid_reference_on_non_square_mesh():
         hf.fine_grid_reference(ungridded, sysm, sch, u0, cfg)
 
 
-def test_shallow_water_self_convergence(monkeypatch, shallow_water_sys,
+def test_shallow_water_self_convergence(shallow_water_sys,
                                         shallow_water_rusanov):
     # no closed form: a factor-8 fine-grid run serves as the reference and
     # the error against it must shrink under refinement
     sysm, sch = shallow_water_sys, shallow_water_rusanov
-    # a fold reads the reference when it flushes a block of steps: with
-    # the default blocks each fold would read its levels at its own
-    # flushes and restart the shared fine run, so these folds flush every
-    # step
-    monkeypatch.setattr(diagnostics, "_LEDGER_BLOCK", 1)
 
     def wave(x):
         x = np.asarray(x, dtype=float)
@@ -266,18 +261,21 @@ def test_shallow_water_self_convergence(monkeypatch, shallow_water_sys,
                           T, sysm.lf, fine) for mesh in meshes]
 
     def steps(mesh, fold):
-        # (t^n, fold, hook arguments) for every step of one coarse run
+        # (t^n, fold, block) for every step of one coarse run, in blocks
+        # of one step: a fold reads the reference at the levels of a
+        # block, and blocks of several steps would read them out of order
+        # across the runs and restart the shared fine run
         dt = hf.compute_dt(mesh, sysm, sch, cfg)
         field = hf.project_initial(mesh, sysm, wave)
-        for k, fa, fb, update in hf.march(mesh, sysm, sch, field, dt,
-                                          round(T / dt)):
-            yield fa.time, fold, (k, fa, fb, update, dt)
+        for block in hf.march_blocks(mesh, sysm, sch, field, dt,
+                                     round(T / dt), steps=1):
+            yield block.times[0], fold, block
 
     # the coarse runs read the shared reference in time order, so its fine
     # run only moves forward and is solved once
-    for _, fold, args in heapq.merge(*map(steps, meshes, folds),
-                                     key=lambda item: item[0]):
-        fold(*args)
+    for _, fold, block in heapq.merge(*map(steps, meshes, folds),
+                                      key=lambda item: item[0]):
+        fold(block)
     errs = [fold.cone for fold in folds]
     assert errs[0] > errs[1] > errs[2]
 

@@ -248,10 +248,12 @@ def test_run_hooks_see_every_step(burgers_sys, burgers_rusanov):
     cfg = hf.RunConfig(final_time=0.05)
     seen = []
 
-    def hook(n, f0, f1, update, dt):
-        seen.append(n)
-        assert update.g_value.shape == (mesh.n_interfaces, 1)
-        assert np.array_equal(update.left, f0.values[mesh.iface_left])
+    def hook(block):
+        k = len(block.states) - 1
+        seen.extend(range(block.start, block.start + k))
+        assert block.update.g_value.shape == (k, mesh.n_interfaces, 1)
+        assert np.array_equal(block.update.left,
+                              block.states[:-1][:, mesh.iface_left])
         return None
 
     traj = hf.run(mesh, burgers_sys, burgers_rusanov, burgers_wave_u0, cfg,
