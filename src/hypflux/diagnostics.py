@@ -304,15 +304,18 @@ class ErrorFold:
     Time sums use the left-endpoint rule.
 
     A block runs the records part once on the block's update, which it
-    takes over, so that the update's arrays go as soon as the records are
-    formed; of the records only the four fields the ledger reads stay
-    (defect, xi_KL, xi(u_K).n and the gap).  One `sys.entropy` call then
-    gives eta at the block's k + 1 states, for the ledger and the relative
-    entropy, and the error levels come last, once the records have gone.
-    A step and its fold on the 128 x 128 mesh (K = 1) take at most 14.5
-    scratch chunks, in the records part.  A reference is read in time
-    order within one fold; several folds sharing a fine-grid reference
-    read it in time order only with blocks of one step.
+    takes over: the records part may overwrite and release the update it
+    is handed (see `numflux`), so it works in the update's buffers and
+    drops the gathered sides as soon as it is done with them, and the rest
+    goes with the records part.  Of the records only the four fields the
+    ledger reads stay (defect, xi_KL, xi(u_K).n and the gap).  One
+    `sys.entropy` call then gives eta at the block's k + 1 states, for the
+    ledger and the relative entropy, and the error levels come last, once
+    the records have gone.  A step and its fold on the 128 x 128 mesh
+    (K = 1) take at most 12 scratch chunks, in the records part and in
+    the ledger.  A reference is read in time order within one fold;
+    several folds sharing a fine-grid reference read it in time order
+    only with blocks of one step.
     """
 
     def __init__(self, ledger: DiagnosticsLedger, mesh: Mesh,

@@ -32,8 +32,11 @@ _NORMAL_TOL = 1.0e-14
 class Mesh:
     """Periodic polygonal mesh with cached geometry arrays.
 
-    The per-entity arrays (volumes, centroids, areas, normals, adjacency)
-    are the storage.  All arrays are frozen after construction.
+    The per-entity arrays (volumes, centroids, areas, normals, the CSR
+    offsets and the scatter table) are the storage; the CSR ids are
+    derived on access.  All arrays are frozen after construction, and
+    each keeps the memory order it is given (the quad builders give
+    column-major normals, so that each component is contiguous).
     """
 
     def __init__(self, dim, domain, cell_volumes, cell_centroids,
@@ -51,16 +54,16 @@ class Mesh:
         ends = np.concatenate([self.iface_left, self.iface_right])
         if np.any((ends < 0) | (ends >= self.n_cells)):
             raise MeshError("an interface references a cell outside the mesh")
-        # cell -> interface adjacency (CSR): row K, cell_iface_ids[
-        # cell_iface_offsets[K]:cell_iface_offsets[K + 1]], lists the
-        # interfaces whose left cell is K, then those whose right cell is
-        # K, each in interface order.  _iface_slots holds the same rows as
-        # indices into [left values; right values].
-        self._iface_slots = np.argsort(ends, kind="stable")
-        self.cell_iface_ids = self._iface_slots % self.n_interfaces
+        # cell -> interface adjacency (CSR): the offsets are kept and the
+        # ids derived on access (`cell_iface_ids`); the rows as slots into
+        # [left values; right values] build the scatter table and go
         self.cell_iface_offsets = np.concatenate(
             [[0], np.cumsum(np.bincount(ends, minlength=self.n_cells))])
+        slots = _csr_slots(ends)
         del ends
+        self._scatter_columns = _scatter_columns(
+            slots, self.cell_iface_offsets, self.n_interfaces)
+        del slots
         # (n_cells, k, d) vertex coordinates, for the cell diameters and the
         # tensor quadrature; a 2D mesh without them is rejected below.
         self.cell_vertices = (None if cell_vertices is None
@@ -72,8 +75,7 @@ class Mesh:
         self.a = regularity_constant(self)
         for arr in (self.cell_volumes, self.cell_centroids, self.iface_left,
                     self.iface_right, self.iface_areas, self.iface_normals,
-                    self.cell_iface_ids, self.cell_iface_offsets,
-                    self._iface_slots, self.cell_vertices):
+                    self.cell_iface_offsets, self.cell_vertices):
             if arr is not None:
                 arr.setflags(write=False)
 
@@ -97,30 +99,16 @@ class Mesh:
         """sum_e |sigma_e|, in interface order."""
         return float(self.iface_areas.sum())
 
-    @cached_property
-    def _scatter_columns(self):
-        """Columns of the (n_cells, k) table of the CSR rows, each as
-        (source, rows), where rows is a contiguous intp array (the index
-        type of `take`, which then converts nothing).
-
-        Row K of the table is the CSR row of K as slots into [left values;
-        right values], padded with the index of a -0.0 row after them.
-        When every column reads one side only and has no padding, as on
-        the built meshes, source is that side (0 left, 1 right) and rows
-        index its values; otherwise source is 2 and rows index the stack
-        [left values; right values; -0.0].
-        """
-        slots = self._iface_slots
-        counts = np.diff(self.cell_iface_offsets)
-        rank = np.arange(slots.size) - np.repeat(self.cell_iface_offsets[:-1], counts)
-        table = np.full((counts.max(), self.n_cells), slots.size, np.intp)
-        table[rank, np.repeat(np.arange(self.n_cells), counts)] = slots
-        n = self.n_interfaces
-        right = ((table >= n) & (table < 2 * n)).all(axis=1)
-        if not ((table < n).all(axis=1) | right).all():
-            return tuple((2, col) for col in table)
-        table[right] -= n
-        return tuple(zip(right.astype(int).tolist(), table))
+    @property
+    def cell_iface_ids(self):
+        """The CSR ids: row K, cell_iface_ids[cell_iface_offsets[K]:
+        cell_iface_offsets[K + 1]], lists the interfaces whose left cell is
+        K, then those whose right cell is K, each in interface order.
+        Derived on each access; the mesh does not keep it."""
+        ids = _csr_slots(np.concatenate([self.iface_left, self.iface_right]))
+        ids %= self.n_interfaces
+        ids.setflags(write=False)
+        return ids
 
     def scatter(self, base, to_left, to_right, signs=(1, 1), out=None):
         """base plus, per cell, the interface values of its faces, each
@@ -172,6 +160,38 @@ class Mesh:
         wrapped = np.mod(p, lengths)
         d = np.minimum(wrapped, lengths - wrapped)
         return np.sqrt((d ** 2).sum(axis=1))
+
+
+def _csr_slots(ends):
+    """The CSR rows of the cells as slots into [left values; right values],
+    from ends = [iface_left; iface_right]."""
+    return np.argsort(ends, kind="stable")
+
+
+def _scatter_columns(slots, offsets, n):
+    """Columns of the (n_cells, k) table of the CSR rows `slots` (with
+    their `offsets`, on a mesh of n interfaces), each as (source, rows),
+    where rows is a contiguous intp array (the index type of `take`,
+    which then converts nothing).
+
+    Row K of the table is the CSR row of K as slots into [left values;
+    right values], padded with the index of a -0.0 row after them.  When
+    every column reads one side only and has no padding, as on the built
+    meshes, source is that side (0 left, 1 right) and rows index its
+    values; otherwise source is 2 and rows index the stack [left values;
+    right values; -0.0].
+    """
+    counts = np.diff(offsets)
+    n_cells = counts.size
+    rank = np.arange(slots.size)
+    rank -= np.repeat(offsets[:-1], counts)
+    table = np.full((counts.max(), n_cells), slots.size, np.intp)
+    table[rank, np.repeat(np.arange(n_cells), counts)] = slots
+    right = ((table >= n) & (table < 2 * n)).all(axis=1)
+    if not ((table < n).all(axis=1) | right).all():
+        return tuple((2, col) for col in table)
+    table[right] -= n
+    return tuple(zip(right.astype(int).tolist(), table))
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +312,20 @@ def _quad_edges(p, dx, dy):
     t[:, :, 1] = p[:-1, 1:] - p[1:, 1:]   # +y edge, p[i+1, j+1] to p[i, j+1]
     t = t.reshape(-1, 2)
     elen = np.hypot(t[:, 0], t[:, 1])
-    normals = np.empty_like(t)
+    # column-major, so that each component is one contiguous column
+    normals = np.empty_like(t, order="F")
     normals[:, 0] = t[:, 1]
     np.negative(t[:, 0], out=normals[:, 1])
     del t
     normals /= elen[:, None]
-    toward = np.array([[dx, 0.0], [0.0, dy]])
-    flip = (normals.reshape(-1, 2, 2) * toward).sum(axis=-1).reshape(-1, 1) < 0
-    np.negative(normals, out=normals, where=flip)
+    # the normal of an edge against its neighbor step, (dx, 0) on the +x
+    # edges and (0, dy) on the +y ones: n.step is n_a * step_a plus a
+    # signed zero, whose sign no comparison with 0 sees
+    for a, step in enumerate((dx, dy)):
+        edges = normals[a::2]
+        flip = edges[:, a] * step < 0
+        for col in edges.T:
+            np.negative(col, out=col, where=flip)
     return elen, normals
 
 
@@ -365,7 +391,10 @@ def validate_mesh(mesh: Mesh) -> None:
         raise MeshError("a cell violates the perimeter regularity bound")
 
     # closed-polygon identity per cell, outward orientation
-    contrib = mesh.iface_areas[:, None] * mesh.iface_normals
+    # in row-major order, from which the scatter's row gathers copy nothing
+    # more (the normals may be column-major)
+    contrib = np.multiply(mesh.iface_areas[:, None], mesh.iface_normals,
+                          order="C")
     closure = mesh.scatter(np.zeros((mesh.n_cells, mesh.dim)), contrib,
                            contrib, signs=(1, -1))
     closure_norm = np.sqrt((closure ** 2).sum(axis=1))

@@ -38,10 +38,15 @@ The records part takes that `InterfaceUpdate` with any leading shape (a
 block of steps stacks them on a leading axis) and derives xi_KL, X_KL,
 xi(u).n, the defect and the dissipation gap; every operation is
 elementwise per interface, so a block gives the bits of its steps one by
-one.  `FluxScheme.kernel` is the two parts in turn, and `.g` and
-`.xi_num` read from them.  The Godunov state is exact (Osher form): f.n
-is extremal over the interval hull of (u, v) at an endpoint or at a
-critical point of f.n, so the update compares those candidates only.
+one.  The records part takes the update over: it may overwrite the
+update's arrays (Rusanov forms G - f(u).n and G - f(v).n in the buffers
+of f(u).n and f(v).n) and release them (it sets `left` and `right` to
+None once it is done with them), so a caller that still needs an update
+hands it a copy.  `FluxScheme.kernel` is the two parts in turn on a
+fresh update, and `.g` and `.xi_num` read from them.  The Godunov state
+is exact (Osher form): f.n is extremal over the interval hull of (u, v)
+at an endpoint or at a critical point of f.n, so the update compares
+those candidates only.
 """
 
 from __future__ import annotations
@@ -62,7 +67,8 @@ class FluxScheme:
 
     name: str
     update: Callable   # (u, v, n) -> InterfaceUpdate, run every step
-    records: Callable  # (InterfaceUpdate, n) -> InterfaceFluxRecords
+    records: Callable  # (InterfaceUpdate, n) -> InterfaceFluxRecords; may
+    #                    overwrite and release the update it is handed
     lambda_star: float
     params: dict = field(default_factory=dict)
 
@@ -171,15 +177,17 @@ def make_rusanov(sys: SystemModel, c="auto", seed: int = 0) -> FluxScheme:
         u, v, g = step.left, step.right, step.g_value
         fu, fv = step.parts
         xi_u = sys.directional_entropy_flux(u, n)
-        delta = g - fu
+        delta = _minus(g, fu)
         x = _dissipation_flux(sys, u, delta, xi_u)
+        step.left = u = None
         # X_LK(v, u) is -(xi(v).n + Deta(v).(G - f(v).n)) bit for bit:
         # G(v, u, -n) = -G and f(v).(-n) = -f(v).n hold exactly in IEEE
         # arithmetic, so the reverse orientation needs no evaluation.
         # xi = 0.5 (x + x_rev) is formed in x_rev's buffer: a sum and a
         # product are the same float in either operand order
-        xi = _dissipation_flux(sys, v, g - fv,
+        xi = _dissipation_flux(sys, v, _minus(g, fv),
                                sys.directional_entropy_flux(v, n))
+        step.right = v = None
         xi += x
         xi *= 0.5
         return _records(g, delta, xi_u, x, xi)
@@ -224,7 +232,7 @@ def make_godunov_scalar(sys: SystemModel, seed: int = 0) -> FluxScheme:
         u, g = step.left, step.g_value
         (w,) = step.parts
         xi_u = sys.directional_entropy_flux(u, n)
-        delta = g - sys.directional_flux(u, n)
+        delta = _minus(g, sys.directional_flux(u, n))
         x = _dissipation_flux(sys, u, delta, xi_u)
         return _records(g, delta, xi_u, x, sys.directional_entropy_flux(w, n))
 
@@ -270,8 +278,19 @@ def _godunov_state(sys, u, v, n):
 
 
 def _dissipation_flux(sys, w, delta, xi_w):
-    """xi(w).n + Deta(w).delta with delta = g - f(w).n; X_KL for w = u."""
-    return xi_w + axis_sum(sys.entropy_gradient(w) * delta)
+    """xi(w).n + Deta(w).delta with delta = g - f(w).n; X_KL for w = u.
+
+    Formed in the buffer of the dot product, which has the shape of the
+    sum: a sum is the same float in either operand order."""
+    x = axis_sum(sys.entropy_gradient(w) * delta)
+    x += xi_w
+    return x
+
+
+def _minus(g, f):
+    """g - f, in f's buffer when f has the shape of the difference (a
+    one-sided flux of the update, which the records part may overwrite)."""
+    return np.subtract(g, f, out=f if f.shape == g.shape else None)
 
 
 def _records(g, delta, xi_u, x, xi) -> InterfaceFluxRecords:

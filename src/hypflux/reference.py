@@ -202,10 +202,10 @@ def fine_grid_reference(mesh: Mesh, sys, scheme, u0, config,
     grid has refinement_factor times the cells of the coarse mesh along
     each axis, so in 2D the coarse mesh must be a built quad grid.
 
-    The fine run is a cursor over the blocks of `march_blocks`, holding
-    the states of one block (checked for admissibility as the run's are),
-    advanced as the reference is read and restarted from the projection
-    by a query for a level before its block.
+    The fine run is a cursor over the blocks of a `march_blocks` of states
+    only, holding the states of one block (checked for admissibility as
+    the run's are), advanced as the reference is read and restarted from
+    the projection by a query for a level before its block.
     Evaluation is piecewise-constant in space and in time (left limits),
     matching the shape of the approximation itself.  The reference is
     flagged as numerical; it shares the flux, so its error is correlated
@@ -239,7 +239,8 @@ def fine_grid_reference(mesh: Mesh, sys, scheme, u0, config,
         if cursor is None or k < cursor[1]:
             state = _solver.project_initial(fine, sys, u0, config.quadrature)
             cursor = (_solver.march_blocks(fine, sys, scheme, state, dt,
-                                           n_steps, config.check_admissibility),
+                                           n_steps, config.check_admissibility,
+                                           _states_only=True),
                       0, state.values[None])
         blocks, first, rows = cursor
         cursor = None  # a march that raised restarts

@@ -217,9 +217,11 @@ class StepBlock:
     Row j of `states` is the state after start + j steps, at `times[j]`;
     row j of the arrays of `update` is the `InterfaceUpdate` of the step
     from row j to row j + 1.  The rows are the march's buffers, which its
-    next block rewrites, so a consumer copies what it keeps.  A consumer
-    that takes `update` (setting it to None) frees its arrays, when they
-    are the step's own, as soon as it is done with them.
+    next block rewrites, so a consumer copies what it keeps and may
+    overwrite the rest (the records part does).  A consumer that takes
+    `update` (setting it to None) frees its arrays, when they are the
+    step's own, as soon as it is done with them.  A march of states only
+    gives None.
     """
 
     start: int
@@ -231,7 +233,8 @@ class StepBlock:
 
 def march_blocks(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
                  field: StateField, dt: float, n_steps: int,
-                 check_admissibility: bool = False, steps: int = None):
+                 check_admissibility: bool = False, steps: int = None, *,
+                 _states_only: bool = False):
     """The one time loop: n_steps updates of size dt from `field`, yielded
     in `StepBlock`s of `steps` steps (`steps_per_block(mesh)` by default;
     the last may be shorter).  Only the update part of the kernel runs;
@@ -244,7 +247,9 @@ def march_blocks(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
     theirs; a block of one step is the step's own arrays.  With
     `check_admissibility`, the new states of a block are tested at once:
     the steps before the first one outside Omega are yielded, and then the
-    march raises what checking that step alone raises.
+    march raises what checking that step alone raises.  With
+    `_states_only`, for a caller that reads only the states, the blocks
+    carry no update and the march copies no rows.
     """
     if field.values.shape[0] != mesh.n_cells:
         raise ConfigError("state field does not match the mesh")
@@ -258,7 +263,8 @@ def march_blocks(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
     # for K > 1: the G and side buffers, then the parts' in the shapes of
     # the first step's
     shape = (k_max, mesh.n_interfaces) + field.values.shape[1:]
-    rows = [np.empty(shape) for _ in range(3)] if k_max > 1 else None
+    rows = ([np.empty(shape) for _ in range(3)]
+            if k_max > 1 and not _states_only else None)
     # a checked block may step on from a state outside Omega, whose
     # floating-point warnings belong to steps that are never yielded
     quiet = "ignore" if check_admissibility else None
@@ -280,7 +286,9 @@ def march_blocks(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
                 mesh.scatter(u, to_left * flux, to_right * flux,
                              signs=(-1, 1), out=states[j + 1])
                 times.append(field.time + (start + j + 1) * dt)
-                if rows is None:  # a block of one step: the step's arrays
+                if _states_only:
+                    block_rows = None
+                elif rows is None:  # a block of one step: the step's arrays
                     block_rows = [a[None] for a in (
                         update.g_value, update.left, update.right,
                         *update.parts)]
@@ -295,10 +303,11 @@ def march_blocks(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
                 del update, flux
         ok = _admissible_rows(sys, states[1:k + 1]) if check_admissibility else k
         if ok:
-            block_rows = [a[:ok] for a in block_rows]
-            block = StepBlock(start, dt, times[:ok + 1], states[:ok + 1],
-                              InterfaceUpdate(*block_rows[:3],
-                                              tuple(block_rows[3:])))
+            block = StepBlock(start, dt, times[:ok + 1], states[:ok + 1], None)
+            if block_rows is not None:
+                block_rows = [a[:ok] for a in block_rows]
+                block.update = InterfaceUpdate(*block_rows[:3],
+                                               tuple(block_rows[3:]))
             del block_rows  # the block holds the update from here on
             yield block
         if ok < k:

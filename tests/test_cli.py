@@ -848,10 +848,11 @@ def test_steps_fault_in_no_memory(tmp_path):
 
 def test_run_peak_memory_above_the_import(tmp_path):
     # a 128 x 128 jittered run of three steps, snapshots at the ends: the
-    # peak above a fresh import is what the run keeps (about 5 MiB: mesh,
-    # states, scheme) and one bounded working set: about 43 scratch chunks
-    # (10.8 MiB); with whole-batch setup, flush and writer it was about 76
-    # (19 MiB)
+    # peak above a fresh import is what the run keeps (about 4 MiB: mesh,
+    # states, scheme) and one bounded working set: about 38 scratch chunks
+    # (9.5 MiB); with the CSR ids kept on the mesh and a records part that
+    # allocated its differences it was about 43 (10.8 MiB), and with
+    # whole-batch setup, flush and writer about 76 (19 MiB)
     out = tmp_path / "o"
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
     res, run_mb = fresh_maxrss(_MAIN, "run", _adv2d_128(tmp_path, 0.0006),
@@ -864,7 +865,7 @@ def test_run_peak_memory_above_the_import(tmp_path):
                                             "snapshot_000001.csv"]
     imp, import_mb = fresh_maxrss("import hypflux.cli", env=env)
     assert imp.returncode == 0, imp.stderr
-    assert (run_mb - import_mb) * 2 ** 20 <= 52 * SCRATCH_BYTES
+    assert (run_mb - import_mb) * 2 ** 20 <= 41 * SCRATCH_BYTES
 
 
 def _shipped(name):

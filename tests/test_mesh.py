@@ -119,6 +119,30 @@ def test_interface_references():
     assert np.all(m.iface_left != m.iface_right)
 
 
+def test_cell_iface_ids_derived_as_the_stable_argsort():
+    # the mesh keeps no ids: each access derives them, equal to the stored
+    # construction they replace (the stable argsort of [left; right],
+    # modulo E) and to a per-cell loop, on 1D, 2D and unequal-degree meshes
+    rng = np.random.default_rng(5)
+    left = rng.integers(0, 6, 20)
+    right = (left + rng.integers(1, 6, 20)) % 6
+    graph = hf.Mesh(1, (1.0,), np.full(6, 1.0 / 6.0), np.zeros(6),
+                    left, right, np.ones(20), np.ones(20), "graph")
+    assert len(set(np.diff(graph.cell_iface_offsets).tolist())) > 1
+    for m in (hf.build_uniform_1d(7, 1.0),
+              hf.build_perturbed_quad_2d(6, 5, 1.0, 1.3, 0.2, 4), graph):
+        ends = np.concatenate([m.iface_left, m.iface_right])
+        old = np.argsort(ends, kind="stable") % m.n_interfaces
+        ids = m.cell_iface_ids
+        assert ids.dtype == old.dtype and np.array_equal(ids, old)
+        loop = [e for k in range(m.n_cells)
+                for side in (m.iface_left, m.iface_right)
+                for e in range(m.n_interfaces) if side[e] == k]
+        assert ids.tolist() == loop
+        assert not ids.flags.writeable
+        assert not {"cell_iface_ids", "_iface_slots"} & set(vars(m))
+
+
 def test_unit_normals():
     m = hf.build_perturbed_quad_2d(6, 6, 1.0, 1.0, 0.2, 5)
     norms = np.sqrt((m.iface_normals ** 2).sum(axis=1))
@@ -362,3 +386,17 @@ def test_quad_builder_scratch_is_bounded():
                                    1.0, 0.15, 1)
     assert mesh.n_interfaces * 8 == SCRATCH_BYTES
     assert peak - kept <= 10 * SCRATCH_BYTES
+    # the builder gives column-major normals, which the mesh keeps as they
+    # are: a copy to that order in the mesh took 2 chunks more (9.5)
+    assert mesh.iface_normals.flags.f_contiguous
+
+
+def test_quad_mesh_keeps_only_what_a_step_reads():
+    # at 128 x 128 the mesh keeps 13.0 chunks: the per-cell and
+    # per-interface arrays, the CSR offsets and the scatter table's 4
+    # columns.  It kept 17.0 while it also stored the CSR ids and their
+    # slots (2E integers each), which no step reads
+    mesh, _, kept = traced_peak(hf.build_perturbed_quad_2d, 128, 128, 1.0,
+                                1.0, 0.15, 1)
+    assert mesh.n_interfaces * 8 == SCRATCH_BYTES
+    assert kept <= 13.5 * SCRATCH_BYTES

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -392,6 +393,78 @@ def test_records_part_on_stacked_steps_matches_kernel_bitwise(request):
                 assert np.array_equal(got.view(np.int64),
                                       want.view(np.int64)), \
                     (sys.name, sch.name, f.name)
+
+
+def _plain_records(sys, sch, u, v, n):
+    """The records of (u, v, n) by their formulas, each difference and sum
+    in a new array: delta = G - f(u).n, X_KL = xi(u).n + Deta(u).delta and
+    xi_KL the midpoint of X_KL and X_LK (Rusanov) or xi(w*).n (Godunov)."""
+    g = sch.g(u, v, n)
+    xi_u = sys.directional_entropy_flux(u, n)
+    delta = g - sys.directional_flux(u, n)
+    x = xi_u + (sys.entropy_gradient(u) * delta).sum(axis=-1)
+    if sch.name == "rusanov":
+        x_rev = (sys.directional_entropy_flux(v, n)
+                 + (sys.entropy_gradient(v)
+                    * (g - sys.directional_flux(v, n))).sum(axis=-1))
+        xi = 0.5 * (x + x_rev)
+    else:
+        xi = sys.directional_entropy_flux(sch.update(u, v, n).parts[0], n)
+    return hf.InterfaceFluxRecords(
+        g_value=g, xi_value=xi, x_kl=x, xi_left=xi_u,
+        defect=np.sqrt((delta ** 2).sum(axis=-1)), dissipation_gap=x - xi)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_records_part_on_an_update_taken_over_matches_a_copy(request, k):
+    # the records part works in the update it is handed and releases its
+    # sides: on the update itself it gives the records of a deep copy, and
+    # both give the records' formulas, bit for bit.  K = 1 hands it views
+    # of the step's own arrays, as a block of one step does, and K > 1
+    # the stacked rows; the 2D normals are column-major, as on a mesh
+    adv2d = hf.make_advection(2, [1.0, 0.5], u_range=(-0.45, 0.65))
+    for sys, sch in all_pairs(request) + [(adv2d, hf.make_rusanov(adv2d))]:
+        steps = [sample_pairs(sys, 257, seed=s) for s in range(41, 41 + k)]
+        n = np.asfortranarray(steps[0][2])
+        updates = [sch.update(u, v, n) for u, v, _ in steps]
+        if k == 1:
+            (up,) = updates
+            update = hf.InterfaceUpdate(
+                up.g_value[None], up.left[None], up.right[None],
+                tuple(p[None] for p in up.parts))
+        else:
+            update = hf.InterfaceUpdate(
+                *(np.stack([getattr(up, name) for up in updates])
+                  for name in ("g_value", "left", "right")),
+                tuple(map(np.stack, zip(*(up.parts for up in updates)))))
+        del updates
+        want = sch.records(copy.deepcopy(update), n)
+        got = sch.records(update, n)
+        plain = [_plain_records(sys, sch, u, v, n) for u, v, _ in steps]
+        for f in dataclasses.fields(got):
+            assert same_bits(getattr(got, f.name), getattr(want, f.name)), \
+                (sys.name, sch.name, f.name)
+            assert same_bits(getattr(got, f.name), np.stack(
+                [getattr(one, f.name) for one in plain])), \
+                (sys.name, sch.name, f.name)
+        if sch.name == "rusanov":
+            assert update.left is None and update.right is None
+
+
+def test_records_part_broadcasts_one_sided_fluxes(friedrichs_sys,
+                                                  friedrichs_rusanov):
+    # one left state and one direction against many right states: f(u).n
+    # has fewer entries than G, so G - f(u).n takes a new array, and the
+    # records are those of the left state repeated (xi(u).n is one value)
+    u, v, _ = sample_pairs(friedrichs_sys, 33, seed=4)
+    n = np.array([-1.0])
+    got = friedrichs_rusanov.kernel(u[0], v, n)
+    want = friedrichs_rusanov.kernel(np.repeat(u[:1], len(v), axis=0), v, n)
+    assert np.shape(got.xi_left) == ()
+    for f in dataclasses.fields(got):
+        w = getattr(want, f.name)
+        assert same_bits(np.broadcast_to(getattr(got, f.name), w.shape), w), \
+            f.name
 
 
 # -- lambda_star calibration ---------------------------------------------------

@@ -190,10 +190,21 @@ def test_fine_grid_reference_restarts_after_a_failed_march(monkeypatch):
 
 
 def test_fine_grid_reference_runs_only_the_update_part(burgers_sys,
-                                                       burgers_rusanov):
+                                                       burgers_rusanov,
+                                                       monkeypatch):
     # the fine march needs G only: a query runs the update part once per
-    # fine step and the records part never
+    # fine step and the records part never, and its blocks carry no
+    # update (the march copies no rows)
     calls = {"update": 0, "records": 0}
+    updates = []
+    march = reference._solver.march_blocks
+
+    def recorded(*args, **kwargs):
+        for block in march(*args, **kwargs):
+            updates.append(block.update)
+            yield block
+
+    monkeypatch.setattr(reference._solver, "march_blocks", recorded)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -211,6 +222,7 @@ def test_fine_grid_reference_runs_only_the_update_part(burgers_sys,
     assert calls == {"update": round(cfg.final_time / ref.params["fine_dt"]),
                      "records": 0}
     assert calls["update"] > 1
+    assert updates and all(up is None for up in updates)
 
 
 def test_fine_grid_reference_on_non_square_mesh():

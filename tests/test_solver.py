@@ -261,6 +261,24 @@ def test_run_hooks_see_every_step(burgers_sys, burgers_rusanov):
     assert seen == list(range(traj.n_steps))
 
 
+@pytest.mark.parametrize("steps", [1, 5, None])
+def test_march_of_states_only_gives_the_same_states(burgers_sys,
+                                                    burgers_rusanov, steps):
+    # blocks of one step, of several steps with a shorter last one, and of
+    # the mesh's K: the same states and times, and no update
+    mesh = hf.build_uniform_1d(64, 1.0)
+    fld = hf.project_initial(mesh, burgers_sys, burgers_wave_u0)
+    args = (mesh, burgers_sys, burgers_rusanov, fld, 1e-3, 23, True, steps)
+    full = [(b.start, b.times, b.states.copy())
+            for b in hf.march_blocks(*args)]
+    only = []
+    for b in hf.march_blocks(*args, _states_only=True):
+        assert b.update is None
+        only.append((b.start, b.times, b.states.copy()))
+    for (s0, t0, x0), (s1, t1, x1) in zip(full, only, strict=True):
+        assert s0 == s1 and t0 == t1 and np.array_equal(x0, x1)
+
+
 def test_flux_accumulation_order_insensitive(burgers_sys, burgers_rusanov):
     # permuting interface evaluation order must not move results beyond 1e-13
     mesh = hf.build_uniform_1d(32, 1.0)
