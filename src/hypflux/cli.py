@@ -263,6 +263,8 @@ def build_problem(cfg: dict, n_override=None) -> ProblemSetup:
     if problem not in PROBLEMS:
         raise ConfigError(f"unknown problem {problem!r}; choose from {PROBLEMS}")
     seed = _get_int(cfg, "run", "seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed: not a nonnegative integer: {seed}")
     length = _get_float(cfg, "run", "length", 1.0)
 
     if problem == "advection2d":
@@ -320,9 +322,9 @@ def build_problem(cfg: dict, n_override=None) -> ProblemSetup:
     if flux_name == "rusanov":
         c_raw = _get(cfg, "flux", "c", "auto").strip().lower()
         c = "auto" if c_raw == "auto" else _get_float(cfg, "flux", "c")
-        scheme = numflux.make_rusanov(system, c=c, seed=seed)
+        scheme = numflux.make_rusanov(system, c=c)
     else:
-        scheme = numflux.make_godunov_scalar(system, seed=seed)
+        scheme = numflux.make_godunov_scalar(system)
 
     run_config = solver.RunConfig(
         final_time=_get_float(cfg, "run", "t", required=True),

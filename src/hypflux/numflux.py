@@ -26,10 +26,11 @@ with delta = G - f(u).n,
 
 so it reads X_KL - xi_KL >= beta0 |delta|^2 / (2 lam), and each pair's
 critical lam is beta0 |delta|^2 / (2 (X_KL - xi_KL)) in closed form.  These
-systems take the maximum of that over a fixed grid of pairs, so lambda_star
-does not depend on the seed.  Other entropies (shallow water) bisect the
-critical lam of sampled pairs; each sweep drops the pairs whose bracket
-lies below another's, which cannot hold the maximum.
+systems take the maximum of that over a fixed grid of pairs; other
+entropies (shallow water) bisect the critical lam of the same pairs.  The
+wave speeds behind c and the near-equal quotient are maxima over the
+fixed states of `systems.setup_states`: no scheme depends on the seed,
+and each max is a lower bound of its sup over Omega.
 
 Each scheme's interface kernel has two parts.  The update part, which the
 time loop runs every step, gives G_KL and the intermediates the records
@@ -57,8 +58,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConstructionError
-from .systems import (SystemModel, _as_direction, axis_sum,
-                      eigvals_extremes, scratch_slices)
+from .systems import (SystemModel, _as_direction, _pair_grid_size, axis_sum,
+                      eigvals_extremes, scratch_slices, setup_states)
 
 
 @dataclass
@@ -120,18 +121,12 @@ class DissipationGapCheck:
 # wave speeds
 # ---------------------------------------------------------------------------
 
-def sample_wave_speed_sup(sys: SystemModel, samples: int = 4096,
-                          seed: int = 0) -> float:
-    """Sampled sup over Omega and unit directions of the wave-speed bound."""
-    rng = np.random.default_rng(seed)
-    pts = np.vstack([sys.omega.sample(rng, samples), sys.omega.extreme_points()])
-    if sys.m == 1:
-        grid = np.linspace(sys.omega.lo[0], sys.omega.hi[0], 4001).reshape(-1, 1)
-        pts = np.vstack([pts, grid])
-    best = 0.0
-    for n in _unit_directions(sys.d):
-        best = max(best, float(sys.max_wave_speed(pts, n).max()))
-    return best
+def sample_wave_speed_sup(sys: SystemModel) -> float:
+    """Max over `setup_states` and unit directions of the wave-speed bound:
+    a lower bound of its sup over Omega."""
+    pts = setup_states(sys.omega)
+    return max(float(sys.max_wave_speed(pts, n).max())
+               for n in _unit_directions(sys.d))
 
 
 def _unit_directions(d, n_angles=64):
@@ -146,23 +141,23 @@ def _unit_directions(d, n_angles=64):
 # schemes
 # ---------------------------------------------------------------------------
 
-def make_rusanov(sys: SystemModel, c="auto", seed: int = 0) -> FluxScheme:
+def make_rusanov(sys: SystemModel, c="auto") -> FluxScheme:
     """Rusanov flux G = (f(u)+f(v)).n/2 - c (v-u)/2.
 
-    c must dominate the wave speeds over Omega ("auto": sampled sup
-    inflated by 5%).  The numerical entropy flux is the midpoint of the
-    one-sided dissipation fluxes, xi_KL = (X_KL(u,v) - X_LK(v,u))/2, and
-    lambda_star is calibrated so the interfacial entropy inequality holds
-    (see module docstring).
+    c must dominate the wave speeds over Omega ("auto":
+    `sample_wave_speed_sup` inflated by 5%).  The numerical entropy flux
+    is the midpoint of the one-sided dissipation fluxes,
+    xi_KL = (X_KL(u,v) - X_LK(v,u))/2, and lambda_star is calibrated so
+    the interfacial entropy inequality holds (see module docstring).
     """
-    speed_sup = sample_wave_speed_sup(sys, seed=seed)
+    speed_sup = sample_wave_speed_sup(sys)
     if c == "auto":
         c_val = 1.05 * speed_sup
     else:
         c_val = float(c)
         if c_val < speed_sup:
             raise ConstructionError(
-                f"Rusanov speed {c_val} is below the sampled wave-speed sup "
+                f"Rusanov speed {c_val} is below the wave-speed max "
                 f"{speed_sup:.6g}")
 
     def update(u, v, n):
@@ -196,19 +191,19 @@ def make_rusanov(sys: SystemModel, c="auto", seed: int = 0) -> FluxScheme:
                         lambda_star=np.nan,
                         params={"c": c_val, "wave_speed_sup": speed_sup})
     scheme.lambda_star, scheme.params["lambda_star_source"] = \
-        _calibrate_lambda_star(sys, scheme, c_val, seed=seed, rusanov_c=c_val)
+        _calibrate_lambda_star(sys, scheme, c_val, rusanov_c=c_val)
     return scheme
 
 
-def make_godunov_scalar(sys: SystemModel, seed: int = 0) -> FluxScheme:
+def make_godunov_scalar(sys: SystemModel) -> FluxScheme:
     """Exact Riemann (Godunov) flux for scalar systems, in Osher form.
 
     With f_n(w) = f(w).n the flux is min_{[u,v]} f_n for u <= v and
     max_{[v,u]} f_n otherwise; the numerical entropy flux is xi(w*).n at
     the minimizing/maximizing state (the Riemann trace at the interface).
     The system must list the critical points of f_n
-    (`flux_critical_points`), which makes w* exact.  lambda_star is the
-    sampled wave-speed sup inflated by 5% (the entropy inequality
+    (`flux_critical_points`), which makes w* exact.  lambda_star is
+    `sample_wave_speed_sup` inflated by 5% (the entropy inequality
     calibration below confirms it and can only raise it).
     """
     if sys.m != 1:
@@ -220,7 +215,7 @@ def make_godunov_scalar(sys: SystemModel, seed: int = 0) -> FluxScheme:
         raise ConstructionError(
             f"{sys.name}: the Godunov flux needs the critical points of f.n "
             "(flux_critical_points)")
-    speed_sup = sample_wave_speed_sup(sys, seed=seed)
+    speed_sup = sample_wave_speed_sup(sys)
 
     def update(u, v, n):
         u = np.asarray(u, dtype=float)
@@ -240,8 +235,8 @@ def make_godunov_scalar(sys: SystemModel, seed: int = 0) -> FluxScheme:
                         lambda_star=np.nan,
                         params={"wave_speed_sup": speed_sup})
     floor = 1.05 * speed_sup
-    lam, source = _calibrate_lambda_star(sys, scheme, floor, seed=seed,
-                                         rusanov_c=None, include_c_floor=False)
+    lam, source = _calibrate_lambda_star(sys, scheme, floor, rusanov_c=None,
+                                         include_c_floor=False)
     if floor >= lam:
         lam, source = floor, "wave-speed"
     scheme.lambda_star, scheme.params["lambda_star_source"] = lam, source
@@ -347,50 +342,36 @@ def omega_stability_check(sys: SystemModel, scheme: FluxScheme, u, v, n,
 # ---------------------------------------------------------------------------
 
 def _calibrate_lambda_star(sys: SystemModel, scheme: FluxScheme, c: float,
-                           seed: int, rusanov_c: Optional[float],
+                           rusanov_c: Optional[float],
                            include_c_floor: bool = True):
     """Smallest lambda (with margin) making the entropy inequality hold,
     and the name of the term that set it.
 
     The terms are the floor c (`include_c_floor`), the closed-form
-    near-equal-state quotient (Rusanov only, `rusanov_c`) on a state grid,
-    and the largest critical lambda of finite state pairs.  A constant
-    Hessian (beta0 == beta1) gives each pair's critical lambda in closed
-    form (module docstring) on the deterministic pairs of `_grid_pairs`,
-    and the margin is 2%; the term names are "c", "near-equal" and
-    "pairs".  Otherwise the near-equal points add 512 samples, a geometric
-    bisection finds the critical lambda of sampled pairs (`_sampled_pairs`,
-    without pairs closer than 1e-6 diam Omega, as on the grid), and the
-    margin is 5%.  A pair no finite lambda satisfies raises
+    near-equal-state quotient (Rusanov only, `rusanov_c`) on
+    `setup_states`, and the largest critical lambda of the pairs of
+    `_grid_pairs` with their `_cycled_directions`; the term names are
+    "c", "near-equal" and "pairs".  A constant Hessian (beta0 == beta1)
+    gives each pair's critical lambda in closed form (module docstring),
+    and the margin is 2%.  Otherwise a geometric bisection finds it, and
+    the margin is 5%.  A pair no finite lambda satisfies raises
     ConstructionError.
     """
-    omega = sys.omega
+    U, V = _grid_pairs(sys.omega, _pair_grid_size(sys.m))
+    nd = _cycled_directions(sys.d, len(U))
     terms = {"c": c} if include_c_floor else {}
+    if rusanov_c is not None:
+        terms["near-equal"] = _near_equal_lambda(
+            sys, setup_states(sys.omega), rusanov_c)
     if sys.beta0 == sys.beta1:
         margin = 1.02
-        if rusanov_c is not None:
-            # the grid holds the extreme points
-            terms["near-equal"] = _near_equal_lambda(sys, omega.grid(
-                2001 if sys.m == 1 else _pair_grid_size(sys.m)), rusanov_c)
-        terms["pairs"] = _closed_form_pair_lambda(sys, scheme)
+        terms["pairs"] = _closed_form_pair_lambda(sys, scheme, U, V, nd)
     else:
         margin = 1.05
-        rng = np.random.default_rng(seed + 1)
-        if rusanov_c is not None:
-            pts = np.vstack([omega.sample(rng, 512), omega.extreme_points()])
-            if sys.m == 1:
-                pts = np.vstack([pts, omega.grid(2001)])
-            terms["near-equal"] = _near_equal_lambda(sys, pts, rusanov_c)
-        terms["pairs"] = _bisected_pair_lambda(
-            sys, scheme, c, *_sampled_pairs(sys, rng))
+        terms["pairs"] = _bisected_pair_lambda(sys, scheme, c, U, V, nd)
     # the first of equal terms names the source: pairs only when larger
     source = max(terms, key=terms.get)
     return margin * terms[source], source
-
-
-def _pair_grid_size(m):
-    """Grid points per axis: about 128 states, so about 16k ordered pairs."""
-    return int(128 ** (1.0 / m))
 
 
 def _grid_pairs(omega, k):
@@ -416,15 +397,15 @@ def _cycled_directions(d, n):
     return dirs[np.arange(n) % len(dirs)]
 
 
-def _closed_form_pair_lambda(sys, scheme):
-    """max over grid pairs of beta0 |delta|^2 / (2 (X_KL - xi_KL)).
+def _closed_form_pair_lambda(sys, scheme, U, V, nd):
+    """max over the pairs (U, V) with normals nd of
+    beta0 |delta|^2 / (2 (X_KL - xi_KL)).
 
     One kernel call and no entropy evaluation: the defect and the gap of
     the records are all the closed form needs.  A pair with a negative
     gap, or a zero gap and delta != 0, satisfies no finite lambda.
     """
-    U, V = _grid_pairs(sys.omega, _pair_grid_size(sys.m))
-    rec = scheme.kernel(U, V, _cycled_directions(sys.d, len(U)))
+    rec = scheme.kernel(U, V, nd)
     d2 = rec.defect ** 2
     gap = rec.dissipation_gap
     bad = ~(np.isfinite(d2) & np.where(d2 > 0.0, gap > 0.0, gap >= 0.0))
@@ -437,27 +418,6 @@ def _closed_form_pair_lambda(sys, scheme):
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = np.where(d2 > 0.0, sys.beta0 * d2 / (2.0 * gap), 0.0)
     return float(lam.max())
-
-
-def _sampled_pairs(sys, rng):
-    """Random, corner-anchored and near-equal pairs (u, v) with their cycled
-    directions, less the pairs `_far_apart` drops."""
-    omega = sys.omega
-    n_pairs = 4096
-    us = omega.sample(rng, n_pairs)
-    vs = omega.sample(rng, n_pairs)
-    corners = omega.extreme_points()
-    cu = np.repeat(corners, len(corners), axis=0)
-    cv = np.tile(corners, (len(corners), 1))
-    eps_pairs_u, eps_pairs_v = [], []
-    for t in (1e-3, 1e-2, 1e-1):
-        eps_pairs_u.append(us)
-        eps_pairs_v.append(us + t * (vs - us))
-    U = np.vstack([us, cu] + eps_pairs_u)
-    V = np.vstack([vs, cv] + eps_pairs_v)
-    nd = _cycled_directions(sys.d, U.shape[0])
-    far = _far_apart(omega, U, V)
-    return U[far], V[far], nd[far]
 
 
 def _bisected_pair_lambda(sys, scheme, c, U, V, nd):

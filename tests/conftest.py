@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import hypflux as hf
+from hypflux import numflux
 from hypflux.systems import SCRATCH_ENTRIES
 
 # bytes of one float64 scratch chunk, the unit of the memory budgets
@@ -80,6 +81,13 @@ def sample_pairs(sys, n, seed):
         th = rng.uniform(0.0, 2.0 * np.pi, n)
         nrm = np.stack([np.cos(th), np.sin(th)], axis=-1)
     return u, v, nrm
+
+
+def fixed_pairs(sys):
+    """The fixed pairs (u, v) of setup, with their normals: the grid pairs
+    and cycled directions that lambda* is calibrated on."""
+    U, V = numflux._grid_pairs(sys.omega, numflux._pair_grid_size(sys.m))
+    return U, V, numflux._cycled_directions(sys.d, len(U))
 
 
 def same_bits(got, want):

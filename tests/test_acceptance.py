@@ -15,7 +15,7 @@ import pytest
 
 import hypflux as hf
 
-from conftest import sample_pairs, tree_bytes
+from conftest import fixed_pairs, sample_pairs, tree_bytes
 
 LEVELS = (32, 64, 128, 256)
 T_BURGERS = 0.2
@@ -254,16 +254,18 @@ def test_criterion_04_discrete_entropy_inequality(acceptance):
 
 
 def test_criterion_05_dissipation_gap(acceptance, flux_pairs):
-    sampled_ok = True
+    sampled_ok = fixed_ok = True
     for sysm, sch in flux_pairs:
         u, v, n = sample_pairs(sysm, 10000, seed=606)
         chk = hf.dissipation_gap_check(sysm, sch, u, v, n)
         sampled_ok = sampled_ok and bool(np.all(chk.passed))
+        chk = hf.dissipation_gap_check(sysm, sch, *fixed_pairs(sysm))
+        fixed_ok = fixed_ok and bool(np.all(chk.passed))
     run_ok = all(c["ledger"].gap_all_pass for c in _all_cases(acceptance))
-    ok = sampled_ok and run_ok
+    ok = sampled_ok and fixed_ok and run_ok
     print(f"[{_status(ok)}] criterion 5: dissipation-gap inequality on 10^4 "
-          f"samples x {len(flux_pairs)} pairs: {sampled_ok}; every interface "
-          f"of every run: {run_ok}")
+          f"samples x {len(flux_pairs)} pairs: {sampled_ok}; on the fixed "
+          f"setup pairs: {fixed_ok}; every interface of every run: {run_ok}")
     assert ok
 
 
@@ -346,15 +348,16 @@ def test_criterion_10_finite_speed_bound(flux_pairs):
     ok = True
     worst = 0.0
     for sysm in systems:
-        u, v, _ = sample_pairs(sysm, 10000, seed=909)
-        H = hf.relative_entropy(sysm, v, u)
-        for a in range(sysm.d):
-            Q = hf.relative_entropy_flux(sysm, v, u, a)
-            excess = np.abs(Q) - 1.01 * sysm.lf * H
-            worst = max(worst, float(excess.max()))
-            ok = ok and bool(np.all(excess <= 1e-14))
+        for u, v, _ in (sample_pairs(sysm, 10000, seed=909),
+                        fixed_pairs(sysm)):
+            H = hf.relative_entropy(sysm, v, u)
+            for a in range(sysm.d):
+                Q = hf.relative_entropy_flux(sysm, v, u, a)
+                excess = np.abs(Q) - 1.01 * sysm.lf * H
+                worst = max(worst, float(excess.max()))
+                ok = ok and bool(np.all(excess <= 1e-14))
     print(f"[{_status(ok)}] criterion 10: |Q| <= 1.01 L_f H on 10^4 samples "
-          f"per system, worst excess {worst:.2e}")
+          f"and the fixed setup pairs per system, worst excess {worst:.2e}")
     assert ok
 
 

@@ -898,6 +898,42 @@ def test_malformed_number_is_parse_error(tmp_path, capsys, name, old, new, key):
     assert err[0].startswith(f"parse error: {key}: not ")
 
 
+@pytest.mark.parametrize("name", ["burgers1d.ini", "advection2d.ini"])
+def test_negative_seed_is_validation_error(tmp_path, monkeypatch, capsys,
+                                           name):
+    # rejected before anything is built, not a generator's traceback
+    built = []
+    for fn in ("build_uniform_1d", "build_perturbed_quad_2d"):
+        monkeypatch.setattr(cli, fn, lambda *a, fn=getattr(cli, fn): (
+            built.append(fn), fn(*a))[1])
+    text = _shipped(name)
+    seed = next(line for line in text.splitlines() if line.startswith("seed"))
+    path = write(tmp_path, name, text.replace(seed, "seed = -1"))
+    assert cli.validate_only(path) == cli.EXIT_VALIDATION
+    assert cli.run_single(path, output_dir=str(tmp_path / "o")) == \
+        cli.EXIT_VALIDATION
+    assert built == []
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["validation error: seed: not a nonnegative integer: -1"] * 2
+
+
+@pytest.mark.parametrize("name", ["burgers1d.ini", "shallow_water1d.ini"])
+def test_setup_constants_do_not_depend_on_the_seed(tmp_path, name):
+    # the seed moves the mesh jitter only: lambda*, c, L_f and the Hessian
+    # bounds are maxima over fixed states
+    text = _shipped(name)
+    seed = next(line for line in text.splitlines() if line.startswith("seed"))
+    got = []
+    for value in (0, 12345):
+        cfg = cli.load_config(write(tmp_path, f"{value}.ini", text.replace(
+            seed, f"seed = {value}")))
+        setup = cli.build_problem(cfg)
+        got.append([setup.scheme.lambda_star, setup.scheme.params["c"],
+                    setup.system.lf, setup.system.beta0, setup.system.beta1])
+    assert np.array_equal(np.array(got[0]).view(np.int64),
+                          np.array(got[1]).view(np.int64))
+
+
 @pytest.mark.parametrize("levels", ["64, 32, 16", "16, 16, 32", "0, 16, 32"])
 def test_study_levels_must_strictly_increase(tmp_path, monkeypatch, capsys,
                                              levels):

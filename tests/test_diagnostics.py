@@ -659,7 +659,7 @@ def adv2d_128():
     assert mesh.n_interfaces * 8 == SCRATCH_BYTES
     sysm = hf.make_advection(2, [1.0, 0.5], u_range=(-0.45, 0.65))
     ref = hf.exact_advection([1.0, 0.5], _adv2d_wave, (1.0, 1.0))
-    return mesh, sysm, hf.make_rusanov(sysm, seed=1), ref
+    return mesh, sysm, hf.make_rusanov(sysm), ref
 
 
 def test_projection_masses_scratch_is_bounded(adv2d_128):

@@ -9,8 +9,8 @@ from hypflux import numflux
 from hypflux.systems import generalized_eigvalsh
 from hypflux.errors import ConstructionError
 
-from conftest import (SCRATCH_BYTES, rel_close, same_bits, sample_pairs,
-                      traced_peak)
+from conftest import (SCRATCH_BYTES, fixed_pairs, rel_close, same_bits,
+                      sample_pairs, traced_peak)
 
 
 def all_pairs(request):
@@ -507,7 +507,7 @@ def test_closed_form_calibration_runs_one_kernel_and_no_entropy(build):
             sch, records=_count_calls(sch, "records", calls))
         c = sch.params["c"] if rusanov else 1.05 * sch.params["wave_speed_sup"]
         lam, source = numflux._calibrate_lambda_star(
-            sys, counted, c, seed=0, rusanov_c=c if rusanov else None,
+            sys, counted, c, rusanov_c=c if rusanov else None,
             include_c_floor=rusanov)
         assert calls == ["records"], (build, sch.name)
         if rusanov:
@@ -522,7 +522,7 @@ def test_lambda_star_sources(burgers_rusanov, burgers_godunov,
     # which term set lambda_star: Burgers' near-equal quotient (c + M)^2/(2c)
     # at the box edge, Godunov's inflated wave speed, the Friedrichs pair
     # maximum (the near-equal value plus roundoff) and shallow water's
-    # near-equal quotient on its sampled points
+    # near-equal quotient on the setup states
     sources = [sch.params["lambda_star_source"]
                for sch in (burgers_rusanov, burgers_godunov, advection_godunov,
                            friedrichs_rusanov, shallow_water_rusanov)]
@@ -537,13 +537,12 @@ def test_lambda_star_sources(burgers_rusanov, burgers_godunov,
 def test_godunov_lambda_star_is_exactly_the_inflated_wave_speed():
     for lo, hi in ((0.225, 0.775), (-0.3, 2.0)):
         sys = hf.make_burgers(1, u_range=(lo, hi))
-        for seed in (0, 1, 7):
-            sch = hf.make_godunov_scalar(sys, seed=seed)
-            assert sch.lambda_star == 1.05 * sch.params["wave_speed_sup"]
-            assert sch.params["wave_speed_sup"] == max(abs(lo), abs(hi))
+        sch = hf.make_godunov_scalar(sys)
+        assert sch.lambda_star == 1.05 * sch.params["wave_speed_sup"]
+        assert sch.params["wave_speed_sup"] == max(abs(lo), abs(hi))
     # upwind advection: every pair's critical lambda is the speed squared
     sys = hf.make_advection(1, [1.0], u_range=(0.7325, 0.7675))
-    sch = hf.make_godunov_scalar(sys, seed=3)
+    sch = hf.make_godunov_scalar(sys)
     assert sch.lambda_star == 1.05
 
 
@@ -568,8 +567,8 @@ def test_centred_flux_fails_the_closed_form_calibration(advection_sys):
     rec = centred.kernel(np.array([[0.0]]), np.array([[0.5]]), np.array([1.0]))
     assert rec.dissipation_gap[0] == -0.0625
     with pytest.raises(ConstructionError, match="not entropy dissipative"):
-        numflux._calibrate_lambda_star(sys, centred, 1.0, seed=0,
-                                       rusanov_c=None, include_c_floor=False)
+        numflux._calibrate_lambda_star(sys, centred, 1.0, rusanov_c=None,
+                                       include_c_floor=False)
 
 
 def test_batched_near_equal_quotient_matches_per_direction_loop(request):
@@ -636,67 +635,66 @@ def _unpruned_bisection(sys, scheme, c, U, V, nd):
     return float(lam_hi.max())
 
 
-def _calibration_pairs(sys, seed):
-    """The sampled pairs of `_calibrate_lambda_star` at `seed`."""
-    rng = np.random.default_rng(seed + 1)
-    sys.omega.sample(rng, 512)  # the near-equal points come first
-    return numflux._sampled_pairs(sys, rng)
-
-
 def test_pruned_bisection_matches_unpruned_loop_bitwise(
         shallow_water_sys, shallow_water_rusanov):
     sys, sch = shallow_water_sys, shallow_water_rusanov
     c = sch.params["c"]
-    for seed in range(12):
-        pairs = _calibration_pairs(sys, seed)
-        got = numflux._bisected_pair_lambda(sys, sch, c, *pairs)
-        want = _unpruned_bisection(sys, sch, c, *pairs)
-        assert np.float64(got).view(np.int64) == \
-            np.float64(want).view(np.int64), seed
-    # 40 copies of the 64 pairs of seed 0 with the smallest gaps: 40 pairs
-    # tie at the batch maximum, and the pruning must keep every one
-    U, V, nd = _calibration_pairs(sys, 0)
-    rec = sch.kernel(U, V, nd)
+    pairs = fixed_pairs(sys)
+    got = numflux._bisected_pair_lambda(sys, sch, c, *pairs)
+    want = _unpruned_bisection(sys, sch, c, *pairs)
+    assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+    # 40 copies of the 64 grid pairs with the smallest gaps: 40 pairs tie
+    # at the batch maximum, and the pruning must keep every one
+    rec = sch.kernel(*pairs)
     top = np.argsort(rec.dissipation_gap)[:64]
-    tied = tuple(np.tile(a[top], (40, 1)) for a in (U, V, nd))
+    tied = tuple(np.tile(a[top], (40, 1)) for a in pairs)
     got = numflux._bisected_pair_lambda(sys, sch, c, *tied)
     assert got == _unpruned_bisection(sys, sch, c, *tied)
-
-
-class _Draws:
-    """Stands in for a generator whose uniform draws are given, in turn."""
-
-    def __init__(self, *draws):
-        self.draws = list(draws)
-
-    def uniform(self, lo, hi, size):
-        return self.draws.pop(0)
 
 
 def test_shallow_water_bisection_drops_roundoff_pairs(shallow_water_sys,
                                                       shallow_water_rusanov):
     sys, sch = shallow_water_sys, shallow_water_rusanov
     c = sch.params["c"]
-    for seed in range(12):
-        assert hf.make_rusanov(sys, seed=seed).lambda_star == 9.81700548140926
+    assert sch.lambda_star == 9.81700548140926
     # 1e-9 apart, the pair's critical lambda is roundoff over roundoff: on
     # its own it stops the setup
     u = np.array([[1.5, 0.9]])
     v = u + np.array([0.0, 1e-9])
     with pytest.raises(ConstructionError, match="not entropy dissipative"):
         numflux._bisected_pair_lambda(sys, sch, c, u, v, np.array([[1.0]]))
-    # drawn as the first random pair, it goes with its three near-equal
-    # copies, as do the four corner pairs (u, u); nothing else is that close
-    rng = np.random.default_rng(0)
-    us, vs = sys.omega.sample(rng, 4096), sys.omega.sample(rng, 4096)
-    us[0], vs[0] = u[0], v[0]
-    U, V, nd = numflux._sampled_pairs(sys, _Draws(us, vs))
-    assert len(U) == 4 * 4096 + 16 - 8
+    assert not numflux._far_apart(sys.omega, u, v)[0]
+    # the grid pairs leave out every pair closer than 1e-6 diam Omega: the
+    # 121 pairs (u, u), and nothing else is that close
+    U, V, nd = fixed_pairs(sys)
+    assert len(U) == 121 * 121 - 121
     diam = np.hypot(*(sys.omega.hi - sys.omega.lo))
     assert np.sqrt(((V - U) ** 2).sum(axis=-1)).min() > 1e-6 * diam
-    assert not np.any(np.all(U == u, axis=-1) & np.all(V == v, axis=-1))
     assert numflux._bisected_pair_lambda(sys, sch, c, U, V, nd) < \
         sch.lambda_star / 1.05
+
+
+@pytest.mark.parametrize("name", ["make_rusanov", "make_godunov_scalar",
+                                  "compute_lf", "sample_wave_speed_sup"])
+def test_setup_draws_no_random_state(monkeypatch, name):
+    # every setup max reads the fixed states of setup_states: no generator
+    # is made, so the seed cannot reach a scheme or a constant
+    systems = [hf.make_burgers(1, u_range=(-0.3, 2.0)),
+               hf.make_shallow_water_1d(9.81, 0.8, 1.7, 1.0),
+               hf.make_advection(2, [1.0, 0.5], u_range=(-0.4, 0.6)),
+               hf.make_friedrichs([np.array([[0.0, 1.0], [1.0, 0.0]])])]
+    if name == "make_godunov_scalar":
+        systems = systems[:1]
+    calls = []
+    default_rng = np.random.default_rng
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return default_rng(*args, **kw)
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    for sysm in systems:
+        getattr(hf, name)(sysm)
+    assert calls == []
 
 
 # -- Godunov state ---------------------------------------------------------------
@@ -754,6 +752,6 @@ def test_make_rusanov_scratch_is_bounded():
     # the near-equal quotient of the 2D system covers 132 directions x
     # 2001 states; in one batch it needed about 25 scratch chunks
     sysm = hf.make_advection(2, [1.0, 0.5], u_range=(-0.45, 0.65))
-    sch, peak, kept = traced_peak(numflux.make_rusanov, sysm, "auto", 1)
+    sch, peak, kept = traced_peak(numflux.make_rusanov, sysm, "auto")
     assert peak - kept <= 10 * SCRATCH_BYTES
-    assert sch.lambda_star == hf.make_rusanov(sysm, seed=2).lambda_star
+    assert sch.lambda_star == hf.make_rusanov(sysm).lambda_star

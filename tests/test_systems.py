@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import hypflux as hf
-from hypflux import systems
+from hypflux import cli, systems
 from hypflux.errors import AdmissibilityError, ConstructionError
 from hypflux.systems import (axis_all, axis_sum, eigvals_extremes,
                              estimate_cz, generalized_eigvalsh,
@@ -14,6 +15,8 @@ from hypflux.systems import (axis_all, axis_sum, eigvals_extremes,
 
 from conftest import (SCRATCH_BYTES, rel_close, same_bits, sample_pairs,
                       traced_peak)
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def test_relative_entropy_friedrichs_value(friedrichs_diag_sys):
@@ -173,7 +176,8 @@ def test_lf_friedrichs_eigen_oracle():
 
 
 def _pencils(sys, seed):
-    """The (S, B) pencils of compute_lf and of the near-equal lambda bound."""
+    """Sampled (S, B) pencils of the forms that compute_lf and the
+    near-equal lambda bound solve."""
     u, v, _ = sample_pairs(sys, 3000, seed)
     u = np.vstack([u, sys.omega.extreme_points()])
     v = np.vstack([v, sys.omega.extreme_points()])
@@ -198,26 +202,54 @@ def test_generalized_eigvalsh_matches_scipy_eigh(shallow_water_sys,
             assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
-def test_compute_lf_matches_scipy_loop(shallow_water_sys):
+def _shipped_systems():
+    """The system of each shipped run config, and the default shallow-water
+    box."""
+    names = ("advection2d", "burgers1d", "constant", "friedrichs1d",
+             "shallow_water1d")
+    out = [cli.build_problem(cli.load_config(
+        os.path.join(CONFIG_DIR, f"{name}.ini"))).system for name in names]
+    return out + [hf.make_shallow_water_1d()]
+
+
+def _lf_pencils(sysm, u, v):
+    """The (S, B) pencils of the pairs (u, v) for each flux direction,
+    stacked: B = D2eta(v), S the symmetric part of B Df_a(u)."""
+    B = sysm.entropy_hessian(v)
+    S = np.concatenate([B @ sysm.flux_jacobian(u, a) for a in range(sysm.d)])
+    B = np.concatenate([B] * sysm.d)
+    return 0.5 * (S + np.swapaxes(S, -1, -2)), B
+
+
+def _setup_pairs(sysm):
+    """The pairs compute_lf reads: every ordered pair of the setup states
+    for m >= 2, and (u, u) for m = 1, where the quotient is |f_a'(u)|."""
+    pts = systems.setup_states(sysm.omega)
+    if sysm.m == 1:
+        return pts, pts
+    return np.repeat(pts, len(pts), axis=0), np.tile(pts, (len(pts), 1))
+
+
+def test_lf_dominates_every_corner_pencil():
+    # L_f is a max over the setup pairs, which hold every corner x corner
+    # pair, so it is at least their eigenvalues (to the solvers' roundoff);
+    # sampled pairs fell short on shallow water
+    for sysm in _shipped_systems():
+        corners = sysm.omega.extreme_points()
+        u = np.repeat(corners, len(corners), axis=0)
+        v = np.tile(corners, (len(corners), 1))
+        want = np.abs(generalized_eigvalsh(*_lf_pencils(sysm, u, v))).max()
+        assert sysm.lf >= want * (1.0 - 1e-12), (sysm.name, sysm.lf, want)
+
+
+def test_compute_lf_matches_scipy_loop():
     linalg = pytest.importorskip("scipy.linalg")
-    sys = shallow_water_sys
-    rng = np.random.default_rng(0)
-    corners = sys.omega.extreme_points()
-    us = np.vstack([sys.omega.sample(rng, 4096), corners])
-    vs = np.vstack([sys.omega.sample(rng, 4096), corners])
-    pair_u = np.vstack([us, us, rng.permutation(us)])
-    pair_v = np.vstack([vs, us, rng.permutation(vs)])
-    B = sys.entropy_hessian(pair_v)
-    S = B @ sys.flux_jacobian(pair_u, 0)
-    S = 0.5 * (S + np.swapaxes(S, -1, -2))
-    want = max(np.abs(linalg.eigh(S[i], B[i], eigvals_only=True)).max()
-               for i in range(S.shape[0]))
-    assert abs(hf.compute_lf(sys) - want) <= 1e-12 * want
-
-
-def test_compute_lf_requires_samples(burgers_sys):
-    with pytest.raises(ValueError):
-        hf.compute_lf(burgers_sys, samples=10)
+    for sysm in _shipped_systems():
+        S, B = _lf_pencils(sysm, *_setup_pairs(sysm))
+        want = max(np.abs(linalg.eigh(S[i], B[i], eigvals_only=True)).max()
+                   for i in range(S.shape[0]))
+        assert abs(sysm.lf - want) <= 1e-12 * want, sysm.name
+        assert hf.compute_lf(sysm) == sysm.lf
 
 
 def test_shallow_water_hessian_positive_definite(shallow_water_sys):
@@ -477,19 +509,6 @@ def _hessian_grid(sysm, k=257):
     return sysm.entropy_hessian(np.stack([H.ravel(), Q.ravel()], axis=-1))
 
 
-def _lf_pencils(sysm):
-    """The (S, B) pencils `compute_lf` forms at its defaults (d = 1)."""
-    rng = np.random.default_rng(0)
-    corners = sysm.omega.extreme_points()
-    us = np.vstack([sysm.omega.sample(rng, 4096), corners])
-    vs = np.vstack([sysm.omega.sample(rng, 4096), corners])
-    pair_u = np.vstack([us, us, rng.permutation(us)])
-    pair_v = np.vstack([vs, us, rng.permutation(vs)])
-    B = sysm.entropy_hessian(pair_v)
-    S = B @ sysm.flux_jacobian(pair_u, 0)
-    return 0.5 * (S + np.swapaxes(S, -1, -2)), B
-
-
 def test_eigvals_extremes_match_full_lapack(shallow_water_sys, friedrichs_sys):
     # the 257^2 Hessian grid of beta0/beta1 (default and shipped boxes),
     # the compute_lf pencils and the near-equal pencils, with directions
@@ -502,14 +521,13 @@ def test_eigvals_extremes_match_full_lapack(shallow_water_sys, friedrichs_sys):
         assert rel_close(eigvals_extremes(grid), want)
         assert rel_close((sysm.beta0, sysm.beta1), want)
     for sysm in (sw_default, shallow_water_sys, friedrichs_sys):
-        S, B = _lf_pencils(sysm)
+        S, B = _lf_pencils(sysm, *_setup_pairs(sysm))
         lo, hi = eigvals_extremes(S, B)
         assert rel_close((lo, hi), _full_extremes(S, B))
         assert rel_close(sysm.lf, np.abs(generalized_eigvalsh(S, B)).max())
         for S, B in _pencils(sysm, seed=4):
             assert rel_close(eigvals_extremes(S, B), _full_extremes(S, B))
-        pts = np.vstack([sysm.omega.sample(np.random.default_rng(1), 512),
-                         sysm.omega.extreme_points()])
+        pts = systems.setup_states(sysm.omega)
         c = 1.05 * hf.sample_wave_speed_sup(sysm)
         n = np.array([[1.0], [-1.0]])[:, None, :]
         M = c * np.eye(2) - sysm.directional_jacobian(pts, n)
@@ -532,7 +550,7 @@ def _count_eigvalsh(monkeypatch):
 
 
 def test_shallow_water_setup_runs_no_lapack(monkeypatch):
-    # the 66,049 Hessians of the beta0/beta1 scan, the 12,291 compute_lf
+    # the 66,049 Hessians of the beta0/beta1 scan, the 14,641 compute_lf
     # pencils and the near-equal quotient of the lambda* calibration are
     # all 2x2 pencils under the conditioning cap: closed form, no LAPACK
     sizes = _count_eigvalsh(monkeypatch)
@@ -548,7 +566,7 @@ def test_friedrichs_setup_runs_no_lapack(monkeypatch):
     sysm = hf.make_friedrichs([np.array([[0.0, 1.0], [1.0, 0.0]])], radius=1.5)
     assert sizes == []
     assert sysm.lf == 0.9999999999999998
-    S, B = _lf_pencils(sysm)
+    S, B = _lf_pencils(sysm, *_setup_pairs(sysm))
     assert rel_close(eigvals_extremes(S, B), _full_extremes(S, B))
     assert sizes == [(len(S),)]
 
@@ -564,7 +582,7 @@ def test_shallow_water_constants_scratch_is_bounded():
 
 
 def test_friedrichs_constants_scratch_is_bounded():
-    # the 12,291 constant compute_lf pencils, a chunk at a time: about 4
+    # the 14,641 constant compute_lf pencils, a chunk at a time: about 4
     # scratch chunks, where gathering them for one solve took about 12
     sysm, peak, kept = traced_peak(
         hf.make_friedrichs, [np.array([[0.0, 1.0], [1.0, 0.0]])])
