@@ -174,6 +174,9 @@ def make_initial(cfg: dict, problem: str, domain):
                 phase = phase * np.sin(k * x[..., a] / lengths[a])
             return means + amps * phase[..., None]
 
+        if freq == round(freq):
+            u0.translation = _sine_translation(means, amps, k, lengths[:d])
+
         if means.size == 1 and d == 1:
             def du0(y):
                 y = np.asarray(y, dtype=float)
@@ -221,6 +224,40 @@ def make_initial(cfg: dict, problem: str, domain):
         return u0, None
 
     raise ConfigError(f"unknown initial-data kind {kind!r}")
+
+
+def _sine_translation(means, amps, k, lengths):
+    """The translation of the sine datum at an integer frequency, which is
+    periodic on the box: bound to points x, the values at x - s for shifts
+    s, (K, d) -> (K, ..., m).
+
+    sin(k (x_a - s_a) / L_a) is sin(th) cos(ph) - cos(th) sin(ph) with
+    th = k x_a / L_a, whose sin and cos are taken once, at binding, and
+    ph = k r_a / L_a for the exact remainder r_a = fmod(s_a, L_a): a whole
+    period of shift turns the phase by a multiple of 2 pi.  So no shift
+    needs a wrap, and |ph| < |k| whatever the shift.
+    """
+    def translation(x):
+        rot = [(np.sin(th), np.cos(th))
+               for th in (k * x[..., a] / L for a, L in enumerate(lengths))]
+        lead = (slice(None),) + (None,) * (x.ndim - 1)
+
+        def at(shifts):
+            ph = k * np.fmod(shifts, lengths) / lengths  # (K, d)
+            sin_ph, cos_ph = np.sin(ph), np.cos(ph)
+            phase = None
+            for a, (sin_th, cos_th) in enumerate(rot):
+                term = sin_th * cos_ph[lead + (a,)]
+                term -= cos_th * sin_ph[lead + (a,)]
+                if phase is None:
+                    phase = term
+                else:
+                    phase *= term
+            return means + amps * phase[..., None]
+
+        return at
+
+    return translation
 
 
 def _scalar_range(u0, domain, d):

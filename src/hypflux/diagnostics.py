@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .mesh import Mesh
 from .numflux import FluxScheme, InterfaceFluxRecords
 from .solver import (_average, _point_values, cell_quadrature,
                      steps_per_block, tensor_gauss_quadrature)
-from .systems import (StateField, SystemModel, axis_sum,
+from .systems import (StateField, SystemModel, axis_dot, axis_norm,
                       relative_entropy_terms, scratch_slices)
 
 # Gauss-Legendre 4-point rule (per axis) for the mass integrals.  It is
@@ -130,38 +130,41 @@ def accumulate_block(ledger: DiagnosticsLedger, mesh: Mesh, sys: SystemModel,
         raise ConfigError("flux records do not match the mesh")
     if entropies is None:
         entropies = (sys.entropy(u_n), sys.entropy(u_np1))
-    eta_jump, vol_du, vol_deta = _cell_variation(mesh, u_n, u_np1, *entropies)
 
     areas = mesh.iface_areas
     vols = mesh.cell_volumes
     # discrete entropy residual: (|K|/dt)(eta^{n+1} - eta^n) + sum |sigma| xi_KL;
-    # the scatter adds per column, so it takes the steps as columns
+    # the scatter adds per column, so it takes the steps as columns.  It
+    # runs before the cell variation is formed, and the residual goes as
+    # soon as its maxima are taken, so neither adds to the other's scratch
     area_xi = (areas * records.xi_value).T
     xi_div = mesh.scatter(np.zeros((mesh.n_cells, len(d))), area_xi,
                           area_xi, signs=(1, -1)).T
     del area_xi
+    eta_jump, vol_du, vol_deta = _cell_variation(mesh, u_n, u_np1, *entropies)
     resid = (vols / dt) * eta_jump + xi_div
     del xi_div, eta_jump
+    top, top_scaled = _worst(resid), _worst(resid * (dt / vols))
+    del resid
+    l1 = (areas * d).sum(axis=-1)
     # per-interface dissipation-gap inequality, slack = gap - bound formed
-    # in the bound's buffer
-    slack = (sys.beta0 / (2.0 * scheme.lambda_star)) * d
-    slack *= d
+    # in the bound's buffer; d^2 is formed once, for the bound and for
+    # |sigma| d^2 (in its own buffer)
+    d2 = d * d
+    slack = (sys.beta0 / (2.0 * scheme.lambda_star)) * d2
     np.subtract(records.dissipation_gap, slack, out=slack)
     least = _least(slack)
-    # |sigma| d, then |sigma| d d, and |sigma| |xi_KL - xi(u_K).n|, each in
-    # one buffer (a product is the same float in either operand order)
-    area_d = areas * d
-    l1 = area_d.sum(axis=-1)
-    area_d *= d
-    sq = area_d.sum(axis=-1)
-    del area_d
+    d2 *= areas
+    sq = d2.sum(axis=-1)
+    del d2
+    # |sigma| |xi_KL - xi(u_K).n|, in one buffer
     xi_bv = records.xi_value - records.xi_left
     np.abs(xi_bv, out=xi_bv)
     xi_bv *= areas
     xi_bv = xi_bv.sum(axis=-1)
     rows = zip(*(a.tolist() for a in (
         sq, l1, xi_bv, vol_du.sum(axis=-1), vol_deta.sum(axis=-1),
-        _worst(resid), _worst(resid * (dt / vols)), least)))
+        top, top_scaled, least)))
     for sq, l1, xi_bv, du, deta, top, top_scaled, low in rows:
         ledger.wbv_sq += dt * sq
         ledger.wbv_l1 += dt * l1
@@ -192,7 +195,7 @@ def _cell_variation(mesh: Mesh, u_n, u_np1, eta_n, eta_np1):
         raise ConfigError("state fields do not match the mesh")
     du = u_np1 - u_n
     eta_jump = eta_np1 - eta_n
-    return (eta_jump, mesh.cell_volumes * np.sqrt(axis_sum(du ** 2)),
+    return (eta_jump, mesh.cell_volumes * axis_norm(du),
             mesh.cell_volumes * np.abs(eta_jump))
 
 
@@ -204,16 +207,16 @@ def _worst(values):
     with everything, so a NaN cell would leave the running maximum (and
     the flag built on it) untouched.
     """
+    top, low = values.max(axis=-1), values.min(axis=-1)
     # a NaN makes the max NaN, an inf makes the max or the min infinite
-    top = values.max(axis=-1)
-    return np.where(np.isfinite(top) & np.isfinite(values.min(axis=-1)),
-                    top, np.inf)
+    return np.where(np.isfinite(top) & np.isfinite(low), top, np.inf)
 
 
 def _least(values):
     """Smallest entry along the last axis, or -inf where any entry is not
     finite (see `_worst`)."""
-    return -_worst(-values)
+    top, low = values.max(axis=-1), values.min(axis=-1)
+    return np.where(np.isfinite(top) & np.isfinite(low), low, -np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +245,7 @@ def projection_masses(mesh: Mesh, sys: SystemModel, u0, field0: StateField,
         eta_cell = sys.entropy(u_cell)[:, None]
         diff = vals - u_cell[:, None, :]
         per_cell_eta[cells] = (wts * np.abs(eta_exact - eta_cell)).sum(axis=1)
-        per_cell_u[cells] = (wts * np.sqrt(axis_sum(diff ** 2))).sum(axis=1)
+        per_cell_u[cells] = (wts * axis_norm(diff)).sum(axis=1)
     return (float(per_cell_eta[cell_mask].sum()),
             float(per_cell_u[cell_mask].sum()))
 
@@ -253,10 +256,31 @@ def reference_cell_means(mesh: Mesh, reference, t: float,
     return reference_level_means(mesh, reference, (t,), quadrature)[0]
 
 
+@dataclass(frozen=True)
+class BoundReference:
+    """A reference bound to the points of one mesh's cell quadrature
+    (`bind_reference`): `levels(ts)` gives its values there, (K, N, q, m),
+    and `weights` are the rule's."""
+
+    levels: Callable
+    weights: np.ndarray
+
+
+def bind_reference(mesh: Mesh, reference, quadrature: str = "midpoint"):
+    """The reference bound once to the quadrature points of `mesh`
+    (`ReferenceSolution.bind`)."""
+    pts, wts = cell_quadrature(mesh, quadrature)
+    return BoundReference(reference.bind(pts), wts)
+
+
 def reference_level_means(mesh: Mesh, reference, ts,
                           quadrature: str = "midpoint"):
     """`reference_cell_means` at each time of `ts`, on a leading axis, from
-    one evaluation of the reference over all the levels."""
+    one evaluation of the reference over all the levels.  A
+    `BoundReference` of this mesh and rule evaluates at the points it is
+    bound to."""
+    if isinstance(reference, BoundReference):
+        return _average(mesh, reference.weights, reference.levels(ts))
     pts, wts = cell_quadrature(mesh, quadrature)
     return _average(mesh, wts, reference.eval_levels(pts, ts))
 
@@ -284,7 +308,7 @@ def _relative_entropy_sum(mesh, sys, eta_u, ubar, diff):
 
 def _cell_sq_error(mesh, diff):
     """Per-cell |K| |u_K - ubar_K|^2 from diff = u - ubar."""
-    return mesh.cell_volumes * axis_sum(diff ** 2)
+    return mesh.cell_volumes * axis_dot(diff, diff)
 
 
 class ErrorFold:
@@ -303,19 +327,21 @@ class ErrorFold:
     mu_0, mu_bar_0 of the first state and the level at the final time.
     Time sums use the left-endpoint rule.
 
-    A block runs the records part once on the block's update, which it
-    takes over: the records part may overwrite and release the update it
-    is handed (see `numflux`), so it works in the update's buffers and
-    drops the gathered sides as soon as it is done with them, and the rest
-    goes with the records part.  Of the records only the four fields the
-    ledger reads stay (defect, xi_KL, xi(u_K).n and the gap).  One
-    `sys.entropy` call then gives eta at the block's k + 1 states, for the
-    ledger and the relative entropy, and the error levels come last, once
-    the records have gone.  A step and its fold on the 128 x 128 mesh
-    (K = 1) take at most 12 scratch chunks, in the records part and in
-    the ledger.  A reference is read in time order within one fold;
-    several folds sharing a fine-grid reference read it in time order
-    only with blocks of one step.
+    A block runs the records part of the march's own binding
+    (`StepBlock.kernel`) once on the block's update, which it takes over:
+    the records part may overwrite and release the update it is handed
+    (see `numflux`), so it works in the update's buffers and drops the
+    gathered sides as soon as it is done with them, and the rest goes with
+    the records part.  Of the records only the four fields the ledger
+    reads stay (defect, xi_KL, xi(u_K).n and the gap).  One `sys.entropy`
+    call then gives eta at the block's k + 1 states, for the ledger and
+    the relative entropy, and the error levels come last, once the
+    records have gone.  The reference is bound to the quadrature points
+    once, at construction (`bind_reference`), and `finish` releases that
+    binding.  A step and its fold on the 128 x 128 mesh (K = 1) take at
+    most 12 scratch chunks, in the march's scatter.  A reference is read
+    in time order within one fold; several folds sharing a fine-grid
+    reference read it in time order only with blocks of one step.
     """
 
     def __init__(self, ledger: DiagnosticsLedger, mesh: Mesh,
@@ -336,6 +362,10 @@ class ErrorFold:
         self.cone = 0.0
         self.mbeta_ok = True
         self._dt = None
+        # the reference bound to the quadrature points for the run,
+        # released by `finish`
+        self._bound = (None if reference is None
+                       else bind_reference(mesh, reference, quadrature))
 
     def __call__(self, block):
         """Fold the steps of one `StepBlock`, taking its update."""
@@ -343,7 +373,7 @@ class ErrorFold:
             raise ConfigError("the steps of one ErrorFold share one dt")
         self._dt = block.dt
         update, block.update = block.update, None  # taken over
-        records = self.scheme.records(update, self.mesh.iface_normals)
+        records = block.kernel.records(update)
         del update
         # the update has gone with the records part; the ledger reads
         # neither G nor X_KL, so they go before its temporaries, and the
@@ -395,7 +425,7 @@ class ErrorFold:
         for t in ts:
             if t > self.reference.valid_until * (1 + 1e-12):
                 raise ConfigError(f"reference not valid at t={t}")
-        ubars = reference_level_means(self.mesh, self.reference, ts,
+        ubars = reference_level_means(self.mesh, self._bound, ts,
                                       self.quadrature)
         diff = states - ubars
         hnorm = _relative_entropy_sum(self.mesh, self.sys, etas, ubars, diff)
@@ -412,7 +442,7 @@ class ErrorFold:
 
     def finish(self, trajectory):
         """Add the projection masses and the final level of a finished
-        run."""
+        run, then release the run's bindings."""
         if not np.any(self.ball):
             raise ConfigError("no cell centroid lies in the requested ball")
         self.ledger.mu0_mass, self.ledger.mu_bar0_mass = projection_masses(
@@ -422,6 +452,7 @@ class ErrorFold:
             final = trajectory.final_field.values[None]
             self._levels([trajectory.final_field.time], final,
                          self.sys.entropy(final))
+        self._bound = None
 
 
 def _replay(fold: ErrorFold, trajectory, masses: bool) -> None:

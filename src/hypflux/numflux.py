@@ -43,39 +43,64 @@ one.  The records part takes the update over: it may overwrite the
 update's arrays (Rusanov forms G - f(u).n and G - f(v).n in the buffers
 of f(u).n and f(v).n) and release them (it sets `left` and `right` to
 None once it is done with them), so a caller that still needs an update
-hands it a copy.  `FluxScheme.kernel` is the two parts in turn on a
-fresh update, and `.g` and `.xi_num` read from them.  The Godunov state
-is exact (Osher form): f.n is extremal over the interval hull of (u, v)
-at an endpoint or at a critical point of f.n, so the update compares
-those candidates only.
+hands it a copy.  Both parts are bound to one array of normals
+(`FluxScheme.bind`, through `SystemModel.bind`), so what depends on the
+normals alone, such as advection's normal speed, is formed once; a run
+binds its mesh's normals once.  `FluxScheme.kernel` binds and runs the
+two parts in turn on a fresh update, and `.g` and `.xi_num` read from
+them.  The Godunov state is exact (Osher form): f.n is extremal over the
+interval hull of (u, v) at an endpoint or at a critical point of f.n, so
+the update compares those candidates only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ConstructionError
-from .systems import (SystemModel, _as_direction, _pair_grid_size, axis_sum,
-                      eigvals_extremes, scratch_slices, setup_states)
+from .systems import (SystemModel, _as_direction, _pair_grid_size, axis_dot,
+                      axis_norm, eigvals_extremes, scratch_slices,
+                      setup_states)
+
+
+class BoundKernel(NamedTuple):
+    """The two parts of a scheme's interface kernel on one fixed array of
+    normals (`FluxScheme.bind`)."""
+
+    update: Callable   # (u, v) -> InterfaceUpdate, run every step
+    records: Callable  # (InterfaceUpdate) -> InterfaceFluxRecords; may
+    #                    overwrite and release the update it is handed
 
 
 @dataclass
 class FluxScheme:
-    """Numerical flux pair (G_KL, xi_KL) with its stability parameter."""
+    """Numerical flux pair (G_KL, xi_KL) with its stability parameter.
+
+    `bind(n)` gives the kernel on the normals n; a run binds its mesh's
+    normals once.  The methods bind on every call."""
 
     name: str
-    update: Callable   # (u, v, n) -> InterfaceUpdate, run every step
-    records: Callable  # (InterfaceUpdate, n) -> InterfaceFluxRecords; may
-    #                    overwrite and release the update it is handed
+    bind: Callable     # (n) -> BoundKernel
     lambda_star: float
     params: dict = field(default_factory=dict)
 
+    def update(self, u, v, n):
+        """The update part on (u, v, n): an `InterfaceUpdate`."""
+        return self.bind(n).update(u, v)
+
+    def records(self, update, n):
+        """The records part on an update of normals n; it may overwrite
+        and release the update."""
+        return self.bind(n).records(update)
+
     def kernel(self, u, v, n):
         """Both parts of the interface kernel: the records of (u, v, n)."""
-        return self.records(self.update(u, v, n), n)
+        bound = self.bind(n)
+        return bound.records(bound.update(u, v))
 
     def g(self, u, v, n):
         """G_KL(u, v, n), shape (..., m)."""
@@ -122,19 +147,20 @@ class DissipationGapCheck:
 # ---------------------------------------------------------------------------
 
 def sample_wave_speed_sup(sys: SystemModel) -> float:
-    """Max over `setup_states` and unit directions of the wave-speed bound:
-    a lower bound of its sup over Omega."""
+    """The sup over Omega and unit directions of the wave-speed bound.
+
+    Linear advection's wave speed is |a_n| = |n.c| in every state, whose
+    sup over unit n is |c|: the norm of its bound normal speeds on the
+    axes, which are c exactly.  Any other system takes the max over
+    `setup_states` and the directions of `_axis_directions` (the set of
+    the lambda* calibration), a lower bound of the sup.
+    """
+    speeds = sys.bind(np.eye(sys.d)).normal_speed
+    if speeds is not None:
+        return math.hypot(*speeds.tolist())
     pts = setup_states(sys.omega)
     return max(float(sys.max_wave_speed(pts, n).max())
-               for n in _unit_directions(sys.d))
-
-
-def _unit_directions(d, n_angles=64):
-    if d == 1:
-        return [np.array([1.0])]
-    th = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    dirs = [np.array([np.cos(t), np.sin(t)]) for t in th]
-    return dirs + [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+               for n in _axis_directions(sys.d))
 
 
 # ---------------------------------------------------------------------------
@@ -160,35 +186,45 @@ def make_rusanov(sys: SystemModel, c="auto") -> FluxScheme:
                 f"Rusanov speed {c_val} is below the wave-speed max "
                 f"{speed_sup:.6g}")
 
-    def update(u, v, n):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        fu = sys.directional_flux(u, n)
-        fv = sys.directional_flux(v, n)
-        g = 0.5 * (fu + fv) - (0.5 * c_val) * (v - u)
-        return InterfaceUpdate(g, u, v, (fu, fv))
+    def bind(n):
+        forms = sys.bind(n)
 
-    def records(step, n):
-        u, v, g = step.left, step.right, step.g_value
-        fu, fv = step.parts
-        xi_u = sys.directional_entropy_flux(u, n)
-        delta = _minus(g, fu)
-        x = _dissipation_flux(sys, u, delta, xi_u)
-        step.left = u = None
-        # X_LK(v, u) is -(xi(v).n + Deta(v).(G - f(v).n)) bit for bit:
-        # G(v, u, -n) = -G and f(v).(-n) = -f(v).n hold exactly in IEEE
-        # arithmetic, so the reverse orientation needs no evaluation.
-        # xi = 0.5 (x + x_rev) is formed in x_rev's buffer: a sum and a
-        # product are the same float in either operand order
-        xi = _dissipation_flux(sys, v, _minus(g, fv),
-                               sys.directional_entropy_flux(v, n))
-        step.right = v = None
-        xi += x
-        xi *= 0.5
-        return _records(g, delta, xi_u, x, xi)
+        def update(u, v):
+            u = np.asarray(u, dtype=float)
+            v = np.asarray(v, dtype=float)
+            fu = forms.flux(u)
+            fv = forms.flux(v)
+            # 0.5 (fu + fv) - (0.5 c) (v - u), each product in its sum's
+            # buffer
+            g = fu + fv
+            g *= 0.5
+            jump = v - u
+            jump *= 0.5 * c_val
+            g -= jump
+            return InterfaceUpdate(g, u, v, (fu, fv))
 
-    scheme = FluxScheme(name="rusanov", update=update, records=records,
-                        lambda_star=np.nan,
+        def records(step):
+            u, v, g = step.left, step.right, step.g_value
+            fu, fv = step.parts
+            xi_u = forms.entropy_flux(u)
+            delta = _minus(g, fu)
+            x = _dissipation_flux(sys, u, delta, xi_u)
+            step.left = u = None
+            # X_LK(v, u) is -(xi(v).n + Deta(v).(G - f(v).n)) bit for bit:
+            # G(v, u, -n) = -G and f(v).(-n) = -f(v).n hold exactly in IEEE
+            # arithmetic, so the reverse orientation needs no evaluation.
+            # xi = 0.5 (x + x_rev) is formed in x_rev's buffer: a sum and a
+            # product are the same float in either operand order
+            xi = _dissipation_flux(sys, v, _minus(g, fv),
+                                   forms.entropy_flux(v))
+            step.right = v = None
+            xi += x
+            xi *= 0.5
+            return _records(g, delta, xi_u, x, xi)
+
+        return BoundKernel(update, records)
+
+    scheme = FluxScheme(name="rusanov", bind=bind, lambda_star=np.nan,
                         params={"c": c_val, "wave_speed_sup": speed_sup})
     scheme.lambda_star, scheme.params["lambda_star_source"] = \
         _calibrate_lambda_star(sys, scheme, c_val, rusanov_c=c_val)
@@ -217,22 +253,26 @@ def make_godunov_scalar(sys: SystemModel) -> FluxScheme:
             "(flux_critical_points)")
     speed_sup = sample_wave_speed_sup(sys)
 
-    def update(u, v, n):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        w = _godunov_state(sys, u, v, n)
-        return InterfaceUpdate(sys.directional_flux(w, n), u, v, (w,))
+    def bind(n):
+        forms = sys.bind(n)
 
-    def records(step, n):
-        u, g = step.left, step.g_value
-        (w,) = step.parts
-        xi_u = sys.directional_entropy_flux(u, n)
-        delta = _minus(g, sys.directional_flux(u, n))
-        x = _dissipation_flux(sys, u, delta, xi_u)
-        return _records(g, delta, xi_u, x, sys.directional_entropy_flux(w, n))
+        def update(u, v):
+            u = np.asarray(u, dtype=float)
+            v = np.asarray(v, dtype=float)
+            w = _godunov_state(sys, u, v, n)
+            return InterfaceUpdate(forms.flux(w), u, v, (w,))
 
-    scheme = FluxScheme(name="godunov", update=update, records=records,
-                        lambda_star=np.nan,
+        def records(step):
+            u, g = step.left, step.g_value
+            (w,) = step.parts
+            xi_u = forms.entropy_flux(u)
+            delta = _minus(g, forms.flux(u))
+            x = _dissipation_flux(sys, u, delta, xi_u)
+            return _records(g, delta, xi_u, x, forms.entropy_flux(w))
+
+        return BoundKernel(update, records)
+
+    scheme = FluxScheme(name="godunov", bind=bind, lambda_star=np.nan,
                         params={"wave_speed_sup": speed_sup})
     floor = 1.05 * speed_sup
     lam, source = _calibrate_lambda_star(sys, scheme, floor, rusanov_c=None,
@@ -277,7 +317,7 @@ def _dissipation_flux(sys, w, delta, xi_w):
 
     Formed in the buffer of the dot product, which has the shape of the
     sum: a sum is the same float in either operand order."""
-    x = axis_sum(sys.entropy_gradient(w) * delta)
+    x = axis_dot(sys.entropy_gradient(w), delta)
     x += xi_w
     return x
 
@@ -292,7 +332,7 @@ def _records(g, delta, xi_u, x, xi) -> InterfaceFluxRecords:
     """Records of G = g with delta = G - f(u).n."""
     return InterfaceFluxRecords(
         g_value=g, xi_value=xi, x_kl=x, xi_left=xi_u,
-        defect=np.sqrt(axis_sum(delta ** 2)), dissipation_gap=x - xi)
+        defect=axis_norm(delta), dissipation_gap=x - xi)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +427,7 @@ def _far_apart(omega, U, V):
     """Whether |v - u| exceeds 1e-6 diam Omega, pair by pair.  The
     near-equal quotient covers the limit v -> u, where a pair's critical
     lambda is roundoff over roundoff."""
-    diam = np.sqrt(axis_sum((omega.hi - omega.lo) ** 2))
-    return np.sqrt(axis_sum((V - U) ** 2)) > 1e-6 * diam
+    return axis_norm(V - U) > 1e-6 * axis_norm(omega.hi - omega.lo)
 
 
 def _cycled_directions(d, n):

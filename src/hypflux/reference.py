@@ -7,7 +7,15 @@ closed form exists the solver itself provides a reference on a mesh
 refined by a factor of at least 8, flagged as numerical.
 
 A closed form evaluates many time levels at once (`levels`), with the
-bits of one `eval` per level; its `eval` is the one-level case.
+bits of one `eval` per level; its `eval` is the one-level case.  A
+reference can also be bound to fixed points (`ReferenceSolution.bind`):
+a run's error fold reads it at the same quadrature points every step.
+The translation references bind through the datum's own translation
+when it has one, so what depends on the points alone is computed once
+per run: `u0.translation(x)` binds u0 to the points x and gives
+`at(shifts)`, (K, d) -> (K, ..., m), the values u0(x - s) for each row s
+of shifts.  A datum offers it only where it is periodic on the box (the
+catalog's sine at an integer frequency), so that no shift needs a wrap.
 """
 
 from __future__ import annotations
@@ -30,6 +38,17 @@ class ReferenceSolution:
     valid_until: float
     params: dict = field(default_factory=dict)
     levels: Callable = None     # (x, ts) -> (K, ..., m), or None
+    # (x) -> (ts -> (K, ..., m)), the reference bound to the points x, or
+    # None
+    bind_points: Callable = None
+
+    def bind(self, x):
+        """ts -> the reference at the points x at each time of ts: through
+        `bind_points`, which forms what depends on x alone once, where the
+        solution has it, else `eval_levels(x, ts)` on every call."""
+        if self.bind_points is not None:
+            return self.bind_points(x)
+        return lambda ts: self.eval_levels(x, ts)
 
     def eval_levels(self, x, ts):
         """The reference at each time of `ts`, on a leading axis: `levels`
@@ -40,11 +59,13 @@ class ReferenceSolution:
         return vals[0][None] if len(vals) == 1 else np.stack(vals)
 
 
-def _closed_form(kind, levels, valid_until, params) -> ReferenceSolution:
+def _closed_form(kind, levels, valid_until, params,
+                 bind_points=None) -> ReferenceSolution:
     """A reference whose `eval` is the one-level case of `levels`."""
     return ReferenceSolution(kind=kind, eval=lambda x, t: levels(x, (t,))[0],
                              valid_until=valid_until, params=params,
-                             levels=levels)
+                             levels=levels, bind_points=bind_points)
+
 
 
 def _wrap(y, lengths):
@@ -80,7 +101,8 @@ def _axiswise(op, y, consts, out=None):
 
 
 def exact_advection(speed_vector, u0, domain) -> ReferenceSolution:
-    """u(x, t) = u0(x - c t) with periodic wrap."""
+    """u(x, t) = u0(x - c t) with periodic wrap; bound to points through
+    the datum's translation when it has one."""
     c = np.atleast_1d(np.asarray(speed_vector, dtype=float))
     lengths = tuple(float(L) for L in domain)
 
@@ -92,15 +114,23 @@ def exact_advection(speed_vector, u0, domain) -> ReferenceSolution:
             _axiswise(np.subtract, x, c * t, out=shifted[k])
         return u0(_wrap(shifted, lengths))
 
+    translation = getattr(u0, "translation", None)
+
+    def bind_points(x):
+        at = translation(np.asarray(x, dtype=float))
+        return lambda ts: at(np.multiply.outer(np.asarray(ts, dtype=float), c))
+
     return _closed_form("exact-advection", levels, math.inf,
-                        {"speed": tuple(c)})
+                        {"speed": tuple(c)},
+                        bind_points if translation is not None else None)
 
 
 def exact_friedrichs(A, u0, domain) -> ReferenceSolution:
     """1D symmetric system: decouple along eigenvectors and transport.
 
     A = R diag(lam) R^T; each characteristic component of u0 translates
-    with its own speed.
+    with its own speed.  Bound to points through the datum's translation
+    when it has one.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -122,8 +152,22 @@ def exact_friedrichs(A, u0, domain) -> ReferenceSolution:
         w_all = np.stack(comps, axis=-1)
         return w_all @ R.T
 
+    translation = getattr(u0, "translation", None)
+
+    def bind_points(x):
+        at = translation(np.asarray(x, dtype=float))
+
+        def bound(ts):
+            ts = np.asarray(ts, dtype=float)[:, None]
+            w_all = np.stack([(at(lam[i] * ts) @ R)[..., i] for i in range(m)],
+                             axis=-1)
+            return w_all @ R.T
+
+        return bound
+
     return _closed_form("exact-friedrichs", levels, math.inf,
-                        {"eigenvalues": lam.tolist()})
+                        {"eigenvalues": lam.tolist()},
+                        bind_points if translation is not None else None)
 
 
 def exact_burgers(u0, u0_derivative, domain) -> ReferenceSolution:

@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import AdmissibilityError, ConfigError
 from .mesh import Mesh
-from .numflux import FluxScheme, InterfaceFluxRecords, InterfaceUpdate
+from .numflux import (BoundKernel, FluxScheme, InterfaceFluxRecords,
+                      InterfaceUpdate)
 from .systems import SCRATCH_ENTRIES, StateField, SystemModel, axis_sum
 
 # Interface entries per block of steps: `march_blocks` yields blocks of
@@ -221,7 +222,8 @@ class StepBlock:
     overwrite the rest (the records part does).  A consumer that takes
     `update` (setting it to None) frees its arrays, when they are the
     step's own, as soon as it is done with them.  A march of states only
-    gives None.
+    gives None.  `kernel` is the march's kernel, bound to the mesh's
+    normals: `block.kernel.records(block.update)` gives the records.
     """
 
     start: int
@@ -229,6 +231,7 @@ class StepBlock:
     times: list
     states: np.ndarray       # (k + 1, n_cells, m)
     update: InterfaceUpdate  # arrays with a leading step axis of length k
+    kernel: BoundKernel = None
 
 
 def march_blocks(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
@@ -237,8 +240,9 @@ def march_blocks(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
                  _states_only: bool = False):
     """The one time loop: n_steps updates of size dt from `field`, yielded
     in `StepBlock`s of `steps` steps (`steps_per_block(mesh)` by default;
-    the last may be shorter).  Only the update part of the kernel runs;
-    `scheme.records(update, mesh.iface_normals)` gives the records.  The
+    the last may be shorter).  Only the update part of the kernel runs,
+    bound once to the mesh's normals (`FluxScheme.bind`); each block
+    carries that binding, whose records part gives the records.  The
     caller is responsible for the CFL bound.
 
     The states are one (K + 1, N, m) buffer for the run: a step gathers
@@ -254,6 +258,7 @@ def march_blocks(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
     if field.values.shape[0] != mesh.n_cells:
         raise ConfigError("state field does not match the mesh")
     k_max = steps or steps_per_block(mesh)
+    kernel = scheme.bind(mesh.iface_normals)
     areas = mesh.iface_areas[:, None]
     to_left = (dt / mesh.cell_volumes[mesh.iface_left])[:, None]
     to_right = (dt / mesh.cell_volumes[mesh.iface_right])[:, None]
@@ -278,13 +283,16 @@ def march_blocks(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
                 # the mesh's indices are in range, and a clipped take
                 # writes into `out` without a buffer
                 out = (None, None) if rows is None else (rows[1][j], rows[2][j])
-                update = scheme.update(
+                update = kernel.update(
                     u.take(mesh.iface_left, axis=0, out=out[0], mode="clip"),
-                    u.take(mesh.iface_right, axis=0, out=out[1], mode="clip"),
-                    mesh.iface_normals)
+                    u.take(mesh.iface_right, axis=0, out=out[1], mode="clip"))
                 flux = areas * update.g_value
-                mesh.scatter(u, to_left * flux, to_right * flux,
-                             signs=(-1, 1), out=states[j + 1])
+                # the right cells' share in the buffer of the flux
+                to_left_flux = to_left * flux
+                flux *= to_right
+                mesh.scatter(u, to_left_flux, flux, signs=(-1, 1),
+                             out=states[j + 1])
+                del to_left_flux
                 times.append(field.time + (start + j + 1) * dt)
                 if _states_only:
                     block_rows = None
@@ -303,7 +311,8 @@ def march_blocks(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
                 del update, flux
         ok = _admissible_rows(sys, states[1:k + 1]) if check_admissibility else k
         if ok:
-            block = StepBlock(start, dt, times[:ok + 1], states[:ok + 1], None)
+            block = StepBlock(start, dt, times[:ok + 1], states[:ok + 1],
+                              None, kernel)
             if block_rows is not None:
                 block_rows = [a[:ok] for a in block_rows]
                 block.update = InterfaceUpdate(*block_rows[:3],

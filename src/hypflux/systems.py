@@ -15,7 +15,7 @@ finite differences as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -63,6 +63,38 @@ def axis_sum(x, axis: int = -1):
     for k in range(1, n):
         out += x[lead + (k,)]
     return out
+
+
+def axis_dot(a, b):
+    """axis_sum(a * b) over the last axis, for arrays of one shape.
+
+    A product of two one-column arrays is one elementwise pass; longer
+    short axes add the products left to right, as `axis_sum` does.  The
+    bits are those of axis_sum(a * b), but for the sign of a zero: a sum
+    starts from +0.0, so where every product is -0.0 the sum is +0.0 and
+    this gives -0.0.
+    """
+    n = a.shape[-1]
+    if not 0 < n < _SHORT_AXIS:
+        return axis_sum(a * b)
+    out = a[..., 0] * b[..., 0]
+    for k in range(1, n):
+        out += a[..., k] * b[..., k]
+    return out
+
+
+def axis_norm(x):
+    """sqrt(axis_sum(x ** 2)), the Euclidean norm over the last axis.
+
+    A one-column x gives |x|, one pass.  That is the same float as
+    sqrt(x * x) wherever x * x neither underflows nor overflows (a
+    correctly rounded square root of a correctly rounded square is |x|),
+    and more accurate where it does: for 0 < |x| < 2^-511 the square
+    loses bits or flushes to zero, and above 2^512 it is inf.
+    """
+    if x.shape[-1] == 1:
+        return np.abs(x[..., 0])
+    return np.sqrt(axis_dot(x, x))
 
 
 def axis_all(x):
@@ -163,6 +195,18 @@ class AdmissibleSet:
 # system model
 # ---------------------------------------------------------------------------
 
+class DirectionalForms(NamedTuple):
+    """f(u).n and xi(u).n on one fixed array of normals n, (d,) or (..., d):
+    what depends on n alone is formed once, when the forms are bound
+    (`SystemModel.bind`)."""
+
+    flux: Callable          # (u) -> (..., m)
+    entropy_flux: Callable  # (u) -> (...)
+    # a_n = sum_alpha n_alpha c_alpha when f(u).n = a_n u (linear
+    # advection), else None
+    normal_speed: Optional[np.ndarray] = None
+
+
 @dataclass
 class SystemModel:
     """Descriptor of a system of m conservation laws in d dimensions."""
@@ -184,6 +228,9 @@ class SystemModel:
     # (n) -> every state w where d(f.n)/dw = 0; the Godunov flux needs it
     flux_critical_points: Optional[Callable] = None
     params: dict = field(default_factory=dict)
+    # (n) -> DirectionalForms of checked normals; None binds the per-axis
+    # sums of flux and entropy_flux (`_axis_forms`)
+    directional_forms: Optional[Callable] = None
 
     def require_admissible(self, *states, tol: float = 1e-12, what: str = "state"):
         for u in states:
@@ -193,13 +240,16 @@ class SystemModel:
                 raise AdmissibilityError(
                     f"{what} outside the admissible set of {self.name}: {bad}")
 
+    def bind(self, n) -> DirectionalForms:
+        """f(u).n and xi(u).n bound to the normals n, (d,) or (..., d)."""
+        n = _as_direction(n, self.d)
+        if self.directional_forms is not None:
+            return self.directional_forms(n)
+        return _axis_forms(self, n)
+
     def directional_flux(self, u, n):
         """sum_alpha n_alpha f_alpha(u); n has shape (d,) or (..., d)."""
-        n = _as_direction(n, self.d)
-        out = n[..., 0, None] * self.flux(u, 0)
-        for a in range(1, self.d):
-            out = out + n[..., a, None] * self.flux(u, a)
-        return out
+        return self.bind(n).flux(u)
 
     def directional_jacobian(self, u, n):
         n = _as_direction(n, self.d)
@@ -209,11 +259,30 @@ class SystemModel:
         return out
 
     def directional_entropy_flux(self, u, n):
-        n = _as_direction(n, self.d)
-        out = n[..., 0] * self.entropy_flux(u, 0)
-        for a in range(1, self.d):
-            out = out + n[..., a] * self.entropy_flux(u, a)
+        """sum_alpha n_alpha xi_alpha(u); n has shape (d,) or (..., d)."""
+        return self.bind(n).entropy_flux(u)
+
+
+def _axis_forms(sys: SystemModel, n) -> DirectionalForms:
+    """The default binding: the sums over the axes of n_alpha f_alpha(u)
+    and n_alpha xi_alpha(u), in axis order, with the columns of n taken
+    once."""
+    cols = [n[..., a] for a in range(sys.d)]
+    flux_cols = [c[..., None] for c in cols]
+
+    def flux(u):
+        out = flux_cols[0] * sys.flux(u, 0)
+        for a in range(1, sys.d):
+            out = out + flux_cols[a] * sys.flux(u, a)
         return out
+
+    def entropy_flux(u):
+        out = cols[0] * sys.entropy_flux(u, 0)
+        for a in range(1, sys.d):
+            out = out + cols[a] * sys.entropy_flux(u, a)
+        return out
+
+    return DirectionalForms(flux, entropy_flux)
 
 
 def _as_direction(n, d):
@@ -265,8 +334,7 @@ def relative_entropy(sys: SystemModel, v, u, check: bool = True):
 
 def relative_entropy_terms(sys: SystemModel, eta_v, u, diff):
     """H(v, u) from eta(v) and v - u already at hand (no Omega check)."""
-    return (eta_v - sys.entropy(u)
-            - axis_sum(sys.entropy_gradient(u) * diff))
+    return eta_v - sys.entropy(u) - axis_dot(sys.entropy_gradient(u), diff)
 
 
 def relative_entropy_flux(sys: SystemModel, v, u, alpha: int, check: bool = True):
@@ -501,6 +569,12 @@ def validate_system(sys: SystemModel, samples: int = 1000, seed: int = 0) -> Non
 # built-in systems
 # ---------------------------------------------------------------------------
 
+def _identity_gradient(u):
+    """Deta(u) = u of eta = u^2/2: the input itself, not a copy (no caller
+    writes into a gradient)."""
+    return np.asarray(u, dtype=float)
+
+
 def make_advection(d: int, speed_vector, u_range=(-1.0, 1.0)) -> SystemModel:
     """Scalar linear advection with eta = u^2/2."""
     c = np.atleast_1d(np.asarray(speed_vector, dtype=float))
@@ -521,16 +595,38 @@ def make_advection(d: int, speed_vector, u_range=(-1.0, 1.0)) -> SystemModel:
         u = np.asarray(u, dtype=float)
         return np.broadcast_to(np.abs((n * c).sum(axis=-1)), u.shape[:-1]).copy()
 
+    def forms(n):
+        # the normal speed once; then f(u).n = a_n u is one pass and
+        # xi(u).n = a_n u^2 / 2 three in one buffer (a halving is exact, so
+        # the bits are those of (a_n / 2) u^2)
+        a_n = n[..., 0] * c[0]
+        for a in range(1, d):
+            a_n = a_n + n[..., a] * c[a]
+        a_col = a_n[..., None]
+
+        def flux(u):
+            return a_col * np.asarray(u, dtype=float)
+
+        def entropy_flux(u):
+            u = np.asarray(u, dtype=float)[..., 0]
+            out = np.empty(np.broadcast_shapes(u.shape, a_n.shape))
+            np.multiply(u, u, out=out)
+            out *= a_n
+            out *= 0.5
+            return out
+
+        return DirectionalForms(flux, entropy_flux, a_n)
+
     sys = SystemModel(
         name=f"advection{d}d", m=1, d=d,
         flux=flux, flux_jacobian=jac,
         entropy=lambda u: 0.5 * np.asarray(u, dtype=float)[..., 0] ** 2,
-        entropy_gradient=lambda u: np.asarray(u, dtype=float).copy(),
+        entropy_gradient=_identity_gradient,
         entropy_hessian=lambda u: np.ones(np.asarray(u).shape[:-1] + (1, 1)),
         entropy_flux=lambda u, a: c[a] * 0.5 * np.asarray(u, dtype=float)[..., 0] ** 2,
         beta0=1.0, beta1=1.0, omega=omega, max_wave_speed=wave,
         flux_critical_points=lambda n: np.empty(0),
-        params={"speed": tuple(c)})
+        params={"speed": tuple(c)}, directional_forms=forms)
     validate_system(sys)
     compute_lf(sys)
     return sys
@@ -553,7 +649,7 @@ def make_burgers(d: int = 1, u_range=(-1.0, 1.0)) -> SystemModel:
         flux=lambda u, a: 0.5 * np.asarray(u, dtype=float) ** 2,
         flux_jacobian=lambda u, a: np.asarray(u, dtype=float)[..., None],
         entropy=lambda u: 0.5 * np.asarray(u, dtype=float)[..., 0] ** 2,
-        entropy_gradient=lambda u: np.asarray(u, dtype=float).copy(),
+        entropy_gradient=_identity_gradient,
         entropy_hessian=lambda u: np.ones(np.asarray(u).shape[:-1] + (1, 1)),
         entropy_flux=lambda u, a: np.asarray(u, dtype=float)[..., 0] ** 3 / 3.0,
         beta0=1.0, beta1=1.0, omega=omega, max_wave_speed=wave,

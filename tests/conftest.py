@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import os
 import subprocess
@@ -121,6 +122,22 @@ def tree_bytes(root):
             with open(p, "rb") as fh:
                 out[os.path.relpath(p, root)] = fh.read()
     return out
+
+
+def count_kernel_parts(sch, calls, *parts):
+    """A copy of the scheme sch whose bound kernels append the name of each
+    of their `parts` ("update", "records") to `calls` when it runs."""
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    def bind(n):
+        kernel = sch.bind(n)
+        return kernel._replace(**{name: counted(name, getattr(kernel, name))
+                                  for name in parts})
+    return dataclasses.replace(sch, bind=bind)
 
 
 def traced_peak(fn, *args):

@@ -678,10 +678,12 @@ def test_step_and_flush_scratch_is_bounded(adv2d_128):
     # one step of E = 32,768 interfaces, a block of K = 1, with its fold:
     # march's step, then the records part on the update the fold takes
     # over from the block, and the fold's and the ledger's temporaries once
-    # the update is gone.  12.0 chunks at the peak, where a records part
-    # that kept the update's sides and allocated its differences took
-    # 14.5, and a fold that ran the ledger with the step's update still
-    # held (5 interface arrays) took 16.0
+    # the update is gone.  11.5 chunks at the peak, the march's normal
+    # speeds (one chunk) included; a ledger that formed the cell variation
+    # before its scatter and kept the residual took 12.5 with them (12.0
+    # without), a records part that kept the update's sides and allocated
+    # its differences 14.5, and a fold that ran the ledger with the step's
+    # update still held (5 interface arrays) 16.0
     mesh, sysm, sch, ref = adv2d_128
     dt = hf.compute_dt(mesh, sysm, sch, hf.RunConfig(final_time=0.0))
     fold = hf.ErrorFold(hf.DiagnosticsLedger(), mesh, sysm, sch, _adv2d_wave,
@@ -697,3 +699,37 @@ def test_step_and_flush_scratch_is_bounded(adv2d_128):
     _, peak, kept = traced_peak(one_step)
     assert fold.ledger.n_steps_accumulated == 1
     assert peak - kept <= 12.5 * SCRATCH_BYTES
+
+
+def test_fold_binds_its_reference_once_and_finish_releases_it():
+    # with the catalog sine, the fold binds the reference to its points
+    # once (one translation call) and reads the rotation every block; its
+    # functionals agree with those of the wrapped levels to roundoff, and
+    # finish lets the binding go
+    from hypflux import cli
+    cfg = cli.parse_config_text("[initial]\nkind = sine\nmean = 0.1\n"
+                                "amplitude = 0.5\n")
+    u0 = cli.make_initial(cfg, "advection2d", (1.0, 1.0))[0]
+    binds = []
+    translation = u0.translation
+    u0.translation = lambda x: binds.append(x.shape) or translation(x)
+    mesh = hf.build_perturbed_quad_2d(16, 16, 1.0, 1.0, 0.15, 2)
+    sysm = hf.make_advection(2, [1.0, 0.5], u_range=(-0.45, 0.65))
+    sch = hf.make_rusanov(sysm)
+    cfg = hf.RunConfig(final_time=0.3)
+    folds = []
+    for datum in (u0, lambda x: u0(x)):  # the second has no translation
+        ref = hf.exact_advection([1.0, 0.5], datum, (1.0, 1.0))
+        folds.append(hf.ErrorFold(hf.DiagnosticsLedger(), mesh, sysm, sch,
+                                  u0, 10.0, cfg.final_time, sysm.lf, ref))
+    assert binds == [(mesh.n_cells, 1, 2)]
+    for fold in folds:  # each takes its run's updates over
+        fold.finish(hf.run(mesh, sysm, sch, u0, cfg, [fold]))
+        assert fold._bound is None
+    bound, wrapped = folds
+    assert binds == [(mesh.n_cells, 1, 2)]
+    assert abs(bound.cone - wrapped.cone) <= 1e-12 * wrapped.cone
+    assert bound.mbeta_ok and wrapped.mbeta_ok
+    got, want = (np.array(f.ledger.rel_entropy_series) for f in folds)
+    assert np.array_equal(got[:, 0], want[:, 0])
+    assert np.abs(got[:, 1] - want[:, 1]).max() <= 1e-15 * want[:, 1].max()

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypflux import numflux
 from hypflux.systems import generalized_eigvalsh
 from hypflux.errors import ConstructionError
 
-from conftest import (SCRATCH_BYTES, fixed_pairs, rel_close, same_bits,
-                      sample_pairs, traced_peak)
+from conftest import (SCRATCH_BYTES, count_kernel_parts, fixed_pairs,
+                      rel_close, same_bits, sample_pairs, traced_peak)
 
 
 def all_pairs(request):
@@ -357,19 +358,22 @@ def test_godunov_needs_critical_points(burgers_sys):
 @pytest.mark.parametrize("scheme", ["burgers_rusanov", "burgers_godunov"])
 def test_one_records_call_evaluates_two_fluxes(request, monkeypatch,
                                                burgers_sys, scheme):
+    # the kernel binds the normals once and evaluates the bound f(u).n
+    # twice: f(u).n and f(v).n (Rusanov), f(w*).n and f(u).n (Godunov)
     sch = request.getfixturevalue(scheme)
     mesh = hf.build_uniform_1d(8, 1.0)
     fld = hf.StateField(np.linspace(-0.5, 0.5, 8)[:, None], 0.0, mesh.mesh_id)
     calls = []
-    flux = hf.SystemModel.directional_flux
+    bind = hf.SystemModel.bind
 
-    def counted(self, u, n):
-        calls.append(1)
-        return flux(self, u, n)
+    def counted_bind(self, n):
+        forms = bind(self, n)
+        calls.append("bind")
+        return forms._replace(flux=_count_calls(forms, "flux", calls))
 
-    monkeypatch.setattr(hf.SystemModel, "directional_flux", counted)
+    monkeypatch.setattr(hf.SystemModel, "bind", counted_bind)
     hf.interface_flux_records(mesh, burgers_sys, sch, fld)
-    assert len(calls) == 2
+    assert calls == ["bind", "flux", "flux"]
 
 
 def test_records_part_on_stacked_steps_matches_kernel_bitwise(request):
@@ -392,6 +396,25 @@ def test_records_part_on_stacked_steps_matches_kernel_bitwise(request):
                 assert got.shape == want.shape, (sys.name, sch.name, f.name)
                 assert np.array_equal(got.view(np.int64),
                                       want.view(np.int64)), \
+                    (sys.name, sch.name, f.name)
+
+
+def test_one_binding_serves_every_step_bitwise(request):
+    # a run binds its normals once and calls the bound parts every step:
+    # each call gives the bits of a kernel bound afresh for that call
+    adv2 = hf.make_advection(2, [1.0, 0.5], u_range=(-0.4, 0.6))
+    pairs = all_pairs(request) + [(adv2, hf.make_rusanov(adv2))]
+    for sys, sch in pairs:
+        n = sample_pairs(sys, 300, seed=40)[2]
+        kernel = sch.bind(n)
+        for seed in (41, 42):
+            u, v, _ = sample_pairs(sys, 300, seed=seed)
+            got, want = kernel.update(u, v), sch.update(u, v, n)
+            for name in ("g_value", "left", "right"):
+                assert same_bits(getattr(got, name), getattr(want, name))
+            got, want = kernel.records(got), sch.kernel(u, v, n)
+            for f in dataclasses.fields(want):
+                assert same_bits(getattr(got, f.name), getattr(want, f.name)), \
                     (sys.name, sch.name, f.name)
 
 
@@ -503,8 +526,7 @@ def test_closed_form_calibration_runs_one_kernel_and_no_entropy(build):
     for sch, rusanov in schemes:
         calls = []
         sys.entropy = _count_calls(sys, "entropy", calls)
-        counted = dataclasses.replace(
-            sch, records=_count_calls(sch, "records", calls))
+        counted = count_kernel_parts(sch, calls, "records")
         c = sch.params["c"] if rusanov else 1.05 * sch.params["wave_speed_sup"]
         lam, source = numflux._calibrate_lambda_star(
             sys, counted, c, rusanov_c=c if rusanov else None,
@@ -532,6 +554,25 @@ def test_lambda_star_sources(burgers_rusanov, burgers_godunov,
     M = friedrichs_rusanov.params["wave_speed_sup"]
     assert friedrichs_rusanov.lambda_star == pytest.approx(
         1.02 * (c + M) ** 2 / (2 * c), rel=1e-13)
+
+
+def test_advection_wave_speed_sup_is_the_norm_of_its_speed():
+    # |n.a| peaks at n = a/|a|, which 64 angles plus the axes missed: the
+    # max over them read 1.117619632761354 on a = (1, 0.5), so a Rusanov
+    # speed between that and |a| passed the floor check
+    sys = hf.make_advection(2, [1.0, 0.5], u_range=(-0.4, 0.6))
+    norm = math.hypot(1.0, 0.5)
+    assert norm == 1.118033988749895
+    assert hf.sample_wave_speed_sup(sys) == norm
+    with pytest.raises(ConstructionError, match="below the wave-speed max"):
+        hf.make_rusanov(sys, c=1.1179)
+    assert hf.make_rusanov(sys, c=norm).params["c"] == norm
+    sch = hf.make_rusanov(sys)
+    assert sch.params["c"] == 1.05 * norm
+    # the other systems take the max over the lambda* calibration's
+    # directions, which for d = 1 are +-1
+    assert hf.sample_wave_speed_sup(hf.make_burgers(1, (-0.3, 0.8))) == 0.8
+    assert hf.sample_wave_speed_sup(hf.make_advection(1, [-0.7])) == 0.7
 
 
 def test_godunov_lambda_star_is_exactly_the_inflated_wave_speed():
@@ -563,7 +604,8 @@ def test_centred_flux_fails_the_closed_form_calibration(advection_sys):
         return numflux._records(
             g, delta, xi_u, x, 0.5 * (xi_u + sys.directional_entropy_flux(v, n)))
 
-    centred = hf.FluxScheme("centred", update, records, np.nan)
+    centred = hf.FluxScheme("centred", lambda n: numflux.BoundKernel(
+        lambda u, v: update(u, v, n), lambda step: records(step, n)), np.nan)
     rec = centred.kernel(np.array([[0.0]]), np.array([[0.5]]), np.array([1.0]))
     assert rec.dissipation_gap[0] == -0.0625
     with pytest.raises(ConstructionError, match="not entropy dissipative"):

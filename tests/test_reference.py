@@ -1,4 +1,3 @@
-import dataclasses
 import heapq
 import math
 
@@ -6,10 +5,10 @@ import numpy as np
 import pytest
 
 import hypflux as hf
-from hypflux import reference
+from hypflux import cli, reference, solver
 from hypflux.errors import AdmissibilityError, ConstructionError, HorizonError
 
-from conftest import same_bits
+from conftest import count_kernel_parts, same_bits
 
 
 def sine1(x):
@@ -175,7 +174,7 @@ def test_fine_grid_reference_restarts_after_a_failed_march(monkeypatch):
     # after the failure raises again instead of finding the march spent
     sysm = hf.make_burgers(1, u_range=(0.2, 0.8))
     sch = hf.make_rusanov(sysm)
-    compute_dt = hf.solver.compute_dt
+    compute_dt = solver.compute_dt
     monkeypatch.setattr(hf.solver, "compute_dt",
                         lambda *args: 20.0 * compute_dt(*args))
     cfg = hf.RunConfig(final_time=2.0)
@@ -195,7 +194,7 @@ def test_fine_grid_reference_runs_only_the_update_part(burgers_sys,
     # the fine march needs G only: a query runs the update part once per
     # fine step and the records part never, and its blocks carry no
     # update (the march copies no rows)
-    calls = {"update": 0, "records": 0}
+    calls = []
     updates = []
     march = reference._solver.march_blocks
 
@@ -206,22 +205,13 @@ def test_fine_grid_reference_runs_only_the_update_part(burgers_sys,
 
     monkeypatch.setattr(reference._solver, "march_blocks", recorded)
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    sch = dataclasses.replace(
-        burgers_rusanov, update=counted("update", burgers_rusanov.update),
-        records=counted("records", burgers_rusanov.records))
+    sch = count_kernel_parts(burgers_rusanov, calls, "update", "records")
     cfg = hf.RunConfig(final_time=0.05)
     ref = hf.fine_grid_reference(hf.build_uniform_1d(16, 1.0), burgers_sys,
                                  sch, burgers_wave, cfg)
     ref.eval(np.array([[0.25]]), cfg.final_time)
-    assert calls == {"update": round(cfg.final_time / ref.params["fine_dt"]),
-                     "records": 0}
-    assert calls["update"] > 1
+    assert calls == ["update"] * round(cfg.final_time / ref.params["fine_dt"])
+    assert len(calls) > 1
     assert updates and all(up is None for up in updates)
 
 
@@ -455,7 +445,7 @@ def test_exact_advection_2d_levels_match_per_level_eval_bitwise():
 
     ref = hf.exact_advection(c, wave, (1.0, 1.0))
     mesh = hf.build_perturbed_quad_2d(24, 24, 1.0, 1.0, 0.15, 3)
-    gauss, _ = hf.solver.cell_quadrature(mesh, "gauss3")
+    gauss, _ = solver.cell_quadrature(mesh, "gauss3")
     # within one period of the box, and past it (np.mod for every level)
     for ts in ((0.0, 0.013, 0.37), (0.0, 0.2, 2.9), (0.05,)):
         for x in (mesh.cell_centroids, gauss):
@@ -483,3 +473,112 @@ def test_levels_without_a_batched_form_read_eval_in_order():
     got = ref.eval_levels(x, (0.0, 0.25, 0.5))
     assert seen == [0.0, 0.25, 0.5] and ref.levels is None
     assert got.shape == (3, 4, 1) and (got[:, 0, 0] == [0.0, 0.25, 0.5]).all()
+
+
+# ---------------------------------------------------------------------------
+# references bound to fixed points: the sine datum's rotation
+# ---------------------------------------------------------------------------
+
+def _catalog(problem, domain, initial):
+    cfg = cli.parse_config_text("[initial]\n" + initial)
+    return cli.make_initial(cfg, problem, domain)[0]
+
+
+_SHIPPED_SINE = "kind = sine\nmean = 0.1\namplitude = 0.5\n"
+
+
+@pytest.mark.parametrize("quadrature", ["midpoint", "gauss3"])
+def test_sine_rotation_matches_the_wrapped_levels_2d(quadrature):
+    # the shipped datum (frequency 1) on jittered 2D points, bound once:
+    # within 4 ulp of 1 of the wrapped levels, also where |c t| > L.  The
+    # two differ only in rounding: the levels round x - c t, its wrap and
+    # the phase k y / L; the rotation the phases k x / L and k r / L of
+    # the exact remainder r = fmod(c t, L)
+    u0 = _catalog("advection2d", (1.0, 1.0), _SHIPPED_SINE)
+    assert u0.translation is not None
+    mesh = hf.build_perturbed_quad_2d(40, 40, 1.0, 1.0, 0.15, 3)
+    pts = solver.cell_quadrature(mesh, quadrature)[0]
+    ref = hf.exact_advection([1.0, 0.5], u0, (1.0, 1.0))
+    ts = [0.0, 0.013, 0.37, 1.3]
+    got, want = ref.bind(pts)(ts), ref.levels(pts, ts)
+    assert got.shape == want.shape == (len(ts),) + pts.shape[:-1] + (1,)
+    assert np.abs(got - want).max() <= 4 * np.spacing(1.0)
+    # a second frequency on a box that is not square: each axis uses its
+    # own length; the phases reach k / L_y, so 4 ulp of it, in amplitudes
+    u0 = _catalog("advection2d", (1.0, 0.75), _SHIPPED_SINE + "frequency = 2\n")
+    mesh = hf.build_perturbed_quad_2d(40, 30, 1.0, 0.75, 0.15, 3)
+    pts = solver.cell_quadrature(mesh, quadrature)[0]
+    ref = hf.exact_advection([1.0, -0.5], u0, (1.0, 0.75))
+    diff = ref.bind(pts)(ts) - ref.levels(pts, ts)
+    assert np.abs(diff).max() <= 4 * np.spacing(4 * np.pi / 0.75) * 0.5
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 60,
+                    reason="needs an extended-precision long double")
+def test_sine_rotation_is_within_three_ulp_of_the_exact_translate():
+    # against u0(x - c t) in extended precision, with the 2 pi of a datum
+    # periodic on the box: the rotation stays within 3 ulp of 1 at any
+    # shift, while the wrapped levels round x - c t and lose more as |c t|
+    # grows (about 13 ulp at t = 12.345)
+    u0 = _catalog("advection2d", (1.0, 1.0), _SHIPPED_SINE)
+    mesh = hf.build_perturbed_quad_2d(40, 40, 1.0, 1.0, 0.15, 3)
+    pts = solver.cell_quadrature(mesh, "gauss3")[0]
+    c = np.array([1.0, 0.5])
+    ref = hf.exact_advection(c, u0, (1.0, 1.0))
+    ts = [0.013, 1.3, -1.3, 12.345]
+    got = ref.bind(pts)(ts)[..., 0]
+    ld = np.longdouble
+    k, x = ld("6.28318530717958647692528676655900577"), pts.astype(ld)
+    for row, t in zip(got, ts):
+        y = np.mod(x - c.astype(ld) * ld(t), ld(1.0))
+        exact = ld(0.1) + ld(0.5) * (np.sin(k * y[..., 0])
+                                     * np.sin(k * y[..., 1]))
+        assert np.abs(row - exact).max() <= 3 * np.spacing(1.0)
+
+
+def test_sine_rotation_matches_the_wrapped_levels_friedrichs():
+    # each characteristic component translates with its own speed (+-1):
+    # the rotation at shifts of either sign and beyond one period
+    u0 = _catalog("friedrichs1d", (1.0,),
+                  "kind = sine\nmeans = 0.0, 0.1\namplitudes = 0.4, 0.3\n")
+    ref = hf.exact_friedrichs(np.array([[0.0, 1.0], [1.0, 0.0]]), u0, (1.0,))
+    x = np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 700))
+    for pts in (x[:, None, None], solver.cell_quadrature(
+            hf.build_uniform_1d(64, 1.0), "gauss3")[0]):
+        ts = [0.0, 0.2, 0.9, 1.3]
+        got, want = ref.bind(pts)(ts), ref.levels(pts, ts)
+        assert got.shape == want.shape == (4,) + pts.shape[:-1] + (2,)
+        assert np.abs(got - want).max() <= 4 * np.spacing(1.0)
+
+
+@pytest.mark.parametrize("initial", [
+    _SHIPPED_SINE + "frequency = 1.5\n",
+    "kind = gaussian-bump\nmean = 0.1\namplitude = 0.5\n",
+    "kind = constant\nvalue = 0.3\n"])
+def test_data_without_a_translation_bind_to_the_wrapped_levels(initial):
+    # a non-integer frequency is not periodic on the box: like the other
+    # catalog data it offers no translation, and a bound reference is its
+    # levels at the bound points, bit for bit
+    u0 = _catalog("advection2d", (1.0, 1.0), initial)
+    assert getattr(u0, "translation", None) is None
+    mesh = hf.build_perturbed_quad_2d(24, 24, 1.0, 1.0, 0.15, 2)
+    pts = solver.cell_quadrature(mesh, "midpoint")[0]
+    ref = hf.exact_advection([1.0, 0.5], u0, (1.0, 1.0))
+    assert ref.bind_points is None
+    ts = [0.0, 0.37, 1.3]
+    assert same_bits(ref.bind(pts)(ts), ref.levels(pts, ts))
+
+
+def test_burgers_and_fine_grid_references_bind_to_their_levels(
+        burgers_sys, burgers_rusanov):
+    # Burgers and the fine grid have no translation: bound, they evaluate
+    # eval_levels at the bound points on every call
+    x = np.linspace(0.0, 1.0, 50, endpoint=False)[:, None, None]
+    ts = [0.0, 0.05, 0.1]
+    refs = [hf.exact_burgers(burgers_wave, burgers_wave_prime, (1.0,)),
+            hf.fine_grid_reference(hf.build_uniform_1d(16, 1.0), burgers_sys,
+                                   burgers_rusanov, burgers_wave,
+                                   hf.RunConfig(final_time=0.1))]
+    for ref in refs:
+        assert ref.bind_points is None
+        assert same_bits(ref.bind(x)(ts), ref.eval_levels(x, ts))

@@ -9,9 +9,9 @@ from hypothesis.extra.numpy import arrays
 import hypflux as hf
 from hypflux import cli, systems
 from hypflux.errors import AdmissibilityError, ConstructionError
-from hypflux.systems import (axis_all, axis_sum, eigvals_extremes,
-                             estimate_cz, generalized_eigvalsh,
-                             validate_system)
+from hypflux.systems import (axis_all, axis_dot, axis_norm, axis_sum,
+                             eigvals_extremes, estimate_cz,
+                             generalized_eigvalsh, validate_system)
 
 from conftest import (SCRATCH_BYTES, rel_close, same_bits, sample_pairs,
                       traced_peak)
@@ -330,6 +330,110 @@ def test_axis_sum_matches_numpy_sum_bitwise(n, lead, trail, layout, data):
         for axis in ({1, -1} if trail else {-1}):
             assert same_bits(axis_sum(x, axis), x.sum(axis=axis))
         assert same_bits(axis_sum(x[0], -1), x[0].sum(axis=-1))
+
+
+# nonzero floats whose squares and pairwise products are normal numbers
+_NORMAL = st.builds(lambda mag, neg: -mag if neg else mag,
+                    st.floats(2.0 ** -240, 2.0 ** 240), st.booleans())
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(n=st.sampled_from([1, 2, 3, 7, 8, 9]), lead=st.integers(1, 4),
+       data=st.data())
+def test_axis_dot_and_axis_norm_match_axis_sum_bitwise(n, lead, data):
+    # on normal-range inputs: one product (m = 1) or products added left
+    # to right, and |x| for m = 1; from 8 on both go to .sum
+    a, b = (data.draw(arrays(np.float64, (lead, 2, n), elements=_NORMAL))
+            for _ in range(2))
+    assert same_bits(axis_dot(a, b), axis_sum(a * b))
+    assert same_bits(axis_dot(a, a), axis_sum(a ** 2))
+    assert same_bits(axis_norm(a), np.sqrt(axis_sum(a ** 2)))
+
+
+def test_axis_dot_and_axis_norm_off_the_normal_range():
+    # where they differ from the sum forms: a one-column product of -0.0
+    # keeps its sign (a sum starts from +0.0), and |x| does not lose the
+    # bits of a square that underflows or overflows
+    a, b = np.array([[-1.0], [2.0]]), np.array([[0.0], [-0.0]])
+    assert same_bits(axis_dot(a, b), np.array([-0.0, -0.0]))
+    assert same_bits(axis_sum(a * b), np.array([0.0, 0.0]))
+    x = np.array([[3e-170], [-3e-170], [1e200]])
+    with np.errstate(over="ignore"):
+        square_root = np.sqrt(axis_sum(x ** 2))
+    assert same_bits(axis_norm(x), np.abs(x[:, 0]))
+    assert square_root.tolist() == [0.0, 0.0, math.inf]
+    # from two columns on, the norm is sqrt of the dot, as before
+    y = np.array([[3e-170, 4e-170], [3.0, 4.0]])
+    assert same_bits(axis_norm(y), np.sqrt(axis_sum(y ** 2)))
+
+
+def _per_axis(sys, u, n, entropy=False):
+    """sum_alpha n_alpha f_alpha(u), or n_alpha xi_alpha(u), in axis order:
+    the directional forms before they were bound."""
+    def term(a):
+        if entropy:
+            return n[..., a] * sys.entropy_flux(u, a)
+        return n[..., a, None] * sys.flux(u, a)
+    out = term(0)
+    for a in range(1, sys.d):
+        out = out + term(a)
+    return out
+
+
+def _sample_normals(rng, d, n):
+    if d == 1:
+        return np.where(rng.random((n, 1)) < 0.5, 1.0, -1.0)
+    th = rng.uniform(0.0, 2.0 * np.pi, n)
+    return np.stack([np.cos(th), np.sin(th)], axis=-1)
+
+
+_FRIEDRICHS_2D = ([np.array([[0.0, 1.0], [1.0, 0.0]]),
+                   np.array([[0.5, -1.5], [-1.5, 0.5]])], 1.5)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: hf.make_burgers(1),
+    lambda: hf.make_shallow_water_1d(9.81, 0.8, 1.7, 1.0),
+    lambda: hf.make_friedrichs([np.array([[0.0, 1.0], [1.0, 0.0]])], 1.5),
+    lambda: hf.make_friedrichs(*_FRIEDRICHS_2D),
+    lambda: hf.make_advection(1, [0.7])])
+def test_bound_forms_are_the_per_axis_sums_bitwise(build):
+    # the default binding takes the columns of n once and sums the axes
+    # in order; 1D advection's a_n = +-c makes a_n u and a_n u^2 / 2 the
+    # per-axis products exactly; a block of steps on a leading axis
+    # against one set of normals, as a run binds them
+    sys = build()
+    rng = np.random.default_rng(11)
+    n = _sample_normals(rng, sys.d, 301)
+    u = sys.omega.sample(rng, 3 * 301).reshape(3, 301, sys.m)
+    forms = sys.bind(n)
+    assert same_bits(forms.flux(u), _per_axis(sys, u, n))
+    assert same_bits(forms.entropy_flux(u), _per_axis(sys, u, n, True))
+    assert (forms.normal_speed is not None) == sys.name.startswith("advection")
+    # the per-call wrappers bind and give the same bits
+    assert same_bits(sys.directional_flux(u, n), forms.flux(u))
+    assert same_bits(sys.directional_entropy_flux(u, n),
+                     forms.entropy_flux(u))
+
+
+def test_advection_normal_speed_binding_within_a_few_ulp():
+    # in 2D, a_n = n_0 c_0 + n_1 c_1 is formed once; f(u).n = a_n u and
+    # xi(u).n = a_n u^2 / 2 round differently from the per-axis sums, by a
+    # few ulp of the sum of the magnitudes of their terms
+    c = np.array([1.0, -0.45])
+    sys = hf.make_advection(2, c, u_range=(-2.0, 3.0))
+    rng = np.random.default_rng(12)
+    n = _sample_normals(rng, 2, 4001)
+    u = sys.omega.sample(rng, 4001)
+    forms = sys.bind(n)
+    assert np.array_equal(forms.normal_speed, n[:, 0] * c[0] + n[:, 1] * c[1])
+    scale = (np.abs(n) @ np.abs(c))[:, None] * np.abs(u)
+    err = np.abs(forms.flux(u) - _per_axis(sys, u, n))
+    assert (err <= 4 * np.spacing(scale)).all()
+    err = np.abs(forms.entropy_flux(u) - _per_axis(sys, u, n, True))
+    assert (err <= 4 * np.spacing(0.5 * scale[:, 0] * np.abs(u[:, 0]))).all()
+    # on the axes the normal speeds are c exactly
+    assert same_bits(sys.bind(np.eye(2)).normal_speed, c)
 
 
 def test_axis_sum_fallback_is_pairwise():
