@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -532,12 +531,14 @@ def _write_snapshots(output_dir, mesh, system, traj, mode):
     """Write the kept snapshots ("all", or the first and last for "ends")
     as CSV files of one row per cell.
 
-    Rows are formatted and written in chunks of cells under the scratch
-    bound (`scratch_slices`, counting four entries, 32 bytes of text, per
-    value of a row).  Each chunk has one template, "cell_id,x[,y]," per
-    row formatted once per call and a %r per value: %r of a Python float
-    is its repr, the same digits as _fmt.  So a file has the bytes of one
-    whole-file template, and a file of one chunk is one write.
+    The rows go in chunks of cells, each chunk into every file in turn,
+    so that one chunk's row templates and text are all the writer holds:
+    a chunk takes a 128th of the scratch bound (`scratch_slices`,
+    counting 128 entries per value of a row), a few KiB of text that no
+    run's peak memory feels.  A chunk's template, "cell_id,x[,y]," per row
+    formatted once and a %r per value, serves every file: %r of a Python
+    float is its repr, the same digits as _fmt.  So a file has the bytes
+    of one whole-file template, and each chunk of it is one write.
     """
     if mode == "none":
         return
@@ -548,32 +549,31 @@ def _write_snapshots(output_dir, mesh, system, traj, mode):
     header = ",".join(["cell_id"] + coords
                       + [f"u_{k}" for k in range(system.m)])
     values = ",".join(["%r"] * system.m) + "\n"
-    chunks = list(scratch_slices(mesh.n_cells, 4 * (mesh.dim + system.m)))
-    templates = ["".join(f"{k},{','.join(map(repr, c))},{values}"
-                         for k, c in enumerate(
-                             mesh.cell_centroids[cells].tolist(), cells.start))
-                 for cells in chunks]
-    for idx, (t, fld) in enumerate(snaps):
-        path = os.path.join(output_dir, f"snapshot_{idx:06d}.csv")
-        texts = (template % tuple(fld.values[cells].ravel().tolist())
-                 for template, cells in zip(templates, chunks))
-        head = f"# t = {_fmt(t)}\n{header}\n"
-        _write_bytes(path, (head + next(texts)).encode(),
-                     (text.encode() for text in texts))
+    for cells in scratch_slices(mesh.n_cells, 128 * (mesh.dim + system.m)):
+        template = "".join(f"{k},{','.join(map(repr, c))},{values}"
+                           for k, c in enumerate(
+                               mesh.cell_centroids[cells].tolist(),
+                               cells.start))
+        for idx, (t, fld) in enumerate(snaps):
+            path = os.path.join(output_dir, f"snapshot_{idx:06d}.csv")
+            text = template % tuple(fld.values[cells].ravel().tolist())
+            if cells.start == 0:
+                text = f"# t = {_fmt(t)}\n{header}\n{text}"
+            _write_bytes(path, text.encode(), append=cells.start > 0)
 
 
-def _write_bytes(path, data: bytes, more=()):
+def _write_bytes(path, data: bytes, append: bool = False):
     """Create or truncate the file at `path` (mode 0o666 less the umask, as
-    open() does) and write `data`, then each bytes object of the iterable
-    `more`, looping on short writes.  It skips open()'s buffered text
-    layer, a measurable share of writing thousands of small snapshot
-    files."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    open() does), or with `append` open it at its end, and write `data`,
+    looping on short writes.  It skips open()'s buffered text layer, a
+    measurable share of writing thousands of small snapshot files."""
+    flags = os.O_WRONLY | (os.O_APPEND if append
+                           else os.O_CREAT | os.O_TRUNC)
+    fd = os.open(path, flags, 0o666)
     try:
-        for chunk in itertools.chain([data], more):
-            view = memoryview(chunk)
-            while view:
-                view = view[os.write(fd, view):]
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
     finally:
         os.close(fd)
 

@@ -121,18 +121,29 @@ def accumulate_block(ledger: DiagnosticsLedger, mesh: Mesh, sys: SystemModel,
 
     u_n and u_np1 are the (K, n_cells, m) states before and after each
     step, `records` carry the same leading step axis, and `entropies` is
-    (eta(u_n), eta(u_np1)) when the caller has them.  Every sum is a row
-    reduction, folded into the ledger in step order, so a block adds the
-    bits its steps would add one by one.
+    (eta(u_n[0]), eta(u_np1)) when the caller has them: the steps' states
+    follow on, so eta(u_n) is the first row and eta(u_np1) less its last.
+    Every sum is a row reduction, folded into the ledger in step order, so
+    a block adds the bits its steps would add one by one.
     """
+    return _accumulate(ledger, mesh, sys, scheme, u_n, u_np1, records, dt,
+                       entropies)[:2]
+
+
+def _accumulate(ledger, mesh, sys, scheme, u_n, u_np1, records, dt,
+                entropies=None, scales=None):
+    """`accumulate_block`, which also returns the row sums over all cells
+    of its two arrays, as lists; `scales` are (|K| / dt, dt / |K|) when
+    the caller has them."""
     d = records.defect
     if d.shape[-1] != mesh.n_interfaces:
         raise ConfigError("flux records do not match the mesh")
     if entropies is None:
-        entropies = (sys.entropy(u_n), sys.entropy(u_np1))
+        entropies = (sys.entropy(u_n[0]), sys.entropy(u_np1))
+    if scales is None:
+        scales = _rate_scales(mesh, dt)
 
     areas = mesh.iface_areas
-    vols = mesh.cell_volumes
     # discrete entropy residual: (|K|/dt)(eta^{n+1} - eta^n) + sum |sigma| xi_KL;
     # the scatter adds per column, so it takes the steps as columns.  It
     # runs before the cell variation is formed, and the residual goes as
@@ -142,9 +153,9 @@ def accumulate_block(ledger: DiagnosticsLedger, mesh: Mesh, sys: SystemModel,
                           area_xi, signs=(1, -1)).T
     del area_xi
     eta_jump, vol_du, vol_deta = _cell_variation(mesh, u_n, u_np1, *entropies)
-    resid = (vols / dt) * eta_jump + xi_div
+    resid = scales[0] * eta_jump + xi_div
     del xi_div, eta_jump
-    top, top_scaled = _worst(resid), _worst(resid * (dt / vols))
+    top, top_scaled = _worst(resid), _worst(resid * scales[1])
     del resid
     l1 = (areas * d).sum(axis=-1)
     # per-interface dissipation-gap inequality, slack = gap - bound formed
@@ -162,9 +173,10 @@ def accumulate_block(ledger: DiagnosticsLedger, mesh: Mesh, sys: SystemModel,
     np.abs(xi_bv, out=xi_bv)
     xi_bv *= areas
     xi_bv = xi_bv.sum(axis=-1)
-    rows = zip(*(a.tolist() for a in (
-        sq, l1, xi_bv, vol_du.sum(axis=-1), vol_deta.sum(axis=-1),
-        top, top_scaled, least)))
+    du_rows = vol_du.sum(axis=-1).tolist()
+    deta_rows = vol_deta.sum(axis=-1).tolist()
+    rows = zip(*(a.tolist() for a in (sq, l1, xi_bv)), du_rows, deta_rows,
+               *(a.tolist() for a in (top, top_scaled, least)))
     for sq, l1, xi_bv, du, deta, top, top_scaled, low in rows:
         ledger.wbv_sq += dt * sq
         ledger.wbv_l1 += dt * l1
@@ -184,17 +196,28 @@ def accumulate_block(ledger: DiagnosticsLedger, mesh: Mesh, sys: SystemModel,
         ledger.gap_all_pass = bool((slack[check] >= floor).all())
 
     ledger.n_steps_accumulated += len(d)
-    return vol_du, vol_deta
+    return vol_du, vol_deta, du_rows, deta_rows
 
 
-def _cell_variation(mesh: Mesh, u_n, u_np1, eta_n, eta_np1):
-    """Per-cell time variation of one step, or of steps on leading axes,
-    from the states' values and entropies: eta^{n+1} - eta^n,
+def _rate_scales(mesh: Mesh, dt: float, out=(None, None)):
+    """(|K| / dt, dt / |K|) per cell, into the arrays `out` when given:
+    they turn a cell's entropy jump into a rate and its residual back into
+    a jump."""
+    vols = mesh.cell_volumes
+    return np.divide(vols, dt, out=out[0]), np.divide(dt, vols, out=out[1])
+
+
+def _cell_variation(mesh: Mesh, u_n, u_np1, eta_first, eta_np1):
+    """Per-cell time variation of steps on a leading axis, from the
+    states' values and entropies, where eta_first is eta(u_n[0]) and the
+    states follow on (u_n[j + 1] is u_np1[j]): eta^{n+1} - eta^n,
     |K| |u^{n+1} - u^n| and |K| |eta^{n+1} - eta^n|."""
     if u_n.shape[-2] != mesh.n_cells or u_np1.shape[-2] != mesh.n_cells:
         raise ConfigError("state fields do not match the mesh")
     du = u_np1 - u_n
-    eta_jump = eta_np1 - eta_n
+    eta_jump = np.empty(eta_np1.shape)
+    np.subtract(eta_np1[0], eta_first, out=eta_jump[0])
+    np.subtract(eta_np1[1:], eta_np1[:-1], out=eta_jump[1:])
     return (eta_jump, mesh.cell_volumes * axis_norm(du),
             mesh.cell_volumes * np.abs(eta_jump))
 
@@ -289,8 +312,8 @@ def relative_entropy_norm(mesh: Mesh, sys: SystemModel, field: StateField,
                           reference_means) -> float:
     """sum_K |K| H(u_K, ubar_K); brackets the squared L2 cell error."""
     ubar = np.asarray(reference_means, dtype=float)
-    return float(_relative_entropy_sum(mesh, sys, sys.entropy(field.values),
-                                       ubar, field.values - ubar))
+    return float(_relative_entropy_sum(mesh, sys, field.values, ubar,
+                                       field.values - ubar))
 
 
 def squared_l2_cell_error(mesh: Mesh, field: StateField, reference_means) -> float:
@@ -298,11 +321,11 @@ def squared_l2_cell_error(mesh: Mesh, field: StateField, reference_means) -> flo
     return float(_cell_sq_error(mesh, diff).sum())
 
 
-def _relative_entropy_sum(mesh, sys, eta_u, ubar, diff):
-    """sum_K |K| H(u_K, ubar_K) from eta(u) and diff = u - ubar, per level
-    when they have leading level axes."""
+def _relative_entropy_sum(mesh, sys, u, ubar, diff):
+    """sum_K |K| H(u_K, ubar_K) with diff = u - ubar, per level when they
+    have leading level axes."""
     # no Omega check: a run checks its states under its own config
-    H = relative_entropy_terms(sys, eta_u, ubar, diff)
+    H = relative_entropy_terms(sys, u, ubar, diff)
     return (mesh.cell_volumes * H).sum(axis=-1)
 
 
@@ -351,17 +374,27 @@ class ErrorFold:
         self.ledger, self.mesh, self.sys, self.scheme = ledger, mesh, sys, scheme
         self.u0, self.r, self.T, self.lf = u0, r, T, lf
         self.reference, self.quadrature = reference, quadrature
-        self.dist = mesh.periodic_distance_to_origin(mesh.cell_centroids)
-        self.ball = self.dist <= r
+        dist = mesh.periodic_distance_to_origin(mesh.cell_centroids)
+        self.ball = dist <= r
         # a ball over every cell needs no selection, which copies nothing;
         # the cell ids of a smaller ball gather C-ordered rows (a boolean
         # mask on the last axis of a block gives F order, whose row sums
         # add in another order)
         self._ball = None if self.ball.all() else np.flatnonzero(self.ball)
-        self._dist_max = self.dist.max()
+        self._dist_max = dist.max()
+        # a cone of radius r + lf (T - t) >= r holds every centroid that
+        # the ball holds, so with every cell in the ball its masks are
+        # rare (t > T, or a NaN radius) and form the distances again
+        self._dist = None if self._ball is None else dist
         self.cone = 0.0
         self.mbeta_ok = True
         self._dt = None
+        # buffers for the run: |K| / dt and dt / |K| once dt is known, and
+        # eta at the first state of the next block, with that block's
+        # step (None: none carried).  Held from here on, they sit below
+        # the step loop's temporaries in the heap
+        self._scales = (np.empty(mesh.n_cells), np.empty(mesh.n_cells))
+        self._eta_carry, self._carry_step = np.empty(mesh.n_cells), None
         # the reference bound to the quadrature points for the run,
         # released by `finish`
         self._bound = (None if reference is None
@@ -371,7 +404,9 @@ class ErrorFold:
         """Fold the steps of one `StepBlock`, taking its update."""
         if self._dt is not None and block.dt != self._dt:
             raise ConfigError("the steps of one ErrorFold share one dt")
-        self._dt = block.dt
+        if self._dt is None:
+            self._dt = block.dt
+            _rate_scales(self.mesh, block.dt, self._scales)
         update, block.update = block.update, None  # taken over
         records = block.kernel.records(update)
         del update
@@ -380,19 +415,34 @@ class ErrorFold:
         # records go before the error levels'
         records.g_value = records.x_kl = None
         states, dt = block.states, block.dt
-        eta = self.sys.entropy(states)
-        vol_du, vol_deta = accumulate_block(
+        if self._carry_step != block.start:
+            self._eta_carry[:] = self.sys.entropy(states[0])
+        eta_next = self.sys.entropy(states[1:])
+        vol_du, vol_deta, *sums = _accumulate(
             self.ledger, self.mesh, self.sys, self.scheme, states[:-1],
-            states[1:], records, dt, (eta[:-1], eta[1:]))
+            states[1:], records, dt, (self._eta_carry, eta_next),
+            self._scales)
         del records
-        self._fold_masses(vol_du, vol_deta, dt)
-        del vol_du, vol_deta
-        self._fold_errors(block.times[:-1], states[:-1], eta[:-1], dt)
+        if self._ball is None:  # every cell: the ledger's row sums
+            del vol_du, vol_deta
+            self._fold_rows(*sums, dt)
+        else:
+            self._fold_masses(vol_du, vol_deta, dt)
+            del vol_du, vol_deta
+        self._eta_carry[:] = eta_next[-1]
+        self._carry_step = block.start + len(states) - 1
+        del eta_next
+        self._fold_errors(block.times[:-1], states[:-1], dt)
 
     def _fold_masses(self, vol_du, vol_deta, dt):
         """The share of mu_T and mu_bar_T of the rows of a block of steps,
         in step order."""
-        for deta, du in zip(self._ball_sums(vol_deta), self._ball_sums(vol_du)):
+        self._fold_rows(self._ball_sums(vol_du), self._ball_sums(vol_deta),
+                        dt)
+
+    def _fold_rows(self, du_rows, deta_rows, dt):
+        """mu_T and mu_bar_T from the ball sums of each row, in step order."""
+        for deta, du in zip(deta_rows, du_rows):
             self.ledger.mu_t_mass += dt * deta
             self.ledger.mu_bar_t_mass += dt * du
 
@@ -402,33 +452,37 @@ class ErrorFold:
             values = values.take(self._ball, axis=-1)
         return values.sum(axis=-1).tolist()
 
-    def _fold_errors(self, ts, states, etas, dt):
+    def _fold_errors(self, ts, states, dt):
         """The share of the error functionals of steps from the levels t^n
-        of a block, whose (k, N, m) states and (k, N) entropies are given,
-        in step order."""
+        of a block, whose (k, N, m) states are given, in step order."""
         if self.reference is None:
             return
-        cell_sq, esq = self._levels(ts, states, etas)
+        cell_sq, esq = self._levels(ts, states)
         radii = (self.r + self.lf * (self.T - t) for t in ts)
         for row, value, radius in zip(cell_sq, esq.tolist(), radii):
             # the whole mesh lies in the cone when its farthest centroid does
             # (a NaN radius holds no cell, as the mask does)
             if not radius >= self._dist_max:
-                value = float(row[self.dist <= radius].sum())
+                dist = self._dist
+                if dist is None:
+                    dist = self.mesh.periodic_distance_to_origin(
+                        self.mesh.cell_centroids)
+                value = float(row[dist <= radius].sum())
             self.cone += dt * value
 
-    def _levels(self, ts, states, etas):
+    def _levels(self, ts, states):
         """Series entries and M-beta checks at the times `ts`, in order,
-        of (k, N, m) states whose entropies are `etas`; one evaluation of
-        the reference serves them all.  Returns each level's per-cell
-        squared error and their sums, as (k, N) and (k,) arrays."""
+        of (k, N, m) states; one evaluation of the reference serves them
+        all.  Returns each level's per-cell squared error and their sums,
+        as (k, N) and (k,) arrays."""
         for t in ts:
             if t > self.reference.valid_until * (1 + 1e-12):
                 raise ConfigError(f"reference not valid at t={t}")
         ubars = reference_level_means(self.mesh, self._bound, ts,
                                       self.quadrature)
         diff = states - ubars
-        hnorm = _relative_entropy_sum(self.mesh, self.sys, etas, ubars, diff)
+        hnorm = _relative_entropy_sum(self.mesh, self.sys, states, ubars,
+                                      diff)
         del ubars
         cell_sq = _cell_sq_error(self.mesh, diff)
         esq = cell_sq.sum(axis=-1)
@@ -449,10 +503,9 @@ class ErrorFold:
             self.mesh, self.sys, self.u0, trajectory.snapshots[0][1],
             self.ball)
         if self.reference is not None:
-            final = trajectory.final_field.values[None]
-            self._levels([trajectory.final_field.time], final,
-                         self.sys.entropy(final))
-        self._bound = None
+            self._levels([trajectory.final_field.time],
+                         trajectory.final_field.values[None])
+        self._bound, self._carry_step = None, None
 
 
 def _replay(fold: ErrorFold, trajectory, masses: bool) -> None:
@@ -466,14 +519,14 @@ def _replay(fold: ErrorFold, trajectory, masses: bool) -> None:
     for start in range(0, trajectory.n_steps, k):
         levels = snaps[start:start + k + 1]
         states = np.stack([fld.values for _, fld in levels])
-        eta = fold.sys.entropy(states)
         if masses:
+            eta = fold.sys.entropy(states)
             _, vol_du, vol_deta = _cell_variation(
-                fold.mesh, states[:-1], states[1:], eta[:-1], eta[1:])
+                fold.mesh, states[:-1], states[1:], eta[0], eta[1:])
             fold._fold_masses(vol_du, vol_deta, trajectory.dt)
         else:
             fold._fold_errors([t for t, _ in levels[:-1]], states[:-1],
-                              eta[:-1], trajectory.dt)
+                              trajectory.dt)
 
 
 def measure_masses(mesh: Mesh, sys: SystemModel, u0, trajectory, r: float,

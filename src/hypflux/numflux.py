@@ -255,11 +255,12 @@ def make_godunov_scalar(sys: SystemModel) -> FluxScheme:
 
     def bind(n):
         forms = sys.bind(n)
+        state = _godunov_states(sys, n)
 
         def update(u, v):
             u = np.asarray(u, dtype=float)
             v = np.asarray(v, dtype=float)
-            w = _godunov_state(sys, u, v, n)
+            w = state(u, v)
             return InterfaceUpdate(forms.flux(w), u, v, (w,))
 
         def records(step):
@@ -284,32 +285,54 @@ def make_godunov_scalar(sys: SystemModel) -> FluxScheme:
 
 
 def _godunov_state(sys, u, v, n):
-    """Arg-min/arg-max of f_n over the interval hull of (u, v), exactly.
+    """Arg-min/arg-max of f_n over the interval hull of (u, v), exactly:
+    `_godunov_states` bound to n, on (u, v)."""
+    return _godunov_states(sys, n)(u, v)
+
+
+def _godunov_states(sys, n):
+    """(u, v) -> the arg-min/arg-max of f_n over the interval hull of
+    (u, v), exactly, on the normals n.
 
     A continuous f_n is extremal on [lo, hi] at an endpoint or at a
     critical point of f_n inside it (Osher 1984), so the candidates are
-    lo, hi and the critical points clipped to [lo, hi].  A running best
-    goes through them in that order under argmin's rules: a candidate
-    replaces it only when strictly smaller, or when it is the first NaN,
-    so the endpoints win ties.  Both orientations of an interface compare
-    the same candidates, so conservativity holds bitwise.
+    lo, hi and the critical points clipped to [lo, hi].  What depends on
+    n alone is formed once: the orientation coefficients, +n for u <= v
+    (minimize f_n) and -n otherwise (maximize it), and the critical
+    points.  A running best goes through the candidates in that order
+    under argmin's rules: a candidate replaces it only when strictly
+    smaller, or when it is the first NaN, so the endpoints win ties.  Both
+    orientations of an interface compare the same candidates, so
+    conservativity holds bitwise.
     """
-    a, b = u[..., 0], v[..., 0]
     n = _as_direction(n, 1)
-    ncoef = np.broadcast_to(n[..., 0], a.shape).astype(float)
-    # minimize ncoef*f on [lo,hi] when u<=v, else maximize f_n = minimize (-ncoef)*f
-    coef = np.where(a <= b, 1.0, -1.0) * ncoef
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
-    w_star = lo
-    best = coef * sys.flux(lo[..., None], 0)[..., 0]
-    for w in [hi] + [np.clip(np.broadcast_to(wc, a.shape), lo, hi)
-                     for wc in np.atleast_1d(sys.flux_critical_points(n))]:
-        val = coef * sys.flux(w[..., None], 0)[..., 0]
-        better = (val < best) | (np.isnan(val) & ~np.isnan(best))
-        w_star = np.where(better, w, w_star)
-        best = np.where(better, val, best)
-    return w_star[..., None]
+    ncoef = n[..., 0].astype(float)
+    flipped = -ncoef
+    critical = np.atleast_1d(sys.flux_critical_points(n))
+
+    def f(w):
+        return sys.flux(w[..., None], 0)[..., 0]
+
+    def state(u, v):
+        a, b = u[..., 0], v[..., 0]
+        coef = np.where(a <= b, ncoef, flipped)
+        lo = np.minimum(a, b)
+        hi = np.maximum(a, b)
+        w_star = lo
+        best = coef * f(lo)
+        # np.clip's bits, without its Python wrapper
+        for w in [hi] + [np.minimum(np.maximum(wc, lo), hi)
+                         for wc in critical]:
+            val = coef * f(w)
+            # val < best, or val is the first NaN: not val >= best, unless
+            # best is a NaN already
+            better = ~(val >= best)
+            better &= best == best
+            w_star = np.where(better, w, w_star)
+            best = np.where(better, val, best)
+        return w_star[..., None]
+
+    return state
 
 
 def _dissipation_flux(sys, w, delta, xi_w):

@@ -2,20 +2,24 @@
 
 Closed forms exist for linear advection (translation), symmetric linear
 systems (characteristic decomposition), and pre-shock Burgers (method of
-characteristics, solved per point by safeguarded Newton).  Where no
+characteristics, solved per point by Newton to roundoff).  Where no
 closed form exists the solver itself provides a reference on a mesh
 refined by a factor of at least 8, flagged as numerical.
 
 A closed form evaluates many time levels at once (`levels`), with the
 bits of one `eval` per level; its `eval` is the one-level case.  A
-reference can also be bound to fixed points (`ReferenceSolution.bind`):
-a run's error fold reads it at the same quadrature points every step.
-The translation references bind through the datum's own translation
-when it has one, so what depends on the points alone is computed once
-per run: `u0.translation(x)` binds u0 to the points x and gives
-`at(shifts)`, (K, d) -> (K, ..., m), the values u0(x - s) for each row s
-of shifts.  A datum offers it only where it is periodic on the box (the
-catalog's sine at an integer frequency), so that no shift needs a wrap.
+translation reduces its shift by whole periods before it adds it to the
+points, so its error does not grow with |c t|.  A reference can also be
+bound to fixed points (`ReferenceSolution.bind`): a run's error fold
+reads it at the same quadrature points every step, so what depends on
+the points alone is computed once per run.  The translation references
+bind through the datum's own translation when it has one:
+`u0.translation(x)` binds u0 to the points x and gives `at(shifts)`,
+(K, d) -> (K, ..., m), the values u0(x - s) for each row s of shifts.  A
+datum offers it only where it is periodic on the box (the catalog's sine
+at an integer frequency), so that no shift needs a wrap.  The Burgers
+reference binds u0(x) and warm starts each level from the feet of fixed
+anchor times (`exact_burgers`); its `levels` is a fresh binding.
 """
 
 from __future__ import annotations
@@ -107,11 +111,14 @@ def exact_advection(speed_vector, u0, domain) -> ReferenceSolution:
     lengths = tuple(float(L) for L in domain)
 
     def levels(x, ts):
-        # the shift of each level per axis; the wrap and u0 run once
+        # the shift of each level per axis, less whole periods: fmod is
+        # exact, and x - r rounds at the size of the box where x - c t
+        # would round at the size of c t; the wrap and u0 run once
         x = np.asarray(x, dtype=float)
         shifted = np.empty((len(ts),) + x.shape)
         for k, t in enumerate(ts):
-            _axiswise(np.subtract, x, c * t, out=shifted[k])
+            _axiswise(np.subtract, x, np.fmod(c * t, lengths),
+                      out=shifted[k])
         return u0(_wrap(shifted, lengths))
 
     translation = getattr(u0, "translation", None)
@@ -146,7 +153,8 @@ def exact_friedrichs(A, u0, domain) -> ReferenceSolution:
         t = _level_axis(ts, x.ndim)
         comps = []
         for i in range(m):
-            shifted = _wrap(x - lam[i] * t, lengths)
+            # the shift less whole periods, as for advection
+            shifted = _wrap(x - np.fmod(lam[i] * t, lengths), lengths)
             w = u0(shifted) @ R  # characteristic components at shifted points
             comps.append(w[..., i])
         w_all = np.stack(comps, axis=-1)
@@ -173,58 +181,167 @@ def exact_friedrichs(A, u0, domain) -> ReferenceSolution:
 def exact_burgers(u0, u0_derivative, domain) -> ReferenceSolution:
     """Pre-shock Burgers by characteristics: solve y + u0(y) t = x.
 
-    The horizon is 90% of the shock-formation time 1/max(0, -min u0');
-    before it the characteristic map is strictly monotone and safeguarded
-    Newton converges to residual 1e-13.
+    The value at x is u0 at the foot y of its characteristic.  The horizon
+    is 90% of the shock-formation time 1/max(0, -min u0'); before it
+    g(y) = y + u0(y) t - x is strictly increasing, with
+    g'(y) = 1 + u0'(y) t at least 0.1.
+
+    Bound to points x (`bind_points`), the reference forms u0(x) once.
+    Each level is warm started from the feet at the two anchor times
+    around it, w W and (w + 1) W for w = floor(t / W): W is a power of
+    two near 1/32 of the time over which the feet turn, 0.9 / max |u0'|,
+    so that w W is exact.  Each anchor is solved from t = 0, where the
+    foot is x, and keeps the feet y, u0' there and the feet's velocity
+    dy/dt = -u0(y) / g'(y); a level's first guess is the cubic Hermite
+    interpolant of its two anchors.  Newton then refines all the levels
+    of a query at once (`_characteristic_feet`).  So a level's bits
+    depend on its time alone: blocks of any size, in any order, read the
+    same values, and `levels(x, ts)`, a fresh binding, gives the bits of
+    the bound reference.  (A start from the level before would tie a
+    level's last bits to where its block starts, and a run's report to
+    its block size.)  The binding keeps the anchors of its last query,
+    and solves those a query lacks together.
     """
     lengths = tuple(float(L) for L in domain)
     L = lengths[0]
     ygrid = np.linspace(0.0, L, 20001)
     slopes = np.asarray(u0_derivative(ygrid), dtype=float)
-    min_slope = float(np.min(slopes))
+    min_slope, max_slope = float(np.min(slopes)), float(np.max(slopes))
     umax = float(np.max(np.abs(_scalar_eval(u0, ygrid))))
     if min_slope >= 0.0:
         horizon = math.inf
     else:
         horizon = 0.9 / (-min_slope)
+    # feet that do not turn move on straight lines, which any W follows
+    turn = max(-min_slope, max_slope)
+    W = 2.0 ** math.floor(math.log2(0.9 / (32.0 * turn))) if turn > 0 else 1.0
 
-    def levels(x, ts):
-        x = np.asarray(x, dtype=float)
-        late = [t for t in ts if t > horizon * (1 + 1e-12)]
-        if late:
-            raise HorizonError(f"t={float(late[0])} exceeds the "
-                               f"characteristics horizon {horizon}")
-        xs = x[..., 0]
-        t = _level_axis(ts, xs.ndim)
-        y = xs - _scalar_eval(u0, xs) * t
-        lo = xs - (umax + 1.0) * t - 1e-9
-        hi = xs + (umax + 1.0) * t + 1e-9
-        # each level stops at its own converged iterate and keeps its u0(y)
-        out = np.empty(y.shape)
-        rows = np.arange(len(y))
-        for _ in range(100):
-            u_y = _scalar_eval(u0, y)
-            res = y + u_y * t - xs
-            done = np.abs(res).max(axis=tuple(range(1, res.ndim))) <= 1e-13
-            if done.any():
-                out[rows[done]] = u_y[done]
-                if done.all():
-                    break
-                rows, y, u_y, res, lo, hi, t = (
-                    a[~done] for a in (rows, y, u_y, res, lo, hi, t))
-            dg = 1.0 + np.asarray(u0_derivative(y), dtype=float) * t
-            newton = y - res / dg
-            # keep iterates inside the monotone bracket, bisect otherwise
-            bad = (newton <= lo) | (newton >= hi) | ~np.isfinite(newton)
+    def bind_points(x):
+        xs = np.asarray(x, dtype=float)[..., 0]
+        xmax = float(np.abs(xs).max(initial=0.0))
+        u_x = _scalar_eval(u0, xs)
+
+        def solve(ts, y, du, feet=False):
+            """u0 at the feet at the times ts from the first guesses y
+            (`_characteristic_feet`)."""
+            t = _level_axis(ts, xs.ndim)
+            # g' >= 1 + min(0, u0' t) over the slopes of u0, and before
+            # the horizon at least 0.1
+            g_low = np.maximum(0.1, 1.0 + np.minimum(
+                0.0, np.minimum(min_slope * t, max_slope * t)))
+            tol = (2.0 * _EPS) * (xmax + umax * np.abs(t)) / g_low
+            return _characteristic_feet(u0, u0_derivative, xs, t, y, du,
+                                        umax, tol, feet)
+
+        kept = {}  # the anchors of the last query, by window
+
+        def anchors(windows):
+            """Each window's anchor: (feet, their velocity, u0' there)."""
+            nonlocal kept
+            lacking = [w for w in windows if w not in kept]
+            if lacking:
+                a = [w * W for w in lacking]
+                t = _level_axis(a, xs.ndim)
+                vals, feet, du = solve(a, xs - u_x * t, 0.0, feet=True)
+                speed = -vals / (1.0 + du * t)
+                kept.update((w, (feet[i], speed[i], du[i]))
+                            for i, w in enumerate(lacking))
+            kept = {w: kept[w] for w in windows}
+            return kept
+
+        def bound(ts):
+            late = [t for t in ts if t > horizon * (1 + 1e-12)]
+            if late:
+                raise HorizonError(f"t={float(late[0])} exceeds the "
+                                   f"characteristics horizon {horizon}")
+            ws = [max(0, math.floor(t / W)) for t in ts]
+            found = anchors(sorted(set(ws) | {w + 1 for w in ws}))
+            if len(set(ws)) == 1:
+                (y0, v0, du), (y1, v1, _) = found[ws[0]], found[ws[0] + 1]
+            else:  # the levels' anchors on their axis
+                (y0, v0, du), (y1, v1, _) = (
+                    [np.stack(c) for c in zip(*(found[w + i] for w in ws))]
+                    for i in (0, 1))
+            # the Hermite basis at s = t / W - w in [0, 1)
+            s = _level_axis([t / W - w for t, w in zip(ts, ws)], xs.ndim)
+            r = 1.0 - s
+            guess = ((1.0 + 2.0 * s) * r * r * y0 + s * s * (3.0 - 2.0 * s) * y1
+                     + W * (s * r * r * v0 - s * s * r * v1))
+            return solve(ts, guess, du)[0][..., None]
+
+        return bound
+
+    return _closed_form("exact-burgers-characteristics",
+                        lambda x, ts: bind_points(x)(ts), horizon,
+                        {"shock_horizon": horizon}, bind_points)
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+# plain Newton steps before the bracket safeguard takes over
+_PLAIN_STEPS = 8
+
+
+def _characteristic_feet(u0, u0_derivative, xs, t, y, du, umax, tol,
+                         feet=False):
+    """u0 at the roots y of y + u0(y) t = xs at the times t, (K, 1, ...),
+    by Newton from the first guesses y, (K, ...), with u0' given at the
+    guesses' anchors (du); with `feet`, also the roots and u0' at the
+    last iterate (else None).
+
+    Newton stops on the size of its step (Kelley 2003, ch. 1).  An
+    iterate's step res / g' is measured with the slope of the iterate
+    before, which differs from its own by the size of the step before, so
+    the last iterate needs no slope.  A level is done at the first iterate
+    whose steps are all at most its `tol`, four times the bound on the
+    step's rounding, (eps/2)(|x| + |u0 t|) / g'.  Its value is u0 at the
+    end of that step to first order, u0(y) - u0'(y) step, and its root is
+    y - step.  From a warm start Newton converges in a few plain steps;
+    after _PLAIN_STEPS it is safeguarded: an iterate outside the bracket
+    of the root that the residuals' signs leave within
+    |y - xs| <= (umax + 1) |t| is replaced by bisection.
+    """
+    dg = 1.0 + du * t
+    du = np.broadcast_to(du, y.shape)
+    out = np.empty(y.shape)
+    roots, slopes = ((np.empty(y.shape), np.empty(y.shape)) if feet
+                     else (None, None))
+    rows = np.arange(len(y))
+    lo = hi = None
+    for it in range(100):
+        u_y = _scalar_eval(u0, y)
+        res = y + u_y * t - xs
+        step = res / dg
+        done = (np.abs(step) <= tol).all(axis=tuple(range(1, y.ndim)))
+        if done.any():
+            ids = rows[done]
+            step, du = step[done], du[done]
+            out[ids] = u_y[done] - du * step
+            if feet:
+                roots[ids] = y[done] - step
+                slopes[ids] = du
+            if done.all():
+                break
+            keep = ~done
+            rows, y, res, t, tol = (a[keep] for a in (rows, y, res, t, tol))
+            if lo is not None:
+                lo, hi = lo[keep], hi[keep]
+        du = np.asarray(u0_derivative(y), dtype=float)
+        dg = 1.0 + du * t
+        newton = y - res / dg
+        if it >= _PLAIN_STEPS:
+            if lo is None:
+                reach = (umax + 1.0) * np.abs(t) + 1e-9
+                lo, hi = xs - reach, xs + reach
+            bad = ~((newton > lo) & (newton < hi))
             lo = np.where(res < 0, y, lo)
             hi = np.where(res > 0, y, hi)
-            y = np.where(bad, 0.5 * (lo + hi), newton)
-        else:
-            raise ConstructionError("characteristic solve did not converge")
-        return out[..., None]
-
-    return _closed_form("exact-burgers-characteristics", levels, horizon,
-                        {"shock_horizon": horizon})
+            newton = np.where(bad, 0.5 * (lo + hi), newton)
+        y = newton
+    else:
+        raise ConstructionError("characteristic solve did not converge")
+    return out, roots, slopes
 
 
 def _level_axis(ts, ndim):

@@ -9,7 +9,10 @@ batch axis: states have shape (..., m).
 Built-in systems: scalar linear advection, Burgers, symmetric (Friedrichs)
 linear systems with eta = |u|^2, and 1D shallow water.  Analytic
 derivatives are supplied everywhere; the test suite re-derives them by
-finite differences as an independent oracle.
+finite differences as an independent oracle.  Each built-in system also
+gives the relative entropy H(v, u) in closed form, free of the
+cancellation of eta(v) - eta(u) - Deta(u).(v - u), which stays the form
+of a system without one.
 """
 
 from __future__ import annotations
@@ -231,6 +234,9 @@ class SystemModel:
     # (n) -> DirectionalForms of checked normals; None binds the per-axis
     # sums of flux and entropy_flux (`_axis_forms`)
     directional_forms: Optional[Callable] = None
+    # (v, u, v - u) -> H(v, u) in closed form, without the cancellation of
+    # eta(v) - eta(u) - Deta(u).(v - u); None takes that generic form
+    relative_entropy: Optional[Callable] = None
 
     def require_admissible(self, *states, tol: float = 1e-12, what: str = "state"):
         for u in states:
@@ -329,12 +335,17 @@ def relative_entropy(sys: SystemModel, v, u, check: bool = True):
     u = np.asarray(u, dtype=float)
     if check:
         sys.require_admissible(v, u, tol=_MBETA_GUARD)
-    return relative_entropy_terms(sys, sys.entropy(v), u, v - u)
+    return relative_entropy_terms(sys, v, u, v - u)
 
 
-def relative_entropy_terms(sys: SystemModel, eta_v, u, diff):
-    """H(v, u) from eta(v) and v - u already at hand (no Omega check)."""
-    return eta_v - sys.entropy(u) - axis_dot(sys.entropy_gradient(u), diff)
+def relative_entropy_terms(sys: SystemModel, v, u, diff):
+    """H(v, u) with diff = v - u at hand (no Omega check): the system's
+    closed form (`SystemModel.relative_entropy`) where it has one, else
+    eta(v) - eta(u) - Deta(u).diff."""
+    if sys.relative_entropy is not None:
+        return sys.relative_entropy(v, u, diff)
+    return (sys.entropy(v) - sys.entropy(u)
+            - axis_dot(sys.entropy_gradient(u), diff))
 
 
 def relative_entropy_flux(sys: SystemModel, v, u, alpha: int, check: bool = True):
@@ -575,6 +586,18 @@ def _identity_gradient(u):
     return np.asarray(u, dtype=float)
 
 
+def _half_square_distance(v, u, diff):
+    """H(v, u) = |v - u|^2 / 2 of eta = |u|^2 / 2."""
+    out = axis_dot(diff, diff)
+    out *= 0.5
+    return out
+
+
+def _square_distance(v, u, diff):
+    """H(v, u) = |v - u|^2 of eta = |u|^2."""
+    return axis_dot(diff, diff)
+
+
 def make_advection(d: int, speed_vector, u_range=(-1.0, 1.0)) -> SystemModel:
     """Scalar linear advection with eta = u^2/2."""
     c = np.atleast_1d(np.asarray(speed_vector, dtype=float))
@@ -626,7 +649,8 @@ def make_advection(d: int, speed_vector, u_range=(-1.0, 1.0)) -> SystemModel:
         entropy_flux=lambda u, a: c[a] * 0.5 * np.asarray(u, dtype=float)[..., 0] ** 2,
         beta0=1.0, beta1=1.0, omega=omega, max_wave_speed=wave,
         flux_critical_points=lambda n: np.empty(0),
-        params={"speed": tuple(c)}, directional_forms=forms)
+        params={"speed": tuple(c)}, directional_forms=forms,
+        relative_entropy=_half_square_distance)
     validate_system(sys)
     compute_lf(sys)
     return sys
@@ -654,7 +678,7 @@ def make_burgers(d: int = 1, u_range=(-1.0, 1.0)) -> SystemModel:
         entropy_flux=lambda u, a: np.asarray(u, dtype=float)[..., 0] ** 3 / 3.0,
         beta0=1.0, beta1=1.0, omega=omega, max_wave_speed=wave,
         flux_critical_points=lambda n: np.zeros(1),
-        params={})
+        params={}, relative_entropy=_half_square_distance)
     validate_system(sys)
     compute_lf(sys)
     return sys
@@ -716,7 +740,8 @@ def make_friedrichs(A_list: Sequence, radius: float = 1.0) -> SystemModel:
             "...i,ij,...j->...", np.asarray(u, dtype=float), mats[a],
             np.asarray(u, dtype=float)),
         beta0=2.0, beta1=2.0, omega=omega, max_wave_speed=wave,
-        params={"matrices": [A.copy() for A in mats]})
+        params={"matrices": [A.copy() for A in mats]},
+        relative_entropy=_square_distance)
     validate_system(sys)
     compute_lf(sys)
     return sys
@@ -804,6 +829,17 @@ def make_shallow_water_1d(g: float = 9.81, h_min: float = 0.5,
         v = over_h(q, h, h > 0)
         return np.abs(v * n[..., 0]) + np.sqrt(g * np.maximum(h, 0.0))
 
+    def relative_entropy(v, u, diff):
+        # eta expanded about u: g/2 dh^2 + (dq - v_u dh)^2 / (2 h_v) with
+        # v_u = q_u / h_u, written in the differences so that no velocity
+        # difference is formed from two rounded quotients
+        h_u, q_u = split(u)
+        h_v = np.asarray(v, dtype=float)[..., 0]
+        dh, dq = diff[..., 0], diff[..., 1]
+        pos = (h_u > 0) & (h_v > 0)
+        m = dq - over_h(q_u, h_u, pos) * dh
+        return over_h(0.5 * m * m, h_v, pos, 0.5 * g * dh * dh)
+
     # dense spectral scan for the Hessian bounds: state (hh[i], qq[j]) is
     # row i*257 + j of the scan, formed a chunk at a time
     hh = np.linspace(h_min, h_max, 257)
@@ -821,7 +857,8 @@ def make_shallow_water_1d(g: float = 9.81, h_min: float = 0.5,
         entropy=entropy, entropy_gradient=entropy_gradient,
         entropy_hessian=entropy_hessian, entropy_flux=entropy_flux,
         beta0=beta0, beta1=beta1, omega=omega, max_wave_speed=wave,
-        params={"g": g, "h_min": h_min, "h_max": h_max, "q_max": q_max})
+        params={"g": g, "h_min": h_min, "h_max": h_max, "q_max": q_max},
+        relative_entropy=relative_entropy)
     validate_system(sys)
     compute_lf(sys)
     return sys

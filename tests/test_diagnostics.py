@@ -394,10 +394,11 @@ def _counting_entropy(sysm):
 
 def test_replays_evaluate_entropy_once_per_block(monkeypatch, burgers_sys,
                                                  burgers_rusanov):
-    # a replay stacks the stored states of each block of K steps and
-    # evaluates eta on them in one call.  The cone replay adds eta(ubar^n)
-    # over the block's levels, the mass replay the two of the projection
-    # masses (one chunk).  117 steps in blocks of 16: 8 blocks
+    # the mass replay stacks the stored states of each block of K steps
+    # and evaluates eta on them in one call, and adds the two of the
+    # projection masses (one chunk).  The cone replay needs no eta: the
+    # relative entropy is in closed form.  117 steps in blocks of 16: 8
+    # blocks
     monkeypatch.setattr(hf.solver, "_BLOCK_ENTRIES", 16 * 64)
     mesh = hf.build_uniform_1d(64, 1.0)
     T = 0.2
@@ -408,7 +409,7 @@ def test_replays_evaluate_entropy_once_per_block(monkeypatch, burgers_sys,
     counted, calls = _counting_entropy(burgers_sys)
     cone = hf.cone_l2_error(mesh, counted, traj, ref, r=10.0, T=T,
                             lf=burgers_sys.lf)
-    assert len(calls) == 2 * 8
+    assert len(calls) == 0
     assert cone == hf.cone_l2_error(mesh, burgers_sys, traj, ref, r=10.0,
                                     T=T, lf=burgers_sys.lf)
     calls.clear()
@@ -419,8 +420,8 @@ def test_replays_evaluate_entropy_once_per_block(monkeypatch, burgers_sys,
 
 
 def test_fold_shares_entropy_bit_for_bit(burgers_sys, burgers_rusanov):
-    # eta of a block's states serves the ledger and the relative entropy:
-    # the series must equal a fresh evaluation per state
+    # eta of a block's states serves the ledger, and the series the fold
+    # forms must equal a fresh evaluation per state
     mesh = hf.build_uniform_1d(24, 1.0)
     T = 0.05
     ref = hf.exact_burgers(burgers_wave, burgers_wave_prime, (1.0,))
@@ -431,10 +432,12 @@ def test_fold_shares_entropy_bit_for_bit(burgers_sys, burgers_rusanov):
     traj = hf.run(mesh, counted, burgers_rusanov, burgers_wave,
                   hf.RunConfig(final_time=T), [fold])
     fold.finish(traj)
-    # one block of 11 steps: eta(u) and eta(ubar) once each, and four at
-    # the ends (the projection masses, and the final level's two)
+    # one block of 11 steps: eta(u) once at the first state and once at
+    # the 11 after it, and the two of the projection masses; the relative
+    # entropy, in closed form, needs neither eta(u) nor eta(ubar), at the
+    # final level either
     assert traj.n_steps == 11 and hf.steps_per_block(mesh) > 11
-    assert len(calls) == 2 + 4
+    assert calls == [(24, 1), (11, 24, 1), (24, 4, 1), (24, 1)]
     want = [(t, hf.relative_entropy_norm(
         mesh, burgers_sys, f, hf.reference_cell_means(mesh, ref, t)))
         for t, f in traj.snapshots]

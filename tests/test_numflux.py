@@ -790,6 +790,51 @@ def test_godunov_state_matches_stacked_argmin_bitwise(burgers_sys,
                 _godunov_state_stacked(sysm, uu, vv, np.array([n])))
 
 
+def _godunov_state_running(sys, u, v, n):
+    """`_godunov_state` before it was bound to n, verbatim: the running
+    best with the orientation and the candidates formed on every call."""
+    a, b = u[..., 0], v[..., 0]
+    n = numflux._as_direction(n, 1)
+    ncoef = np.broadcast_to(n[..., 0], a.shape).astype(float)
+    coef = np.where(a <= b, 1.0, -1.0) * ncoef
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    w_star = lo
+    best = coef * sys.flux(lo[..., None], 0)[..., 0]
+    for w in [hi] + [np.clip(np.broadcast_to(wc, a.shape), lo, hi)
+                     for wc in np.atleast_1d(sys.flux_critical_points(n))]:
+        val = coef * sys.flux(w[..., None], 0)[..., 0]
+        better = (val < best) | (np.isnan(val) & ~np.isnan(best))
+        w_star = np.where(better, w, w_star)
+        best = np.where(better, val, best)
+    return w_star[..., None]
+
+
+def test_bound_godunov_update_matches_the_running_best_bitwise(burgers_sys,
+                                                               advection_sys):
+    # bound once to fixed normals, the update reuses its orientation
+    # coefficients and candidates on every call: random pairs, tied pairs
+    # (u = v, |u| = |v| for Burgers, +-0.0) and NaN pairs, under normals
+    # of either sign and +-0.0, on one step and on a block of steps
+    rng = np.random.default_rng(21)
+    E = 3000
+    special = np.array([0.0, -0.0, np.nan, 0.5, -0.5, 1.0, -1.0])
+    u = rng.uniform(-1.0, 1.0, (E, 1))
+    v = rng.uniform(-1.0, 1.0, (E, 1))
+    pick = rng.random((E, 1))
+    v = np.where(pick < 0.2, u, np.where(pick < 0.4, -u, v))
+    u[::7] = rng.choice(special, (len(u[::7]), 1))
+    v[::5] = rng.choice(special, (len(v[::5]), 1))
+    normals = rng.choice([1.0, -1.0, 0.0, -0.0], (E, 1))
+    for sysm in (burgers_sys, advection_sys):
+        bound = hf.make_godunov_scalar(sysm).bind(normals)
+        for uu, vv in ((u, v), (v, u), (np.stack([u, v]), np.stack([v, u]))):
+            with np.errstate(invalid="ignore"):
+                got = bound.update(uu, vv).parts[0]
+                want = _godunov_state_running(sysm, uu, vv, normals)
+            assert same_bits(got, want)
+
+
 def test_make_rusanov_scratch_is_bounded():
     # the near-equal quotient of the 2D system covers 132 directions x
     # 2001 states; in one batch it needed about 25 scratch chunks

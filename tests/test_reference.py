@@ -1,5 +1,6 @@
 import heapq
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypflux import cli, reference, solver
 from hypflux.errors import AdmissibilityError, ConstructionError, HorizonError
 
 from conftest import count_kernel_parts, same_bits
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def sine1(x):
@@ -301,8 +304,10 @@ def test_fine_grid_cross_validates_against_exact(burgers_sys, burgers_rusanov):
 
 
 def test_exact_burgers_reuses_the_converged_u0():
-    # u0 runs once for the first guess and once per residual; the answer
-    # is the u0(y) of the converged residual, not one more call
+    # u0 runs once for u0(x) and once per residual of each of the two
+    # solves (the level's two anchors together, from t = 0, then the
+    # level), the slope once per Newton step; the answer comes from the
+    # last residual's u0(y) and step, not from one more call
     calls, slopes = [], []
 
     def counted(x):
@@ -315,12 +320,11 @@ def test_exact_burgers_reuses_the_converged_u0():
 
     ref = hf.exact_burgers(counted, counted_prime, (1.0,))
     x = np.linspace(0.0, 1.0, 33)[:, None]
-    for t in (0.0, 0.1, 0.4):
+    for t, steps in ((0.0, 2), (0.1, 4), (0.4, 8)):
         calls.clear()
         slopes.clear()
         got = ref.eval(x, t)
-        assert len(calls) == len(slopes) + 2
-        assert (len(slopes) > 0) == (t > 0.0)
+        assert len(calls) == 3 + len(slopes) and len(slopes) == steps
         # the foot point y solves y + u0(y) t = x, and the value is u0(y)
         y = x[:, 0] - got[:, 0] * t
         np.testing.assert_allclose(got, burgers_wave(y[:, None]), atol=1e-12)
@@ -358,46 +362,28 @@ def test_wrap_matches_np_mod_bitwise(lengths):
 
 
 def test_exact_advection_shift_matches_broadcast_bitwise():
-    # the per-axis shift x - c t gives the bits of the broadcast one
+    # the per-axis shift x - fmod(c t, L) gives the bits of the broadcast
+    # one; within one period fmod(c t, L) is c t itself
     c = np.array([1.0, 0.5])
     u0 = lambda x: np.asarray(x)[..., :1] * 1.0
-    ref = hf.exact_advection(c, u0, (1.0, 0.8))
+    lengths = np.array([1.0, 0.8])
+    ref = hf.exact_advection(c, u0, tuple(lengths))
     rng = np.random.default_rng(5)
-    x = rng.uniform(0.0, 1.0, (50, 4, 2)) * np.array([1.0, 0.8])
-    for t in (0.0, 0.013, 0.37, 2.9):
-        want = np.mod(x - c * t, np.array([1.0, 0.8]))[..., :1]
+    x = rng.uniform(0.0, 1.0, (50, 4, 2)) * lengths
+    for t in (0.0, 0.013, 0.37, 2.9, -1.3):
+        want = np.mod(x - np.fmod(c * t, lengths), lengths)[..., :1]
         assert same_bits(ref.eval(x, t), want)
+        if abs(t) < 0.8:
+            assert same_bits(want, np.mod(x - c * t, lengths)[..., :1])
 
 
 # ---------------------------------------------------------------------------
 # many time levels in one evaluation against one eval per level
 # ---------------------------------------------------------------------------
 
-def _burgers_eval_as_it_was(u0, du0, x, t):
-    """The one-level characteristic solve before levels were batched,
-    verbatim: the bitwise oracle of `exact_burgers`."""
-    umax = float(np.max(np.abs(u0(np.linspace(0.0, 1.0, 20001)[:, None])[..., 0])))
-    xs = x[..., 0]
-    y = xs - u0(xs[..., None])[..., 0] * t
-    lo = xs - (umax + 1.0) * t - 1e-9
-    hi = xs + (umax + 1.0) * t + 1e-9
-    for _ in range(100):
-        u_y = u0(y[..., None])[..., 0]
-        res = y + u_y * t - xs
-        if float(np.abs(res).max()) <= 1e-13:
-            return u_y[..., None]
-        dg = 1.0 + du0(y) * t
-        newton = y - res / dg
-        bad = (newton <= lo) | (newton >= hi) | ~np.isfinite(newton)
-        lo = np.where(res < 0, y, lo)
-        hi = np.where(res > 0, y, hi)
-        y = np.where(bad, 0.5 * (lo + hi), newton)
-    raise AssertionError("no convergence")
-
-
 def test_exact_burgers_levels_match_per_level_eval_bitwise():
-    # each level stops at its own iteration: t = 0 at once, the others
-    # after different numbers of Newton steps
+    # each level, and each anchor, stops at its own iteration: the evals
+    # take different numbers of Newton steps
     u0_sizes, slope_sizes = [], []
 
     def counted(x):
@@ -417,20 +403,21 @@ def test_exact_burgers_levels_match_per_level_eval_bitwise():
         slope_sizes.clear()
         want.append(ref.eval(x, t))
         steps.append(len(slope_sizes))
-        assert same_bits(want[-1],
-                          _burgers_eval_as_it_was(burgers_wave,
-                                                  burgers_wave_prime, x, t))
-    assert steps[0] == 0 and len(set(steps)) == len(ts)
+    assert steps == [2, 4, 7, 19]
     u0_sizes.clear()
     slope_sizes.clear()
     got = ref.levels(x, ts)
     assert same_bits(got, np.stack(want))
-    # per level: u0 once per residual and the slope once per Newton step,
-    # on that level's points only; the first guess is shared
+    # u0(x) once; then the eight anchors around the levels (the windows
+    # 0, 3, 19 and 35 of W = 1/64 and the next ones), solved together
+    # from t = 0, and the four levels from their anchors.  In each of the
+    # two solves u0 runs once per residual and the slope once per Newton
+    # step, on the points of the rows not yet done: a row's last residual
+    # takes no slope
     n = len(x)
-    assert len(u0_sizes) == len(slope_sizes) + 2 == max(steps) + 2
-    assert sum(slope_sizes) == n * sum(steps)
-    assert sum(u0_sizes) == n + n * (sum(steps) + len(ts))
+    assert u0_sizes[:2] == [n, 8 * n] and 4 * n in u0_sizes
+    assert sum(u0_sizes) == n + sum(slope_sizes) + (8 + 4) * n
+    assert (len(u0_sizes), len(slope_sizes)) == (22, 19)
     assert same_bits(ref.eval_levels(x, ts), got)
     with pytest.raises(HorizonError):
         ref.levels(x, (0.1, 0.6))
@@ -452,7 +439,7 @@ def test_exact_advection_2d_levels_match_per_level_eval_bitwise():
             want = np.stack([ref.eval(x, t) for t in ts])
             assert same_bits(ref.levels(x, ts), want)
             assert same_bits(want, np.stack([
-                wave(np.mod(x - c * t, 1.0)) for t in ts]))
+                wave(np.mod(x - np.fmod(c * t, 1.0), 1.0)) for t in ts]))
 
 
 def test_exact_friedrichs_levels_match_per_level_eval_bitwise():
@@ -518,8 +505,7 @@ def test_sine_rotation_matches_the_wrapped_levels_2d(quadrature):
 def test_sine_rotation_is_within_three_ulp_of_the_exact_translate():
     # against u0(x - c t) in extended precision, with the 2 pi of a datum
     # periodic on the box: the rotation stays within 3 ulp of 1 at any
-    # shift, while the wrapped levels round x - c t and lose more as |c t|
-    # grows (about 13 ulp at t = 12.345)
+    # shift
     u0 = _catalog("advection2d", (1.0, 1.0), _SHIPPED_SINE)
     mesh = hf.build_perturbed_quad_2d(40, 40, 1.0, 1.0, 0.15, 3)
     pts = solver.cell_quadrature(mesh, "gauss3")[0]
@@ -533,6 +519,44 @@ def test_sine_rotation_is_within_three_ulp_of_the_exact_translate():
         y = np.mod(x - c.astype(ld) * ld(t), ld(1.0))
         exact = ld(0.1) + ld(0.5) * (np.sin(k * y[..., 0])
                                      * np.sin(k * y[..., 1]))
+        assert np.abs(row - exact).max() <= 3 * np.spacing(1.0)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 60,
+                    reason="needs an extended-precision long double")
+def test_wrapped_levels_are_within_three_ulp_of_the_exact_translate():
+    # the levels reduce the shift by whole periods before they add it to
+    # x, so their error does not grow with |c t|: rounding x - c t first
+    # lost about 13 ulp at t = 12.345
+    ld = np.longdouble
+    k = ld("6.28318530717958647692528676655900577")
+    ts = [-1.3, 12.345]
+    u0 = _catalog("advection2d", (1.0, 1.0), _SHIPPED_SINE)
+    mesh = hf.build_perturbed_quad_2d(40, 40, 1.0, 1.0, 0.15, 3)
+    pts = solver.cell_quadrature(mesh, "gauss3")[0]
+    c = np.array([1.0, 0.5])
+    got = hf.exact_advection(c, u0, (1.0, 1.0)).levels(pts, ts)[..., 0]
+    for row, t in zip(got, ts):
+        y = np.mod(pts.astype(ld) - c.astype(ld) * ld(t), ld(1.0))
+        exact = ld(0.1) + ld(0.5) * (np.sin(k * y[..., 0])
+                                     * np.sin(k * y[..., 1]))
+        assert np.abs(row - exact).max() <= 3 * np.spacing(1.0)
+    # Friedrichs: each characteristic component at its own shift
+    u0 = _catalog("friedrichs1d", (1.0,),
+                  "kind = sine\nmeans = 0.0, 0.1\namplitudes = 0.4, 0.3\n")
+    A = np.array([[0.0, 1.0], [1.0, 0.0]])
+    ref = hf.exact_friedrichs(A, u0, (1.0,))
+    lam, R = np.linalg.eigh(A)
+    pts = solver.cell_quadrature(hf.build_uniform_1d(64, 1.0), "gauss3")[0]
+    got = ref.levels(pts, ts)
+    for row, t in zip(got, ts):
+        w = np.stack([
+            (np.stack([ld(0.0), ld(0.1)])
+             + np.stack([ld(0.4), ld(0.3)]) * np.sin(
+                 k * (pts.astype(ld) - ld(lam[i]) * ld(t)))) @ R.astype(ld)
+            for i in range(2)])
+        exact = np.stack([w[i][..., i] for i in range(2)], axis=-1) \
+            @ R.T.astype(ld)
         assert np.abs(row - exact).max() <= 3 * np.spacing(1.0)
 
 
@@ -571,14 +595,73 @@ def test_data_without_a_translation_bind_to_the_wrapped_levels(initial):
 
 def test_burgers_and_fine_grid_references_bind_to_their_levels(
         burgers_sys, burgers_rusanov):
-    # Burgers and the fine grid have no translation: bound, they evaluate
-    # eval_levels at the bound points on every call
+    # Burgers binds to its points (u0(x) once, then warm starts); a fresh
+    # binding gives the bits of eval_levels.  The fine grid has no
+    # binding: bound, it evaluates eval_levels at the points on every call
     x = np.linspace(0.0, 1.0, 50, endpoint=False)[:, None, None]
     ts = [0.0, 0.05, 0.1]
-    refs = [hf.exact_burgers(burgers_wave, burgers_wave_prime, (1.0,)),
-            hf.fine_grid_reference(hf.build_uniform_1d(16, 1.0), burgers_sys,
-                                   burgers_rusanov, burgers_wave,
-                                   hf.RunConfig(final_time=0.1))]
-    for ref in refs:
-        assert ref.bind_points is None
+    burgers = hf.exact_burgers(burgers_wave, burgers_wave_prime, (1.0,))
+    fine = hf.fine_grid_reference(hf.build_uniform_1d(16, 1.0), burgers_sys,
+                                  burgers_rusanov, burgers_wave,
+                                  hf.RunConfig(final_time=0.1))
+    assert burgers.bind_points is not None and fine.bind_points is None
+    for ref in (burgers, fine):
         assert same_bits(ref.bind(x)(ts), ref.eval_levels(x, ts))
+
+
+def _burgers_roots(x, t, guess):
+    """u0 at the root of y + u0(y) t = x for the catalog sine of
+    `burgers_wave`, by Newton in long double from the values `guess`."""
+    ld = np.longdouble
+    k = ld("6.28318530717958647692528676655900577")
+    x, t = x.astype(ld), ld(t)
+    y = x - guess.astype(ld) * t
+    for _ in range(8):
+        g = y + (ld(0.5) + ld(0.25) * np.sin(k * y)) * t - x
+        y = y - g / (1 + ld(0.25) * k * np.cos(k * y) * t)
+    return ld(0.5) + ld(0.25) * np.sin(k * y)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 60,
+                    reason="needs an extended-precision long double")
+def test_bound_burgers_is_within_four_ulp_of_the_long_double_root():
+    # every level of the shipped config, queried as its run's error fold
+    # queries them (the blocks of t^n, each warm started from the last
+    # level of the query before, then the final time), and in one cold
+    # query
+    with open(os.path.join(CONFIG_DIR, "burgers1d.ini")) as fh:
+        setup = cli.build_problem(cli.parse_config_text(fh.read()))
+    mesh, config = setup.mesh, setup.run_config
+    dt = solver.compute_dt(mesh, setup.system, setup.scheme, config)
+    n_steps = int(round(config.final_time / dt))
+    times = [n * dt for n in range(n_steps)]
+    k = solver.steps_per_block(mesh)
+    queries = [times[s:s + k] for s in range(0, n_steps, k)]
+    queries.append([config.final_time])
+    assert n_steps == 180 and len(queries) == 4
+    pts = solver.cell_quadrature(mesh, config.quadrature)[0]
+    bound = setup.ref.bind(pts)
+    levels = [(ts, bound(ts)) for ts in queries]
+    levels.append((times, setup.ref.levels(pts, times)))
+    for ts, got in levels:
+        for t, row in zip(ts, got[..., 0]):
+            err = np.abs(row - _burgers_roots(pts[..., 0], t, row)).max()
+            assert err <= 4 * np.spacing(1.0), t
+
+
+def test_bound_burgers_restarts_a_backwards_query_from_zero():
+    # levels are a cold binding, and a query for a time before the last
+    # level gives the bits of a fresh binding and goes on as it would; a
+    # warm start lands within roundoff of the cold one
+    ref = hf.exact_burgers(burgers_wave, burgers_wave_prime, (1.0,))
+    x = np.random.default_rng(8).uniform(0.0, 1.0, (300, 3, 1))
+    bound = ref.bind(x)
+    bound([0.0, 0.01, 0.02])
+    bound([0.03, 0.04])
+    warm, cold = bound([0.3]), ref.levels(x, [0.3])
+    assert same_bits(ref.bind(x)([0.3]), cold)
+    assert np.abs(warm - cold).max() <= 4 * np.spacing(1.0)
+    assert same_bits(bound([0.01, 0.04]), ref.levels(x, [0.01, 0.04]))
+    fresh = ref.bind(x)
+    fresh([0.01, 0.04])
+    assert same_bits(bound([0.05, 0.3]), fresh([0.05, 0.3]))

@@ -1,3 +1,5 @@
+import dataclasses
+import fractions
 import math
 import os
 
@@ -33,6 +35,66 @@ def test_relative_entropy_identity(burgers_sys, shallow_water_sys):
 def test_relative_entropy_burgers_value(burgers_sys):
     # (v - u)^2 / 2 for the quadratic entropy
     assert hf.relative_entropy(burgers_sys, [1.0], [0.0]) == pytest.approx(0.5)
+
+
+def _exact_relative_entropy(sysm, v, u):
+    """eta(v) - eta(u) - Deta(u).(v - u) of one pair in exact rational
+    arithmetic on the doubles given."""
+    F = fractions.Fraction
+    v, u = [F(x) for x in v], [F(x) for x in u]
+    if sysm.name == "shallow_water1d":
+        g = F(sysm.params["g"])
+
+        def eta(h, q):
+            return q * q / (2 * h) + g * h * h / 2
+
+        (hv, qv), (hu, qu) = v, u
+        grad = (g * hu - qu * qu / (2 * hu * hu), qu / hu)
+        return (eta(hv, qv) - eta(hu, qu) - grad[0] * (hv - hu)
+                - grad[1] * (qv - qu))
+    half = F(sysm.beta0) / 2  # eta = (beta0 / 2) |u|^2
+    return sum(half * (a * a - b * b) - 2 * half * b * (a - b)
+               for a, b in zip(v, u))
+
+
+@pytest.mark.parametrize("name, ulps", [
+    ("burgers_sys", 1), ("advection_sys", 1), ("friedrichs_sys", 4),
+    ("shallow_water_sys", 4)])
+def test_closed_form_relative_entropy_against_exact_rationals(request, name,
+                                                              ulps):
+    # the closed forms stay within a few ulp of H, far or near pairs,
+    # where eta(v) - eta(u) - Deta(u).(v - u) cancels: at |v - u| ~ 1e-9
+    # the generic form loses every digit
+    sysm = request.getfixturevalue(name)
+    u, v, _ = sample_pairs(sysm, 60, seed=13)
+    rng = np.random.default_rng(14)
+    near = u + rng.uniform(-1e-9, 1e-9, u.shape)
+    for v in (v, near, u):
+        got = hf.relative_entropy(sysm, v, u)
+        want = [_exact_relative_entropy(sysm, a, b) for a, b in zip(v, u)]
+        err = [abs(fractions.Fraction(x) - w) for x, w in zip(got, want)]
+        assert all(e <= ulps * np.spacing(float(w))
+                   for e, w in zip(err, want))
+    generic = dataclasses.replace(sysm, relative_entropy=None)
+    rough = hf.relative_entropy(generic, near, u)
+    assert np.abs(rough - hf.relative_entropy(sysm, near, u)).max() > 0.0
+
+
+def test_generic_relative_entropy_is_the_fallback(burgers_sys,
+                                                  shallow_water_sys):
+    # without a closed form, eta(v) - eta(u) - Deta(u).(v - u); on far
+    # pairs it agrees with the closed form to its cancellation
+    for sysm in (burgers_sys, shallow_water_sys):
+        u, v, _ = sample_pairs(sysm, 500, seed=15)
+        generic = dataclasses.replace(sysm, relative_entropy=None)
+        want = (sysm.entropy(v) - sysm.entropy(u)
+                - axis_dot(sysm.entropy_gradient(u), v - u))
+        assert same_bits(hf.relative_entropy(generic, v, u), want)
+        assert same_bits(systems.relative_entropy_terms(
+            generic, v, u, v - u), want)
+        scale = np.abs(sysm.entropy(v)) + np.abs(sysm.entropy(u)) + 1.0
+        assert (np.abs(want - hf.relative_entropy(sysm, v, u))
+                <= 8 * np.spacing(scale)).all()
 
 
 def test_relative_entropy_flux_friedrichs_symmetry(friedrichs_diag_sys):
