@@ -649,19 +649,19 @@ def test_bound_burgers_is_within_four_ulp_of_the_long_double_root():
             assert err <= 4 * np.spacing(1.0), t
 
 
-def test_bound_burgers_restarts_a_backwards_query_from_zero():
-    # levels are a cold binding, and a query for a time before the last
-    # level gives the bits of a fresh binding and goes on as it would; a
-    # warm start lands within roundoff of the cold one
+def test_bound_burgers_levels_depend_on_their_time_alone():
+    # every level starts from the anchors of its time: after any queries,
+    # forwards or backwards, in blocks of any size, a bound reference
+    # gives the bits of a fresh binding, and levels are a fresh binding
     ref = hf.exact_burgers(burgers_wave, burgers_wave_prime, (1.0,))
     x = np.random.default_rng(8).uniform(0.0, 1.0, (300, 3, 1))
     bound = ref.bind(x)
     bound([0.0, 0.01, 0.02])
     bound([0.03, 0.04])
-    warm, cold = bound([0.3]), ref.levels(x, [0.3])
-    assert same_bits(ref.bind(x)([0.3]), cold)
-    assert np.abs(warm - cold).max() <= 4 * np.spacing(1.0)
+    assert same_bits(bound([0.3]), ref.levels(x, [0.3]))
     assert same_bits(bound([0.01, 0.04]), ref.levels(x, [0.01, 0.04]))
-    fresh = ref.bind(x)
-    fresh([0.01, 0.04])
-    assert same_bits(bound([0.05, 0.3]), fresh([0.05, 0.3]))
+    ts = [0.0, 0.013, 0.02, 0.05, 0.3]
+    want = ref.bind(x)(ts)
+    assert same_bits(np.concatenate([bound(ts[3:]), bound(ts[:3])]),
+                     want[[3, 4, 0, 1, 2]])
+    assert same_bits(np.concatenate([bound([t]) for t in ts]), want)
