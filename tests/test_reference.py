@@ -129,6 +129,13 @@ def test_burgers_rejects_past_horizon():
     ref = hf.exact_burgers(burgers_wave, burgers_wave_prime, (1.0,))
     with pytest.raises(HorizonError):
         ref.eval(np.array([[0.1]]), 0.6)
+    # no time without an anchor, nor a constant datum's infinite one
+    constant = hf.exact_burgers(
+        lambda x: np.full(np.asarray(x).shape[:-1] + (1,), 0.4),
+        lambda y: np.zeros_like(np.asarray(y, dtype=float)), (1.0,))
+    for r, t in ((ref, np.nan), (constant, np.nan), (constant, np.inf)):
+        with pytest.raises(HorizonError):
+            r.bind(np.array([[0.1]]))([0.0, t])
 
 
 def _pde_residual(ref, flux_of, x, t, step=1e-5):
