@@ -389,6 +389,7 @@ def build_problem(cfg: dict, n_override=None) -> ProblemSetup:
             f"horizon {ref.valid_until}")
 
     r = _get_float(cfg, "run", "r", 10.0)
+    diag.check_ball(mesh, r)
     return ProblemSetup(mesh=mesh, system=system, scheme=scheme, u0=u0,
                         run_config=run_config, ref=ref, r=r, seed=seed,
                         problem=problem, flux_name=flux_name, n_label=n_label)

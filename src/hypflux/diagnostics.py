@@ -153,9 +153,13 @@ def _accumulate(ledger, mesh, sys, scheme, u_n, u_np1, records, dt,
                           area_xi, signs=(1, -1)).T
     del area_xi
     eta_jump, vol_du, vol_deta = _cell_variation(mesh, u_n, u_np1, *entropies)
-    resid = scales[0] * eta_jump + xi_div
+    # the residual and then its dt/|K| scaling in the jump's buffer
+    resid = np.multiply(eta_jump, scales[0], out=eta_jump)
+    resid += xi_div
     del xi_div, eta_jump
-    top, top_scaled = _worst(resid), _worst(resid * scales[1])
+    top = _worst(resid)
+    resid *= scales[1]
+    top_scaled = _worst(resid)
     del resid
     l1 = (areas * d).sum(axis=-1)
     # per-interface dissipation-gap inequality, slack = gap - bound formed
@@ -211,15 +215,18 @@ def _cell_variation(mesh: Mesh, u_n, u_np1, eta_first, eta_np1):
     """Per-cell time variation of steps on a leading axis, from the
     states' values and entropies, where eta_first is eta(u_n[0]) and the
     states follow on (u_n[j + 1] is u_np1[j]): eta^{n+1} - eta^n,
-    |K| |u^{n+1} - u^n| and |K| |eta^{n+1} - eta^n|."""
+    |K| |u^{n+1} - u^n| and |K| |eta^{n+1} - eta^n|, each scaled by |K|
+    in the buffer of its norm."""
     if u_n.shape[-2] != mesh.n_cells or u_np1.shape[-2] != mesh.n_cells:
         raise ConfigError("state fields do not match the mesh")
-    du = u_np1 - u_n
+    vol_du = axis_norm(u_np1 - u_n)
+    vol_du *= mesh.cell_volumes
     eta_jump = np.empty(eta_np1.shape)
     np.subtract(eta_np1[0], eta_first, out=eta_jump[0])
     np.subtract(eta_np1[1:], eta_np1[:-1], out=eta_jump[1:])
-    return (eta_jump, mesh.cell_volumes * axis_norm(du),
-            mesh.cell_volumes * np.abs(eta_jump))
+    vol_deta = np.abs(eta_jump)
+    vol_deta *= mesh.cell_volumes
+    return eta_jump, vol_du, vol_deta
 
 
 def _worst(values):
@@ -331,7 +338,33 @@ def _relative_entropy_sum(mesh, sys, u, ubar, diff):
 
 def _cell_sq_error(mesh, diff):
     """Per-cell |K| |u_K - ubar_K|^2 from diff = u - ubar."""
-    return mesh.cell_volumes * axis_dot(diff, diff)
+    out = axis_dot(diff, diff)
+    out *= mesh.cell_volumes
+    return out
+
+
+def _mbeta_inside(esq, hnorm, beta0, beta1, n_cells):
+    """Where (beta0/2) esq <= hnorm <= (beta1/2) esq holds, up to the
+    rounding of the two sums over n_cells cells: a few ulp per cell term
+    and one per level of the pairwise sum, that is (8 + log2 n_cells) ulp
+    of the upper bound.  A NaN or infinite sum lies outside."""
+    hi = 0.5 * beta1 * esq
+    tol = (8.0 + math.log2(n_cells)) * np.finfo(float).eps * hi
+    with np.errstate(invalid="ignore"):  # inf - inf, which lies outside
+        return (0.5 * beta0 * esq - tol <= hnorm) & (hnorm <= hi + tol)
+
+
+def check_ball(mesh: Mesh, r: float, dist=None) -> None:
+    """Raise ConfigError unless some cell centroid lies in B(0, r), at the
+    periodic minimum-image distances `dist` of the centroids to the
+    origin.  They are formed only when not given and r is below half the
+    box's diagonal, which bounds every such distance."""
+    if dist is None:
+        if r >= 0.5 * math.hypot(*mesh.domain):
+            return
+        dist = mesh.periodic_distance_to_origin(mesh.cell_centroids)
+    if not (dist <= r).any():
+        raise ConfigError("no cell centroid lies in the requested ball")
 
 
 class ErrorFold:
@@ -339,16 +372,21 @@ class ErrorFold:
     the error functionals, the ledger (`accumulate_block`) and the masses.
 
     Cells count as inside a ball when their centroid is (periodic
-    minimum-image distance).  The measure masses mu_T and mu_bar_T on
+    minimum-image distance); a ball that holds no centroid is rejected at
+    construction (`check_ball`).  The measure masses mu_T and mu_bar_T on
     B(0, r) are ball-masked sums of the per-cell time variation that
     `accumulate_block` returns.  With a reference, its cell means at the
     time levels t^n of a block are evaluated in one call; per level,
-    u^n - ubar^n and |K| |u^n - ubar^n|^2 are formed once and shared by
-    the shrinking-cone L2 error (`cone`), the relative-entropy series and
-    the M-beta bracket (`mbeta_ok`), as row reductions over the block,
-    folded in step order.  `finish(trajectory)` adds the projection masses
-    mu_0, mu_bar_0 of the first state and the level at the final time.
-    Time sums use the left-endpoint rule.
+    u^n - ubar^n and the squared error |K| |u^n - ubar^n|^2 are formed
+    once, as row reductions over the block folded in step order.  The
+    squared error gives the shrinking-cone L2 error (`cone`) and, for a
+    system whose entropy is (beta/2)|u|^2 (`quadratic_entropy`), the
+    relative-entropy series entry (beta/2) sum |K| |u^n - ubar^n|^2, with
+    the bits of sum |K| H; other systems sum their closed-form H.  Both
+    sums feed the M-beta bracket (`mbeta_ok`, `_mbeta_inside`).
+    `finish(trajectory)` adds the projection masses mu_0, mu_bar_0 of the
+    first state and the level at the final time.  Time sums use the
+    left-endpoint rule.
 
     A block runs the records part of the march's own binding
     (`StepBlock.kernel`) once on the block's update, which it takes over:
@@ -375,6 +413,7 @@ class ErrorFold:
         self.u0, self.r, self.T, self.lf = u0, r, T, lf
         self.reference, self.quadrature = reference, quadrature
         dist = mesh.periodic_distance_to_origin(mesh.cell_centroids)
+        check_ball(mesh, r, dist)
         self.ball = dist <= r
         # a ball over every cell needs no selection, which copies nothing;
         # the cell ids of a smaller ball gather C-ordered rows (a boolean
@@ -478,27 +517,29 @@ class ErrorFold:
         for t in ts:
             if t > self.reference.valid_until * (1 + 1e-12):
                 raise ConfigError(f"reference not valid at t={t}")
+        sys = self.sys
         ubars = reference_level_means(self.mesh, self._bound, ts,
                                       self.quadrature)
         diff = states - ubars
-        hnorm = _relative_entropy_sum(self.mesh, self.sys, states, ubars,
-                                      diff)
+        if sys.quadratic_entropy is None:
+            hnorm = _relative_entropy_sum(self.mesh, sys, states, ubars,
+                                          diff)
         del ubars
         cell_sq = _cell_sq_error(self.mesh, diff)
+        del diff
         esq = cell_sq.sum(axis=-1)
+        if sys.quadratic_entropy is not None:
+            # (beta/2) sum |K| |u - ubar|^2: a power-of-two scale of each
+            # term (beta = 1, 2) gives the bits of the sum of |K| H
+            hnorm = (0.5 * sys.quadratic_entropy) * esq
         self.ledger.rel_entropy_series.extend(zip(ts, hnorm.tolist()))
-        # max(1, esq) as Python's max takes it, 1 for a NaN
-        tol = 1e-10 * np.where(esq > 1.0, esq, 1.0) + 1e-10 * np.abs(hnorm)
-        inside = ((0.5 * self.sys.beta0 * esq - tol <= hnorm)
-                  & (hnorm <= 0.5 * self.sys.beta1 * esq + tol))
-        self.mbeta_ok = self.mbeta_ok and bool(inside.all())
+        self.mbeta_ok = self.mbeta_ok and bool(_mbeta_inside(
+            esq, hnorm, sys.beta0, sys.beta1, self.mesh.n_cells).all())
         return cell_sq, esq
 
     def finish(self, trajectory):
         """Add the projection masses and the final level of a finished
         run, then release the run's bindings."""
-        if not np.any(self.ball):
-            raise ConfigError("no cell centroid lies in the requested ball")
         self.ledger.mu0_mass, self.ledger.mu_bar0_mass = projection_masses(
             self.mesh, self.sys, self.u0, trajectory.snapshots[0][1],
             self.ball)

@@ -64,6 +64,9 @@ class Mesh:
         self._scatter_columns = _scatter_columns(
             slots, self.cell_iface_offsets, self.n_interfaces)
         del slots
+        # r when iface_left is each cell id repeated r times in order (the
+        # built meshes: r = 1 on a segment, 2 on a quad grid), else None
+        self._left_repeats = _repeat_count(self.iface_left, self.n_cells)
         # (n_cells, k, d) vertex coordinates, for the cell diameters and the
         # tensor quadrature; a 2D mesh without them is rejected below.
         self.cell_vertices = (None if cell_vertices is None
@@ -110,6 +113,30 @@ class Mesh:
         ids.setflags(write=False)
         return ids
 
+    def gather_left(self, u, out=None):
+        """u.take(iface_left, axis=0), in `out` or a new array: the rows of
+        each interface's left cell.
+
+        Where iface_left repeats each cell r times in order, as on the
+        built meshes, the rows are copied without an index: one copy of u
+        for r = 1, and for one-column states r copies of u side by side,
+        whose (n_cells, r) rows are the interface rows in order.  Both
+        copy the rows that `take` copies, and faster; the rest gathers
+        with `take`.
+        """
+        r = self._left_repeats
+        if out is None:
+            out = np.empty((self.n_interfaces,) + u.shape[1:], u.dtype)
+        if r == 1:
+            np.copyto(out, u)
+        elif r is not None and u.shape[1:] == (1,) and out.flags.c_contiguous:
+            np.concatenate([u] * r, axis=1, out=out.reshape(self.n_cells, r))
+        else:
+            # the mesh's indices are in range, and a clipped take writes
+            # into `out` without a buffer
+            u.take(self.iface_left, axis=0, out=out, mode="clip")
+        return out
+
     def scatter(self, base, to_left, to_right, signs=(1, 1), out=None):
         """base plus, per cell, the interface values of its faces, each
         side's values added (sign 1) or subtracted (sign -1), in a new
@@ -118,10 +145,12 @@ class Mesh:
         Adds in the order of np.add.at(base, iface_left, signs[0] * to_left)
         followed by np.add.at(base, iface_right, signs[1] * to_right), so
         the sums are the same bit for bit: x - y is x + (-y) in IEEE
-        arithmetic.  One-sided columns gather from `to_left` or `to_right`
-        directly; a mesh with a mixed column gathers from the stack of
-        both sides' signed values and -0.0, whose padding changes no
-        float.  The gathers use `take`, which on a (n, m) array is several
+        arithmetic.  One-sided columns read `to_left` or `to_right`
+        directly; a mesh with a mixed column reads the stack of both
+        sides' signed values and -0.0, whose padding changes no float.  A
+        column whose rows step evenly (each left column of a built mesh)
+        is a basic slice, which reads its rows as a view; the other
+        columns gather with `take`, which on a (n, m) array is several
         times faster than fancy indexing and copies the same rows.
         """
         cols = self._scatter_columns
@@ -131,14 +160,17 @@ class Mesh:
                 [x if sign > 0 else -x for x, sign in zip(sources, signs)]
                 + [np.full((1,) + to_left.shape[1:], -0.0)]))
             signs.append(1)
-        (src, col), *rest = cols
-        vals = sources[src].take(col, axis=0)
-        out = (np.add if signs[src] > 0 else np.subtract)(base, vals, out=out)
-        for src, col in rest:
-            if signs[src] > 0:
-                out += sources[src].take(col, axis=0)
+        for k, (src, col) in enumerate(cols):
+            vals = (sources[src][col] if isinstance(col, slice)
+                    else sources[src].take(col, axis=0))
+            if k == 0:
+                out = (np.add if signs[src] > 0 else np.subtract)(
+                    base, vals, out=out)
+            elif signs[src] > 0:
+                out += vals
             else:
-                out -= sources[src].take(col, axis=0)
+                out -= vals
+            del vals
         return out
 
     def _max_diameter(self):
@@ -171,8 +203,12 @@ def _csr_slots(ends):
 def _scatter_columns(slots, offsets, n):
     """Columns of the (n_cells, k) table of the CSR rows `slots` (with
     their `offsets`, on a mesh of n interfaces), each as (source, rows),
-    where rows is a contiguous intp array (the index type of `take`,
-    which then converts nothing).
+    where rows is a basic slice when its ids step evenly (`_as_slice`) and
+    otherwise the column's row of the table, a contiguous intp array (the
+    index type of `take`, which then converts nothing).  The table is
+    kept whole: copying the index rows out of it, to free the slices'
+    rows, made building and validating a 128 x 128 mesh about 0.5 ms
+    slower.
 
     Row K of the table is the CSR row of K as slots into [left values;
     right values], padded with the index of a -0.0 row after them.  When
@@ -188,10 +224,36 @@ def _scatter_columns(slots, offsets, n):
     table = np.full((counts.max(), n_cells), slots.size, np.intp)
     table[rank, np.repeat(np.arange(n_cells), counts)] = slots
     right = ((table >= n) & (table < 2 * n)).all(axis=1)
-    if not ((table < n).all(axis=1) | right).all():
-        return tuple((2, col) for col in table)
-    table[right] -= n
-    return tuple(zip(right.astype(int).tolist(), table))
+    if ((table < n).all(axis=1) | right).all():
+        table[right] -= n
+        sources = right.astype(int).tolist()
+    else:
+        sources = [2] * len(table)
+    slices = [_as_slice(col) for col in table]
+    return tuple((src, col if cut is None else cut)
+                 for src, col, cut in zip(sources, table, slices))
+
+
+def _as_slice(ids):
+    """The basic slice that selects `ids`, when they step by a positive
+    constant (n >= 1 entries), else None."""
+    start = int(ids[0])
+    step = int(ids[1]) - start if ids.size > 1 else 1
+    stop = start + step * ids.size
+    if step < 1 or int(ids[-1]) != stop - step:
+        return None
+    if not np.array_equal(ids, np.arange(start, stop, step)):
+        return None
+    return slice(start, stop, step)
+
+
+def _repeat_count(ids, n):
+    """r when `ids` is each of range(n) repeated r times in order, else
+    None."""
+    if n == 0 or ids.size % n:
+        return None
+    r = ids.size // n
+    return r if (ids.reshape(n, r) == np.arange(n)[:, None]).all() else None
 
 
 # ---------------------------------------------------------------------------

@@ -118,11 +118,30 @@ def tensor_gauss_quadrature(mesh: Mesh, rule, cells=slice(None)):
                     (1 + s) * (1 + t), (1 - s) * (1 + t)], axis=0) / 4.0
     d_s = np.stack([-(1 - t), (1 - t), (1 + t), -(1 + t)], axis=0) / 4.0
     d_t = np.stack([-(1 - s), -(1 + s), (1 + s), (1 - s)], axis=0) / 4.0
-    pts = np.einsum("qp,nqi->npi", shp, verts)
-    xs = np.einsum("qp,nqi->npi", d_s, verts)
-    xt = np.einsum("qp,nqi->npi", d_t, verts)
+    pts, scratch = _corner_sum(shp, verts)
+    pts = np.ascontiguousarray(pts)
+    xs, _ = _corner_sum(d_s, verts, scratch)
+    xt, _ = _corner_sum(d_t, verts, scratch)
     jac = np.abs(xs[..., 0] * xt[..., 1] - xs[..., 1] * xt[..., 0])
     return pts, jac * w[None, :]
+
+
+def _corner_sum(coeffs, verts, scratch=None):
+    """sum_q coeffs[q, p] verts[n, q, i] over the corners q in order, as
+    (n, p, i); the bits of np.einsum("qp,nqi->npi", coeffs, verts), which
+    adds the same products in the same order.
+
+    The sum runs on an (n, i, p) array, whose last axis is long, and is
+    returned as its transposed view; `scratch` is a buffer of that shape
+    for the products, which is returned for the next call.
+    """
+    corners = verts.transpose(0, 2, 1)[..., None]  # (n, i, q, 1)
+    out = corners[:, :, 0] * coeffs[0]
+    if scratch is None:
+        scratch = np.empty_like(out)
+    for q in range(1, len(coeffs)):
+        out += np.multiply(corners[:, :, q], coeffs[q], out=scratch)
+    return out.transpose(0, 2, 1), scratch
 
 
 def cell_means(mesh: Mesh, fn, quadrature: str = "midpoint"):
@@ -202,7 +221,7 @@ def interface_flux_records(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
                            field: StateField) -> InterfaceFluxRecords:
     """Evaluate every interface flux once for the given state."""
     u = field.values
-    return scheme.kernel(u.take(mesh.iface_left, axis=0),
+    return scheme.kernel(mesh.gather_left(u),
                          u.take(mesh.iface_right, axis=0), mesh.iface_normals)
 
 
@@ -284,7 +303,7 @@ def march_blocks(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
                 # writes into `out` without a buffer
                 out = (None, None) if rows is None else (rows[1][j], rows[2][j])
                 update = kernel.update(
-                    u.take(mesh.iface_left, axis=0, out=out[0], mode="clip"),
+                    mesh.gather_left(u, out=out[0]),
                     u.take(mesh.iface_right, axis=0, out=out[1], mode="clip"))
                 flux = areas * update.g_value
                 # the right cells' share in the buffer of the flux

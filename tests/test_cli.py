@@ -1114,3 +1114,35 @@ def test_advection2d_lambda_star_is_one_value_over_seeds():
     cfg = cli.load_config(os.path.join(CONFIG_DIR, "advection2d.ini"))
     lams = set(_lambda_star_over_seeds(cfg, "run", range(60)))
     assert lams == {2.2816149727807793}
+
+
+@pytest.mark.parametrize("r", ["-1", "nan", "1e-4"])
+def test_ball_without_a_centroid_is_validation_error(tmp_path, monkeypatch,
+                                                     capsys, r):
+    # the Godunov Burgers run at 1024 cells, whose nearest centroid lies
+    # 4.9e-4 from the origin: validate rejects the ball, and run rejects it
+    # before its first step (it used to run every step and fail in
+    # ErrorFold.finish)
+    text = _shipped("burgers1d.ini")
+    for old, new in (("n_cells = 128", "n_cells = 1024"),
+                     ("name = rusanov", "name = godunov"),
+                     ("r = 10.0", f"r = {r}")):
+        assert old in text
+        text = text.replace(old, new)
+    path = write(tmp_path, "ball.ini", text)
+    marched = []
+    march = hf.solver.march_blocks
+    monkeypatch.setattr(hf.solver, "march_blocks",
+                        lambda *a, **k: (marched.append(1), march(*a, **k))[1])
+    assert cli.validate_only(path) == cli.EXIT_VALIDATION
+    assert cli.run_single(path, output_dir=str(tmp_path / "o")) == \
+        cli.EXIT_VALIDATION
+    assert marched == []
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["validation error: no cell centroid lies in the "
+                   "requested ball"] * 2
+    # the default radius holds every centroid, and the run marches
+    ok = write(tmp_path, "ok.ini", text.replace(f"r = {r}", "r = 10.0")
+               .replace("t = 0.2", "t = 0.002"))
+    assert cli.run_single(ok, output_dir=str(tmp_path / "ok")) == cli.EXIT_OK
+    assert marched == [1]

@@ -12,7 +12,7 @@ from hypflux import diagnostics as diag
 from hypflux.errors import ConfigError
 from hypflux.systems import SCRATCH_ENTRIES
 
-from conftest import SCRATCH_BYTES, fresh_maxrss, traced_peak
+from conftest import SCRATCH_BYTES, fresh_maxrss, same_bits, traced_peak
 
 
 def burgers_wave(x):
@@ -736,3 +736,124 @@ def test_fold_binds_its_reference_once_and_finish_releases_it():
     got, want = (np.array(f.ledger.rel_entropy_series) for f in folds)
     assert np.array_equal(got[:, 0], want[:, 0])
     assert np.abs(got[:, 1] - want[:, 1]).max() <= 1e-15 * want[:, 1].max()
+
+
+# ---------------------------------------------------------------------------
+# the relative-entropy series against its oracles
+# ---------------------------------------------------------------------------
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+def _shipped_runs_with_reference():
+    """(label, cfg, n_override) of every run of a shipped config that has
+    a reference: each run config, and each level of the study spec."""
+    from hypflux import cli
+    runs = []
+    for name in sorted(os.listdir(CONFIG_DIR)):
+        cfg = cli.load_config(os.path.join(CONFIG_DIR, name))
+        if "study" in cfg:
+            for n in cli._parse_levels(cfg):
+                runs.append((f"{name}:{n}", cli._study_to_run_config(cfg), n))
+        elif cli.build_problem(cfg).ref is not None:
+            runs.append((name, cfg, None))
+    return runs
+
+
+def _series_levels(cfg, n_override=None):
+    """The run of `cfg`, folded as `execute_run` folds it: (setup, its
+    relative-entropy series, the states of its levels, the reference
+    means there as the fold's binding gives them)."""
+    from hypflux import cli
+    setup = cli.build_problem(cfg, n_override)
+    rc = dataclasses.replace(setup.run_config, record_every=1)
+    fold = hf.ErrorFold(hf.DiagnosticsLedger(), setup.mesh, setup.system,
+                        setup.scheme, setup.u0, setup.r, rc.final_time,
+                        setup.system.lf, setup.ref, rc.quadrature)
+    traj = hf.run(setup.mesh, setup.system, setup.scheme, setup.u0, rc,
+                  [fold])
+    fold.finish(traj)
+    series = fold.ledger.rel_entropy_series
+    ts = [t for t, _ in traj.snapshots]
+    assert [t for t, _ in series] == ts
+    ubars = diag.reference_level_means(
+        setup.mesh, diag.bind_reference(setup.mesh, setup.ref,
+                                        rc.quadrature), ts)
+    states = np.stack([fld.values for _, fld in traj.snapshots])
+    return setup, np.array([h for _, h in series]), states, ubars
+
+
+@pytest.mark.parametrize("name", ["advection2d.ini", "burgers1d.ini",
+                                  "friedrichs1d.ini"])
+def test_quadratic_series_matches_relative_entropy_terms_bitwise(name):
+    # advection, Burgers (beta = 1) and Friedrichs (beta = 2): the series
+    # is (beta/2) sum |K| |u - ubar|^2, with the bits of the sum of |K| H
+    # from relative_entropy_terms at every level
+    from hypflux import cli
+    setup, got, u, ubar = _series_levels(
+        cli.load_config(os.path.join(CONFIG_DIR, name)))
+    sysm = setup.system
+    assert sysm.quadratic_entropy == sysm.beta0 == sysm.beta1
+    want = diag._relative_entropy_sum(setup.mesh, sysm, u, ubar, u - ubar)
+    assert got.size > 30 and (got[1:] > 0).all()
+    assert same_bits(got, want)
+
+
+def test_series_within_1e14_of_long_double():
+    # every entry of every shipped series against sum |K| H in long
+    # double, on the same double states and reference means
+    ld = np.longdouble
+    if np.finfo(ld).eps >= np.finfo(float).eps:
+        pytest.skip("np.longdouble is plain double on this platform")
+    from hypflux.systems import relative_entropy_terms
+    runs = _shipped_runs_with_reference()
+    assert [label for label, *_ in runs] == [
+        "advection2d.ini", "burgers1d.ini", "burgers1d_study.ini:32",
+        "burgers1d_study.ini:64", "burgers1d_study.ini:128",
+        "burgers1d_study.ini:256", "constant.ini", "friedrichs1d.ini"]
+    for label, cfg, n in runs:
+        setup, got, u, ubar = _series_levels(cfg, n)
+        u, ubar = u.astype(ld), ubar.astype(ld)
+        want = (setup.mesh.cell_volumes.astype(ld)
+                * relative_entropy_terms(setup.system, u, ubar, u - ubar)
+                ).sum(axis=-1)
+        err = np.abs(got.astype(ld) - want)
+        assert (err <= 1e-14 * np.abs(want)).all(), (label, err.max())
+
+
+def test_mbeta_tolerance_is_relative():
+    # at esq = 1e-12 a bracket miss of 5e-11 is outside; the absolute
+    # floor of 1e-10 that the tolerance had took it in.  A few ulp are
+    # inside, NaN and inf are outside
+    esq = np.array([1e-12])
+    for beta in (1.0, 2.0):
+        exact = 0.5 * beta * esq
+        assert diag._mbeta_inside(esq, exact, beta, beta, 128).all()
+        for miss in (5e-11, -5e-11):
+            assert not diag._mbeta_inside(esq, exact + miss, beta, beta,
+                                          128).any()
+        near = exact * (1 + 4 * np.finfo(float).eps)
+        assert diag._mbeta_inside(esq, near, beta, beta, 128).all()
+    # a two-sided bracket, as shallow water's
+    assert diag._mbeta_inside(esq, 0.5 * esq, 0.8, 1.2, 128).all()
+    assert not diag._mbeta_inside(esq, 0.7 * esq, 0.8, 1.2, 128).any()
+    for bad in (np.nan, np.inf):
+        assert not diag._mbeta_inside(esq, np.array([bad]), 1.0, 1.0,
+                                      128).any()
+        assert not diag._mbeta_inside(np.array([bad]), np.array([1.0]), 1.0,
+                                      1.0, 128).any()
+
+
+@pytest.mark.parametrize("r", [-1.0, math.nan, 1e-4])
+def test_fold_rejects_a_ball_without_a_centroid(burgers_sys, burgers_rusanov,
+                                                r):
+    # at construction, before any block: the nearest centroid of the
+    # 1024-cell line lies 4.9e-4 from the origin
+    mesh = hf.build_uniform_1d(1024, 1.0)
+    ref = hf.exact_burgers(burgers_wave, burgers_wave_prime, (1.0,))
+    with pytest.raises(ConfigError, match="no cell centroid"):
+        hf.ErrorFold(hf.DiagnosticsLedger(), mesh, burgers_sys,
+                     burgers_rusanov, burgers_wave, r, 0.1, 1.0, ref)
+    with pytest.raises(ConfigError, match="no cell centroid"):
+        diag.check_ball(mesh, r)
+    diag.check_ball(mesh, 5e-4)

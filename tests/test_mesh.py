@@ -207,14 +207,81 @@ def test_scatter_matches_add_at_bitwise(m):
         == [0, 1]
 
 
+def _permuted(mesh, seed):
+    """`mesh` with its interfaces in a random order."""
+    perm = np.random.default_rng(seed).permutation(mesh.n_interfaces)
+    return hf.Mesh(mesh.dim, mesh.domain, mesh.cell_volumes,
+                   mesh.cell_centroids, mesh.iface_left[perm],
+                   mesh.iface_right[perm], mesh.iface_areas[perm],
+                   mesh.iface_normals[perm], "permuted",
+                   cell_vertices=mesh.cell_vertices)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_slice_columns_scatter_like_add_at(m):
+    # the left columns of built segments and quads are slices; with the
+    # interfaces permuted no column is, and every column gathers.  Both
+    # add like np.add.at bit for bit
+    rng = np.random.default_rng(10 + m)
+    quad = hf.build_perturbed_quad_2d(7, 5, 1.0, 1.3, 0.2, 4)
+    line = hf.build_uniform_1d(9, 1.0)
+    cases = [(quad, [slice(0, 70, 2), slice(1, 71, 2), None, None]),
+             (line, [slice(0, 9, 1), None]),
+             (_permuted(quad, 1), [None] * 4), (_permuted(line, 2), [None] * 2)]
+    for mesh, cuts in cases:
+        cols = mesh._scatter_columns
+        assert [c if isinstance(c, slice) else None for _, c in cols] == cuts
+        base = rng.standard_normal((mesh.n_cells, m))
+        to_left = rng.standard_normal((mesh.n_interfaces, m))
+        to_right = rng.standard_normal((mesh.n_interfaces, m))
+        to_left[::3] = -0.0
+        for signs in SIGNS:
+            ref = base.copy()
+            np.add.at(ref, mesh.iface_left, _signed(to_left, signs[0]))
+            np.add.at(ref, mesh.iface_right, _signed(to_right, signs[1]))
+            assert same_bits(mesh.scatter(base, to_left, to_right, signs), ref)
+            # a column-major view of the values, as the ledger scatters
+            left_f = np.asfortranarray(to_left)
+            assert same_bits(mesh.scatter(base, left_f, to_right, signs), ref)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_gather_left_matches_take(m):
+    # repeated rows on the built meshes (each cell twice on a quad grid,
+    # once on a segment), take on a permuted mesh: the rows of
+    # u.take(iface_left), in a new array or in `out`, which may be a
+    # strided view
+    rng = np.random.default_rng(m)
+    quad = hf.build_perturbed_quad_2d(7, 5, 1.0, 1.3, 0.2, 4)
+    line = hf.build_uniform_1d(9, 1.0)
+    for mesh, r in ((quad, 2), (line, 1), (_permuted(quad, 3), None),
+                    (_permuted(line, 4), None)):
+        assert mesh._left_repeats == r
+        u = rng.standard_normal((mesh.n_cells, m))
+        u[::4] = -0.0
+        want = u.take(mesh.iface_left, axis=0)
+        got = mesh.gather_left(u)
+        assert same_bits(got, want) and not np.shares_memory(got, u)
+        rows = np.full((2, mesh.n_interfaces, m), np.nan)
+        row = rows[1]
+        assert mesh.gather_left(u, out=row) is row
+        assert same_bits(rows[1], want) and np.isnan(rows[0]).all()
+        strided = np.full((mesh.n_interfaces, 2 * m), np.nan)[:, ::2]
+        assert mesh.gather_left(u, out=strided) is strided
+        assert same_bits(strided, want)
+
+
 def test_scatter_matches_add_at_special_values_m2():
     # m = 2 states with signed zeros, infinities, NaN and overflow, on a
-    # jittered mesh and with a Fortran-ordered base; the gathers read
-    # cached contiguous intp columns
+    # jittered mesh and with a Fortran-ordered base; the two left columns
+    # read slice views, the two right ones gather at contiguous intp rows
+    # of the cached table
     mesh = hf.build_perturbed_quad_2d(9, 7, 1.0, 0.8, 0.2, 11)
     cols = mesh._scatter_columns
     assert [src for src, _ in cols] == [0, 0, 1, 1]
-    assert all(c.dtype == np.intp and c.flags.c_contiguous for _, c in cols)
+    assert [c for _, c in cols[:2]] == [slice(0, 126, 2), slice(1, 127, 2)]
+    assert all(c.dtype == np.intp and c.flags.c_contiguous
+               for _, c in cols[2:])
     rng = np.random.default_rng(2)
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308,
                         5e-324, 1.5, -2.25])

@@ -9,6 +9,8 @@ import hypflux as hf
 from hypflux import diagnostics, solver
 from hypflux.errors import AdmissibilityError, ConfigError
 
+from conftest import same_bits
+
 
 def sine_u0(x):
     x = np.asarray(x, dtype=float)
@@ -67,6 +69,40 @@ def test_project_gauss3_quadratic_2d():
         pts, wts = solver.tensor_gauss_quadrature(mesh, rule)
         mean = (wts * pts[..., 0] ** 2).sum(axis=1) / mesh.cell_volumes
         assert mean[0] == pytest.approx((1.0 / 3.0) ** 2 / 3.0, rel=1e-13)
+
+
+def _einsum_quadrature(mesh, rule, cells=slice(None)):
+    """The 2D tensor rule with its bilinear map as three np.einsum calls,
+    as `tensor_gauss_quadrature` formed it before its ordered corner
+    sums."""
+    nodes, weights = rule
+    verts = mesh.cell_vertices[cells]
+    s, t = np.meshgrid(nodes, nodes, indexing="ij")
+    ws, wt = np.meshgrid(weights, weights, indexing="ij")
+    s, t, w = s.ravel(), t.ravel(), (ws * wt).ravel()
+    shp = np.stack([(1 - s) * (1 - t), (1 + s) * (1 - t),
+                    (1 + s) * (1 + t), (1 - s) * (1 + t)], axis=0) / 4.0
+    d_s = np.stack([-(1 - t), (1 - t), (1 + t), -(1 + t)], axis=0) / 4.0
+    d_t = np.stack([-(1 - s), -(1 + s), (1 + s), (1 - s)], axis=0) / 4.0
+    pts = np.einsum("qp,nqi->npi", shp, verts)
+    xs = np.einsum("qp,nqi->npi", d_s, verts)
+    xt = np.einsum("qp,nqi->npi", d_t, verts)
+    jac = np.abs(xs[..., 0] * xt[..., 1] - xs[..., 1] * xt[..., 0])
+    return pts, jac * w[None, :]
+
+
+def test_quadrature_map_matches_einsum_bitwise():
+    # the corner sums add the einsum's products in its order: the same
+    # points and weights bit for bit, on all cells and on a slice, and
+    # the points C-ordered as the einsum gave them
+    mesh = hf.build_perturbed_quad_2d(9, 7, 1.0, 0.8, 0.2, 5)
+    for rule in (solver._GAUSS3, diagnostics._GAUSS4):
+        for cells in (slice(None), slice(10, 33)):
+            got = solver.tensor_gauss_quadrature(mesh, rule, cells)
+            want = _einsum_quadrature(mesh, rule, cells)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.flags.c_contiguous
+                assert same_bits(a, b)
 
 
 def test_project_rejects_inadmissible():
