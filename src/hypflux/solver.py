@@ -118,30 +118,26 @@ def tensor_gauss_quadrature(mesh: Mesh, rule, cells=slice(None)):
                     (1 + s) * (1 + t), (1 - s) * (1 + t)], axis=0) / 4.0
     d_s = np.stack([-(1 - t), (1 - t), (1 + t), -(1 + t)], axis=0) / 4.0
     d_t = np.stack([-(1 - s), -(1 + s), (1 + s), (1 - s)], axis=0) / 4.0
-    pts, scratch = _corner_sum(shp, verts)
-    pts = np.ascontiguousarray(pts)
-    xs, _ = _corner_sum(d_s, verts, scratch)
-    xt, _ = _corner_sum(d_t, verts, scratch)
+    pts = np.ascontiguousarray(_corner_sum(shp, verts))
+    xs = _corner_sum(d_s, verts)
+    xt = _corner_sum(d_t, verts)
     jac = np.abs(xs[..., 0] * xt[..., 1] - xs[..., 1] * xt[..., 0])
     return pts, jac * w[None, :]
 
 
-def _corner_sum(coeffs, verts, scratch=None):
+def _corner_sum(coeffs, verts):
     """sum_q coeffs[q, p] verts[n, q, i] over the corners q in order, as
     (n, p, i); the bits of np.einsum("qp,nqi->npi", coeffs, verts), which
     adds the same products in the same order.
 
     The sum runs on an (n, i, p) array, whose last axis is long, and is
-    returned as its transposed view; `scratch` is a buffer of that shape
-    for the products, which is returned for the next call.
+    returned as its transposed view.
     """
     corners = verts.transpose(0, 2, 1)[..., None]  # (n, i, q, 1)
     out = corners[:, :, 0] * coeffs[0]
-    if scratch is None:
-        scratch = np.empty_like(out)
     for q in range(1, len(coeffs)):
-        out += np.multiply(corners[:, :, q], coeffs[q], out=scratch)
-    return out.transpose(0, 2, 1), scratch
+        out += corners[:, :, q] * coeffs[q]
+    return out.transpose(0, 2, 1)
 
 
 def cell_means(mesh: Mesh, fn, quadrature: str = "midpoint"):

@@ -274,8 +274,8 @@ def test_gather_left_matches_take(m):
 def test_scatter_matches_add_at_special_values_m2():
     # m = 2 states with signed zeros, infinities, NaN and overflow, on a
     # jittered mesh and with a Fortran-ordered base; the two left columns
-    # read slice views, the two right ones gather at contiguous intp rows
-    # of the cached table
+    # read slice views, the two right ones gather at cached contiguous
+    # intp columns
     mesh = hf.build_perturbed_quad_2d(9, 7, 1.0, 0.8, 0.2, 11)
     cols = mesh._scatter_columns
     assert [src for src, _ in cols] == [0, 0, 1, 1]
@@ -459,10 +459,11 @@ def test_quad_builder_scratch_is_bounded():
 
 
 def test_quad_mesh_keeps_only_what_a_step_reads():
-    # at 128 x 128 the mesh keeps 13.0 chunks: the per-cell and
-    # per-interface arrays, the CSR offsets and the scatter table's 4
-    # columns.  It kept 17.0 while it also stored the CSR ids and their
-    # slots (2E integers each), which no step reads
+    # at 128 x 128 the mesh keeps 12.0 chunks: the per-cell and
+    # per-interface arrays, the CSR offsets and the scatter table's 2
+    # index columns (its 2 left columns are slices).  It kept 13.0 while
+    # every column was an index array, and 17.0 while it also stored the
+    # CSR ids and their slots (2E integers each), which no step reads
     mesh, _, kept = traced_peak(hf.build_perturbed_quad_2d, 128, 128, 1.0,
                                 1.0, 0.15, 1)
     assert mesh.n_interfaces * 8 == SCRATCH_BYTES
