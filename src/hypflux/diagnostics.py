@@ -372,17 +372,22 @@ class ErrorFold:
     the error functionals, the ledger (`accumulate_block`) and the masses.
 
     Cells count as inside a ball when their centroid is (periodic
-    minimum-image distance); a ball that holds no centroid is rejected at
-    construction (`check_ball`).  The measure masses mu_T and mu_bar_T on
+    minimum-image distance).  A fold given u0 folds the masses on
+    B(0, r) and rejects at construction a ball that holds no centroid
+    (`check_ball`); without u0 (`cone_l2_error`) only the cones
+    B(0, r + lf (T - t)) are read, and r may be any radius.  The measure
+    masses mu_T and mu_bar_T on
     B(0, r) are ball-masked sums of the per-cell time variation that
     `accumulate_block` returns.  With a reference, its cell means at the
     time levels t^n of a block are evaluated in one call; per level,
     u^n - ubar^n and the squared error |K| |u^n - ubar^n|^2 are formed
     once, as row reductions over the block folded in step order.  The
     squared error gives the shrinking-cone L2 error (`cone`) and, for a
-    system whose entropy is (beta/2)|u|^2 (`quadratic_entropy`), the
-    relative-entropy series entry (beta/2) sum |K| |u^n - ubar^n|^2, with
-    the bits of sum |K| H; other systems sum their closed-form H.  Both
+    system with beta0 = beta1 = beta, whose M-beta bounds make H(v, u) =
+    (beta/2)|v - u|^2, the relative-entropy series entry (beta/2) sum |K|
+    |u^n - ubar^n|^2; for beta = 1 or 2 (advection, Burgers, Friedrichs)
+    a power-of-two scale of each term gives the bits of sum |K| H.  Other
+    systems sum their closed-form H.  Both
     sums feed the M-beta bracket (`mbeta_ok`, `_mbeta_inside`).
     `finish(trajectory)` adds the projection masses mu_0, mu_bar_0 of the
     first state and the level at the final time.  Time sums use the
@@ -413,7 +418,8 @@ class ErrorFold:
         self.u0, self.r, self.T, self.lf = u0, r, T, lf
         self.reference, self.quadrature = reference, quadrature
         dist = mesh.periodic_distance_to_origin(mesh.cell_centroids)
-        check_ball(mesh, r, dist)
+        if u0 is not None:  # the masses: mu_0 needs a cell in B(0, r)
+            check_ball(mesh, r, dist)
         self.ball = dist <= r
         # a ball over every cell needs no selection, which copies nothing;
         # the cell ids of a smaller ball gather C-ordered rows (a boolean
@@ -521,17 +527,18 @@ class ErrorFold:
         ubars = reference_level_means(self.mesh, self._bound, ts,
                                       self.quadrature)
         diff = states - ubars
-        if sys.quadratic_entropy is None:
+        quadratic = sys.beta0 == sys.beta1
+        if not quadratic:
             hnorm = _relative_entropy_sum(self.mesh, sys, states, ubars,
                                           diff)
         del ubars
         cell_sq = _cell_sq_error(self.mesh, diff)
         del diff
         esq = cell_sq.sum(axis=-1)
-        if sys.quadratic_entropy is not None:
+        if quadratic:
             # (beta/2) sum |K| |u - ubar|^2: a power-of-two scale of each
             # term (beta = 1, 2) gives the bits of the sum of |K| H
-            hnorm = (0.5 * sys.quadratic_entropy) * esq
+            hnorm = (0.5 * sys.beta0) * esq
         self.ledger.rel_entropy_series.extend(zip(ts, hnorm.tolist()))
         self.mbeta_ok = self.mbeta_ok and bool(_mbeta_inside(
             esq, hnorm, sys.beta0, sys.beta1, self.mesh.n_cells).all())
@@ -593,8 +600,9 @@ def cone_l2_error(mesh: Mesh, sys: SystemModel, trajectory, reference,
 
     sum_n dt sum_{K: centroid in B(0, r + lf (T - t^n))} |K| |u_K^n - ubar_K(t^n)|^2
     with left-endpoint time quadrature on [0, T); on periodic problems
-    with r large the ball covers the whole box.  `ErrorFold` over a
-    trajectory recorded at every step.
+    with r large the ball covers the whole box.  B(0, r) itself may hold
+    no centroid (r = 0 takes the cone B(0, lf (T - t^n))).  `ErrorFold`
+    over a trajectory recorded at every step.
     """
     fold = ErrorFold(DiagnosticsLedger(), mesh, sys, None, None, r, T, lf,
                      reference, quadrature)

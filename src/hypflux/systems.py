@@ -237,9 +237,6 @@ class SystemModel:
     # (v, u, v - u) -> H(v, u) in closed form, without the cancellation of
     # eta(v) - eta(u) - Deta(u).(v - u); None takes that generic form
     relative_entropy: Optional[Callable] = None
-    # beta when eta(u) = (beta/2)|u|^2, so that H(v, u) = (beta/2)|v - u|^2
-    # and a sum of |K| H is (beta/2) times that of |K| |v - u|^2; else None
-    quadratic_entropy: Optional[float] = None
 
     def require_admissible(self, *states, tol: float = 1e-12, what: str = "state"):
         for u in states:
@@ -653,7 +650,7 @@ def make_advection(d: int, speed_vector, u_range=(-1.0, 1.0)) -> SystemModel:
         beta0=1.0, beta1=1.0, omega=omega, max_wave_speed=wave,
         flux_critical_points=lambda n: np.empty(0),
         params={"speed": tuple(c)}, directional_forms=forms,
-        relative_entropy=_half_square_distance, quadratic_entropy=1.0)
+        relative_entropy=_half_square_distance)
     validate_system(sys)
     compute_lf(sys)
     return sys
@@ -681,8 +678,7 @@ def make_burgers(d: int = 1, u_range=(-1.0, 1.0)) -> SystemModel:
         entropy_flux=lambda u, a: np.asarray(u, dtype=float)[..., 0] ** 3 / 3.0,
         beta0=1.0, beta1=1.0, omega=omega, max_wave_speed=wave,
         flux_critical_points=lambda n: np.zeros(1),
-        params={}, relative_entropy=_half_square_distance,
-        quadratic_entropy=1.0)
+        params={}, relative_entropy=_half_square_distance)
     validate_system(sys)
     compute_lf(sys)
     return sys
@@ -745,7 +741,7 @@ def make_friedrichs(A_list: Sequence, radius: float = 1.0) -> SystemModel:
             np.asarray(u, dtype=float)),
         beta0=2.0, beta1=2.0, omega=omega, max_wave_speed=wave,
         params={"matrices": [A.copy() for A in mats]},
-        relative_entropy=_square_distance, quadratic_entropy=2.0)
+        relative_entropy=_square_distance)
     validate_system(sys)
     compute_lf(sys)
     return sys

@@ -254,6 +254,29 @@ def test_cone_l2_error_hand_computed_two_steps():
     assert got == pytest.approx(want, rel=1e-13)
 
 
+@pytest.mark.parametrize("r", [0.0, 1e-4, -0.05])
+def test_cone_l2_error_reads_only_the_cones(r):
+    # B(0, r) holds no centroid, but the cones B(0, r + lf (T - t^n)) do:
+    # at t^0 the two cells whose centroids lie 0.125 from the origin
+    # (radius 0.2 + r), at t^1 none (radius 0.1 + r)
+    sys = hf.make_advection(1, [1.0], u_range=(-1.5, 1.5))
+    mesh = hf.build_uniform_1d(4, 1.0)
+    mids = np.array([0.125, 0.375, 0.625, 0.875])
+    dt = 0.1
+    w0 = np.sin(2 * np.pi * mids) + np.array([0.1, -0.2, 0.3, -0.4])
+    levels = [(n * dt, w0 + 0.05 * n) for n in range(3)]
+    traj = hf.Trajectory(
+        snapshots=[(t, hf.StateField(w[:, None], t, mesh.mesh_id))
+                   for t, w in levels], dt=dt, n_steps=2)
+    ref = hf.exact_advection([1.0],
+                             lambda x: np.sin(2 * np.pi * np.asarray(x)[..., 0])[..., None],
+                             (1.0,))
+    got = hf.cone_l2_error(mesh, sys, traj, ref, r=r, T=2 * dt, lf=1.0)
+    err0 = 0.25 * (w0 - np.sin(2 * np.pi * mids)) ** 2
+    assert got == pytest.approx(dt * (err0[0] + err0[3]), rel=1e-13)
+    assert got > 0
+
+
 def test_cone_l2_error_rejects_expired_reference(burgers_sys, burgers_rusanov):
     mesh = hf.build_uniform_1d(16, 1.0)
     cfg = hf.RunConfig(final_time=0.05)
@@ -793,7 +816,7 @@ def test_quadratic_series_matches_relative_entropy_terms_bitwise(name):
     setup, got, u, ubar = _series_levels(
         cli.load_config(os.path.join(CONFIG_DIR, name)))
     sysm = setup.system
-    assert sysm.quadratic_entropy == sysm.beta0 == sysm.beta1
+    assert sysm.beta0 == sysm.beta1
     want = diag._relative_entropy_sum(setup.mesh, sysm, u, ubar, u - ubar)
     assert got.size > 30 and (got[1:] > 0).all()
     assert same_bits(got, want)

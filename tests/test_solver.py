@@ -71,12 +71,10 @@ def test_project_gauss3_quadratic_2d():
         assert mean[0] == pytest.approx((1.0 / 3.0) ** 2 / 3.0, rel=1e-13)
 
 
-def _einsum_quadrature(mesh, rule, cells=slice(None)):
-    """The 2D tensor rule with its bilinear map as three np.einsum calls,
-    as `tensor_gauss_quadrature` formed it before its ordered corner
-    sums."""
+def _bilinear_map(rule):
+    """The tensor rule's points and weights and the bilinear shape values
+    and derivatives at its points, as (4, p) arrays over the corners."""
     nodes, weights = rule
-    verts = mesh.cell_vertices[cells]
     s, t = np.meshgrid(nodes, nodes, indexing="ij")
     ws, wt = np.meshgrid(weights, weights, indexing="ij")
     s, t, w = s.ravel(), t.ravel(), (ws * wt).ravel()
@@ -84,25 +82,53 @@ def _einsum_quadrature(mesh, rule, cells=slice(None)):
                     (1 + s) * (1 + t), (1 - s) * (1 + t)], axis=0) / 4.0
     d_s = np.stack([-(1 - t), (1 - t), (1 + t), -(1 + t)], axis=0) / 4.0
     d_t = np.stack([-(1 - s), -(1 + s), (1 + s), (1 - s)], axis=0) / 4.0
-    pts = np.einsum("qp,nqi->npi", shp, verts)
-    xs = np.einsum("qp,nqi->npi", d_s, verts)
-    xt = np.einsum("qp,nqi->npi", d_t, verts)
+    return w, shp, d_s, d_t
+
+
+def _mapped_quadrature(verts, rule, corner_sum):
+    """Points and weights of the 2D tensor rule on the quads `verts`,
+    with each map sum_q coeffs[q, p] verts[n, q, i] formed by
+    `corner_sum(coeffs, verts)`."""
+    w, shp, d_s, d_t = _bilinear_map(rule)
+    pts = corner_sum(shp, verts)
+    xs, xt = corner_sum(d_s, verts), corner_sum(d_t, verts)
     jac = np.abs(xs[..., 0] * xt[..., 1] - xs[..., 1] * xt[..., 0])
     return pts, jac * w[None, :]
 
 
-def test_quadrature_map_matches_einsum_bitwise():
-    # the corner sums add the einsum's products in its order: the same
-    # points and weights bit for bit, on all cells and on a slice, and
-    # the points C-ordered as the einsum gave them
+def _loop_corner_sum(coeffs, verts):
+    """The corner sum as Python floats, over the corners q in order."""
+    n, _, d = verts.shape
+    out = np.empty((n, coeffs.shape[1], d))
+    for k in range(n):
+        for p in range(coeffs.shape[1]):
+            for i in range(d):
+                acc = float(coeffs[0, p]) * float(verts[k, 0, i])
+                for q in range(1, len(coeffs)):
+                    acc += float(coeffs[q, p]) * float(verts[k, q, i])
+                out[k, p, i] = acc
+    return out
+
+
+def test_quadrature_map_matches_ordered_corner_loop_bitwise():
+    # the corner sums add each product in corner order: the points and
+    # weights of a plain loop over the corners bit for bit, on all cells
+    # and on a slice, and the points C-ordered; np.einsum, which the map
+    # replaced and whose order of summation numpy does not fix, lies
+    # within 1 ulp of them
     mesh = hf.build_perturbed_quad_2d(9, 7, 1.0, 0.8, 0.2, 5)
     for rule in (solver._GAUSS3, diagnostics._GAUSS4):
         for cells in (slice(None), slice(10, 33)):
+            verts = mesh.cell_vertices[cells]
             got = solver.tensor_gauss_quadrature(mesh, rule, cells)
-            want = _einsum_quadrature(mesh, rule, cells)
-            for a, b in zip(got, want):
+            want = _mapped_quadrature(verts, rule, _loop_corner_sum)
+            summed = _mapped_quadrature(
+                verts, rule,
+                lambda c, v: np.einsum("qp,nqi->npi", c, v))
+            for a, b, e in zip(got, want, summed):
                 assert a.shape == b.shape and a.flags.c_contiguous
                 assert same_bits(a, b)
+                assert (np.abs(a - e) <= np.spacing(np.abs(e))).all()
 
 
 def test_project_rejects_inadmissible():

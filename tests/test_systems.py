@@ -97,21 +97,22 @@ def test_generic_relative_entropy_is_the_fallback(burgers_sys,
                 <= 8 * np.spacing(scale)).all()
 
 
-def test_quadratic_entropy_declarations(burgers_sys, advection_sys,
-                                       friedrichs_sys, shallow_water_sys):
-    # a system declaring eta = (beta/2)|u|^2 has that entropy and beta0 =
-    # beta1 = beta, and its closed-form H is (beta/2)|v - u|^2 bit for bit,
-    # on which the error fold's series rests; shallow water declares none
+def test_equal_betas_mean_a_quadratic_entropy(burgers_sys, advection_sys,
+                                              friedrichs_sys,
+                                              shallow_water_sys):
+    # a system with beta0 = beta1 = beta has eta = (beta/2)|u|^2, and its
+    # closed-form H is (beta/2)|v - u|^2 bit for bit, on which the error
+    # fold's series rests; shallow water's bracket is two-sided
     adv2 = hf.make_advection(2, [1.0, 0.5], u_range=(-0.4, 0.4))
     for sysm in (burgers_sys, advection_sys, adv2, friedrichs_sys):
-        beta = sysm.quadratic_entropy
-        assert beta == sysm.beta0 == sysm.beta1
+        beta = sysm.beta0
+        assert beta == sysm.beta1 and beta in (1.0, 2.0)
         u, v, _ = sample_pairs(sysm, 500, seed=16)
         assert np.abs(sysm.entropy(u) - 0.5 * beta * axis_dot(u, u)).max() \
             <= np.spacing(sysm.entropy(u)).max()
         assert same_bits(hf.relative_entropy(sysm, v, u),
                          (0.5 * beta) * axis_dot(v - u, v - u))
-    assert shallow_water_sys.quadratic_entropy is None
+    assert shallow_water_sys.beta0 < shallow_water_sys.beta1
 
 
 def test_relative_entropy_flux_friedrichs_symmetry(friedrichs_diag_sys):
