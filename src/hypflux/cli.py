@@ -7,8 +7,8 @@ error rate, and checks the weak-BV and measure-mass scalings.  `hypflux
 validate <config>` parses and validates without running.
 
 Config files are flat INI text: sections in brackets, `key = value`
-lines, arrays as comma-separated values.  Initial data come from a small
-named catalog (constant, sine, gaussian-bump, shallow-water-smooth-wave).
+lines, arrays as comma-separated values; `CONFIG_KEYS` declares every
+key.  Initial data come from a small named catalog (`KINDS`).
 
 Exit codes: 0 success, 2 parse error, 3 validation error, 4 runtime
 error, 5 invariant failure.
@@ -43,7 +43,9 @@ EXIT_INVARIANT = 5
 
 PROBLEMS = ("advection1d", "advection2d", "friedrichs1d", "burgers1d",
             "shallow_water1d")
+KINDS = ("constant", "sine", "gaussian-bump", "shallow-water-smooth-wave")
 FLUXES = ("rusanov", "godunov")
+COMMANDS = ("run", "study")
 
 
 # ---------------------------------------------------------------------------
@@ -73,80 +75,228 @@ class ConfigParseError(HypfluxError):
     """Malformed config text (distinct exit code from validation)."""
 
 
-def _get(cfg, section, key, default=None, required=False):
-    try:
-        return cfg[section][key]
-    except KeyError:
-        if required:
-            raise ConfigParseError(f"missing key [{section}] {key}")
-        return default
+class _NotFinite(ValueError):
+    """A number that parses but is not finite: a validation error."""
 
 
-def _convert(raw, convert, section, key, what):
-    """convert(raw), with a ValueError reported as a parse error of the key."""
-    try:
-        return convert(raw)
-    except ValueError as exc:
-        raise ConfigParseError(f"[{section}] {key}: not {what}: {raw!r}") from exc
+def _number(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise _NotFinite
+    return value
 
 
-def _get_float(cfg, section, key, default=None, required=False):
-    raw = _get(cfg, section, key, None, required)
-    return default if raw is None else _convert(raw, float, section, key,
-                                                "a number")
+def _numbers(text):
+    """One or more numbers separated by commas or semicolons."""
+    values = [_number(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+    if not values:
+        raise ValueError("no numbers")
+    return values
 
 
-def _get_int(cfg, section, key, default=None, required=False):
-    raw = _get(cfg, section, key, None, required)
-    return default if raw is None else _convert(raw, int, section, key,
-                                                "an integer")
-
-
-def _get_floats(cfg, section, key, default=None, required=False):
-    """A comma- or semicolon-separated list of numbers."""
-    raw = _get(cfg, section, key, default, required)
-    return _convert(raw, lambda text: [float(tok) for tok in text.replace(
-        ";", ",").split(",") if tok.strip()], section, key, "a list of numbers")
-
-
-def _get_bool(cfg, section, key, default):
-    raw = _get(cfg, section, key)
-    if raw is None:
-        return default
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigParseError(f"[{section}] {key}: not a boolean: {raw!r}")
-
-
-def _matrix(raw):
+def _matrix(text):
     """A square matrix: rows separated by semicolons, entries by commas."""
-    rows = [[float(tok) for tok in r.split(",")]
-            for r in raw.split(";") if r.strip()]
+    rows = [[_number(tok) for tok in r.split(",")]
+            for r in text.split(";") if r.strip()]
     if any(len(r) != len(rows) for r in rows):
         raise ValueError("not square")
     return np.array(rows)
+
+
+def _bool(text):
+    if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(text)
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+
+
+def _seed(text):
+    seed = int(text)
+    if seed < 0:
+        raise ConfigError(f"seed: not a nonnegative integer: {seed}")
+    return seed
+
+
+def _levels(text):
+    levels = [int(tok) for tok in text.split(",")]
+    if len(levels) < 3:
+        raise ConfigError("a study needs at least 3 mesh levels")
+    if levels[0] < 1 or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ConfigError(f"study levels must be positive and strictly "
+                          f"increase, got {levels}")
+    return levels
+
+
+def _choice(message, *options):
+    """A case-insensitive choice; `message` formats any other value."""
+    def choose(text):
+        if text.lower() not in options:
+            raise ConfigError(message.format(text.lower()))
+        return text.lower()
+    return choose
+
+
+def _rusanov_c(text):
+    return "auto" if text.lower() == "auto" else _number(text)
+
+
+def _reference_mode(text):
+    """exact, none, or a fine grid's factor: fine (8) or fine:N."""
+    mode, colon, factor = text.lower().partition(":")
+    if mode == "fine":
+        return int(factor) if colon else 8
+    if colon or mode not in ("exact", "none"):
+        raise ConfigError(f"unknown reference mode {text.lower()!r}")
+    return mode
+
+
+# what a converter's text must be, for the parse error of its ValueError
+_WHAT = {float: "a number", _number: "a number", _rusanov_c: "a number",
+         int: "an integer", _seed: "an integer", _levels: "integers",
+         _numbers: "a list of numbers", _matrix: "a square matrix of numbers",
+         _bool: "a boolean", _reference_mode: "an integer factor"}
+REQUIRED = "required"
+_RUN = solver.RunConfig
+_FLUX = _choice(f"unknown flux {{!r}}; choose from {FLUXES}", *FLUXES)
+_WAVE = "shallow-water-smooth-wave"
+
+# Every config key: (section, key) -> (converter, default, scope).  A
+# default is REQUIRED, None (no value unless given), a value (the library
+# call's own where it has one), or a function of the keys above.  The scope
+# names the problems, initial kinds and commands the key applies to; each
+# of those axes it names is limited to the names given.  [study] takes the
+# [run] keys but the mesh sizes, which its levels replace.  Key names are
+# unique across sections.
+CONFIG_KEYS = {
+    ("run", "problem"): (_choice(f"unknown problem {{!r}}; choose from {PROBLEMS}",
+                                 *PROBLEMS), REQUIRED, ""),
+    ("run", "n_cells"): (int, REQUIRED,
+                         "advection1d friedrichs1d burgers1d shallow_water1d run"),
+    ("run", "nx"): (int, REQUIRED, "advection2d run"),
+    ("run", "ny"): (int, lambda c: c["nx"], "advection2d run"),
+    ("run", "jitter"): (float, 0.0, "advection2d"),
+    ("run", "length"): (_number, 1.0, ""),
+    ("run", "length_y"): (_number, lambda c: c["length"], "advection2d"),
+    ("run", "t"): (_number, REQUIRED, ""),
+    ("run", "cfl_mode"): (_choice("unknown cfl_mode {!r}", "standard", "strengthened"),
+                          _RUN.cfl_mode, ""),
+    ("run", "zeta"): (_number, _RUN.zeta, ""),
+    ("run", "record_every"): (int, _RUN.record_every, ""),
+    ("run", "check_admissibility"): (_bool, _RUN.check_admissibility, ""),
+    ("run", "quadrature"): (_choice("unknown quadrature {!r}", "midpoint", "gauss3"),
+                            _RUN.quadrature, ""),
+    ("run", "seed"): (_seed, 0, ""),
+    ("run", "r"): (float, 10.0, ""),
+    ("study", "levels"): (_levels, REQUIRED, "study"),
+    ("study", "flux"): (_FLUX, None, "study"),
+    ("initial", "kind"): (_choice("unknown initial-data kind {!r}", *KINDS),
+                          REQUIRED, ""),
+    ("initial", "value"): (_numbers, REQUIRED, "constant"),
+    ("initial", "mean"): (_number, 0.0, "sine gaussian-bump"),
+    ("initial", "amplitude"): (_number, 1.0, "sine gaussian-bump"),
+    ("initial", "means"): (_numbers, lambda c: [c["mean"]], "sine"),
+    ("initial", "amplitudes"): (_numbers, lambda c: [c["amplitude"]], "sine"),
+    ("initial", "frequency"): (_number, 1.0, "sine"),
+    ("initial", "center"): (_number, 0.5, "gaussian-bump"),
+    ("initial", "width"): (_number, 0.1, "gaussian-bump"),
+    ("initial", "h_mean"): (_number, 1.2, _WAVE),
+    ("initial", "h_amp"): (_number, 0.2, _WAVE),
+    ("initial", "q_mean"): (_number, 0.3, _WAVE),
+    ("initial", "q_amp"): (_number, 0.1, _WAVE),
+    ("system", "speed"): (_numbers, lambda c: [1.0], "advection1d advection2d"),
+    ("system", "matrix"): (_matrix, lambda c: _matrix("0, 1; 1, 0"), "friedrichs1d"),
+    **{("system", key): (_number, default, "shallow_water1d") for key, default in
+       zip(("g", "h_min", "h_max", "q_max"), make_shallow_water_1d.__defaults__)},
+    ("flux", "name"): (_FLUX, lambda c: c.get("flux", "rusanov"), ""),
+    ("flux", "c"): (_rusanov_c, numflux.make_rusanov.__defaults__[0], ""),
+    ("output", "dir"): (str, lambda c: "hypflux_out" if c["command"] == "run"
+                        else "hypflux_study", ""),
+    ("output", "reference"): (_reference_mode, lambda c: "none"
+                              if c["problem"] == "shallow_water1d" else "exact", ""),
+    ("output", "snapshots"): (_choice("unknown snapshots mode {!r}", "all", "ends",
+                                      "none"), "all", "run"),
+}
+# a key given with the key its default comes from must agree with it
+_AGREES = {"means": "mean", "amplitudes": "amplitude", "name": "flux"}
+_SECTIONS = ("run", "study", "initial", "system", "flux", "output")
+_HOME = {key: "run" if sec in COMMANDS else sec for sec, key in CONFIG_KEYS}
+
+
+def _unknown(what, name, known):
+    import difflib  # here: a valid config never pays for the import
+    nearest = difflib.get_close_matches(name, known, n=1, cutoff=0.0)[0]
+    return ConfigError(f"unknown {what} {name}; did you mean {nearest}?")
+
+
+def resolve_config(cfg: dict, command=None) -> dict:
+    """Resolve a `load_config` dict against CONFIG_KEYS in one pass: a flat
+    dict of typed values by key, every applicable default filled in, and
+    "command", the one given or else study for a config with a [study]
+    section and run for any other.  A missing key or a value of the wrong
+    type is a ConfigParseError (exit 2); a value out of range or choice, an
+    unknown section or key, and a key that does not apply to the problem,
+    initial kind or command are a ConfigError (exit 3)."""
+    command = command or ("study" if "study" in cfg else "run")
+    given = {}
+    for section, items in cfg.items():
+        home = "run" if section in COMMANDS else section
+        if section not in _SECTIONS:
+            raise _unknown("section", f"[{section}]", [f"[{s}]" for s in _SECTIONS])
+        if home == "run" and section != command:
+            raise ConfigError(f"[{section}] does not apply to a {command}")
+        for key, text in items.items():
+            if _HOME.get(key) != home:
+                raise _unknown(f"key [{section}]", key,
+                               [k for k, h in _HOME.items() if h == home])
+            given[key] = text.strip()
+    conf = {"command": command}
+    for (section, key), (convert, default, scope) in CONFIG_KEYS.items():
+        section, text, scope = (command if section in COMMANDS else section,
+                                given.get(key), scope.split())
+        excluded = [value for value, axis in ((conf.get("problem"), PROBLEMS),
+                                              (conf.get("kind"), KINDS),
+                                              (command, COMMANDS))
+                    if value not in scope and any(name in axis for name in scope)]
+        if excluded and text is not None:
+            where = f"a {command}" if excluded[0] == command else excluded[0]
+            raise ConfigError(f"[{section}] {key} does not apply to {where}")
+        if excluded or (text is None and default is None):
+            continue
+        if text is None:
+            if default is REQUIRED:
+                raise ConfigParseError(f"missing key [{section}] {key}")
+            conf[key] = default(conf) if callable(default) else default
+            continue
+        try:
+            conf[key] = convert(text)
+        except _NotFinite:
+            raise ConfigError(f"[{section}] {key}: not finite: {text!r}") from None
+        except ValueError as exc:
+            raise ConfigParseError(
+                f"[{section}] {key}: not {_WHAT[convert]}: {text!r}") from exc
+        other = _AGREES.get(key)
+        if other in given and conf[key] != default(conf):
+            home = command if _HOME[other] == "run" else _HOME[other]
+            raise ConfigError(f"[{home}] {other} = {given[other]} disagrees with "
+                              f"[{section}] {key} = {text}")
+    return conf
 
 
 # ---------------------------------------------------------------------------
 # initial-data catalog
 # ---------------------------------------------------------------------------
 
-def make_initial(cfg: dict, problem: str, domain):
-    """Build (u0, du0_dx) from the [initial] section.
+def make_initial(conf: dict, domain):
+    """Build (u0, du0_dx) from the [initial] values of a resolved config.
 
-    u0 maps points of shape (..., d) to states (..., m); the derivative is
-    provided for 1D scalar data (the characteristics solver needs it) and
-    is None otherwise.
+    u0 maps points of shape (..., d) to states (..., m), d = len(domain);
+    the derivative is provided for 1D scalar data (the characteristics
+    solver needs it) and is None otherwise.
     """
-    kind = _get(cfg, "initial", "kind", required=True).strip().lower()
-    d = 2 if problem == "advection2d" else 1
+    kind, d = conf["kind"], len(domain)
     lengths = np.asarray(domain, dtype=float)
 
     if kind == "constant":
-        vals = np.array(_get_floats(cfg, "initial", "value", required=True))
+        vals = np.array(conf["value"])
 
         def u0(x):
             x = np.asarray(x, dtype=float)
@@ -155,13 +305,8 @@ def make_initial(cfg: dict, problem: str, domain):
         return u0, (lambda y: np.zeros_like(np.asarray(y, dtype=float)))
 
     if kind == "sine":
-        given = cfg.get("initial", {})
-        means = np.array(_get_floats(
-            cfg, "initial", "means" if "means" in given else "mean", "0.0"))
-        amps = np.array(_get_floats(
-            cfg, "initial", "amplitudes" if "amplitudes" in given
-            else "amplitude", "1.0"))
-        freq = _get_float(cfg, "initial", "frequency", 1.0)
+        means, amps = np.array(conf["means"]), np.array(conf["amplitudes"])
+        freq = conf["frequency"]
         if means.shape != amps.shape:
             raise ConfigError("means and amplitudes must have equal length")
         k = 2.0 * math.pi * freq
@@ -184,10 +329,8 @@ def make_initial(cfg: dict, problem: str, domain):
         return u0, None
 
     if kind == "gaussian-bump":
-        mean = _get_float(cfg, "initial", "mean", 0.0)
-        amp = _get_float(cfg, "initial", "amplitude", 1.0)
-        center = _get_float(cfg, "initial", "center", 0.5)
-        width = _get_float(cfg, "initial", "width", 0.1)
+        mean, amp = conf["mean"], conf["amplitude"]
+        center, width = conf["center"], conf["width"]
 
         def u0(x):
             x = np.asarray(x, dtype=float)
@@ -208,21 +351,17 @@ def make_initial(cfg: dict, problem: str, domain):
 
         return u0, (du0 if d == 1 else None)
 
-    if kind == "shallow-water-smooth-wave":
-        h_mean = _get_float(cfg, "initial", "h_mean", 1.2)
-        h_amp = _get_float(cfg, "initial", "h_amp", 0.2)
-        q_mean = _get_float(cfg, "initial", "q_mean", 0.3)
-        q_amp = _get_float(cfg, "initial", "q_amp", 0.1)
-        k = 2.0 * math.pi
+    # shallow-water-smooth-wave
+    h_mean, h_amp = conf["h_mean"], conf["h_amp"]
+    q_mean, q_amp = conf["q_mean"], conf["q_amp"]
+    k = 2.0 * math.pi
 
-        def u0(x):
-            x = np.asarray(x, dtype=float)
-            s = np.sin(k * x[..., 0] / lengths[0])
-            return np.stack([h_mean + h_amp * s, q_mean + q_amp * s], axis=-1)
+    def u0(x):
+        x = np.asarray(x, dtype=float)
+        s = np.sin(k * x[..., 0] / lengths[0])
+        return np.stack([h_mean + h_amp * s, q_mean + q_amp * s], axis=-1)
 
-        return u0, None
-
-    raise ConfigError(f"unknown initial-data kind {kind!r}")
+    return u0, None
 
 
 def _sine_translation(means, amps, k, lengths):
@@ -287,42 +426,32 @@ class ProblemSetup:
     u0: object
     run_config: solver.RunConfig
     ref: object           # ReferenceSolution or None
-    r: float
-    seed: int
-    problem: str
-    flux_name: str
+    conf: dict            # the resolved config (resolve_config)
     n_label: int
 
 
 def build_problem(cfg: dict, n_override=None) -> ProblemSetup:
-    problem = _get(cfg, "run", "problem", required=True).strip().lower()
-    if problem not in PROBLEMS:
-        raise ConfigError(f"unknown problem {problem!r}; choose from {PROBLEMS}")
-    seed = _get_int(cfg, "run", "seed", 0)
-    if seed < 0:
-        raise ConfigError(f"seed: not a nonnegative integer: {seed}")
-    length = _get_float(cfg, "run", "length", 1.0)
+    """The mesh, system, scheme, datum and reference of a config, which is
+    a `resolve_config` dict or a `load_config` one, resolved here.
+    `n_override` sets the mesh size (a study's level)."""
+    conf = cfg if "command" in cfg else resolve_config(cfg)
+    problem, length = conf["problem"], conf["length"]
 
     if problem == "advection2d":
-        nx = n_override or _get_int(cfg, "run", "nx", required=True)
-        ny = n_override or _get_int(cfg, "run", "ny", nx)
-        jitter = _get_float(cfg, "run", "jitter", 0.0)
-        ly = _get_float(cfg, "run", "length_y", length)
-        if jitter > 0:
-            mesh = build_perturbed_quad_2d(nx, ny, length, ly, jitter, seed)
-        else:
-            mesh = build_uniform_quad_2d(nx, ny, length, ly)
-        n_label = nx
+        n_label = n_override or conf["nx"]
+        box = (n_label, n_override or conf["ny"], length, conf["length_y"])
+        # the builder rejects a jitter outside [0, 0.25), NaN included
+        mesh = (build_perturbed_quad_2d(*box, conf["jitter"], conf["seed"])
+                if conf["jitter"] else build_uniform_quad_2d(*box))
     else:
-        n_cells = n_override or _get_int(cfg, "run", "n_cells", required=True)
-        mesh = build_uniform_1d(n_cells, length)
-        n_label = n_cells
+        n_label = n_override or conf["n_cells"]
+        mesh = build_uniform_1d(n_label, length)
 
-    u0, du0 = make_initial(cfg, problem, mesh.domain)
+    u0, du0 = make_initial(conf, mesh.domain)
 
     if problem in ("advection1d", "advection2d"):
         d = mesh.dim
-        speed = _get_floats(cfg, "system", "speed", "1.0")
+        speed = conf["speed"]
         if len(speed) == 1 and d == 2:
             speed = [speed[0], speed[0]]
         lo, hi = _scalar_range(u0, mesh.domain, d)
@@ -335,8 +464,7 @@ def build_problem(cfg: dict, n_override=None) -> ProblemSetup:
             raise ConfigError("burgers1d needs differentiable catalog data")
         ref = reference.exact_burgers(u0, du0, mesh.domain)
     elif problem == "friedrichs1d":
-        A = _convert(_get(cfg, "system", "matrix", "0,1;1,0"), _matrix,
-                     "system", "matrix", "a square matrix of numbers")
+        A = conf["matrix"]
         xs = np.linspace(0.0, mesh.domain[0], 4097)[:, None]
         # Omega is a characteristic-coordinate box: size it from the data
         _, R = np.linalg.eigh(A)
@@ -345,54 +473,32 @@ def build_problem(cfg: dict, n_override=None) -> ProblemSetup:
         system = make_friedrichs([A], radius=radius)
         ref = reference.exact_friedrichs(A, u0, mesh.domain)
     else:  # shallow_water1d
-        system = make_shallow_water_1d(
-            g=_get_float(cfg, "system", "g", 9.81),
-            h_min=_get_float(cfg, "system", "h_min", 0.5),
-            h_max=_get_float(cfg, "system", "h_max", 2.0),
-            q_max=_get_float(cfg, "system", "q_max", 1.5))
+        system = make_shallow_water_1d(g=conf["g"], h_min=conf["h_min"],
+                                       h_max=conf["h_max"], q_max=conf["q_max"])
         ref = None
 
-    flux_name = _get(cfg, "flux", "name", "rusanov").strip().lower()
-    if flux_name not in FLUXES:
-        raise ConfigError(f"unknown flux {flux_name!r}; choose from {FLUXES}")
-    if flux_name == "rusanov":
-        c_raw = _get(cfg, "flux", "c", "auto").strip().lower()
-        c = "auto" if c_raw == "auto" else _get_float(cfg, "flux", "c")
-        scheme = numflux.make_rusanov(system, c=c)
+    if conf["name"] == "rusanov":
+        scheme = numflux.make_rusanov(system, c=conf["c"])
     else:
         scheme = numflux.make_godunov_scalar(system)
 
-    run_config = solver.RunConfig(
-        final_time=_get_float(cfg, "run", "t", required=True),
-        cfl_mode=_get(cfg, "run", "cfl_mode", "strengthened").strip().lower(),
-        zeta=_get_float(cfg, "run", "zeta", 0.1),
-        record_every=_get_int(cfg, "run", "record_every", 1),
-        check_admissibility=_get_bool(cfg, "run", "check_admissibility", True),
-        quadrature=_get(cfg, "run", "quadrature", "midpoint").strip().lower())
+    run_config = solver.RunConfig(final_time=conf["t"], **{key: conf[key] for key in (
+        "cfl_mode", "zeta", "record_every", "check_admissibility", "quadrature")})
 
-    ref_mode = _get(cfg, "output", "reference",
-                    "none" if problem == "shallow_water1d" else "exact")
-    ref_mode = ref_mode.strip().lower()
-    if ref_mode == "none":
+    mode = conf["reference"]  # exact, none, or a fine grid's factor
+    if mode == "none":
         ref = None
-    elif ref_mode.startswith("fine"):
-        factor = (_convert(ref_mode.split(":", 1)[1], int, "output",
-                           "reference", "an integer factor")
-                  if ":" in ref_mode else 8)
+    elif mode != "exact":
         ref = reference.fine_grid_reference(mesh, system, scheme, u0,
-                                            run_config, factor)
-    elif ref_mode != "exact":
-        raise ConfigError(f"unknown reference mode {ref_mode!r}")
+                                            run_config, mode)
     if ref is not None and run_config.final_time > ref.valid_until * (1 + 1e-12):
         raise ConfigError(
             f"final time {run_config.final_time} exceeds the reference "
             f"horizon {ref.valid_until}")
 
-    r = _get_float(cfg, "run", "r", 10.0)
-    diag.check_ball(mesh, r)
+    diag.check_ball(mesh, conf["r"])
     return ProblemSetup(mesh=mesh, system=system, scheme=scheme, u0=u0,
-                        run_config=run_config, ref=ref, r=r, seed=seed,
-                        problem=problem, flux_name=flux_name, n_label=n_label)
+                        run_config=run_config, ref=ref, conf=conf, n_label=n_label)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +516,7 @@ def execute_run(cfg: dict, n_override=None, output_dir=None,
     mesh, system, scheme = setup.mesh, setup.system, setup.scheme
     run_config = setup.run_config
     ledger = diag.DiagnosticsLedger()
-    fold = diag.ErrorFold(ledger, mesh, system, scheme, setup.u0, r=setup.r,
+    fold = diag.ErrorFold(ledger, mesh, system, scheme, setup.u0, r=setup.conf["r"],
                           T=run_config.final_time, lf=system.lf,
                           reference=setup.ref,
                           quadrature=run_config.quadrature)
@@ -453,8 +559,8 @@ def execute_run(cfg: dict, n_override=None, output_dir=None,
 
     report = {
         "metadata": {
-            "problem": setup.problem,
-            "flux": setup.flux_name,
+            "problem": setup.conf["problem"],
+            "flux": setup.conf["name"],
             "n": setup.n_label,
             "h": mesh.h,
             "a": mesh.a,
@@ -469,8 +575,8 @@ def execute_run(cfg: dict, n_override=None, output_dir=None,
             "cfl_mode": setup.run_config.cfl_mode,
             "quadrature": setup.run_config.quadrature,
             "record_every": setup.run_config.record_every,
-            "seed": setup.seed,
-            "r": setup.r,
+            "seed": setup.conf["seed"],
+            "r": setup.conf["r"],
             "T": setup.run_config.final_time,
             "mesh_id": mesh.mesh_id,
         },
@@ -596,21 +702,13 @@ def _exit_code(exc: HypfluxError) -> int:
             return code
 
 
-def _snapshot_mode(cfg: dict) -> str:
-    """The [output] snapshots mode of a run config: all, ends or none."""
-    mode = _get(cfg, "output", "snapshots", "all").strip().lower()
-    if mode not in ("all", "ends", "none"):
-        raise ConfigError(f"unknown snapshots mode {mode!r}")
-    return mode
-
-
 def run_single(config_path, output_dir=None) -> int:
     """Exit-code wrapper around execute_run for one config file."""
     try:
-        cfg = load_config(config_path)
-        out = output_dir or _get(cfg, "output", "dir", "hypflux_out")
-        report = execute_run(cfg, output_dir=out,
-                             write_snapshots=_snapshot_mode(cfg))
+        conf = resolve_config(load_config(config_path), "run")
+        out = output_dir or conf["dir"]
+        report = execute_run(conf, output_dir=out,
+                             write_snapshots=conf["snapshots"])
     except HypfluxError as exc:
         return _exit_code(exc)
     if not report["passed"]:
@@ -624,13 +722,8 @@ def run_single(config_path, output_dir=None) -> int:
 def validate_only(config_path) -> int:
     """Parse and validate a run config or study spec without running."""
     try:
-        cfg = load_config(config_path)
-        if "study" in cfg:
-            levels = _parse_levels(cfg)
-            build_problem(_study_to_run_config(cfg), n_override=levels[0])
-        else:
-            _snapshot_mode(cfg)
-            build_problem(cfg)
+        conf = resolve_config(load_config(config_path))
+        build_problem(conf, n_override=conf.get("levels", [None])[0])
     except HypfluxError as exc:
         return _exit_code(exc)
     print("config ok")
@@ -641,36 +734,6 @@ def validate_only(config_path) -> int:
 # studies
 # ---------------------------------------------------------------------------
 
-def _parse_levels(cfg: dict):
-    raw = _get(cfg, "study", "levels", required=True)
-    levels = _convert(raw, lambda text: [int(tok) for tok in text.split(",")],
-                      "study", "levels", "integers")
-    if len(levels) < 3:
-        raise ConfigError("a study needs at least 3 mesh levels")
-    if levels[0] < 1 or any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ConfigError(f"study levels must be positive and strictly "
-                          f"increase, got {levels}")
-    return levels
-
-
-def _study_to_run_config(cfg: dict) -> dict:
-    if "snapshots" in cfg.get("output", {}):
-        raise ConfigError("[output] snapshots does not apply to a study: "
-                          "each level writes its first and last snapshots")
-    run = dict(cfg.get("study", {}))
-    run.pop("levels", None)
-    flux = run.pop("flux", None)
-    out = {sec: dict(items) for sec, items in cfg.items() if sec != "study"}
-    out["run"] = {**run, **out.get("run", {})}
-    out.setdefault("flux", {})
-    if flux is not None:
-        named = out["flux"].setdefault("name", flux)
-        if named.strip().lower() != flux.strip().lower():
-            raise ConfigError(f"[study] flux = {flux.strip()} disagrees with "
-                              f"[flux] name = {named.strip()}")
-    return out
-
-
 def _level_worker(args):
     cfg, level, outdir = args
     report = execute_run(cfg, n_override=level, output_dir=outdir,
@@ -680,11 +743,10 @@ def _level_worker(args):
 
 def run_study(spec_path, output_dir=None, jobs: int = 1) -> int:
     try:
-        cfg = load_config(spec_path)
-        levels = _parse_levels(cfg)
-        run_cfg = _study_to_run_config(cfg)
-        out = output_dir or _get(cfg, "output", "dir", "hypflux_study")
-        tasks = [(run_cfg, lvl, os.path.join(out, f"level_{lvl}"))
+        conf = resolve_config(load_config(spec_path), "study")
+        levels = conf["levels"]
+        out = output_dir or conf["dir"]
+        tasks = [(conf, lvl, os.path.join(out, f"level_{lvl}"))
                  for lvl in levels]
         if jobs > 1:
             # imported here: concurrent.futures loads logging, which every

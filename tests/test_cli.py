@@ -124,10 +124,28 @@ def test_unknown_problem_is_validation_error(tmp_path):
     assert cli.validate_only(path) == cli.EXIT_VALIDATION
 
 
-def test_validate_accepts_shipped_configs():
-    for name in ("burgers1d.ini", "constant.ini", "shallow_water1d.ini",
-                 "friedrichs1d.ini", "advection2d.ini", "burgers1d_study.ini"):
-        assert cli.validate_only(os.path.join(CONFIG_DIR, name)) == cli.EXIT_OK
+def test_validate_accepts_shipped_configs(tmp_path):
+    # and the benchmark's: a table rule that rejected one of these would
+    # fail the benchmark's runs
+    workloads = _benchmark_workloads()
+    paths = [os.path.join(CONFIG_DIR, name)
+             for name in sorted(os.listdir(CONFIG_DIR))]
+    for workload in workloads.WORKLOADS.values():
+        for size in ("full", "tiny"):
+            paths.append(write(tmp_path, f"{workload.name}-{size}.ini",
+                               workloads.config_text(workload, 1, size)))
+    assert len(paths) == 6 + 2 * 4
+    for path in paths:
+        assert cli.validate_only(path) == cli.EXIT_OK, path
+
+
+def _benchmark_workloads():
+    path = os.path.join(os.path.dirname(__file__), "..", "hfbench",
+                        "workloads.py")
+    spec = importlib.util.spec_from_file_location("hfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # its dataclass looks itself up there
+    return module
 
 
 def test_constant_run_all_zero_diagnostics(tmp_path):
@@ -590,6 +608,17 @@ def test_import_leaves_concurrent_futures_unloaded():
     assert res.stdout.strip() == "[]"
 
 
+def test_valid_config_leaves_difflib_unloaded():
+    # difflib names the nearest key of an unknown one; a valid config never
+    # needs it, so no run pays for its import
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, hypflux.cli as cli; "
+         f"cli.validate_only({os.path.join(CONFIG_DIR, 'advection2d.ini')!r}); "
+         "print('difflib' in sys.modules)"], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split()[-1] == "False"
+
+
 def test_benchmark_tracer_targets_exist():
     # the benchmark's tracer wraps these names; a rename or deletion here
     # would break its traced runs.  The file is parsed, not imported.
@@ -891,6 +920,7 @@ def _shipped(name):
      "[system] matrix"),
     ("friedrichs1d.ini", "amplitudes = 0.4, 0.3", "amplitudes = 0.4, x",
      "[initial] amplitudes"),
+    ("constant.ini", "value = 0.75", "value =", "[initial] value"),
 ])
 def test_malformed_number_is_parse_error(tmp_path, capsys, name, old, new, key):
     text = _shipped(name)
@@ -1074,7 +1104,9 @@ def test_gaussian_bump_run(tmp_path, run_section):
 def test_du0_matches_central_difference_of_u0(initial):
     # exact_burgers's Newton solve takes du0 as the derivative of u0
     length = 2.0
-    u0, du0 = cli.make_initial({"initial": initial}, "burgers1d", (length,))
+    conf = cli.resolve_config({"run": {"problem": "burgers1d", "n_cells": "8",
+                                       "t": "0.1"}, "initial": initial})
+    u0, du0 = cli.make_initial(conf, (length,))
     # points across the period, at the wrap, at the bump's center and
     # either side of its antipode 1.6, where the periodic bump has a kink
     y = np.concatenate([np.linspace(-0.3, 2.3, 53) + 0.013,
@@ -1099,9 +1131,8 @@ def test_burgers_study_lambda_star_is_one_value_over_seeds():
     # the seed used to set lambda_star through one roundoff-dominated
     # near-equal pair: seeds 56, 58, 72, 77, 95, 96, 98, 108, 112 and 119
     # gave 1.596 to 16.2
-    cfg = cli._study_to_run_config(
-        cli.load_config(os.path.join(CONFIG_DIR, "burgers1d_study.ini")))
-    lams = _lambda_star_over_seeds(cfg, "run", range(120), n_override=32)
+    cfg = cli.load_config(os.path.join(CONFIG_DIR, "burgers1d_study.ini"))
+    lams = _lambda_star_over_seeds(cfg, "study", range(120), n_override=32)
     assert set(lams) == {1.5819410714285715}
 
 
@@ -1146,3 +1177,105 @@ def test_ball_without_a_centroid_is_validation_error(tmp_path, monkeypatch,
                .replace("t = 0.2", "t = 0.002"))
     assert cli.run_single(ok, output_dir=str(tmp_path / "ok")) == cli.EXIT_OK
     assert marched == [1]
+
+
+# -- the config table ------------------------------------------------------------
+
+def _built_meshes(monkeypatch):
+    """Record every mesh that build_problem's builders return."""
+    built = []
+    for fn in ("build_uniform_1d", "build_uniform_quad_2d",
+               "build_perturbed_quad_2d"):
+        monkeypatch.setattr(cli, fn, lambda *a, fn=getattr(cli, fn): (
+            fn(*a), built.append(fn))[0])
+    return built
+
+
+@pytest.mark.parametrize("name, old, new, message", [
+    # non-finite numbers (each a traceback or a late message before the table)
+    ("burgers1d.ini", "n_cells = 128", "n_cells = 128\nlength = nan",
+     "[run] length: not finite: 'nan'"),
+    ("burgers1d.ini", "amplitude = 0.25", "amplitude = nan",
+     "[initial] amplitude: not finite: 'nan'"),
+    ("burgers1d.ini", "frequency = 1", "frequency = nan",
+     "[initial] frequency: not finite: 'nan'"),
+    ("friedrichs1d.ini", "matrix = 0, 1; 1, 0", "matrix = nan, 1; 1, 0",
+     "[system] matrix: not finite: 'nan, 1; 1, 0'"),
+    ("shallow_water1d.ini", "g = 9.81", "g = nan",
+     "[system] g: not finite: 'nan'"),
+    ("constant.ini", "speed = 1.0", "speed = 1.0, inf",
+     "[system] speed: not finite: '1.0, inf'"),
+    # unknown keys and sections, and keys that do not apply
+    ("advection2d.ini", "jitter = 0.15", "jiter = 0.15",
+     "unknown key [run] jiter; did you mean jitter?"),
+    ("advection2d.ini", "[system]", "[sytem]",
+     "unknown section [sytem]; did you mean [system]?"),
+    ("burgers1d.ini", "[flux]", "[system]\nspeed = 1.0\n\n[flux]",
+     "[system] speed does not apply to burgers1d"),
+    ("constant.ini", "value = 0.75", "value = 0.75\namplitude = 0.5",
+     "[initial] amplitude does not apply to constant"),
+    # values outside their range or choices (each accepted before the table)
+    ("advection2d.ini", "jitter = 0.15", "jitter = -0.1",
+     "jitter must lie in [0, 0.25), got -0.1"),
+    ("advection2d.ini", "jitter = 0.15", "jitter = nan",
+     "jitter must lie in [0, 0.25), got nan"),
+    ("burgers1d.ini", "reference = exact", "reference = finest",
+     "unknown reference mode 'finest'"),
+    # a key given with the key its default comes from, disagreeing
+    ("friedrichs1d.ini", "means = 0.0, 0.1", "means = 0.0, 0.1\nmean = 0.0",
+     "[initial] mean = 0.0 disagrees with [initial] means = 0.0, 0.1"),
+    ("friedrichs1d.ini", "amplitudes = 0.4, 0.3",
+     "amplitude = 0.4\namplitudes = 0.4, 0.3",
+     "[initial] amplitude = 0.4 disagrees with [initial] amplitudes = 0.4, 0.3"),
+], ids=["length-nan", "amplitude-nan", "frequency-nan", "matrix-nan", "g-nan",
+        "speed-inf", "jiter", "sytem", "speed-burgers", "amplitude-constant",
+        "jitter-negative", "jitter-nan", "finest", "mean-means",
+        "amplitude-amplitudes"])
+def test_bad_config_is_validation_error_before_any_build(
+        tmp_path, monkeypatch, capsys, name, old, new, message):
+    # validate and run reject each with one message, and build no mesh
+    text = _shipped(name)
+    assert old in text
+    path = write(tmp_path, name, text.replace(old, new, 1))
+    built = _built_meshes(monkeypatch)
+    out = tmp_path / "o"
+    assert cli.validate_only(path) == cli.EXIT_VALIDATION
+    assert cli.run_single(path, output_dir=str(out)) == cli.EXIT_VALIDATION
+    assert built == [] and not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"validation error: {message}"] * 2
+
+
+def test_agreeing_keys_may_both_be_given(tmp_path):
+    text = _shipped("friedrichs1d.ini").replace(
+        "means = 0.0, 0.1", "means = 0.5\nmean = 0.5").replace(
+        "amplitudes = 0.4, 0.3", "amplitudes = 0.4").replace(
+        "matrix = 0, 1; 1, 0", "matrix = 1")
+    assert cli.validate_only(write(tmp_path, "f.ini", text)) == cli.EXIT_OK
+
+
+def test_run_and_study_take_their_own_section(tmp_path, capsys):
+    study = os.path.join(CONFIG_DIR, "burgers1d_study.ini")
+    run = os.path.join(CONFIG_DIR, "burgers1d.ini")
+    assert cli.run_single(study, output_dir=str(tmp_path / "a")) == \
+        cli.EXIT_VALIDATION
+    assert cli.run_study(run, output_dir=str(tmp_path / "b")) == \
+        cli.EXIT_VALIDATION
+    with_n = write(tmp_path, "s.ini", _shipped("burgers1d_study.ini").replace(
+        "levels = 32", "n_cells = 64\nlevels = 32"))
+    assert cli.validate_only(with_n) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [
+        "validation error: [study] does not apply to a run",
+        "validation error: [run] does not apply to a study",
+        "validation error: [study] n_cells does not apply to a study"]
+
+
+def test_readme_lists_every_config_key():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        text = fh.read()
+    section = text.split("## Config format\n", 1)[1].split("\n## ", 1)[0]
+    keys = [tuple(line.split("`")[1][1:].split("] "))
+            for line in section.splitlines() if line.startswith("| `[")]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(cli.CONFIG_KEYS)
+

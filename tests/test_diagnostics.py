@@ -733,9 +733,10 @@ def test_fold_binds_its_reference_once_and_finish_releases_it():
     # functionals agree with those of the wrapped levels to roundoff, and
     # finish lets the binding go
     from hypflux import cli
-    cfg = cli.parse_config_text("[initial]\nkind = sine\nmean = 0.1\n"
-                                "amplitude = 0.5\n")
-    u0 = cli.make_initial(cfg, "advection2d", (1.0, 1.0))[0]
+    cfg = cli.parse_config_text("[run]\nproblem = advection2d\nnx = 16\n"
+                                "t = 0.3\n[initial]\nkind = sine\n"
+                                "mean = 0.1\namplitude = 0.5\n")
+    u0 = cli.make_initial(cli.resolve_config(cfg), (1.0, 1.0))[0]
     binds = []
     translation = u0.translation
     u0.translation = lambda x: binds.append(x.shape) or translation(x)
@@ -776,8 +777,8 @@ def _shipped_runs_with_reference():
     for name in sorted(os.listdir(CONFIG_DIR)):
         cfg = cli.load_config(os.path.join(CONFIG_DIR, name))
         if "study" in cfg:
-            for n in cli._parse_levels(cfg):
-                runs.append((f"{name}:{n}", cli._study_to_run_config(cfg), n))
+            for n in cli.resolve_config(cfg)["levels"]:
+                runs.append((f"{name}:{n}", cfg, n))
         elif cli.build_problem(cfg).ref is not None:
             runs.append((name, cfg, None))
     return runs
@@ -791,7 +792,7 @@ def _series_levels(cfg, n_override=None):
     setup = cli.build_problem(cfg, n_override)
     rc = dataclasses.replace(setup.run_config, record_every=1)
     fold = hf.ErrorFold(hf.DiagnosticsLedger(), setup.mesh, setup.system,
-                        setup.scheme, setup.u0, setup.r, rc.final_time,
+                        setup.scheme, setup.u0, setup.conf["r"], rc.final_time,
                         setup.system.lf, setup.ref, rc.quadrature)
     traj = hf.run(setup.mesh, setup.system, setup.scheme, setup.u0, rc,
                   [fold])

@@ -474,8 +474,10 @@ def test_levels_without_a_batched_form_read_eval_in_order():
 # ---------------------------------------------------------------------------
 
 def _catalog(problem, domain, initial):
-    cfg = cli.parse_config_text("[initial]\n" + initial)
-    return cli.make_initial(cfg, problem, domain)[0]
+    size = "nx" if problem == "advection2d" else "n_cells"
+    cfg = cli.parse_config_text(f"[run]\nproblem = {problem}\n{size} = 8\n"
+                                "t = 0.1\n[initial]\n" + initial)
+    return cli.make_initial(cli.resolve_config(cfg), domain)[0]
 
 
 _SHIPPED_SINE = "kind = sine\nmean = 0.1\namplitude = 0.5\n"
