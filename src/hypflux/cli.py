@@ -448,6 +448,14 @@ def build_problem(cfg: dict, n_override=None) -> ProblemSetup:
         mesh = build_uniform_1d(n_label, length)
 
     u0, du0 = make_initial(conf, mesh.domain)
+    # the datum's components against the system's state size, checked
+    # before any system is sized from the datum
+    m = (len(conf["matrix"]) if problem == "friedrichs1d"
+         else 2 if problem == "shallow_water1d" else 1)
+    k = np.shape(u0(mesh.cell_centroids[:1]))[-1]
+    if k != m:
+        raise ConfigError(f"the initial data have {k} components, the "
+                          f"{problem} system has {m}")
 
     if problem in ("advection1d", "advection2d"):
         d = mesh.dim
@@ -511,7 +519,13 @@ def _fmt(x):
 
 def execute_run(cfg: dict, n_override=None, output_dir=None,
                 write_snapshots="all"):
-    """Build, run, diagnose, and write artifacts.  Returns the report dict."""
+    """Build, run, diagnose, and write artifacts.  Returns the report dict.
+
+    The run keeps its first and last states only.  With `output_dir`,
+    "all" writes each recorded state as the march yields it, and "ends"
+    the first and last once the run is done; a run that raises removes
+    the snapshot files it wrote and the directories it made.
+    """
     setup = build_problem(cfg, n_override=n_override)
     mesh, system, scheme = setup.mesh, setup.system, setup.scheme
     run_config = setup.run_config
@@ -520,12 +534,17 @@ def execute_run(cfg: dict, n_override=None, output_dir=None,
                           T=run_config.final_time, lf=system.lf,
                           reference=setup.ref,
                           quadrature=run_config.quadrature)
-    if write_snapshots != "all":
-        # only the first and last states are read: keep no others
-        run_config = dataclasses.replace(run_config, record_every=_sys.maxsize)
+    stream = (_SnapshotStream(output_dir, mesh, system)
+              if output_dir is not None and write_snapshots == "all" else None)
     _keep_step_heap()
-    traj = solver.run(mesh, system, scheme, setup.u0, run_config, [fold])
-    fold.finish(traj)
+    try:
+        traj = solver.run(mesh, system, scheme, setup.u0, run_config, [fold],
+                          record=stream or (lambda states: None))
+        fold.finish(traj)
+    except BaseException:
+        if stream is not None:
+            stream.remove()
+        raise
 
     errors = {"cone_l2": None, "l2_spacetime": None, "rel_entropy_final": None}
     if setup.ref is not None:
@@ -588,7 +607,8 @@ def execute_run(cfg: dict, n_override=None, output_dir=None,
 
     if output_dir is not None:
         os.makedirs(output_dir, exist_ok=True)
-        _write_snapshots(output_dir, mesh, system, traj, write_snapshots)
+        if stream is None:
+            _write_snapshots(output_dir, mesh, system, traj, write_snapshots)
         meta = report["metadata"]
         run_meta = {key: meta[key] for key in ("dt", "n_steps", "lambda_star",
                                                "a", "h", "zeta", "quadrature")}
@@ -634,18 +654,77 @@ def _keep_step_heap():
     mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
+class _SnapshotStream:
+    """The recorded states of a run with all snapshots, written as the
+    march yields them: `solver.run` calls it with each batch of states,
+    which it hands to `_write_snapshots` as a trajectory of its own whose
+    files go on from `first`.  The chunks' row templates are formatted
+    once, here, for the whole run.  It makes the output directory, and
+    `remove` takes back what it wrote and made."""
+
+    def __init__(self, output_dir, mesh, system):
+        self.output_dir, self.mesh, self.system = output_dir, mesh, system
+        self.made = []  # the directories it makes, deepest first
+        path = os.path.abspath(output_dir)
+        while not os.path.isdir(path):
+            self.made.append(path)
+            path = os.path.dirname(path)
+        os.makedirs(output_dir, exist_ok=True)
+        self.templates = list(_row_templates(mesh, system.m))
+        self.first, self.snapshots = 0, []
+
+    def __call__(self, states):
+        self.snapshots = states
+        try:
+            _write_snapshots(self.output_dir, self.mesh, self.system, self,
+                             "all")
+        finally:
+            self.first += len(states)
+            self.snapshots = []  # the march's rows: not to be held
+
+    def remove(self):
+        for idx in range(self.first):
+            try:
+                os.remove(_snapshot_path(self.output_dir, idx))
+            except FileNotFoundError:
+                pass
+        for path in self.made:
+            try:
+                os.rmdir(path)
+            except OSError:  # holds what the run did not write
+                break
+
+
+def _snapshot_path(output_dir, idx):
+    return os.path.join(output_dir, f"snapshot_{idx:06d}.csv")
+
+
+def _row_templates(mesh, m):
+    """(cells, template) per chunk of the rows of a snapshot file: the
+    chunk's "cell_id,x[,y]," per row, formatted once, and a %r per value.
+    %r of a Python float is its repr, the same digits as _fmt.  A chunk
+    takes a 128th of the scratch bound (`scratch_slices`, counting 128
+    entries per value of a row), a few KiB of text."""
+    values = ",".join(["%r"] * m) + "\n"
+    for cells in scratch_slices(mesh.n_cells, 128 * (mesh.dim + m)):
+        yield cells, "".join(f"{k},{','.join(map(repr, c))},{values}"
+                             for k, c in enumerate(
+                                 mesh.cell_centroids[cells].tolist(),
+                                 cells.start))
+
+
 def _write_snapshots(output_dir, mesh, system, traj, mode):
     """Write the kept snapshots ("all", or the first and last for "ends")
     as CSV files of one row per cell.
 
-    The rows go in chunks of cells, each chunk into every file in turn,
-    so that one chunk's row templates and text are all the writer holds:
-    a chunk takes a 128th of the scratch bound (`scratch_slices`,
-    counting 128 entries per value of a row), a few KiB of text that no
-    run's peak memory feels.  A chunk's template, "cell_id,x[,y]," per row
-    formatted once and a %r per value, serves every file: %r of a Python
-    float is its repr, the same digits as _fmt.  So a file has the bytes
-    of one whole-file template, and each chunk of it is one write.
+    The rows go in chunks of cells (`_row_templates`), each chunk into
+    every file in turn, so that a chunk's text is all the writer holds
+    beside the templates.  A file has the bytes of one whole-file
+    template, and each chunk of it is one write.  A `_SnapshotStream` as
+    `traj` brings its run's templates and numbers its files from its
+    `first`; any other trajectory has its templates formatted a chunk at a
+    time, each dropped once it has served every file, and its files
+    numbered from 0.
     """
     if mode == "none":
         return
@@ -655,18 +734,15 @@ def _write_snapshots(output_dir, mesh, system, traj, mode):
     coords = ["x", "y"][: mesh.dim]
     header = ",".join(["cell_id"] + coords
                       + [f"u_{k}" for k in range(system.m)])
-    values = ",".join(["%r"] * system.m) + "\n"
-    for cells in scratch_slices(mesh.n_cells, 128 * (mesh.dim + system.m)):
-        template = "".join(f"{k},{','.join(map(repr, c))},{values}"
-                           for k, c in enumerate(
-                               mesh.cell_centroids[cells].tolist(),
-                               cells.start))
-        for idx, (t, fld) in enumerate(snaps):
-            path = os.path.join(output_dir, f"snapshot_{idx:06d}.csv")
+    templates = getattr(traj, "templates", None) or _row_templates(mesh,
+                                                                   system.m)
+    for cells, template in templates:
+        for idx, (t, fld) in enumerate(snaps, getattr(traj, "first", 0)):
             text = template % tuple(fld.values[cells].ravel().tolist())
             if cells.start == 0:
                 text = f"# t = {_fmt(t)}\n{header}\n{text}"
-            _write_bytes(path, text.encode(), append=cells.start > 0)
+            _write_bytes(_snapshot_path(output_dir, idx), text.encode(),
+                         append=cells.start > 0)
 
 
 def _write_bytes(path, data: bytes, append: bool = False):
@@ -720,10 +796,15 @@ def run_single(config_path, output_dir=None) -> int:
 
 
 def validate_only(config_path) -> int:
-    """Parse and validate a run config or study spec without running."""
+    """Parse and validate a run config or study spec without running: the
+    problem of the run (of a study's first level) is built and its
+    initial data projected and checked, as the run's first step does, so
+    data outside the admissible set fail here as the run fails."""
     try:
         conf = resolve_config(load_config(config_path))
-        build_problem(conf, n_override=conf.get("levels", [None])[0])
+        setup = build_problem(conf, n_override=conf.get("levels", [None])[0])
+        solver.project_initial(setup.mesh, setup.system, setup.u0,
+                               setup.run_config.quadrature)
     except HypfluxError as exc:
         return _exit_code(exc)
     print("config ok")

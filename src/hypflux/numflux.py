@@ -459,42 +459,62 @@ def _cycled_directions(d, n):
     return dirs[np.arange(n) % len(dirs)]
 
 
+def _pair_records(scheme, U, V, nd):
+    """(chunk, records) of the pairs (U, V) with normals nd, a chunk of
+    pairs under the scratch bound at a time (`scratch_slices`, counting a
+    pair's m state entries, so that each (pairs, m) array of the kernel is
+    at most one scratch chunk).  The kernel works pair by pair, so each
+    pair's records have the bits of one batch over all of them."""
+    for chunk in scratch_slices(len(U), U.shape[-1]):
+        yield chunk, scheme.kernel(U[chunk], V[chunk], nd[chunk])
+
+
 def _closed_form_pair_lambda(sys, scheme, U, V, nd):
     """max over the pairs (U, V) with normals nd of
     beta0 |delta|^2 / (2 (X_KL - xi_KL)).
 
-    One kernel call and no entropy evaluation: the defect and the gap of
-    the records are all the closed form needs.  A pair with a negative
-    gap, or a zero gap and delta != 0, satisfies no finite lambda.
+    One kernel call per chunk of pairs and no entropy evaluation: the
+    defect and the gap of the records are all the closed form needs.  A
+    pair with a negative gap, or a zero gap and delta != 0, satisfies no
+    finite lambda.  The largest of the chunks' maxima is the maximum.
     """
-    rec = scheme.kernel(U, V, nd)
-    d2 = rec.defect ** 2
-    gap = rec.dissipation_gap
-    bad = ~(np.isfinite(d2) & np.where(d2 > 0.0, gap > 0.0, gap >= 0.0))
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        raise ConstructionError(
-            f"{sys.name}: no finite lambda satisfies the interfacial entropy "
-            f"inequality at u={U[i]}, v={V[i]} (dissipation gap {gap[i]:.3g}, "
-            f"defect {rec.defect[i]:.3g}); the flux is not entropy dissipative")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.where(d2 > 0.0, sys.beta0 * d2 / (2.0 * gap), 0.0)
-    return float(lam.max())
+    lam_max = -np.inf
+    for chunk, rec in _pair_records(scheme, U, V, nd):
+        d2 = rec.defect ** 2
+        gap = rec.dissipation_gap
+        bad = ~(np.isfinite(d2) & np.where(d2 > 0.0, gap > 0.0, gap >= 0.0))
+        if np.any(bad):
+            i = int(np.flatnonzero(bad)[0])
+            raise ConstructionError(
+                f"{sys.name}: no finite lambda satisfies the interfacial "
+                f"entropy inequality at u={U[chunk][i]}, v={V[chunk][i]} "
+                f"(dissipation gap {gap[i]:.3g}, defect {rec.defect[i]:.3g}); "
+                "the flux is not entropy dissipative")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = np.where(d2 > 0.0, sys.beta0 * d2 / (2.0 * gap), 0.0)
+        lam_max = max(lam_max, float(lam.max()))
+    return lam_max
 
 
 def _bisected_pair_lambda(sys, scheme, c, U, V, nd):
     """Largest critical lambda of the pairs (U, V) with normals nd, by
     geometric bisection.
 
-    Only a pair whose bracket reaches the largest lower end can hold the
-    maximum: brackets only shrink, and sqrt(lo hi) stays inside them
-    (rounding is monotone and sqrt(x * x) == x), so each sweep drops the
-    pairs whose upper end is below it.  The kept pairs run the same
+    The kernel runs a chunk of pairs at a time (`_pair_records`), and its
+    records go once the sweeps' per-pair inputs are taken from them; only
+    those inputs are whole, so that the sweeps run in lockstep over every
+    pair.  Only a pair whose bracket reaches the largest lower end can
+    hold the maximum: brackets only shrink, and sqrt(lo hi) stays inside
+    them (rounding is monotone and sqrt(x * x) == x), so each sweep drops
+    the pairs whose upper end is below it.  The kept pairs run the same
     elementwise arithmetic, which gives the bits of bisecting all pairs.
     """
-    rec = scheme.kernel(U, V, nd)
-    lhs = rec.xi_value - rec.xi_left
-    delta = rec.g_value - sys.directional_flux(U, nd)
+    lhs, delta = np.empty(len(U)), np.empty_like(U)
+    for chunk, rec in _pair_records(scheme, U, V, nd):
+        np.subtract(rec.xi_value, rec.xi_left, out=lhs[chunk])
+        np.subtract(rec.g_value, sys.directional_flux(U[chunk], nd[chunk]),
+                    out=delta[chunk])
+        del rec  # the records go before the next chunk's and the sweeps
     eta_u = sys.entropy(U)
 
     def margin_at(lam, U, delta, lhs, eta_u):

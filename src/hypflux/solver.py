@@ -377,25 +377,40 @@ def step(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
 
 
 def run(mesh: Mesh, sys: SystemModel, scheme: FluxScheme, u0,
-        config: RunConfig, hooks: Sequence[Callable] = ()) -> Trajectory:
+        config: RunConfig, hooks: Sequence[Callable] = (),
+        record: Callable = None) -> Trajectory:
     """Project, then march N_T uniform steps to the final time.
 
     Each hook is invoked as hook(block) with every `StepBlock` of the
-    march, in order.  The first state, every `record_every`-th state and
-    the last state are kept on the trajectory, as copies of block rows.
+    march, in order.  The recorded states are the first state, every
+    `record_every`-th state and the last state.  They are kept on the
+    trajectory, as copies of block rows; or, with `record`, handed to
+    record(states) as they come, a list of (time, StateField) on the
+    march's rows (valid during the call only): the first state before the
+    march, then those of each block after its hooks.  The trajectory then
+    keeps the first and last states only.
     """
     field = project_initial(mesh, sys, u0, config.quadrature)
     dt = compute_dt(mesh, sys, scheme, config)
     n_steps = 0 if config.final_time == 0.0 else int(round(config.final_time / dt))
     traj = Trajectory(snapshots=[(0.0, field)], dt=dt, n_steps=n_steps)
+    if record is not None:
+        record([(0.0, field)])
     for block in march_blocks(mesh, sys, scheme, field, dt, n_steps,
                               config.check_admissibility):
         for hook in hooks:
             hook(block)
-        for j, t in enumerate(block.times[1:], 1):
-            n = block.start + j
-            if n % config.record_every == 0 or n == n_steps:
-                traj.snapshots.append((t, StateField(
-                    values=block.states[j].copy(), time=t,
-                    mesh_id=field.mesh_id)))
+        kept = [(t, StateField(values=block.states[j], time=t,
+                               mesh_id=field.mesh_id))
+                for j, t in enumerate(block.times[1:], 1)
+                if (block.start + j) % config.record_every == 0
+                or block.start + j == n_steps]
+        if record is not None:
+            record(kept)
+            # the run's last state is the last row of its last block
+            last = block.start + len(block.times) - 1 == n_steps
+            kept = kept[-1:] if last else []
+        traj.snapshots += [(t, StateField(values=fld.values.copy(), time=t,
+                                          mesh_id=fld.mesh_id))
+                           for t, fld in kept]
     return traj

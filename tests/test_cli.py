@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -208,7 +209,7 @@ def test_run_takes_one_reference_mean_per_level(monkeypatch):
 
     def guarded_run(*args, **kwargs):
         traj = run(*args, **kwargs)
-        assert len(traj.snapshots) == traj.n_steps + 1  # record_every = 1
+        assert len(traj.snapshots) == 2  # the run keeps its ends only
         traj.snapshots = _EndsOnly(traj.snapshots)
         return traj
 
@@ -243,6 +244,116 @@ def test_ends_only_run_keeps_two_states(tmp_path, monkeypatch):
     assert report["metadata"]["record_every"] == 1  # the config's value
     assert sorted(f for f in os.listdir(out) if f.startswith("snapshot_")) \
         == ["snapshot_000000.csv", "snapshot_000001.csv"]
+
+
+@pytest.mark.parametrize("mode", ["all", "ends", "none"])
+def test_run_keeps_two_states_in_every_mode(monkeypatch, mode):
+    # the run keeps its first and last states whatever it writes; without
+    # an output directory "all" writes nothing either
+    kept = []
+    run = cli.solver.run
+
+    def recording_run(*args, **kwargs):
+        traj = run(*args, **kwargs)
+        kept.append((traj.n_steps, [t for t, _ in traj.snapshots]))
+        return traj
+
+    monkeypatch.setattr(cli.solver, "run", recording_run)
+    cli.execute_run(cli.parse_config_text(BURGERS_RUN), write_snapshots=mode)
+    (n_steps, times), = kept
+    assert n_steps == 45 and times == [0.0, 0.1]
+
+
+def _snapshot_files(root):
+    return {name: data for name, data in tree_bytes(root).items()
+            if name.startswith("snapshot_")}
+
+
+@pytest.mark.parametrize("every, t, mode", [
+    (1, 0.31, "all"), (3, 0.31, "all"), (1, 0.31, "ends"), (1, 0.31, "none"),
+    (1, 0.0, "all"), (1, 0.0, "ends")])
+def test_streamed_snapshots_match_a_kept_trajectory(tmp_path, every, t, mode):
+    # the states written as the march yields them, over two blocks of up
+    # to 128 steps (140 steps, not a multiple of 3), are the bytes that
+    # _write_snapshots writes from a trajectory that kept every recorded
+    # state; so is a t = 0 run's one state
+    text = (BURGERS_RUN.replace("t = 0.1", f"t = {t}")
+            .replace("record_every = 1", f"record_every = {every}")
+            .replace("reference = exact", "reference = none"))
+    report = cli.execute_run(cli.parse_config_text(text),
+                             output_dir=str(tmp_path / "stream"),
+                             write_snapshots=mode)
+    setup = cli.build_problem(cli.parse_config_text(text))
+    traj = hf.run(setup.mesh, setup.system, setup.scheme, setup.u0,
+                  setup.run_config)
+    assert traj.n_steps == report["metadata"]["n_steps"] == (140 if t else 0)
+    (tmp_path / "kept").mkdir()
+    cli._write_snapshots(str(tmp_path / "kept"), setup.mesh, setup.system,
+                         traj, mode)
+    want = _snapshot_files(tmp_path / "kept")
+    assert _snapshot_files(tmp_path / "stream") == want
+    count = {"all": len(traj.snapshots), "ends": 2, "none": 0}[mode]
+    assert len(want) == count
+    if mode == "all" and t:
+        assert count == (141 if every == 1 else 48)
+
+
+def test_all_snapshot_run_memory_does_not_grow_with_its_steps(
+        tmp_path, monkeypatch):
+    # the march's tracemalloc peak over 128 and 1024 steps, full blocks of
+    # 128 both: the states are written as they come, so the run holds the
+    # same whatever its length.  Kept to the end, the 896 more states took
+    # about 640 KiB more (2.5 scratch chunks)
+    text = BURGERS_RUN.replace("reference = exact", "reference = none")
+    run, peaks = cli.solver.run, {}
+
+    def measured_run(*args, **kwargs):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        traj = run(*args, **kwargs)
+        peaks[traj.n_steps] = tracemalloc.get_traced_memory()[1] - base
+        return traj
+
+    monkeypatch.setattr(cli.solver, "run", measured_run)
+    for n in (128, 1024):
+        monkeypatch.setattr(cli.solver, "compute_dt",
+                            lambda *args, n=n: args[3].final_time / n)
+        tracemalloc.start()
+        try:
+            cli.execute_run(cli.parse_config_text(text),
+                            output_dir=str(tmp_path / f"o{n}"))
+        finally:
+            tracemalloc.stop()
+        assert len(os.listdir(tmp_path / f"o{n}")) == n + 1 + 3
+    assert peaks[1024] - peaks[128] <= SCRATCH_BYTES / 8, peaks
+
+
+def test_failed_run_removes_its_streamed_snapshots(tmp_path, monkeypatch):
+    # the states of the blocks before a failure were written; the run
+    # takes them back, and the directories it made, but leaves what was
+    # there before it
+    text = BURGERS_RUN.replace("t = 0.1", "t = 0.31").replace(
+        "reference = exact", "reference = none")
+    fold = cli.diag.ErrorFold.__call__
+    seen = []
+
+    def failing_fold(self, block):
+        seen.append(sorted(os.listdir(out)))
+        if block.start:
+            raise RuntimeError("fold failed")
+        return fold(self, block)
+
+    monkeypatch.setattr(cli.diag.ErrorFold, "__call__", failing_fold)
+    out = tmp_path / "made" / "o"
+    with pytest.raises(RuntimeError):
+        cli.execute_run(cli.parse_config_text(text), output_dir=str(out))
+    assert len(seen[1]) == 129 and not (tmp_path / "made").exists()
+    (tmp_path / "kept").mkdir()
+    (tmp_path / "kept" / "notes.txt").write_text("mine")
+    out = tmp_path / "kept"
+    with pytest.raises(RuntimeError):
+        cli.execute_run(cli.parse_config_text(text), output_dir=str(out))
+    assert os.listdir(out) == ["notes.txt"]
 
 
 def test_record_every_changes_no_error_mass_or_flag():
@@ -297,6 +408,47 @@ def test_validate_rejects_what_run_rejects_in_snapshots(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err == ["validation error: unknown snapshots mode 'bogus'"] * 2
     assert not os.path.exists(out)
+
+
+def test_validate_projects_the_initial_data(tmp_path, monkeypatch, capsys):
+    # the wave's depth 1.1-1.3 lies below h_min = 1.5: validate projects
+    # the datum, as the run's first step does, and fails as the run fails,
+    # with its exit code and message.  Neither leaves a file behind
+    text = _shipped("shallow_water1d.ini").replace("h_min = 0.8",
+                                                   "h_min = 1.5")
+    path = write(tmp_path, "sw.ini", text)
+    monkeypatch.chdir(tmp_path)
+    assert cli.validate_only(path) == cli.EXIT_RUNTIME
+    assert os.listdir(tmp_path) == ["sw.ini"]
+    assert cli.run_single(path, output_dir=str(tmp_path / "o")) \
+        == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err.splitlines() == [
+        "runtime error: initial data leave the admissible set inside "
+        "cell 0"] * 2
+    assert os.listdir(tmp_path) == ["sw.ini"]
+
+
+@pytest.mark.parametrize("name, old, new, k, m", [
+    ("constant.ini", "value = 0.75", "value = 1, 2", 2, 1),
+    ("friedrichs1d.ini", "means = 0.0, 0.1\namplitudes = 0.4, 0.3",
+     "means = 0.1\namplitudes = 0.5", 1, 2)], ids=["advection", "friedrichs"])
+def test_datum_components_must_match_the_system(tmp_path, monkeypatch,
+                                                capsys, name, old, new, k, m):
+    # a datum of k components on a system of m: validate and run fail at
+    # build with exit 3 and one message naming both counts (the run went
+    # on to exit 4 on advection and to a traceback on friedrichs1d)
+    text = _shipped(name)
+    assert old in text
+    path = write(tmp_path, name, text.replace(old, new))
+    monkeypatch.chdir(tmp_path)
+    assert cli.validate_only(path) == cli.EXIT_VALIDATION
+    assert cli.run_single(path, output_dir=str(tmp_path / "o")) \
+        == cli.EXIT_VALIDATION
+    problem = name.replace(".ini", "").replace("constant", "advection1d")
+    assert capsys.readouterr().err.splitlines() == [
+        f"validation error: the initial data have {k} components, the "
+        f"{problem} system has {m}"] * 2
+    assert os.listdir(tmp_path) == [name]
 
 
 def test_study_rejects_output_snapshots(tmp_path, capsys):
@@ -905,6 +1057,22 @@ def test_run_peak_memory_above_the_import(tmp_path):
 def _shipped(name):
     with open(os.path.join(CONFIG_DIR, name)) as fh:
         return fh.read()
+
+
+def test_lambda_star_of_every_shipped_config():
+    # lambda* of each shipped config, bit for bit as one batch of the
+    # calibration pairs gave it
+    want = {"advection2d.ini": 2.2816149727807793,
+            "burgers1d.ini": 1.5819410714285715,
+            "burgers1d_study.ini": 1.5819410714285715,
+            "constant.ini": 1.05, "friedrichs1d.ini": 2.041214285714303,
+            "shallow_water1d.ini": 9.81700548140926}
+    assert sorted(want) == sorted(os.listdir(CONFIG_DIR))
+    for name, lam in want.items():
+        conf = cli.resolve_config(cli.parse_config_text(_shipped(name)))
+        conf["reference"] = "none"
+        setup = cli.build_problem(conf, conf.get("levels", [None])[0])
+        assert setup.scheme.lambda_star == lam, name
 
 
 @pytest.mark.parametrize("name, old, new, key", [

@@ -835,6 +835,45 @@ def test_bound_godunov_update_matches_the_running_best_bitwise(burgers_sys,
             assert same_bits(got, want)
 
 
+def test_shallow_water_lambda_star_scratch_is_bounded():
+    # the sw-run system's 14,520 grid pairs: the kernel runs on chunks of
+    # pairs (one chunk here) and its records go before the bisection's
+    # sweeps, which need the whole batch: about 10.6 scratch chunks, where
+    # records held through the sweeps took about 13.7
+    sysm = hf.make_shallow_water_1d(9.81, 0.8, 1.7, 1.0)
+    sch, peak, kept = traced_peak(numflux.make_rusanov, sysm, "auto")
+    assert peak - kept <= 11 * SCRATCH_BYTES
+    assert sch.lambda_star == 9.81700548140926
+
+
+def test_pair_records_in_chunks_keep_the_bits(shallow_water_sys,
+                                              friedrichs_sys, monkeypatch):
+    # chunks of 1000 pairs and a remainder give each pair term the bits of
+    # one batch (one chunk at the scratch bound): the bisection (shallow
+    # water) and the closed form (friedrichs1d, whose lambda* it sets)
+    terms = {}
+    for chunked in (False, True):
+        if chunked:
+            monkeypatch.setattr(
+                numflux, "scratch_slices", lambda n, per_item: (
+                    slice(i, i + 1000) for i in range(0, n, 1000)))
+        for sysm in (shallow_water_sys, friedrichs_sys):
+            U, V, nd = fixed_pairs(sysm)
+            assert len(U) % 1000
+            calls = []
+            sch = count_kernel_parts(hf.make_rusanov(sysm), calls, "records")
+            if sysm.beta0 == sysm.beta1:
+                lam = numflux._closed_form_pair_lambda(sysm, sch, U, V, nd)
+            else:
+                lam = numflux._bisected_pair_lambda(sysm, sch, sch.params["c"],
+                                                    U, V, nd)
+            assert len(calls) == (-(-len(U) // 1000) if chunked else 1)
+            terms.setdefault(sysm.name, []).append(lam)
+    assert all(a == b for a, b in terms.values()), terms
+    assert terms["friedrichs1d"][0] * 1.02 == hf.make_rusanov(
+        friedrichs_sys).lambda_star
+
+
 def test_make_rusanov_scratch_is_bounded():
     # the near-equal quotient of the 2D system covers 132 directions x
     # 2001 states; in one batch it needed about 25 scratch chunks
