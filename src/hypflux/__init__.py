@@ -18,9 +18,8 @@ from .numflux import (DissipationGapCheck, FluxScheme, InterfaceFluxRecords,
                       make_godunov_scalar, make_rusanov,
                       omega_stability_check, sample_wave_speed_sup, x_flux)
 from .solver import (RunConfig, StepBlock, Trajectory, cell_means,
-                     compute_dt, interface_flux_records, march,
-                     march_blocks, project_initial, run, step,
-                     steps_per_block)
+                     compute_dt, interface_flux_records, march_blocks,
+                     project_initial, run, steps_per_block)
 from .diagnostics import (ConvergenceRow, ConvergenceTable, DiagnosticsLedger,
                           ErrorFold, MeasureMasses, accumulate_block,
                           accumulate_step,

@@ -399,7 +399,8 @@ def _sine_translation(means, amps, k, lengths):
 
 
 def _scalar_range(u0, domain, d):
-    """Sampled range of a scalar datum, padded by 5% of its width."""
+    """Sampled range of a scalar datum, padded by 5% of its width, which
+    must be finite."""
     if d == 1:
         xs = np.linspace(0.0, domain[0], 4097)[:, None]
     else:
@@ -411,7 +412,11 @@ def _scalar_range(u0, domain, d):
     width = hi - lo
     # constant data would give an empty box; use an absolute floor then
     pad = 0.05 * width if width > 0 else 1e-2 * (1.0 + max(abs(lo), abs(hi)))
-    return lo - pad, hi + pad
+    lo, hi = lo - pad, hi + pad
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"the initial data's range [{lo}, {hi}] has no "
+                          "finite width")
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +483,9 @@ def build_problem(cfg: dict, n_override=None) -> ProblemSetup:
         _, R = np.linalg.eigh(A)
         w0 = np.asarray(u0(xs)) @ R
         radius = 1.05 * float(np.abs(w0).max())
+        if not math.isfinite(2.0 * radius):
+            raise ConfigError("the initial data's box [-r, r] at "
+                              f"r = {radius} has no finite width")
         system = make_friedrichs([A], radius=radius)
         ref = reference.exact_friedrichs(A, u0, mesh.domain)
     else:  # shallow_water1d

@@ -47,10 +47,10 @@ hands it a copy.  Both parts are bound to one array of normals
 (`FluxScheme.bind`, through `SystemModel.bind`), so what depends on the
 normals alone, such as advection's normal speed, is formed once; a run
 binds its mesh's normals once.  `FluxScheme.kernel` binds and runs the
-two parts in turn on a fresh update, and `.g` and `.xi_num` read from
-them.  The Godunov state is exact (Osher form): f.n is extremal over the
-interval hull of (u, v) at an endpoint or at a critical point of f.n, so
-the update compares those candidates only.
+two parts in turn on a fresh update: G_KL is its `g_value` and xi_KL
+its `xi_value`.  The Godunov state is exact (Osher form): f.n is
+extremal over the interval hull of (u, v) at an endpoint or at a
+critical point of f.n, so the update compares those candidates only.
 """
 
 from __future__ import annotations
@@ -81,34 +81,17 @@ class FluxScheme:
     """Numerical flux pair (G_KL, xi_KL) with its stability parameter.
 
     `bind(n)` gives the kernel on the normals n; a run binds its mesh's
-    normals once.  The methods bind on every call."""
+    normals once.  `kernel(u, v, n)` binds for one call."""
 
     name: str
     bind: Callable     # (n) -> BoundKernel
     lambda_star: float
     params: dict = field(default_factory=dict)
 
-    def update(self, u, v, n):
-        """The update part on (u, v, n): an `InterfaceUpdate`."""
-        return self.bind(n).update(u, v)
-
-    def records(self, update, n):
-        """The records part on an update of normals n; it may overwrite
-        and release the update."""
-        return self.bind(n).records(update)
-
     def kernel(self, u, v, n):
         """Both parts of the interface kernel: the records of (u, v, n)."""
         bound = self.bind(n)
         return bound.records(bound.update(u, v))
-
-    def g(self, u, v, n):
-        """G_KL(u, v, n), shape (..., m)."""
-        return self.update(u, v, n).g_value
-
-    def xi_num(self, u, v, n):
-        """xi_KL(u, v, n), shape (...)."""
-        return self.kernel(u, v, n).xi_value
 
 
 @dataclass
@@ -284,12 +267,6 @@ def make_godunov_scalar(sys: SystemModel) -> FluxScheme:
     return scheme
 
 
-def _godunov_state(sys, u, v, n):
-    """Arg-min/arg-max of f_n over the interval hull of (u, v), exactly:
-    `_godunov_states` bound to n, on (u, v)."""
-    return _godunov_states(sys, n)(u, v)
-
-
 def _godunov_states(sys, n):
     """(u, v) -> the arg-min/arg-max of f_n over the interval hull of
     (u, v), exactly, on the normals n.
@@ -396,7 +373,8 @@ def omega_stability_check(sys: SystemModel, scheme: FluxScheme, u, v, n,
         raise ValueError("lam must be at least lambda_star")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    shifted = u - (scheme.g(u, v, n) - sys.directional_flux(u, n)) / lam
+    g = scheme.bind(n).update(u, v).g_value
+    shifted = u - (g - sys.directional_flux(u, n)) / lam
     return sys.omega.stable_contains(shifted)
 
 

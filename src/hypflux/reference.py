@@ -206,6 +206,8 @@ def exact_burgers(u0, u0_derivative, domain) -> ReferenceSolution:
     L = lengths[0]
     ygrid = np.linspace(0.0, L, 20001)
     slopes = np.asarray(u0_derivative(ygrid), dtype=float)
+    if not np.all(np.isfinite(slopes)):
+        raise ConstructionError("the samples of u0' are not all finite")
     min_slope, max_slope = float(np.min(slopes)), float(np.max(slopes))
     umax = float(np.max(np.abs(_scalar_eval(u0, ygrid))))
     if min_slope >= 0.0:

@@ -351,31 +351,6 @@ def _admissible_rows(sys: SystemModel, states) -> int:
     return int(bad.argmax()) if bad.any() else len(states)
 
 
-def march(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
-          field: StateField, dt: float, n_steps: int,
-          check_admissibility: bool = False):
-    """`march_blocks` one step at a time: yields (n, field_n, field_np1,
-    update) after each step, where `update` is the step's own
-    `InterfaceUpdate` (G_KL, the gathered states and the intermediates the
-    flux records need) and each new state is a `StateField` of its own."""
-    for block in march_blocks(mesh, sys, scheme, field, dt, n_steps,
-                              check_admissibility, steps=1):
-        new = StateField(values=block.states[1].copy(), time=block.times[1],
-                         mesh_id=field.mesh_id)
-        up = block.update
-        yield block.start, field, new, InterfaceUpdate(
-            up.g_value[0], up.left[0], up.right[0],
-            tuple(p[0] for p in up.parts))
-        field = new
-
-
-def step(mesh: Mesh, sys: SystemModel, scheme: FluxScheme,
-         field: StateField, dt: float,
-         check_admissibility: bool = False) -> StateField:
-    """One explicit update.  The caller is responsible for the CFL bound."""
-    return next(march(mesh, sys, scheme, field, dt, 1, check_admissibility))[2]
-
-
 def run(mesh: Mesh, sys: SystemModel, scheme: FluxScheme, u0,
         config: RunConfig, hooks: Sequence[Callable] = (),
         record: Callable = None) -> Trajectory:

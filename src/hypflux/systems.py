@@ -264,10 +264,6 @@ class SystemModel:
             out = out + n[..., a, None, None] * self.flux_jacobian(u, a)
         return out
 
-    def directional_entropy_flux(self, u, n):
-        """sum_alpha n_alpha xi_alpha(u); n has shape (d,) or (..., d)."""
-        return self.bind(n).entropy_flux(u)
-
 
 def _axis_forms(sys: SystemModel, n) -> DirectionalForms:
     """The default binding: the sums over the axes of n_alpha f_alpha(u)

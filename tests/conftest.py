@@ -105,6 +105,13 @@ def same_bits(got, want):
             and np.array_equal(got[~nan].view(bits), want[~nan].view(bits)))
 
 
+def first_step(mesh, sys, sch, fld, dt):
+    """The state after one step from fld: the one-step block of
+    `march_blocks`, as a StateField."""
+    block = next(hf.march_blocks(mesh, sys, sch, fld, dt, 1, steps=1))
+    return hf.StateField(block.states[1], block.times[1], fld.mesh_id)
+
+
 def rel_close(got, want, rtol=1e-12):
     """True when got and want have one shape and agree to rtol relative,
     elementwise."""

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -1414,6 +1415,66 @@ def test_bad_config_is_validation_error_before_any_build(
     assert err == [f"validation error: {message}"] * 2
 
 
+def _bump(width):
+    """Edits of burgers1d.ini to a Gaussian bump of the given width."""
+    return {"kind = sine": f"kind = gaussian-bump\nwidth = {width}",
+            "frequency = 1\n": ""}
+
+
+@pytest.mark.parametrize("name, edits, message", [
+    ("burgers1d.ini", _bump(0),
+     "the initial data's range [nan, nan] has no finite width"),
+    ("constant.ini", {"kind = constant": "kind = gaussian-bump\nwidth = 0",
+                      "value = 0.75\n": ""},
+     "the initial data's range [nan, nan] has no finite width"),
+    ("burgers1d.ini", {"mean = 0.5": "mean = 1e308",
+                       "amplitude = 0.25": "amplitude = 1e308"},
+     "the initial data's range [-inf, inf] has no finite width"),
+    ("friedrichs1d.ini", {"means = 0.0, 0.1": "means = 1e308, 1e308",
+                          "amplitudes = 0.4, 0.3": "amplitudes = 1e308, 1e308"},
+     "the initial data's box [-r, r] at r = nan has no finite width"),
+], ids=["burgers-width-0", "advection-width-0", "burgers-1e308",
+        "friedrichs-1e308"])
+def test_non_finite_datum_range_is_validation_error(
+        tmp_path, monkeypatch, capsys, name, edits, message):
+    # the sampled range that sizes Omega is checked before any system is
+    # made (each raised an OverflowError, exit 1, in the system's sampler)
+    text = _shipped(name)
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new, 1)
+    path = write(tmp_path, name, text)
+    made = []
+    for maker in ("make_advection", "make_burgers", "make_friedrichs"):
+        monkeypatch.setattr(cli, maker, lambda *a, **k: made.append(a))
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert cli.validate_only(path) == cli.EXIT_VALIDATION
+        assert cli.run_single(path, output_dir=str(out)) == cli.EXIT_VALIDATION
+    assert made == [] and not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"validation error: {message}"] * 2
+
+
+def test_non_finite_burgers_slope_is_validation_error(tmp_path, capsys):
+    # width 1e-300 gives finite data but NaN samples of u0', and so a NaN
+    # shock horizon that no final time exceeded: validate passed, and run
+    # then stopped at t = 0 (exit 4)
+    text = _shipped("burgers1d.ini")
+    for old, new in _bump(1e-300).items():
+        text = text.replace(old, new, 1)
+    path = write(tmp_path, "b.ini", text)
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert cli.validate_only(path) == cli.EXIT_VALIDATION
+        assert cli.run_single(path, output_dir=str(out)) == cli.EXIT_VALIDATION
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "validation error: the samples of u0' are not all finite"] * 2
+
+
 def test_agreeing_keys_may_both_be_given(tmp_path):
     text = _shipped("friedrichs1d.ini").replace(
         "means = 0.0, 0.1", "means = 0.5\nmean = 0.5").replace(
@@ -1446,4 +1507,15 @@ def test_readme_lists_every_config_key():
             for line in section.splitlines() if line.startswith("| `[")]
     assert len(keys) == len(set(keys))
     assert set(keys) == set(cli.CONFIG_KEYS)
+
+
+def test_readme_python_examples_run():
+    # every Python block of the README, in order, in one namespace
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        blocks = fh.read().split("```python\n")[1:]
+    assert len(blocks) >= 3
+    namespace = {}
+    for i, block in enumerate(blocks):
+        code = block.split("```", 1)[0]
+        exec(compile(code, f"README.md python block {i}", "exec"), namespace)
 

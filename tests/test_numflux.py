@@ -30,7 +30,7 @@ def all_pairs(request):
 def test_rusanov_example_burgers():
     sys = hf.make_burgers(1, u_range=(-2.5, 2.5))
     sch = hf.make_rusanov(sys, c=2.5)
-    g = sch.g(np.array([0.0]), np.array([2.0]), np.array([1.0]))
+    g = sch.bind(np.array([1.0])).update(np.array([0.0]), np.array([2.0])).g_value
     # (f(0)+f(2))/2 - c(2-0)/2 with c=2.5: 1 - 2.5 = -1.5
     assert g[0] == pytest.approx(-1.5, abs=1e-14)
 
@@ -39,21 +39,23 @@ def test_rusanov_example_given_speed():
     # the classic hand value with c = 2 on a box wide enough to admit it
     sys = hf.make_burgers(1, u_range=(-1.9, 1.9))
     sch = hf.make_rusanov(sys, c=2.0)
-    g = sch.g(np.array([0.0]), np.array([2.0 - 0.2]), np.array([1.0]))
+    g = sch.bind(np.array([1.0])).update(np.array([0.0]),
+                                        np.array([2.0 - 0.2])).g_value
     expect = 0.5 * (0.0 + 0.5 * 1.8 ** 2) - 1.0 * 1.8
     assert g[0] == pytest.approx(expect, abs=1e-14)
 
 
 def test_rusanov_consistency_is_flux(burgers_sys, burgers_rusanov):
     u = np.array([[0.7]])
-    g = burgers_rusanov.g(u, u, np.array([1.0]))
+    g = burgers_rusanov.bind(np.array([1.0])).update(u, u).g_value
     assert g[0, 0] == 0.5 * 0.7 ** 2
 
 
 def test_rusanov_friedrichs_example():
     sys = hf.make_friedrichs([np.diag([1.0, -1.0])], radius=1.5)
     sch = hf.make_rusanov(sys, c=1.1)
-    g = sch.g(np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0]))
+    g = sch.bind(np.array([1.0])).update(np.array([1.0, 0.0]),
+                                        np.array([0.0, 1.0])).g_value
     # (f(u)+f(v))/2 - c(v-u)/2 = (0.5, -0.5) - 1.1*(-0.5, 0.5)
     assert np.allclose(g, [0.5 + 0.55, -0.5 - 0.55], atol=1e-14)
 
@@ -64,19 +66,21 @@ def test_rusanov_rejects_small_speed(burgers_sys):
 
 
 def test_godunov_sonic_point(burgers_godunov):
-    g = burgers_godunov.g(np.array([-1.0]), np.array([1.0]), np.array([1.0]))
+    g = burgers_godunov.bind(np.array([1.0])).update(
+        np.array([-1.0]), np.array([1.0])).g_value
     assert g[0] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_godunov_reversed_max(burgers_godunov):
-    g = burgers_godunov.g(np.array([1.0]), np.array([-1.0]), np.array([1.0]))
+    g = burgers_godunov.bind(np.array([1.0])).update(
+        np.array([1.0]), np.array([-1.0])).g_value
     assert g[0] == pytest.approx(0.5, abs=1e-14)
 
 
 def test_godunov_upwind():
     sys = hf.make_advection(1, [1.0], u_range=(0.0, 10.0))
     sch = hf.make_godunov_scalar(sys)
-    g = sch.g(np.array([3.0]), np.array([7.0]), np.array([1.0]))
+    g = sch.bind(np.array([1.0])).update(np.array([3.0]), np.array([7.0])).g_value
     assert g[0] == pytest.approx(3.0, abs=1e-14)
 
 
@@ -114,13 +118,14 @@ N_SAMPLES = 10000
 def test_flux_axioms_all_pairs(request):
     for sys, sch in all_pairs(request):
         u, v, n = sample_pairs(sys, N_SAMPLES, seed=101)
+        rec, rev, same = (sch.kernel(u, v, n), sch.kernel(v, u, -n),
+                          sch.kernel(u, u, n))
         # conservativity (bit-exact by construction, tolerance 1e-14)
-        assert np.abs(sch.g(u, v, n) + sch.g(v, u, -n)).max() <= 1e-14, sch.name
-        assert np.abs(sch.xi_num(u, v, n) + sch.xi_num(v, u, -n)).max() <= 1e-14
+        assert np.abs(rec.g_value + rev.g_value).max() <= 1e-14, sch.name
+        assert np.abs(rec.xi_value + rev.xi_value).max() <= 1e-14
         # consistency at coincident states
-        gd = np.abs(sch.g(u, u, n) - sys.directional_flux(u, n)).max()
-        xd = np.abs(sch.xi_num(u, u, n)
-                    - sys.directional_entropy_flux(u, n)).max()
+        gd = np.abs(same.g_value - sys.directional_flux(u, n)).max()
+        xd = np.abs(same.xi_value - sys.bind(n).entropy_flux(u)).max()
         assert gd <= 1e-14, (sys.name, sch.name)
         assert xd <= 1e-12, (sys.name, sch.name)
 
@@ -128,8 +133,9 @@ def test_flux_axioms_all_pairs(request):
 def test_interfacial_entropy_inequality_all_pairs(request):
     for sys, sch in all_pairs(request):
         u, v, n = sample_pairs(sys, N_SAMPLES, seed=202)
-        delta = sch.g(u, v, n) - sys.directional_flux(u, n)
-        lhs = sch.xi_num(u, v, n) - sys.directional_entropy_flux(u, n)
+        rec = sch.kernel(u, v, n)
+        delta = rec.g_value - sys.directional_flux(u, n)
+        lhs = rec.xi_value - sys.bind(n).entropy_flux(u)
         for mult in (1.0, 2.0, 10.0):
             lam = mult * sch.lambda_star
             rhs = -lam * (sys.entropy(u - delta / lam) - sys.entropy(u))
@@ -139,7 +145,7 @@ def test_interfacial_entropy_inequality_all_pairs(request):
 def test_x_sandwich_all_pairs(request):
     for sys, sch in all_pairs(request):
         u, v, n = sample_pairs(sys, N_SAMPLES, seed=303)
-        xi = sch.xi_num(u, v, n)
+        xi = sch.kernel(u, v, n).xi_value
         x_uv = hf.x_flux(sys, sch, u, v, n)
         x_vu = hf.x_flux(sys, sch, v, u, -n)
         assert np.all(xi <= x_uv + 1e-10), (sys.name, sch.name)
@@ -190,8 +196,8 @@ def test_divergence_free_on_mesh_cells(burgers_sys, burgers_rusanov):
     sys = hf.make_advection(2, [1.0, 0.5], u_range=(-1.0, 1.0))
     sch = hf.make_rusanov(sys)
     state = np.full((mesh.n_cells, 1), 0.37)
-    g = sch.g(state[mesh.iface_left], state[mesh.iface_right],
-              mesh.iface_normals)
+    g = sch.bind(mesh.iface_normals).update(
+        state[mesh.iface_left], state[mesh.iface_right]).g_value
     div = np.zeros((mesh.n_cells, 1))
     contrib = mesh.iface_areas[:, None] * g
     np.add.at(div, mesh.iface_left, contrib)
@@ -207,7 +213,8 @@ def test_godunov_rusanov_first_order_agreement(burgers_sys, burgers_rusanov,
     v = u + rng.uniform(-0.05, 0.05, u.shape)
     np.clip(v, -1.0, 1.0, out=v)
     n = np.where(rng.random((4000, 1)) < 0.5, 1.0, -1.0)
-    dg = burgers_rusanov.g(u, v, n) - burgers_godunov.g(u, v, n)
+    dg = (burgers_rusanov.bind(n).update(u, v).g_value
+          - burgers_godunov.bind(n).update(u, v).g_value)
     jump = np.abs(v - u)
     c = burgers_rusanov.params["c"]
     assert np.all(np.abs(dg) <= 1.1 * c * jump + 1e-14)
@@ -250,8 +257,9 @@ def test_bouchut_fails_at_wave_speed_for_rusanov(burgers_sys, burgers_rusanov):
     u = np.array([[-1.0]])
     v = np.array([[0.0]])
     n = np.array([1.0])
-    delta = sch.g(u, v, n) - burgers_sys.directional_flux(u, n)
-    lhs = sch.xi_num(u, v, n) - burgers_sys.directional_entropy_flux(u, n)
+    rec = sch.kernel(u, v, n)
+    delta = rec.g_value - burgers_sys.directional_flux(u, n)
+    lhs = rec.xi_value - burgers_sys.bind(n).entropy_flux(u)
     rhs = -c * (burgers_sys.entropy(u - delta / c) - burgers_sys.entropy(u))
     assert lhs[0] > rhs[0] + 1e-3
     assert sch.lambda_star > c
@@ -322,7 +330,7 @@ def test_rusanov_records_match_written_out_formulas(request):
                     - (0.5 * c) * (b - a))
 
         def x(a, b, nn):
-            return (sys.directional_entropy_flux(a, nn)
+            return (sys.bind(nn).entropy_flux(a)
                     + (sys.entropy_gradient(a)
                        * (g(a, b, nn) - sys.directional_flux(a, nn))).sum(axis=-1))
 
@@ -335,17 +343,17 @@ def test_rusanov_records_match_written_out_formulas(request):
         assert np.array_equal(rec.g_value, want_g), sys.name
         assert np.array_equal(rec.x_kl, want_x), sys.name
         assert np.array_equal(rec.xi_value, want_xi), sys.name
-        assert np.array_equal(rec.xi_left, sys.directional_entropy_flux(u, n))
+        assert np.array_equal(rec.xi_left, sys.bind(n).entropy_flux(u))
         assert np.array_equal(rec.defect, want_defect), sys.name
         assert np.array_equal(rec.dissipation_gap, want_x - want_xi), sys.name
-        assert np.array_equal(sch.g(u, v, n), want_g)
-        assert np.array_equal(sch.xi_num(u, v, n), want_xi)
+        assert np.array_equal(sch.bind(n).update(u, v).g_value, want_g)
 
 
 def test_kernels_conservative_bitwise(request):
     for sys, sch in all_pairs(request):
         u, v, n = sample_pairs(sys, 2000, seed=707)
-        assert np.array_equal(sch.g(v, u, -n), -sch.g(u, v, n)), \
+        assert np.array_equal(sch.bind(-n).update(v, u).g_value,
+                              -sch.bind(n).update(u, v).g_value), \
             (sys.name, sch.name)
 
 
@@ -383,14 +391,14 @@ def test_records_part_on_stacked_steps_matches_kernel_bitwise(request):
     for sys, sch in all_pairs(request):
         steps = [sample_pairs(sys, 257, seed=s) for s in (31, 32, 33)]
         n = steps[0][2]
-        updates = [sch.update(u, v, n) for u, v, _ in steps]
-        block = sch.records(hf.InterfaceUpdate(
+        updates = [sch.bind(n).update(u, v) for u, v, _ in steps]
+        block = sch.bind(n).records(hf.InterfaceUpdate(
             *(np.stack([getattr(up, name) for up in updates])
               for name in ("g_value", "left", "right")),
-            tuple(map(np.stack, zip(*(up.parts for up in updates))))), n)
+            tuple(map(np.stack, zip(*(up.parts for up in updates))))))
         for k, (u, v, _) in enumerate(steps):
             one = sch.kernel(u, v, n)
-            assert np.array_equal(sch.g(u, v, n), one.g_value)
+            assert np.array_equal(updates[k].g_value, one.g_value)
             for f in dataclasses.fields(one):
                 got, want = getattr(block, f.name)[k], getattr(one, f.name)
                 assert got.shape == want.shape, (sys.name, sch.name, f.name)
@@ -409,7 +417,7 @@ def test_one_binding_serves_every_step_bitwise(request):
         kernel = sch.bind(n)
         for seed in (41, 42):
             u, v, _ = sample_pairs(sys, 300, seed=seed)
-            got, want = kernel.update(u, v), sch.update(u, v, n)
+            got, want = kernel.update(u, v), sch.bind(n).update(u, v)
             for name in ("g_value", "left", "right"):
                 assert same_bits(getattr(got, name), getattr(want, name))
             got, want = kernel.records(got), sch.kernel(u, v, n)
@@ -422,17 +430,18 @@ def _plain_records(sys, sch, u, v, n):
     """The records of (u, v, n) by their formulas, each difference and sum
     in a new array: delta = G - f(u).n, X_KL = xi(u).n + Deta(u).delta and
     xi_KL the midpoint of X_KL and X_LK (Rusanov) or xi(w*).n (Godunov)."""
-    g = sch.g(u, v, n)
-    xi_u = sys.directional_entropy_flux(u, n)
+    update = sch.bind(n).update(u, v)
+    g = update.g_value
+    xi_u = sys.bind(n).entropy_flux(u)
     delta = g - sys.directional_flux(u, n)
     x = xi_u + (sys.entropy_gradient(u) * delta).sum(axis=-1)
     if sch.name == "rusanov":
-        x_rev = (sys.directional_entropy_flux(v, n)
+        x_rev = (sys.bind(n).entropy_flux(v)
                  + (sys.entropy_gradient(v)
                     * (g - sys.directional_flux(v, n))).sum(axis=-1))
         xi = 0.5 * (x + x_rev)
     else:
-        xi = sys.directional_entropy_flux(sch.update(u, v, n).parts[0], n)
+        xi = sys.bind(n).entropy_flux(update.parts[0])
     return hf.InterfaceFluxRecords(
         g_value=g, xi_value=xi, x_kl=x, xi_left=xi_u,
         defect=np.sqrt((delta ** 2).sum(axis=-1)), dissipation_gap=x - xi)
@@ -449,7 +458,7 @@ def test_records_part_on_an_update_taken_over_matches_a_copy(request, k):
     for sys, sch in all_pairs(request) + [(adv2d, hf.make_rusanov(adv2d))]:
         steps = [sample_pairs(sys, 257, seed=s) for s in range(41, 41 + k)]
         n = np.asfortranarray(steps[0][2])
-        updates = [sch.update(u, v, n) for u, v, _ in steps]
+        updates = [sch.bind(n).update(u, v) for u, v, _ in steps]
         if k == 1:
             (up,) = updates
             update = hf.InterfaceUpdate(
@@ -461,8 +470,8 @@ def test_records_part_on_an_update_taken_over_matches_a_copy(request, k):
                   for name in ("g_value", "left", "right")),
                 tuple(map(np.stack, zip(*(up.parts for up in updates)))))
         del updates
-        want = sch.records(copy.deepcopy(update), n)
-        got = sch.records(update, n)
+        want = sch.bind(n).records(copy.deepcopy(update))
+        got = sch.bind(n).records(update)
         plain = [_plain_records(sys, sch, u, v, n) for u, v, _ in steps]
         for f in dataclasses.fields(got):
             assert same_bits(getattr(got, f.name), getattr(want, f.name)), \
@@ -598,11 +607,11 @@ def test_centred_flux_fails_the_closed_form_calibration(advection_sys):
 
     def records(step, n):
         u, v, g = step.left, step.right, step.g_value
-        xi_u = sys.directional_entropy_flux(u, n)
+        xi_u = sys.bind(n).entropy_flux(u)
         delta = g - step.parts[0]
         x = numflux._dissipation_flux(sys, u, delta, xi_u)
         return numflux._records(
-            g, delta, xi_u, x, 0.5 * (xi_u + sys.directional_entropy_flux(v, n)))
+            g, delta, xi_u, x, 0.5 * (xi_u + sys.bind(n).entropy_flux(v)))
 
     centred = hf.FluxScheme("centred", lambda n: numflux.BoundKernel(
         lambda u, v: update(u, v, n), lambda step: records(step, n)), np.nan)
@@ -742,7 +751,7 @@ def test_setup_draws_no_random_state(monkeypatch, name):
 # -- Godunov state ---------------------------------------------------------------
 
 def _godunov_state_stacked(sys, u, v, n):
-    """`_godunov_state` as it was, stacking the candidates for one argmin:
+    """The Godunov state as it was, stacking the candidates for one argmin:
     the bitwise oracle of the running comparison."""
     a, b = u[..., 0], v[..., 0]
     n = numflux._as_direction(n, 1)
@@ -777,7 +786,7 @@ def test_godunov_state_matches_stacked_argmin_bitwise(burgers_sys,
     for sysm in (burgers_sys, advection_sys, repeated):
         for n in normals:
             with np.errstate(all="ignore"):
-                got = numflux._godunov_state(sysm, u, v, n)
+                got = numflux._godunov_states(sysm, n)(u, v)
                 want = _godunov_state_stacked(sysm, u, v, n)
             assert got.shape == want.shape == u.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -786,12 +795,12 @@ def test_godunov_state_matches_stacked_argmin_bitwise(burgers_sys,
     for sysm in (burgers_sys, advection_sys):
         for n in (1.0, -1.0):
             assert np.array_equal(
-                numflux._godunov_state(sysm, uu, vv, np.array([n])),
+                numflux._godunov_states(sysm, np.array([n]))(uu, vv),
                 _godunov_state_stacked(sysm, uu, vv, np.array([n])))
 
 
 def _godunov_state_running(sys, u, v, n):
-    """`_godunov_state` before it was bound to n, verbatim: the running
+    """The Godunov state before it was bound to n, verbatim: the running
     best with the orientation and the candidates formed on every call."""
     a, b = u[..., 0], v[..., 0]
     n = numflux._as_direction(n, 1)

@@ -9,7 +9,7 @@ import hypflux as hf
 from hypflux import diagnostics, solver
 from hypflux.errors import AdmissibilityError, ConfigError
 
-from conftest import same_bits
+from conftest import first_step, same_bits
 
 
 def sine_u0(x):
@@ -218,7 +218,7 @@ def test_step_upwind_hand_values():
     fld = hf.StateField(values=np.array([[0.0], [1.0], [0.0]]), time=0.0,
                         mesh_id=mesh.mesh_id)
     dt = 0.5 * mesh.h
-    out = hf.step(mesh, sys, sch, fld, dt)
+    out = first_step(mesh, sys, sch, fld, dt)
     assert np.allclose(out.values[:, 0], [0.0, 0.5, 0.5], atol=1e-15)
 
 
@@ -226,7 +226,7 @@ def test_step_constant_state_is_fixed_point(burgers_sys, burgers_rusanov):
     mesh = hf.build_uniform_1d(7, 1.0)
     fld = hf.StateField(values=np.full((7, 1), 0.42), time=0.0,
                         mesh_id=mesh.mesh_id)
-    out = hf.step(mesh, burgers_sys, burgers_rusanov, fld, 1e-3)
+    out = first_step(mesh, burgers_sys, burgers_rusanov, fld, 1e-3)
     assert np.array_equal(out.values, fld.values)
 
 
@@ -236,7 +236,7 @@ def test_step_conserves_mass(burgers_sys, burgers_rusanov):
     dt = hf.compute_dt(mesh, burgers_sys, burgers_rusanov,
                        hf.RunConfig(final_time=0.1))
     m0 = (mesh.cell_volumes[:, None] * fld.values).sum()
-    out = hf.step(mesh, burgers_sys, burgers_rusanov, fld, dt)
+    out = first_step(mesh, burgers_sys, burgers_rusanov, fld, dt)
     m1 = (mesh.cell_volumes[:, None] * out.values).sum()
     assert abs(m1 - m0) <= 1e-13 * max(1.0, abs(m0))
 
@@ -347,7 +347,7 @@ def test_flux_accumulation_order_insensitive(burgers_sys, burgers_rusanov):
     fld = hf.project_initial(mesh, burgers_sys, burgers_wave_u0)
     records = hf.interface_flux_records(mesh, burgers_sys, burgers_rusanov, fld)
     dt = 1e-3
-    base = hf.step(mesh, burgers_sys, burgers_rusanov, fld, dt)
+    base = first_step(mesh, burgers_sys, burgers_rusanov, fld, dt)
     perm = np.random.default_rng(0).permutation(mesh.n_interfaces)
     new = fld.values.copy()
     flux = mesh.iface_areas[perm, None] * records.g_value[perm]
@@ -367,8 +367,8 @@ _ADV2D_RUSANOV = hf.make_rusanov(_ADV2D)
        jitter=st.floats(0.0, 0.24), seed=st.integers(0, 2 ** 31 - 1),
        data_seed=st.integers(0, 2 ** 31 - 1))
 def test_march_property(nx, ny, jitter, seed, data_seed):
-    # march conserves mass, repeats bit for bit, and is the loop of run
-    # and step
+    # a march of one-step blocks conserves mass, repeats bit for bit, and
+    # is the loop of run and of its first step
     mesh = hf.build_perturbed_quad_2d(nx, ny, 1.0, 1.0, jitter, seed)
     sysm, sch = _ADV2D, _ADV2D_RUSANOV
     rng = np.random.default_rng(data_seed)
@@ -384,20 +384,24 @@ def test_march_property(nx, ny, jitter, seed, data_seed):
     fld = hf.project_initial(mesh, sysm, u0)
     dt = hf.compute_dt(mesh, sysm, sch, cfg)
     traj = hf.run(mesh, sysm, sch, u0, cfg)
-    marches = [list(hf.march(mesh, sysm, sch, fld, dt, traj.n_steps, True))
+    # one step a block: (n, states, times, G), the states copied out of
+    # the march's buffer, which the next block rewrites
+    marches = [[(b.start, b.states.copy(), b.times, b.update.g_value[0])
+                for b in hf.march_blocks(mesh, sysm, sch, fld, dt,
+                                         traj.n_steps, True, steps=1)]
                for _ in range(2)]
     assert [n for n, *_ in marches[0]] == list(range(traj.n_steps))
     assert len(traj.snapshots) == traj.n_steps + 1
     mass0 = (mesh.cell_volumes[:, None] * fld.values).sum(axis=0)
-    for (n, fa, fb, update), (_, ga, gb, _), (t, snap) in zip(
+    for (n, (old, new), times, g), (_, again, _, _), (t, snap) in zip(
             marches[0], marches[1], traj.snapshots[1:]):
-        assert np.array_equal(fb.values, gb.values)
-        assert np.array_equal(fb.values, snap.values) and fb.time == t
-        assert fb.time == (n + 1) * dt
-        mass = (mesh.cell_volumes[:, None] * fb.values).sum(axis=0)
+        assert np.array_equal(new, again[1])
+        assert np.array_equal(new, snap.values) and times[1] == t
+        assert times[1] == (n + 1) * dt
+        mass = (mesh.cell_volumes[:, None] * new).sum(axis=0)
         assert np.abs(mass - mass0).max() <= 1e-12 * max(1.0, np.abs(mass0).max())
-        assert np.array_equal(update.g_value, hf.interface_flux_records(
-            mesh, sysm, sch, fa).g_value)
-    first = hf.step(mesh, sysm, sch, fld, dt)
-    assert np.array_equal(first.values, marches[0][0][2].values)
-    assert first.time == marches[0][0][2].time
+        assert np.array_equal(g, hf.interface_flux_records(
+            mesh, sysm, sch, hf.StateField(old, times[0], mesh.mesh_id)).g_value)
+    first = first_step(mesh, sysm, sch, fld, dt)
+    _, states, times, _ = marches[0][0]
+    assert np.array_equal(first.values, states[1]) and first.time == times[1]
