@@ -21,8 +21,7 @@ from .solver import (RunConfig, StepBlock, Trajectory, cell_means,
                      compute_dt, interface_flux_records, march_blocks,
                      project_initial, run, steps_per_block)
 from .diagnostics import (ConvergenceRow, ConvergenceTable, DiagnosticsLedger,
-                          ErrorFold, MeasureMasses, accumulate_block,
-                          accumulate_step,
+                          ErrorFold, MeasureMasses, accumulate_step,
                           cone_l2_error, fit_rate, measure_masses,
                           measure_scaling_report, projection_masses,
                           reference_cell_means, relative_entropy_norm,

@@ -98,43 +98,27 @@ def accumulate_step(ledger: DiagnosticsLedger, mesh: Mesh, sys: SystemModel,
                     scheme: FluxScheme, field_n: StateField,
                     field_np1: StateField, records: InterfaceFluxRecords,
                     dt: float):
-    """Add one step's interface and cell contributions to every ledger sum;
-    return the step's per-cell |K| |u^{n+1} - u^n| and |K| |eta^{n+1} - eta^n|.
-
-    `accumulate_block` on the block of this one step, through views.
-    """
+    """`_accumulate` on the block of one step, through views: add the step
+    to every ledger sum and return its per-cell |K| |u^{n+1} - u^n| and
+    |K| |eta^{n+1} - eta^n|."""
     rows = InterfaceFluxRecords(*(getattr(records, f.name)[None]
                                   for f in fields(records)))
-    vol_du, vol_deta = accumulate_block(
+    vol_du, vol_deta = _accumulate(
         ledger, mesh, sys, scheme, field_n.values[None],
-        field_np1.values[None], rows, dt)
+        field_np1.values[None], rows, dt)[:2]
     return vol_du[0], vol_deta[0]
-
-
-def accumulate_block(ledger: DiagnosticsLedger, mesh: Mesh, sys: SystemModel,
-                     scheme: FluxScheme, u_n, u_np1,
-                     records: InterfaceFluxRecords, dt: float,
-                     entropies=None):
-    """Add the interface and cell contributions of K steps of one dt to
-    every ledger sum; return the per-cell |K| |u^{n+1} - u^n| and
-    |K| |eta^{n+1} - eta^n| of each step as (K, n_cells) arrays.
-
-    u_n and u_np1 are the (K, n_cells, m) states before and after each
-    step, `records` carry the same leading step axis, and `entropies` is
-    (eta(u_n[0]), eta(u_np1)) when the caller has them: the steps' states
-    follow on, so eta(u_n) is the first row and eta(u_np1) less its last.
-    Every sum is a row reduction, folded into the ledger in step order, so
-    a block adds the bits its steps would add one by one.
-    """
-    return _accumulate(ledger, mesh, sys, scheme, u_n, u_np1, records, dt,
-                       entropies)[:2]
 
 
 def _accumulate(ledger, mesh, sys, scheme, u_n, u_np1, records, dt,
                 entropies=None, scales=None):
-    """`accumulate_block`, which also returns the row sums over all cells
-    of its two arrays, as lists; `scales` are (|K| / dt, dt / |K|) when
-    the caller has them."""
+    """Add K steps of one dt to every ledger sum; return each step's
+    per-cell |K| |u^{n+1} - u^n| and |K| |eta^{n+1} - eta^n| as (K, n_cells)
+    arrays, and their row sums as lists.  u_n and u_np1 are the
+    (K, n_cells, m) states before and after each step, and the records
+    carry the same step axis.  A caller may pass `entropies`, (eta(u_n[0]),
+    eta(u_np1)) of states that follow on, and `scales`, (|K| / dt,
+    dt / |K|).  Each sum is a row reduction folded in step order, so a
+    block adds the bits its steps would add one by one."""
     d = records.defect
     if d.shape[-1] != mesh.n_interfaces:
         raise ConfigError("flux records do not match the mesh")
@@ -347,7 +331,11 @@ def _mbeta_inside(esq, hnorm, beta0, beta1, n_cells):
     """Where (beta0/2) esq <= hnorm <= (beta1/2) esq holds, up to the
     rounding of the two sums over n_cells cells: a few ulp per cell term
     and one per level of the pairwise sum, that is (8 + log2 n_cells) ulp
-    of the upper bound.  A NaN or infinite sum lies outside."""
+    of the upper bound.  A NaN or infinite sum lies outside.  This is the
+    `mbeta_bracket` flag.  Where beta0 = beta1, hnorm is (beta/2) esq, so
+    it fails only on a non-finite error series (a NaN reference mean);
+    where beta0 < beta1 it is two-sided and checks the entropy's Hessian
+    bounds on the visited states (beta1 halved fails it on shallow water)."""
     hi = 0.5 * beta1 * esq
     tol = (8.0 + math.log2(n_cells)) * np.finfo(float).eps * hi
     with np.errstate(invalid="ignore"):  # inf - inf, which lies outside
@@ -369,7 +357,7 @@ def check_ball(mesh: Mesh, r: float, dist=None) -> None:
 
 class ErrorFold:
     """The run's one solver hook: folds each `StepBlock` of a march into
-    the error functionals, the ledger (`accumulate_block`) and the masses.
+    the error functionals, the ledger (`_accumulate`) and the masses.
 
     Cells count as inside a ball when their centroid is (periodic
     minimum-image distance).  A fold given u0 folds the masses on
@@ -378,7 +366,7 @@ class ErrorFold:
     B(0, r + lf (T - t)) are read, and r may be any radius.  The measure
     masses mu_T and mu_bar_T on
     B(0, r) are ball-masked sums of the per-cell time variation that
-    `accumulate_block` returns.  With a reference, its cell means at the
+    `_accumulate` returns.  With a reference, its cell means at the
     time levels t^n of a block are evaluated in one call; per level,
     u^n - ubar^n and the squared error |K| |u^n - ubar^n|^2 are formed
     once, as row reductions over the block folded in step order.  The

@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -154,13 +155,13 @@ def test_constant_run_all_zero_diagnostics(tmp_path):
     path = write(tmp_path, "c.ini", CONSTANT_RUN)
     out = str(tmp_path / "out")
     assert cli.run_single(path, output_dir=out) == cli.EXIT_OK
-    ledger = json.load(open(os.path.join(out, "ledger.json")))
+    report = json.load(open(os.path.join(out, "report.json")))
+    ledger = report["ledger"]
     assert ledger["wbv_sq"] == 0.0
     assert ledger["wbv_l1"] == 0.0
     assert ledger["entropy_residual_max"] == 0.0
     assert ledger["mu0_mass"] == 0.0
     assert ledger["mu_t_mass"] == 0.0
-    report = json.load(open(os.path.join(out, "report.json")))
     assert report["passed"] is True
     assert report["errors"]["cone_l2"] == 0.0
 
@@ -325,7 +326,7 @@ def test_all_snapshot_run_memory_does_not_grow_with_its_steps(
                             output_dir=str(tmp_path / f"o{n}"))
         finally:
             tracemalloc.stop()
-        assert len(os.listdir(tmp_path / f"o{n}")) == n + 1 + 3
+        assert len(os.listdir(tmp_path / f"o{n}")) == n + 1 + 1
     assert peaks[1024] - peaks[128] <= SCRATCH_BYTES / 8, peaks
 
 
@@ -729,6 +730,132 @@ def test_admissibility_flag_fails_on_nan_final_state(monkeypatch):
     report = cli.execute_run(cli.parse_config_text(text))
     assert report["flags"]["admissibility"] is False
     assert report["flags"]["dissipation_gap"] is True  # the steps were fine
+
+
+def _records_fault(edit):
+    """A fault in the flux records, made before the ledger reads them."""
+    def apply(monkeypatch):
+        accumulate = cli.diag._accumulate
+
+        def faulty(*args):
+            edit(args[6])  # the block's records
+            return accumulate(*args)
+
+        monkeypatch.setattr(cli.diag, "_accumulate", faulty)
+    return apply
+
+
+def _xi_raised(records):
+    records.xi_value[:, 0] += 1e-3  # xi_KL at interface 0, every step
+
+
+def _defect_scaled(records):
+    records.defect *= 1e3
+    records.defect += 1.0
+
+
+def _setup_fault(edit):
+    """A fault in the built problem, made before the run marches."""
+    def apply(monkeypatch):
+        build = cli.build_problem
+
+        def faulty(*args, **kwargs):
+            setup = build(*args, **kwargs)
+            edit(setup)
+            return setup
+
+        monkeypatch.setattr(cli, "build_problem", faulty)
+    return apply
+
+
+def _lambda_halved(setup):
+    setup.scheme.lambda_star *= 0.5
+
+
+def _beta1_halved(setup):
+    setup.system.beta1 *= 0.5
+
+
+def _right_share_raised(monkeypatch):
+    # interface 0's share into its right cell x (1 + 1e-9), in the march's
+    # scatter; the ledger's scatter has the signs (1, -1)
+    scatter = hf.Mesh.scatter
+
+    def faulty(self, base, to_left, to_right, signs=(1, 1), out=None):
+        if tuple(signs) == (-1, 1):
+            to_right = to_right.copy()
+            to_right[0] *= 1 + 1e-9
+        return scatter(self, base, to_left, to_right, signs, out)
+
+    monkeypatch.setattr(hf.Mesh, "scatter", faulty)
+
+
+def _final_state_outside_omega(monkeypatch):
+    # 100 moved from cell 6 to cell 5 of the final state, whose mass stays
+    run = cli.solver.run
+
+    def faulty(*args, **kwargs):
+        traj = run(*args, **kwargs)
+        traj.final_field.values[5, 0] += 100.0
+        traj.final_field.values[6, 0] -= 100.0
+        return traj
+
+    monkeypatch.setattr(cli.solver, "run", faulty)
+
+
+def _nan_reference_mean(monkeypatch):
+    means = cli.diag.reference_level_means
+
+    def faulty(*args, **kwargs):
+        out = means(*args, **kwargs)
+        out[0, 3, 0] = np.nan  # cell 3 at each block's first level
+        return out
+
+    monkeypatch.setattr(cli.diag, "reference_level_means", faulty)
+
+
+_BETA_EQUAL = ("burgers1d.ini", "friedrichs1d.ini", "advection2d.ini")
+# (flag, fault, config, edits, n_override, apply)
+_FAULTS = (
+    [("entropy_residual", "xi-raised", name, {}, None,
+      _records_fault(_xi_raised)) for name in _BETA_EQUAL]
+    + [("dissipation_gap", "defect-scaled", name, {}, None,
+        _records_fault(_defect_scaled)) for name in _BETA_EQUAL]
+    + [("dissipation_gap", "lambda-halved", "friedrichs1d.ini", {}, None,
+        _setup_fault(_lambda_halved))]
+    + [("conservation", "right-share-raised", name, {}, None,
+        _right_share_raised) for name in ("burgers1d.ini", "friedrichs1d.ini")]
+    + [("admissibility", "final-state-outside", name, {}, None,
+        _final_state_outside_omega)
+       for name in ("burgers1d.ini", "friedrichs1d.ini")]
+    + [("mbeta_bracket", "beta1-halved", "shallow_water1d.ini",
+        {"reference = none": "reference = fine:8"}, 16,
+        _setup_fault(_beta1_halved))]
+    + [("mbeta_bracket", "nan-reference-mean", name, {}, None,
+        _nan_reference_mean) for name in _BETA_EQUAL])
+
+
+@pytest.mark.parametrize("flag, fault, name, edits, n, apply", _FAULTS,
+                         ids=[f"{row[0]}-{row[1]}-{row[2][:-4]}"
+                              for row in _FAULTS])
+def test_fault_fails_its_flag_alone(monkeypatch, flag, fault, name, edits, n,
+                                    apply):
+    # every flag of report.json has a finite fault of the run that turns it
+    # false and leaves every other flag true.  Where beta0 = beta1 the
+    # bracket's hnorm is (beta/2) |e|^2 itself, so only a non-finite error
+    # series fails it; on shallow water against a fine grid, where
+    # beta0 < beta1, the bracket is two-sided and beta1 halved fails it
+    text = _shipped(name)
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    clean = cli.execute_run(cli.parse_config_text(text), n_override=n)
+    assert clean["passed"] and flag in clean["flags"]
+    apply(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = cli.execute_run(cli.parse_config_text(text), n_override=n)
+    assert report["flags"] == {**clean["flags"], flag: False}
 
 
 def test_godunov_in_2d_is_validation_error(tmp_path):
@@ -1360,6 +1487,12 @@ def _built_meshes(monkeypatch):
     return built
 
 
+# the [initial] section of burgers1d.ini, and its keys as a bump's less the
+# width
+_SINE = "kind = sine\nmean = 0.5\namplitude = 0.25\nfrequency = 1\n"
+_SINE_AS_BUMP = "kind = gaussian-bump\nmean = 0.5\namplitude = 0.25\nwidth = "
+
+
 @pytest.mark.parametrize("name, old, new, message", [
     # non-finite numbers (each a traceback or a late message before the table)
     ("burgers1d.ini", "n_cells = 128", "n_cells = 128\nlength = nan",
@@ -1390,6 +1523,18 @@ def _built_meshes(monkeypatch):
      "jitter must lie in [0, 0.25), got nan"),
     ("burgers1d.ini", "reference = exact", "reference = finest",
      "unknown reference mode 'finest'"),
+    # bump widths that are not positive, or whose exponent (x / width)^2
+    # overflows on the box: each ran (-0.1 as 0.1) or printed RuntimeWarnings
+    # before a later validation error
+    ("burgers1d.ini", _SINE, _SINE_AS_BUMP + "-0.1",
+     "width must be positive with 1 / width^2 finite, got -0.1"),
+    ("burgers1d.ini", _SINE, _SINE_AS_BUMP + "0",
+     "width must be positive with 1 / width^2 finite, got 0.0"),
+    ("constant.ini", "kind = constant\nvalue = 0.75",
+     "kind = gaussian-bump\nwidth = 0",
+     "width must be positive with 1 / width^2 finite, got 0.0"),
+    ("burgers1d.ini", _SINE, _SINE_AS_BUMP + "1e-300",
+     "width must be positive with 1 / width^2 finite, got 1e-300"),
     # a key given with the key its default comes from, disagreeing
     ("friedrichs1d.ini", "means = 0.0, 0.1", "means = 0.0, 0.1\nmean = 0.0",
      "[initial] mean = 0.0 disagrees with [initial] means = 0.0, 0.1"),
@@ -1398,43 +1543,35 @@ def _built_meshes(monkeypatch):
      "[initial] amplitude = 0.4 disagrees with [initial] amplitudes = 0.4, 0.3"),
 ], ids=["length-nan", "amplitude-nan", "frequency-nan", "matrix-nan", "g-nan",
         "speed-inf", "jiter", "sytem", "speed-burgers", "amplitude-constant",
-        "jitter-negative", "jitter-nan", "finest", "mean-means",
+        "jitter-negative", "jitter-nan", "finest", "width-negative", "width-0",
+        "advection-width-0", "width-1e-300", "mean-means",
         "amplitude-amplitudes"])
 def test_bad_config_is_validation_error_before_any_build(
         tmp_path, monkeypatch, capsys, name, old, new, message):
-    # validate and run reject each with one message, and build no mesh
+    # validate and run reject each with one message and no warning, and
+    # build no mesh
     text = _shipped(name)
     assert old in text
     path = write(tmp_path, name, text.replace(old, new, 1))
     built = _built_meshes(monkeypatch)
     out = tmp_path / "o"
-    assert cli.validate_only(path) == cli.EXIT_VALIDATION
-    assert cli.run_single(path, output_dir=str(out)) == cli.EXIT_VALIDATION
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.validate_only(path) == cli.EXIT_VALIDATION
+        assert cli.run_single(path, output_dir=str(out)) == cli.EXIT_VALIDATION
     assert built == [] and not out.exists()
     err = capsys.readouterr().err.splitlines()
     assert err == [f"validation error: {message}"] * 2
 
 
-def _bump(width):
-    """Edits of burgers1d.ini to a Gaussian bump of the given width."""
-    return {"kind = sine": f"kind = gaussian-bump\nwidth = {width}",
-            "frequency = 1\n": ""}
-
-
 @pytest.mark.parametrize("name, edits, message", [
-    ("burgers1d.ini", _bump(0),
-     "the initial data's range [nan, nan] has no finite width"),
-    ("constant.ini", {"kind = constant": "kind = gaussian-bump\nwidth = 0",
-                      "value = 0.75\n": ""},
-     "the initial data's range [nan, nan] has no finite width"),
     ("burgers1d.ini", {"mean = 0.5": "mean = 1e308",
                        "amplitude = 0.25": "amplitude = 1e308"},
      "the initial data's range [-inf, inf] has no finite width"),
     ("friedrichs1d.ini", {"means = 0.0, 0.1": "means = 1e308, 1e308",
                           "amplitudes = 0.4, 0.3": "amplitudes = 1e308, 1e308"},
      "the initial data's box [-r, r] at r = nan has no finite width"),
-], ids=["burgers-width-0", "advection-width-0", "burgers-1e308",
-        "friedrichs-1e308"])
+], ids=["burgers-1e308", "friedrichs-1e308"])
 def test_non_finite_datum_range_is_validation_error(
         tmp_path, monkeypatch, capsys, name, edits, message):
     # the sampled range that sizes Omega is checked before any system is
@@ -1458,12 +1595,13 @@ def test_non_finite_datum_range_is_validation_error(
 
 
 def test_non_finite_burgers_slope_is_validation_error(tmp_path, capsys):
-    # width 1e-300 gives finite data but NaN samples of u0', and so a NaN
-    # shock horizon that no final time exceeded: validate passed, and run
-    # then stopped at t = 0 (exit 4)
-    text = _shipped("burgers1d.ini")
-    for old, new in _bump(1e-300).items():
-        text = text.replace(old, new, 1)
+    # width 1e-154 on a box of length 0.25 passes the width rule and gives
+    # finite data, but NaN samples of u0', whose 1 / (width length)^2
+    # overflows, and so a NaN shock horizon that no final time exceeded:
+    # validate passed, and run then stopped at t = 0 (exit 4)
+    text = _shipped("burgers1d.ini").replace(
+        "n_cells = 128", "n_cells = 128\nlength = 0.25").replace(
+        _SINE, _SINE_AS_BUMP + "1e-154\n")
     path = write(tmp_path, "b.ini", text)
     out = tmp_path / "o"
     with warnings.catch_warnings():
@@ -1507,6 +1645,22 @@ def test_readme_lists_every_config_key():
             for line in section.splitlines() if line.startswith("| `[")]
     assert len(keys) == len(set(keys))
     assert set(keys) == set(cli.CONFIG_KEYS)
+
+
+def test_readme_lists_every_run_output(tmp_path):
+    # the file kinds of the README's "Run outputs" list are those that a
+    # run with every snapshot writes
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        text = fh.read()
+    section = text.split("### Run outputs\n", 1)[1].split("\n\n", 1)[0]
+    listed = [line.split("`")[1] for line in section.splitlines()
+              if line.startswith("- `")]
+    out = tmp_path / "o"
+    assert cli.run_single(write(tmp_path, "c.ini", CONSTANT_RUN),
+                          output_dir=str(out)) == cli.EXIT_OK
+    written = {re.sub(r"_\d{6}\.", "_NNNNNN.", name) for name in os.listdir(out)}
+    assert len(listed) == len(set(listed))
+    assert set(listed) == written == {"snapshot_NNNNNN.csv", "report.json"}
 
 
 def test_readme_python_examples_run():
